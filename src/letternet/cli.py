@@ -30,7 +30,6 @@ from letternet.export import (
     GexfValidationError,
     GraphFormatError,
     StyleError,
-    StyleSpec,
     export_csv_edges,
     export_dot,
     export_gexf,
@@ -64,6 +63,7 @@ from letternet.pipeline import (
     VerticalFormatError,
     default_annotator,
     ingest_pretagged,
+    write_atomic,
     write_vertical,
 )
 
@@ -71,7 +71,16 @@ log = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "LETTERNET_CONFIG"
 
-FORMATS = ("gexf", "dot", "json", "csv")
+# Output format -> (file name suffix, name of the exporter in this module).
+# Exporters are looked up by name when called, so a wrapper set on this
+# module sees every export; files are written in this order.
+_EXPORTERS = {
+    "gexf": (".gexf", "export_gexf"),
+    "dot": (".dot", "export_dot"),
+    "json": (".json", "export_json"),
+    "csv": ("_edges.csv", "export_csv_edges"),
+}
+FORMATS = tuple(_EXPORTERS)
 MODES = ("cooccur", "pairs")
 SCOPES = ("merged", "per-letter")
 
@@ -127,20 +136,31 @@ _PATH_KEYS = (
     "abbreviations",
 )
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+# RunConfig field annotation -> (description, check of a JSON config value).
+_VALUE_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[str, ...]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+}
 
 
 def load_config_file(path: str | Path) -> dict:
     """Read a JSON config file.
 
-    Unknown keys are rejected by name.  Relative input paths are
-    resolved against the config file's directory so a config can ship
-    next to its corpus; the ``out`` directory stays relative to the
-    working directory.
+    Unknown keys and values of the wrong type are rejected by name.
+    Relative input paths are resolved against the config file's
+    directory so a config can ship next to its corpus; the ``out``
+    directory stays relative to the working directory.
     """
     p = Path(path)
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
@@ -149,11 +169,15 @@ def load_config_file(path: str | Path) -> dict:
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{p}: unknown config keys: {', '.join(unknown)}")
+    for f in fields(RunConfig):
+        expected, check = _VALUE_TYPES[f.type]
+        if f.name in data and not check(data[f.name]):
+            raise ConfigError(f"{p}: {f.name} must be {expected}, got {data[f.name]!r}")
     for key in _PATH_KEYS:
         value = data.get(key)
         if isinstance(value, str) and value and not Path(value).is_absolute():
             data[key] = str(p.parent / value)
-    if "formats" in data and isinstance(data["formats"], list):
+    if "formats" in data:
         data["formats"] = tuple(data["formats"])
     return data
 
@@ -184,6 +208,8 @@ def validate_config(cfg: RunConfig, need_manifest: bool = True) -> None:
     _parse_context(cfg.context)
     if cfg.max_dist < 0:
         raise ConfigError(f"max_dist must be >= 0, got {cfg.max_dist}")
+    if cfg.top < 0:
+        raise ConfigError(f"top must be >= 0, got {cfg.top}")
     for rule in (cfg.prune_nodes, cfg.prune_edges):
         if rule is not None:
             try:
@@ -260,7 +286,10 @@ def _build_graphs(cfg: RunConfig, docs: list[AnnotatedDoc]) -> list[tuple[str, L
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -268,39 +297,24 @@ def _out_dir(cfg: RunConfig) -> Path:
 # subcommands
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
+def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
     validate_config(cfg)
     out = _out_dir(cfg)
     docs = _load_docs(cfg)
     for doc in docs:
         write_vertical(doc, out / f"{doc.letter_id}.tsv")
     print(f"preprocessed {len(docs)} letters -> {out}")
-    return 0
+    return out, docs
 
 
-def cmd_network(cfg: RunConfig) -> int:
-    validate_config(cfg)
-    out = _out_dir(cfg)
-    style = StyleSpec()
-    docs = _load_docs(cfg)
+def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None:
     for name, graph in _build_graphs(cfg, docs):
         written = []
-        if "gexf" in cfg.formats:
-            path = out / f"{name}.gexf"
-            export_gexf(graph, path, style)
-            written.append(path.name)
-        if "dot" in cfg.formats:
-            path = out / f"{name}.dot"
-            export_dot(graph, path, style)
-            written.append(path.name)
-        if "json" in cfg.formats:
-            path = out / f"{name}.json"
-            export_json(graph, path)
-            written.append(path.name)
-        if "csv" in cfg.formats:
-            path = out / f"{name}_edges.csv"
-            export_csv_edges(graph, path)
-            written.append(path.name)
+        for fmt, (suffix, exporter) in _EXPORTERS.items():
+            if fmt in cfg.formats:
+                path = out / f"{name}{suffix}"
+                globals()[exporter](graph, path)
+                written.append(path.name)
         stats_path = out / f"{name}_stats.txt"
         export_stats(graph, stats_path, cfg.top)
         written.append(stats_path.name)
@@ -308,6 +322,17 @@ def cmd_network(cfg: RunConfig) -> int:
             f"{name}: {graph.n_nodes} nodes, {graph.n_edges} edges "
             f"(total weight {graph.total_weight}) -> {', '.join(written)}"
         )
+
+
+def cmd_preprocess(cfg: RunConfig) -> int:
+    _preprocess(cfg)
+    return 0
+
+
+def cmd_network(cfg: RunConfig) -> int:
+    validate_config(cfg)
+    out = _out_dir(cfg)
+    _export_network(cfg, _load_docs(cfg), out)
     return 0
 
 
@@ -331,7 +356,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     text = report.format()
     print(text)
     out = _out_dir(cfg)
-    (out / "eval_report.txt").write_text(text + "\n", encoding="utf-8")
+    write_atomic(out / "eval_report.txt", (text + "\n").encode("utf-8"))
     return 0
 
 
@@ -346,10 +371,9 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    code = cmd_preprocess(cfg)
-    if code:
-        return code
-    return cmd_network(cfg)
+    out, docs = _preprocess(cfg)
+    _export_network(cfg, docs, out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +398,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-blocker",
-        action="store_true",
+        dest="verb_blocker",
+        action="store_false",
         default=None,
         help="pair heuristic: do not let an intervening verb cancel a side",
     )
@@ -394,6 +419,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
+        dest="formats",
+        type=lambda text: tuple(fmt.strip() for fmt in text.split(",") if fmt.strip()),
         metavar="LIST",
         help="comma-separated output formats: " + ",".join(FORMATS),
     )
@@ -417,40 +444,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         cfg = replace(cfg, **load_config_file(config_path))
-    overrides: dict = {}
-    for key in (
-        "manifest",
-        "out",
-        "mode",
-        "context",
-        "max_dist",
-        "prune_nodes",
-        "prune_edges",
-        "scope",
-        "gold",
-        "anaphora",
-        "pretagged_dir",
-        "variant_lexicon",
-        "abbreviations",
-        "top",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.no_blocker:
-        overrides["verb_blocker"] = False
-    if args.colon_boundary:
-        overrides["colon_boundary"] = True
-    if args.keep_isolated:
-        overrides["keep_isolated"] = True
-    if args.format is not None:
-        overrides["formats"] = tuple(
-            fmt.strip() for fmt in args.format.split(",") if fmt.strip()
-        )
-    try:
-        return replace(cfg, **overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name) is not None
+    }
+    return replace(cfg, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

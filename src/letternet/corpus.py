@@ -94,10 +94,14 @@ class Letter:
 
 
 def _strip_markup(text: str) -> str:
-    stripped = _TAG_RE.sub(" ", text)
-    if "<" in stripped or ">" in stripped:
+    # Repeated until nothing matches, so nested markup such as "<<g>>"
+    # goes whole and cleaning stays idempotent.
+    removed = 1
+    while removed:
+        text, removed = _TAG_RE.subn(" ", text)
+    if "<" in text or ">" in text:
         log.warning("unbalanced angle markup left as literal text")
-    return stripped
+    return text
 
 
 def _drop_bracketed(text: str) -> str:

@@ -13,15 +13,12 @@ import csv
 import io
 import json
 import math
-import os
 import re
-import tempfile
+import statistics
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
 
 from letternet.extraction import RelationKind
 from letternet.network import (
@@ -32,7 +29,7 @@ from letternet.network import (
     centrality,
     kind_is_directed,
 )
-from letternet.pipeline import PosClass
+from letternet.pipeline import ExportError, PosClass, write_atomic
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 VIZ_NS = "http://www.gexf.net/1.2draft/viz"
@@ -54,10 +51,6 @@ DEFAULT_EDGE_COLORS: Mapping[RelationKind, str] = {
 
 class StyleError(ValueError):
     """Raised for malformed style specifications."""
-
-
-class ExportError(OSError):
-    """Raised when an output file cannot be written."""
 
 
 class GexfValidationError(ValueError):
@@ -137,24 +130,6 @@ def _sorted_edges(graph: LexicalGraph) -> list[tuple[EdgeKey, int]]:
             kv[0][2].name,
         ),
     )
-
-
-def _write_atomic(path: str | Path, payload: bytes) -> None:
-    target = Path(path)
-    try:
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-    except OSError as exc:
-        raise ExportError(f"cannot write {target}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp_name, target)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise ExportError(f"cannot write {target}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +212,7 @@ def gexf_bytes(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> bytes:
 def export_gexf(
     graph: LexicalGraph, path: str | Path, style: StyleSpec = StyleSpec()
 ) -> None:
-    _write_atomic(path, gexf_bytes(graph, style))
+    write_atomic(path, gexf_bytes(graph, style))
 
 
 def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
@@ -407,7 +382,7 @@ def dot_text(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> str:
 def export_dot(
     graph: LexicalGraph, path: str | Path, style: StyleSpec = StyleSpec()
 ) -> None:
-    _write_atomic(path, dot_text(graph, style).encode("utf-8"))
+    write_atomic(path, dot_text(graph, style).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +411,7 @@ def graph_to_dict(graph: LexicalGraph) -> dict:
 
 def export_json(graph: LexicalGraph, path: str | Path) -> None:
     payload = json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
-    _write_atomic(path, payload.encode("utf-8"))
+    write_atomic(path, payload.encode("utf-8"))
 
 
 def graph_from_dict(data: dict) -> LexicalGraph:
@@ -505,7 +480,7 @@ def export_csv_edges(graph: LexicalGraph, path: str | Path) -> None:
     )
     for (src, dst, kind), weight in _sorted_edges(graph):
         writer.writerow([src[0], src[1].name, dst[0], dst[1].name, kind.name, weight])
-    _write_atomic(path, buf.getvalue().encode("utf-8"))
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +490,9 @@ def export_csv_edges(graph: LexicalGraph, path: str | Path) -> None:
 def _distribution_line(label: str, values: list[int]) -> str:
     if not values:
         return f"{label}: n/a (empty)"
-    arr = np.asarray(values, dtype=float)
     return (
-        f"{label}: min {int(arr.min())}  max {int(arr.max())}  "
-        f"mean {arr.mean():.3f}  sd {arr.std():.3f}"
+        f"{label}: min {min(values)}  max {max(values)}  "
+        f"mean {statistics.fmean(values):.3f}  sd {statistics.pstdev(values):.3f}"
     )
 
 
@@ -574,4 +548,4 @@ def stats_report(graph: LexicalGraph, top_n: int = 10) -> str:
 
 
 def export_stats(graph: LexicalGraph, path: str | Path, top_n: int = 10) -> None:
-    _write_atomic(path, stats_report(graph, top_n).encode("utf-8"))
+    write_atomic(path, stats_report(graph, top_n).encode("utf-8"))

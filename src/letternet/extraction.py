@@ -18,7 +18,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from letternet.pipeline import AnnotatedDoc, PosClass, Token
+from letternet.pipeline import AnnotatedDoc, PosClass, Token, read_table
 
 log = logging.getLogger(__name__)
 
@@ -211,30 +211,18 @@ class AnaphoraMap:
     @classmethod
     def from_file(cls, path: str | Path) -> "AnaphoraMap":
         """Read a four-column file: letter_id, sent_idx, tok_idx, lemma."""
-        p = Path(path)
-        try:
-            lines = p.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise AnaphoraError(f"cannot read anaphora file {p}: {exc}") from exc
         entries: dict[tuple[str, int, int], str] = {}
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 4:
-                raise AnaphoraError(
-                    f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            letter_id, sent_s, tok_s, lemma = (x.strip() for x in parts)
+        for where, (letter_id, sent_s, tok_s, lemma) in read_table(
+            path, 4, "anaphora file", AnaphoraError
+        ):
             try:
                 sent_idx, tok_idx = int(sent_s), int(tok_s)
             except ValueError:
                 raise AnaphoraError(
-                    f"{p}:{lineno}: bad token position {sent_s!r}/{tok_s!r}"
+                    f"{where}: bad token position {sent_s!r}/{tok_s!r}"
                 ) from None
             if not lemma or lemma == "-":
-                raise AnaphoraError(f"{p}:{lineno}: empty replacement lemma")
+                raise AnaphoraError(f"{where}: empty replacement lemma")
             entries[(letter_id, sent_idx, tok_idx)] = lemma.lower()
         return cls(entries=entries)
 
@@ -317,28 +305,16 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
     indices or neither argument raise :class:`GoldFormatError` naming
     the line.
     """
-    p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise GoldFormatError(f"cannot read gold file {p}: {exc}") from exc
     triples: list[GoldTriple] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 5:
-            raise GoldFormatError(
-                f"{p}:{lineno}: expected 5 tab-separated fields, got {len(parts)}"
-            )
-        letter_id, sent_s, verb, subj, obj = (x.strip() for x in parts)
+    for where, (letter_id, sent_s, verb, subj, obj) in read_table(
+        path, 5, "gold file", GoldFormatError
+    ):
         try:
             sent_idx = int(sent_s)
         except ValueError:
-            raise GoldFormatError(f"{p}:{lineno}: bad sentence index {sent_s!r}") from None
+            raise GoldFormatError(f"{where}: bad sentence index {sent_s!r}") from None
         if not verb or verb == "-":
-            raise GoldFormatError(f"{p}:{lineno}: empty verb lemma")
+            raise GoldFormatError(f"{where}: empty verb lemma")
         try:
             triples.append(
                 GoldTriple(
@@ -350,7 +326,7 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
                 )
             )
         except ValueError as exc:
-            raise GoldFormatError(f"{p}:{lineno}: {exc}") from None
+            raise GoldFormatError(f"{where}: {exc}") from None
     return triples
 
 

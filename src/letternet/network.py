@@ -13,11 +13,10 @@ from __future__ import annotations
 import enum
 import logging
 import re
+import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
-
-import numpy as np
 
 from letternet.extraction import DIRECTED_KINDS, PairRecord, RelationKind
 from letternet.pipeline import AnnotatedDoc, PosClass
@@ -163,8 +162,7 @@ class MeanSd:
     def cutoff(self, values: Sequence[int]) -> float:
         if not values:
             return 0.0
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean() + self.k * arr.std())
+        return statistics.fmean(values) + self.k * statistics.pstdev(values)
 
     def describe(self) -> str:
         return f"value > mean + {self.k:g} sd"

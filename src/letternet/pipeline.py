@@ -61,6 +61,63 @@ class VerticalFormatError(ValueError):
     """Raised for malformed vertical (one token per line) files."""
 
 
+class ExportError(OSError):
+    """Raised when an output file cannot be written."""
+
+
+def read_table(
+    path: str | Path, n_fields: int, what: str, error: type[Exception]
+) -> list[tuple[str, list[str]]]:
+    """Rows of a tab-separated resource file as ("path:line", fields).
+
+    The file is read as UTF-8; blank and "#" lines are skipped, and each
+    line and each field is stripped.  An unreadable or undecodable file
+    and a row without exactly ``n_fields`` fields raise ``error``.
+    """
+    p = Path(path)
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {p}: {exc}") from exc
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != n_fields:
+            raise error(
+                f"{p}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
+            )
+        rows.append((f"{p}:{lineno}", [x.strip() for x in parts]))
+    return rows
+
+
+def write_atomic(path: str | Path, payload: bytes) -> None:
+    """Write a file so that it appears complete or not at all.
+
+    An OSError becomes :class:`ExportError`; whatever goes wrong, the
+    temporary file is removed.
+    """
+    target = Path(path)
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    except OSError as exc:
+        raise ExportError(f"cannot write {target}: {exc}") from exc
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp_name, target)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise ExportError(f"cannot write {target}: {exc}") from exc
+        raise
+
+
 @dataclass(frozen=True)
 class Token:
     """One annotated token.
@@ -169,6 +226,13 @@ def tokenize(sentence: str) -> list[str]:
 # variant lexicon
 
 
+def _word_class(label: str, where: str) -> PosClass:
+    try:
+        return PosClass[label]
+    except KeyError:
+        raise LexiconFormatError(f"{where}: unknown word class {label!r}") from None
+
+
 @dataclass(frozen=True)
 class VariantEntry:
     normalized: str
@@ -206,34 +270,13 @@ class VariantLexicon:
         "-" leaves pos or lemma open; "#" starts a comment line.
         """
         entries: dict[str, VariantEntry] = {}
-        p = Path(path)
-        try:
-            lines = p.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise LexiconFormatError(f"cannot read lexicon {p}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise LexiconFormatError(
-                    f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            historical, normalized, pos_label, lemma = (x.strip() for x in parts)
+        rows = read_table(path, 4, "lexicon", LexiconFormatError)
+        for where, (historical, normalized, label, lemma) in rows:
             if not historical or not normalized:
-                raise LexiconFormatError(f"{p}:{lineno}: empty form")
-            pos: PosClass | None = None
-            if pos_label != "-":
-                try:
-                    pos = PosClass[pos_label]
-                except KeyError:
-                    raise LexiconFormatError(
-                        f"{p}:{lineno}: unknown word class {pos_label!r}"
-                    ) from None
+                raise LexiconFormatError(f"{where}: empty form")
             entries[historical] = VariantEntry(
                 normalized=normalized.lower(),
-                pos=pos,
+                pos=None if label == "-" else _word_class(label, where),
                 lemma=None if lemma == "-" else lemma.lower(),
             )
         return cls(entries)
@@ -310,8 +353,8 @@ class RuleTagger:
     """Dictionary-first tagger with suffix fallbacks.
 
     Looks the normalised form up in a word-to-class lexicon; unknown
-    words get a class from suffix heuristics, capitalised unknowns count
-    as proper nouns, and anything left defaults to NOUN.
+    words get a class from suffix heuristics, and anything left,
+    capitalised proper nouns included, defaults to NOUN.
     """
 
     _SUFFIX_RULES = (
@@ -344,36 +387,13 @@ class RuleTagger:
         for suffixes, min_len, pos in self._SUFFIX_RULES:
             if len(word) >= min_len and word.endswith(suffixes):
                 return pos
-        if surface[:1].isupper():
-            return PosClass.NOUN
         return PosClass.NOUN
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RuleTagger":
         """Read a two-column word class list (word, class)."""
-        lexicon: dict[str, PosClass] = {}
-        p = Path(path)
-        try:
-            lines = p.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise LexiconFormatError(f"cannot read word list {p}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise LexiconFormatError(
-                    f"{p}:{lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            word, label = parts[0].strip(), parts[1].strip()
-            try:
-                lexicon[word] = PosClass[label]
-            except KeyError:
-                raise LexiconFormatError(
-                    f"{p}:{lineno}: unknown word class {label!r}"
-                ) from None
-        return cls(lexicon)
+        rows = read_table(path, 2, "word list", LexiconFormatError)
+        return cls({word: _word_class(label, where) for where, (word, label) in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -475,29 +495,10 @@ class Lemmatizer:
     ) -> "Lemmatizer":
         """Read a three-column exception list (form, class-or-"-", lemma)."""
         exceptions: dict[tuple[str, PosClass | None], str] = {}
-        p = Path(path)
-        try:
-            lines = p.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise LexiconFormatError(f"cannot read exceptions {p}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 3:
-                raise LexiconFormatError(
-                    f"{p}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            form, label, lemma = (x.strip() for x in parts)
-            pos: PosClass | None = None
-            if label != "-":
-                try:
-                    pos = PosClass[label]
-                except KeyError:
-                    raise LexiconFormatError(
-                        f"{p}:{lineno}: unknown word class {label!r}"
-                    ) from None
+        for where, (form, label, lemma) in read_table(
+            path, 3, "exceptions", LexiconFormatError
+        ):
+            pos = None if label == "-" else _word_class(label, where)
             exceptions[(form.casefold(), pos)] = lemma.casefold()
         return cls(exceptions, known_as)
 
@@ -600,14 +601,13 @@ def data_path(name: str) -> Path:
     return Path(resources.files("letternet.data") / name)
 
 
+def _load_abbreviations(path: str | Path) -> frozenset[str]:
+    rows = read_table(path, 1, "abbreviations", LexiconFormatError)
+    return frozenset(word.rstrip(".").lower() for _, (word,) in rows)
+
+
 def load_default_abbreviations() -> frozenset[str]:
-    path = data_path("abbreviations.txt")
-    words = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip().rstrip(".")
-        if stripped and not stripped.startswith("#"):
-            words.add(stripped.lower())
-    return frozenset(words)
+    return _load_abbreviations(data_path("abbreviations.txt"))
 
 
 def default_annotator(
@@ -625,16 +625,8 @@ def default_annotator(
     lemmatizer = Lemmatizer.from_file(
         data_path("lemma_exceptions.tsv"), known_as=tagger.known_as
     )
-    lex_path = Path(variant_lexicon) if variant_lexicon else data_path("variant_lexicon.tsv")
-    lexicon = VariantLexicon.from_file(lex_path)
-    if abbreviations:
-        abbrevs = frozenset(
-            line.strip().rstrip(".").lower()
-            for line in Path(abbreviations).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        )
-    else:
-        abbrevs = load_default_abbreviations()
+    lexicon = VariantLexicon.from_file(variant_lexicon or data_path("variant_lexicon.tsv"))
+    abbrevs = _load_abbreviations(abbreviations or data_path("abbreviations.txt"))
     split = SplitConfig(colon_boundary=colon_boundary, abbreviations=abbrevs)
     return Annotator(lexicon=lexicon, tagger=tagger, lemmatizer=lemmatizer, split=split)
 
@@ -658,19 +650,7 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
             lines.append(
                 f"{token.surface}\t{token.normalized}\t{token.lemma}\t{token.pos.name}"
             )
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> AnnotatedDoc:

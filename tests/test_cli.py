@@ -1,9 +1,14 @@
 """Config resolution and the letternet command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import letternet
 from letternet import cli
 from letternet.cli import (
     CONFIG_ENV_VAR,
@@ -16,6 +21,7 @@ from letternet.cli import (
 )
 from letternet.export import import_json
 from letternet.extraction import RelationKind
+from letternet.pipeline import Annotator
 
 from conftest import MANIFEST, N, V
 
@@ -366,6 +372,40 @@ def test_run_chains_preprocess_and_network(mini_corpus, tmp_path, capsys):
     assert "preprocessed" in stdout and "network:" in stdout
 
 
+def test_run_annotates_once_and_matches_preprocess_then_network(
+    mini_corpus, tmp_path, capsys, monkeypatch
+):
+    annotated = []
+    original = Annotator.annotate
+
+    def counting(self, letter):
+        annotated.append(letter.meta.letter_id)
+        return original(self, letter)
+
+    monkeypatch.setattr(Annotator, "annotate", counting)
+    formats = ["--format", "gexf,dot,json,csv"]
+    run_out = tmp_path / "run"
+    code, run_stdout, _ = run_main(
+        ["run", "--manifest", str(mini_corpus), "--out", str(run_out), *formats], capsys
+    )
+    assert code == 0
+    assert sorted(annotated) == ["A1", "B1"]
+    split_out = tmp_path / "split"
+    stdout = ""
+    for command in ("preprocess", "network"):
+        code, out, _ = run_main(
+            [command, "--manifest", str(mini_corpus), "--out", str(split_out), *formats],
+            capsys,
+        )
+        assert code == 0
+        stdout += out
+    assert run_stdout.replace(str(run_out), str(split_out)) == stdout
+    names = sorted(p.name for p in run_out.iterdir())
+    assert names == sorted(p.name for p in split_out.iterdir())
+    for name in names:
+        assert (run_out / name).read_bytes() == (split_out / name).read_bytes()
+
+
 def test_eval_reports_scores(mini_corpus, tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     gold.write_text("A1\t0\tlove\ttutor\tchild\n", encoding="utf-8")
@@ -431,3 +471,73 @@ def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+NOT_UTF8 = b"\xff\xfe\n"
+NETWORK = ["network", "--manifest", "{manifest}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "content, argv, fragment",
+    [
+        (NOT_UTF8, NETWORK + ["--variant-lexicon", "{bad}"], "cannot read lexicon"),
+        (b"vse\tuse\t-\t\n", NETWORK + ["--variant-lexicon", "{bad}"], "got 3"),
+        (NOT_UTF8, NETWORK + ["--abbreviations", "{bad}"], "cannot read abbreviations"),
+        (NOT_UTF8, NETWORK + ["--anaphora", "{bad}"], "cannot read anaphora file"),
+        (
+            NOT_UTF8,
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "cannot read gold file",
+        ),
+        (NOT_UTF8, NETWORK + ["--config", "{bad}"], "cannot read config"),
+        (b'{"max_dist": "4"}', NETWORK + ["--config", "{bad}"], "max_dist must be an integer"),
+        (b'{"formats": "gexf"}', NETWORK + ["--config", "{bad}"], "formats must be a list"),
+        (b'{"verb_blocker": "no"}', NETWORK + ["--config", "{bad}"], "verb_blocker must be"),
+        (None, ["stats", "--manifest", "{manifest}", "--top", "-1"], "top must be >= 0"),
+        (b"x", ["network", "--manifest", "{manifest}", "--out", "{bad}"], "output directory"),
+        (b"x", ["network", "--manifest", "{manifest}", "--out", "{bad}/sub"], "output directory"),
+    ],
+    ids=[
+        "lexicon-not-utf8",
+        "lexicon-empty-lemma",
+        "abbreviations-not-utf8",
+        "anaphora-not-utf8",
+        "gold-not-utf8",
+        "config-not-utf8",
+        "config-max-dist-string",
+        "config-formats-string",
+        "config-verb-blocker-string",
+        "negative-top",
+        "out-is-a-file",
+        "out-under-a-file",
+    ],
+)
+def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
+    bad = tmp_path / "bad"
+    if content is not None:
+        bad.write_bytes(content)
+    values = {"manifest": mini_corpus, "out": tmp_path / "out", "bad": bad}
+    code, _, stderr = run_main([arg.format(**values) for arg in argv], capsys)
+    assert code == 1
+    assert stderr.startswith("letternet: error:")
+    assert fragment in stderr
+    assert "Traceback" not in stderr
+
+
+def test_cli_import_does_not_load_numpy(tmp_path):
+    # Started in tmp_path with the absolute directory letternet came from,
+    # since a relative PYTHONPATH entry would not resolve there.
+    env = dict(os.environ)
+    package_root = Path(letternet.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    code = "import sys, letternet.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

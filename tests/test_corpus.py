@@ -72,6 +72,13 @@ def test_cleaning_disabled_flags():
     assert clean_text("a <gap> [x] b", cfg) == "a <gap> [x] b"
 
 
+@pytest.mark.parametrize("text", ["<<>>", "x <<g>> y"])
+def test_nested_markup_cleaned_idempotently(text):
+    once = clean_text(text)
+    assert "<" not in once and ">" not in once
+    assert clean_text(once) == once
+
+
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200))
 def test_cleaning_idempotent(text):
     once = clean_text(text)

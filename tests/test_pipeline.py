@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from letternet.pipeline import (
     Annotator,
+    ExportError,
     Lemmatizer,
     LexiconFormatError,
     PosClass,
@@ -131,6 +132,10 @@ def test_variant_file_errors(tmp_path):
         VariantLexicon.from_file(p)
     p.write_text("word\tnorm\tNOTACLASS\t-\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError, match="NOTACLASS"):
+        VariantLexicon.from_file(p)
+    # a trailing tab leaves an empty lemma, not a fourth field
+    p.write_text("vse\tuse\t-\t\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=":1: expected 4 tab-separated fields, got 3"):
         VariantLexicon.from_file(p)
 
 
@@ -292,6 +297,13 @@ def test_ingest_stem_is_default_id(tmp_path, annotator):
     write_vertical(doc, path)
     assert ingest_pretagged(path).letter_id == "L99"
     assert ingest_pretagged(path, letter_id="Z").letter_id == "Z"
+
+
+def test_write_vertical_into_missing_directory(tmp_path, annotator):
+    doc = annotator.annotate_text("R1", "A word.")
+    with pytest.raises(ExportError, match="cannot write"):
+        write_vertical(doc, tmp_path / "no_such_dir" / "R1.tsv")
+    assert not (tmp_path / "no_such_dir").exists()
 
 
 def test_ingest_bad_field_count(tmp_path):
