@@ -34,11 +34,13 @@ if __name__ == "__main__":
     docs = [annotator.annotate(letter) for letter in corpus]
     print(f"annotated {len(docs)} letters")
 
-    # one graph per letter, then one merged graph for the whole corpus
+    # one graph per letter, then one merged graph for the whole corpus;
+    # the extractor counts co-occurring token pairs per edge, as a
+    # Counter keyed by (source node, target node, COOCCUR)
     graphs = []
     for doc in docs:
-        records = extract_cooccurrences(doc)
-        graphs.append(build_graph(records, token_frequencies([doc])))
+        weights = extract_cooccurrences(doc)
+        graphs.append(build_graph(weights, token_frequencies([doc])))
     merged = merge_graphs(graphs)
     print(f"merged graph: {merged.n_nodes} nodes, {merged.n_edges} edges")
 

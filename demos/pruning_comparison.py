@@ -24,7 +24,8 @@ if __name__ == "__main__":
     graphs = []
     for letter in corpus:
         doc = annotator.annotate(letter)
-        graphs.append(build_graph(extract_cooccurrences(doc), token_frequencies([doc])))
+        weights = extract_cooccurrences(doc)  # Counter: (src, dst, COOCCUR) -> weight
+        graphs.append(build_graph(weights, token_frequencies([doc])))
     merged = merge_graphs(graphs)
     print(f"full graph: {merged.n_nodes} nodes, {merged.n_edges} edges, "
           f"total weight {merged.total_weight}\n")

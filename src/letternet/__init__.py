@@ -2,8 +2,8 @@
 
 The package is organised as a pipeline: ``corpus`` reads manifests and
 cleans transcriptions, ``pipeline`` segments and annotates the text,
-``extraction`` produces co-occurrence and verb-argument pair records,
-``network`` aggregates records into weighted graphs, and ``export``
+``extraction`` produces co-occurrence edge weights and verb-argument
+pair records, ``network`` aggregates them into weighted graphs, and ``export``
 writes the graphs in interchange formats.  ``cli`` wires the stages
 together behind a command line interface.
 """

@@ -10,6 +10,7 @@ stripped before any linguistic processing.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -36,6 +37,9 @@ _MANIFEST_COLUMNS = (
 )
 _TRUE_WORDS = frozenset({"1", "true", "yes", "y"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "n", ""})
+# Letter ids become file names (vertical files, per-letter graphs), so
+# they may not name another directory.
+_UNSAFE_ID_CHARS = frozenset("/\\\0")
 
 
 class ManifestError(ValueError):
@@ -73,6 +77,11 @@ class LetterMeta:
     def __post_init__(self) -> None:
         if not self.letter_id:
             raise ValueError("letter_id must be non-empty")
+        if self.letter_id in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(self.letter_id):
+            raise ValueError(
+                f"letter_id {self.letter_id!r} is not a plain file name "
+                "(no '/', '\\', NUL, '.' or '..')"
+            )
         if not (YEAR_MIN <= self.year <= YEAR_MAX):
             raise ValueError(
                 f"letter {self.letter_id!r}: year {self.year} outside "
@@ -252,52 +261,57 @@ def load_manifest(
     year_uncertain, language, file and optional cut_marker.  "-" stands
     for an absent addressee or cut marker.  Paths are resolved relative
     to the manifest's directory.  An empty manifest is a warning, not an
-    error; malformed rows and duplicate identifiers are errors naming
-    the offending line.
+    error; an undecodable file, malformed rows, letter ids that are not
+    plain file names and duplicate identifiers are errors naming the
+    offending line.
     """
     p = Path(path)
     if not p.is_file():
         raise ManifestError(f"manifest not found: {p}")
+    try:
+        with p.open(newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"cannot read manifest {p}: {exc}") from exc
     base = p.parent
     letters: list[Letter] = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        fields = reader.fieldnames or []
-        missing = [c for c in _MANIFEST_COLUMNS if c not in fields]
-        if missing:
-            raise ManifestError(f"{p}: manifest misses columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            letter_id = (row.get("letter_id") or "").strip()
-            if not letter_id:
-                raise ManifestError(f"{p}:{lineno}: empty letter_id")
-            try:
-                year = int((row.get("year") or "").strip())
-            except ValueError:
-                raise ManifestError(
-                    f"{p}:{lineno}: bad year {row.get('year')!r}"
-                ) from None
-            addressee = (row.get("addressee") or "").strip()
-            try:
-                meta = LetterMeta(
-                    letter_id=letter_id,
-                    sender=(row.get("sender") or "").strip(),
-                    addressee=None if addressee in ("", "-") else addressee,
-                    year=year,
-                    year_uncertain=_parse_bool(
-                        row.get("year_uncertain") or "", lineno, p
-                    ),
-                    language=(row.get("language") or "en").strip() or "en",
-                )
-            except ValueError as exc:
-                raise ManifestError(f"{p}:{lineno}: {exc}") from None
-            marker = (row.get("cut_marker") or "").strip()
-            cfg = cleaning
-            if marker and marker != "-":
-                cfg = replace(cleaning, cut_marker=marker)
-            rel = (row.get("file") or "").strip()
-            if not rel:
-                raise ManifestError(f"{p}:{lineno}: empty file column")
-            letters.append(load_letter(base / rel, meta, cfg))
+    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter="\t")
+    fields = reader.fieldnames or []
+    missing = [c for c in _MANIFEST_COLUMNS if c not in fields]
+    if missing:
+        raise ManifestError(f"{p}: manifest misses columns {missing}")
+    for lineno, row in enumerate(reader, start=2):
+        letter_id = (row.get("letter_id") or "").strip()
+        if not letter_id:
+            raise ManifestError(f"{p}:{lineno}: empty letter_id")
+        try:
+            year = int((row.get("year") or "").strip())
+        except ValueError:
+            raise ManifestError(
+                f"{p}:{lineno}: bad year {row.get('year')!r}"
+            ) from None
+        addressee = (row.get("addressee") or "").strip()
+        try:
+            meta = LetterMeta(
+                letter_id=letter_id,
+                sender=(row.get("sender") or "").strip(),
+                addressee=None if addressee in ("", "-") else addressee,
+                year=year,
+                year_uncertain=_parse_bool(
+                    row.get("year_uncertain") or "", lineno, p
+                ),
+                language=(row.get("language") or "en").strip() or "en",
+            )
+        except ValueError as exc:
+            raise ManifestError(f"{p}:{lineno}: {exc}") from None
+        marker = (row.get("cut_marker") or "").strip()
+        cfg = cleaning
+        if marker and marker != "-":
+            cfg = replace(cleaning, cut_marker=marker)
+        rel = (row.get("file") or "").strip()
+        if not rel:
+            raise ManifestError(f"{p}:{lineno}: empty file column")
+        letters.append(load_letter(base / rel, meta, cfg))
     if not letters:
         log.warning("manifest %s lists no letters", p)
     return Corpus(letters)

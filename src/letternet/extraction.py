@@ -1,7 +1,7 @@
 """Relation extraction over annotated letters.
 
-Two extractors produce the records that graphs are built from:
-plain co-occurrence within a sentence or token window, and a shallow
+Two extractors produce what graphs are built from: co-occurrence edge
+weights within a sentence or token window, and the records of a shallow
 verb-argument heuristic that reads the nearest noun to the left of a
 verb as its subject and the nearest noun to the right as its object.
 The heuristic trades parsing for robustness: early modern prose defeats
@@ -14,7 +14,6 @@ import enum
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -27,6 +26,10 @@ class RelationKind(enum.Enum):
     COOCCUR = "COOCCUR"
     SUBJ = "SUBJ"
     OBJ = "OBJ"
+
+
+NodeKey = tuple[str, PosClass]
+EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
 
 
 DIRECTED_KINDS = frozenset({RelationKind.SUBJ, RelationKind.OBJ})
@@ -49,9 +52,9 @@ class PairRecord:
     """One extracted relation instance.
 
     For SUBJ the source is the noun and the target the verb; for OBJ
-    the source is the verb and the target the noun.  COOCCUR records
-    are unordered and stored with their endpoints in canonical
-    (lemma, class) order.  ``letter_id`` and ``sent_idx`` say where the
+    the source is the verb and the target the noun.  A COOCCUR record
+    is unordered; graph building puts its endpoints in canonical
+    :func:`node_order`.  ``letter_id`` and ``sent_idx`` say where the
     instance was found.
     """
 
@@ -64,48 +67,58 @@ class PairRecord:
     sent_idx: int
 
 
-def _node_sort_key(lemma: str, pos: PosClass) -> tuple[str, str]:
-    return (lemma, pos.name)
+def node_order(key: NodeKey) -> tuple[str, str]:
+    """Sort key that puts the endpoints of an undirected edge in canonical order."""
+    return (key[0], key[1].name)
 
 
 def extract_cooccurrences(
     doc: AnnotatedDoc,
     window: int | None = None,
     pos_filter: frozenset[PosClass] = DEFAULT_CONTENT_CLASSES,
-) -> list[PairRecord]:
-    """Co-occurrence records for every content-word pair in context.
+) -> Counter[EdgeKey]:
+    """Co-occurrence edge weights for the content words of a letter.
 
     With ``window=None`` the context is the whole sentence; otherwise
     two tokens co-occur when their positions differ by at most
-    ``window``.  Only tokens whose class is in ``pos_filter`` take part.
-    Each unordered pair of token occurrences yields one record, so a
-    pair seen n times carries multiplicity n; endpoints are stored in
-    canonical order.  Two occurrences of the same lemma still co-occur
-    (a node may pair with itself).
+    ``window`` (``tok_idx`` must increase along each sentence, as the
+    annotator and the vertical reader produce it).  Only tokens whose
+    class is in ``pos_filter`` take part.  Each unordered pair of token
+    occurrences adds 1 to the weight of its ``(src, dst, COOCCUR)`` key,
+    whose endpoints are in canonical :func:`node_order`.  Two
+    occurrences of the same lemma still co-occur (a node may pair with
+    itself).
+
+    In a sentence where node a occurs n_a times, a pair a != b gains
+    n_a * n_b and a self-pair C(n_a, 2), so the sentence context is
+    counted without visiting every token pair.
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    records: list[PairRecord] = []
+    cooccur = RelationKind.COOCCUR
+    weights: Counter[EdgeKey] = Counter()
     for sentence in doc.sentences:
-        content = [t for t in sentence if t.pos in pos_filter]
-        for a, b in combinations(content, 2):
-            if window is not None and abs(a.tok_idx - b.tok_idx) > window:
-                continue
-            first, second = sorted(
-                (a, b), key=lambda t: _node_sort_key(t.lemma, t.pos)
-            )
-            records.append(
-                PairRecord(
-                    src_lemma=first.lemma,
-                    src_pos=first.pos,
-                    dst_lemma=second.lemma,
-                    dst_pos=second.pos,
-                    kind=RelationKind.COOCCUR,
-                    letter_id=doc.letter_id,
-                    sent_idx=a.sent_idx,
-                )
-            )
-    return records
+        if window is None:
+            counts = Counter((t.lemma, t.pos) for t in sentence if t.pos in pos_filter)
+            nodes = sorted(counts.items(), key=lambda kv: node_order(kv[0]))
+            for i, (a, n_a) in enumerate(nodes):
+                if n_a > 1:
+                    weights[(a, a, cooccur)] += n_a * (n_a - 1) // 2
+                for b, n_b in nodes[i + 1 :]:
+                    weights[(a, b, cooccur)] += n_a * n_b
+        else:
+            content = [
+                ((t.lemma, t.pos), node_order((t.lemma, t.pos)), t.tok_idx)
+                for t in sentence
+                if t.pos in pos_filter
+            ]
+            for i, (a, order_a, pos_a) in enumerate(content):
+                for b, order_b, pos_b in content[i + 1 :]:
+                    if pos_b - pos_a > window:
+                        break
+                    edge = (a, b, cooccur) if order_a <= order_b else (b, a, cooccur)
+                    weights[edge] += 1
+    return weights
 
 
 def _scan(

@@ -1,7 +1,7 @@
-"""Weighted lexical graphs built from extraction records.
+"""Weighted lexical graphs built from extraction output.
 
 Nodes are (lemma, word class) pairs weighted by corpus frequency;
-edges carry a relation kind and the number of supporting record
+edges carry a relation kind and the number of supporting relation
 instances.  SUBJ and OBJ edges are directed, co-occurrence edges are
 not.  Graphs from single letters merge by summing weights, and two
 pruning rule families (absolute threshold, mean plus k standard
@@ -18,21 +18,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
-from letternet.extraction import DIRECTED_KINDS, PairRecord, RelationKind
-from letternet.pipeline import AnnotatedDoc, PosClass
+from letternet.extraction import (
+    DIRECTED_KINDS,
+    EdgeKey,
+    NodeKey,
+    PairRecord,
+    RelationKind,
+    node_order,
+)
+from letternet.pipeline import AnnotatedDoc
 
 log = logging.getLogger(__name__)
 
-NodeKey = tuple[str, PosClass]
-EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
-
 
 class GraphBuildError(ValueError):
-    """Raised when records reference lemmas without frequency data."""
-
-
-def _node_order(key: NodeKey) -> tuple[str, str]:
-    return (key[0], key[1].name)
+    """Raised when an edge references a lemma without frequency data."""
 
 
 def kind_is_directed(kind: RelationKind) -> bool:
@@ -76,7 +76,7 @@ class LexicalGraph:
                 raise ValueError(
                     f"edge {src}-{dst} ({kind.name}): weight {weight!r} not a positive int"
                 )
-            if kind is RelationKind.COOCCUR and _node_order(src) > _node_order(dst):
+            if kind is RelationKind.COOCCUR and node_order(src) > node_order(dst):
                 raise ValueError(f"co-occurrence edge {src}-{dst} not canonical")
 
 
@@ -89,45 +89,58 @@ def token_frequencies(docs: Iterable[AnnotatedDoc]) -> Counter:
     return freqs
 
 
+def _edge_weights(records: Iterable[PairRecord]) -> Counter[EdgeKey]:
+    """One unit of weight per record, COOCCUR endpoints in canonical order."""
+    weights: Counter[EdgeKey] = Counter()
+    for record in records:
+        src = (record.src_lemma, record.src_pos)
+        dst = (record.dst_lemma, record.dst_pos)
+        if record.kind is RelationKind.COOCCUR and node_order(src) > node_order(dst):
+            src, dst = dst, src
+        weights[(src, dst, record.kind)] += 1
+    return weights
+
+
 def build_graph(
-    records: Iterable[PairRecord],
+    edges: Mapping[EdgeKey, int] | Iterable[PairRecord],
     frequencies: Mapping[NodeKey, int],
 ) -> LexicalGraph:
-    """Aggregate records into a graph.
+    """Build a graph from edge weights or from pair records.
 
-    Node frequencies come from ``frequencies`` (typically
-    :func:`token_frequencies` over the same documents the records were
+    ``edges`` is either a mapping from edge key to weight, as
+    :func:`~letternet.extraction.extract_cooccurrences` returns it
+    (keys are used as given), or pair records, each of which adds 1 to
+    its edge, COOCCUR endpoints put in canonical order.  The same lemma
+    pair related in different ways yields one edge per kind.  The nodes
+    are the edge endpoints, so a lemma that takes part in no relation
+    is not a node.  Node frequencies come from ``frequencies`` (typically
+    :func:`token_frequencies` over the same documents the edges were
     extracted from); an endpoint without frequency data raises
-    :class:`GraphBuildError` naming the lemma.  Repeated records add up
-    to the edge weight.  The same lemma pair related in different ways
-    yields one edge per kind.
+    :class:`GraphBuildError` naming the lemma.
     """
+    weights = edges if isinstance(edges, Mapping) else _edge_weights(edges)
     nodes: dict[NodeKey, int] = {}
-    edges: dict[EdgeKey, int] = {}
-    for record in records:
-        for lemma, pos in (
-            (record.src_lemma, record.src_pos),
-            (record.dst_lemma, record.dst_pos),
-        ):
-            key = (lemma, pos)
+    for src, dst, _kind in weights:
+        for key in (src, dst):
             if key not in nodes:
                 freq = frequencies.get(key, 0)
                 if freq < 1:
                     raise GraphBuildError(
-                        f"no frequency for lemma {lemma!r} ({pos.name})"
+                        f"no frequency for lemma {key[0]!r} ({key[1].name})"
                     )
                 nodes[key] = int(freq)
-        src = (record.src_lemma, record.src_pos)
-        dst = (record.dst_lemma, record.dst_pos)
-        if record.kind is RelationKind.COOCCUR and _node_order(src) > _node_order(dst):
-            src, dst = dst, src
-        edge = (src, dst, record.kind)
-        edges[edge] = edges.get(edge, 0) + 1
-    return LexicalGraph(nodes=nodes, edges=edges)
+    return LexicalGraph(nodes=nodes, edges=dict(weights))
 
 
 def merge_graphs(graphs: Sequence[LexicalGraph]) -> LexicalGraph:
-    """Union of several graphs, summing node frequencies and edge weights."""
+    """Union of several graphs, summing node frequencies and edge weights.
+
+    A node's merged frequency sums only the graphs it is a node of.
+    Since :func:`build_graph` keeps only edge endpoints, a letter in
+    which a lemma takes part in no relation (say, it stands alone in
+    its sentences) adds nothing to that lemma's merged frequency, even
+    though :func:`token_frequencies` counted it there.
+    """
     nodes: Counter = Counter()
     edges: Counter = Counter()
     for graph in graphs:

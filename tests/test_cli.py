@@ -1,5 +1,6 @@
 """Config resolution and the letternet command line."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -475,6 +476,10 @@ def test_unknown_subcommand_exits_with_usage():
 
 NOT_UTF8 = b"\xff\xfe\n"
 NETWORK = ["network", "--manifest", "{manifest}", "--out", "{out}"]
+ESCAPING_MANIFEST = (
+    b"letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
+    b"../../escaped\tDury\t-\t1630\tfalse\ten\ta.txt\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -496,6 +501,12 @@ NETWORK = ["network", "--manifest", "{manifest}", "--out", "{out}"]
         (None, ["stats", "--manifest", "{manifest}", "--top", "-1"], "top must be >= 0"),
         (b"x", ["network", "--manifest", "{manifest}", "--out", "{bad}"], "output directory"),
         (b"x", ["network", "--manifest", "{manifest}", "--out", "{bad}/sub"], "output directory"),
+        (NOT_UTF8, ["network", "--manifest", "{bad}", "--out", "{out}"], "cannot read manifest"),
+        (
+            ESCAPING_MANIFEST,
+            ["preprocess", "--manifest", "{bad}", "--out", "{out}/a"],
+            "bad:2: letter_id '../../escaped' is not a plain file name",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -510,6 +521,8 @@ NETWORK = ["network", "--manifest", "{manifest}", "--out", "{out}"]
         "negative-top",
         "out-is-a-file",
         "out-under-a-file",
+        "manifest-not-utf8",
+        "manifest-escaping-letter-id",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
@@ -522,6 +535,21 @@ def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv,
     assert stderr.startswith("letternet: error:")
     assert fragment in stderr
     assert "Traceback" not in stderr
+    assert not (tmp_path / "escaped.tsv").exists()
+
+
+def test_trace_targets_are_cli_attributes(monkeypatch):
+    # The benchmark's tracer patches these names on letternet.cli with
+    # getattr/setattr, so renaming an import there would break --trace 1.
+    spans_path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    names = [name for name, _span, _count in spans.CLI_TARGETS]
+    assert names
+    assert [name for name in names if not hasattr(cli, name)] == []
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):

@@ -206,3 +206,16 @@ def test_load_manifest_bad_bool(tmp_path):
 def test_load_manifest_not_found(tmp_path):
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(tmp_path / "absent.tsv")
+
+
+@pytest.mark.parametrize("letter_id", ["../../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_load_manifest_rejects_unsafe_letter_id(tmp_path, letter_id):
+    p = tmp_path / "m.tsv"
+    (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+    p.write_text(
+        "letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
+        f"{letter_id}\tDury\t-\t1630\tfalse\ten\ta.txt\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ManifestError, match=r"m\.tsv:2: letter_id .* not a plain file name"):
+        load_manifest(p)

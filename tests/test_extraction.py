@@ -1,10 +1,13 @@
 """Co-occurrence and windowed verb-argument extraction."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from letternet.extraction import (
+    DEFAULT_CONTENT_CLASSES,
     AnaphoraError,
     AnaphoraMap,
     GoldFormatError,
@@ -17,6 +20,7 @@ from letternet.extraction import (
     extract_window_pairs,
     load_gold,
 )
+from letternet.network import build_graph, merge_graphs, token_frequencies
 from letternet.pipeline import PosClass
 
 from conftest import mk_doc, mk_sentence, N, V
@@ -36,22 +40,28 @@ def shapes(records):
     return [(r.src_lemma, r.src_pos, r.dst_lemma, r.dst_pos, r.kind) for r in records]
 
 
+def weight_shapes(weights):
+    """Edge weights keyed like :func:`shapes` entries."""
+    return {(s[0], s[1], d[0], d[1], kind): w for (s, d, kind), w in weights.items()}
+
+
 # co-occurrence
 
 
 def test_cooccur_single_pair():
     doc = mk_doc([("truth", N), ("be", V)])
-    got = shapes(extract_cooccurrences(doc))
-    assert got == [("be", V, "truth", N, C)]
+    got = weight_shapes(extract_cooccurrences(doc))
+    assert got == {("be", V, "truth", N, C): 1}
 
 
 def test_cooccur_sentence_context_all_pairs():
     doc = mk_doc([("church", N), ("man", N), ("come", V)])
-    got = shapes(extract_cooccurrences(doc))
-    assert len(got) == 3
-    assert ("church", N, "man", N, C) in got
-    assert ("church", N, "come", V, C) in got
-    assert ("come", V, "man", N, C) in got
+    got = weight_shapes(extract_cooccurrences(doc))
+    assert got == {
+        ("church", N, "man", N, C): 1,
+        ("church", N, "come", V, C): 1,
+        ("come", V, "man", N, C): 1,
+    }
 
 
 def test_cooccur_window_is_positional():
@@ -59,29 +69,34 @@ def test_cooccur_window_is_positional():
     doc = mk_doc(
         [("n1", N), ("v1", V), ("x", DET), ("x", DET), ("x", DET), ("x", DET), ("n2", N)]
     )
-    got = shapes(extract_cooccurrences(doc, window=4))
-    assert got == [("n1", N, "v1", V, C)]
+    got = weight_shapes(extract_cooccurrences(doc, window=4))
+    assert got == {("n1", N, "v1", V, C): 1}
 
 
 def test_cooccur_window_counts_noncontent_positions():
     doc = mk_doc([("a", N), ("x", DET), ("b", N)])
-    assert len(extract_cooccurrences(doc, window=2)) == 1
-    assert len(extract_cooccurrences(doc, window=1)) == 0
+    assert sum(extract_cooccurrences(doc, window=2).values()) == 1
+    assert sum(extract_cooccurrences(doc, window=1).values()) == 0
 
 
 def test_cooccur_pos_filter():
     doc = mk_doc([("good", ADJ), ("man", N), ("he", PRON)])
-    got = shapes(extract_cooccurrences(doc))
-    assert got == [("good", ADJ, "man", N, C)]
+    got = weight_shapes(extract_cooccurrences(doc))
+    assert got == {("good", ADJ, "man", N, C): 1}
     nouns_only = extract_cooccurrences(doc, pos_filter=frozenset({N}))
-    assert shapes(nouns_only) == []
+    assert weight_shapes(nouns_only) == {}
 
 
-def test_cooccur_repeated_lemma_gives_repeat_records():
+def test_cooccur_repeated_lemma_adds_weight():
     doc = mk_doc([("god", N), ("bless", V), ("god", N)])
-    got = shapes(extract_cooccurrences(doc))
-    assert got.count(("bless", V, "god", N, C)) == 2
-    assert got.count(("god", N, "god", N, C)) == 1
+    got = weight_shapes(extract_cooccurrences(doc))
+    assert got == {("bless", V, "god", N, C): 2, ("god", N, "god", N, C): 1}
+    # three occurrences pair with each other C(3, 2) = 3 times
+    triple = mk_doc([("god", N), ("god", N), ("bless", V), ("god", N)])
+    got = weight_shapes(extract_cooccurrences(triple))
+    assert got == {("bless", V, "god", N, C): 3, ("god", N, "god", N, C): 3}
+    got = weight_shapes(extract_cooccurrences(triple, window=1))
+    assert got == {("bless", V, "god", N, C): 2, ("god", N, "god", N, C): 1}
 
 
 def test_cooccur_canonical_endpoint_order():
@@ -89,13 +104,15 @@ def test_cooccur_canonical_endpoint_order():
         [("zeal", N), ("act", V)],
         [("act", V), ("zeal", N)],
     ):
-        got = shapes(extract_cooccurrences(mk_doc(sent)))
-        assert got == [("act", V, "zeal", N, C)]
+        for window in (None, 1):
+            got = weight_shapes(extract_cooccurrences(mk_doc(sent), window=window))
+            assert got == {("act", V, "zeal", N, C): 1}
 
 
 def test_cooccur_does_not_cross_sentences():
     doc = mk_doc([("a", N)], [("b", N)])
-    assert extract_cooccurrences(doc) == []
+    assert extract_cooccurrences(doc) == {}
+    assert extract_cooccurrences(doc, window=3) == {}
 
 
 def test_cooccur_bad_window():
@@ -104,11 +121,58 @@ def test_cooccur_bad_window():
         extract_cooccurrences(doc, window=0)
 
 
-def test_cooccur_records_carry_position():
-    doc = mk_doc([("a", N)], [("b", N), ("c", N)], letter_id="L9")
-    rec = extract_cooccurrences(doc)[0]
-    assert rec.letter_id == "L9"
-    assert rec.sent_idx == 1
+# record-per-pair oracle for co-occurrence counting
+
+
+def cooccurrence_records(doc, window=None, pos_filter=DEFAULT_CONTENT_CLASSES):
+    """One COOCCUR record for every pair of content tokens in context."""
+    records = []
+    for sentence in doc.sentences:
+        content = [t for t in sentence if t.pos in pos_filter]
+        for a, b in combinations(content, 2):
+            if window is not None and abs(a.tok_idx - b.tok_idx) > window:
+                continue
+            first, second = sorted((a, b), key=lambda t: (t.lemma, t.pos.name))
+            records.append(
+                PairRecord(
+                    first.lemma, first.pos, second.lemma, second.pos, C,
+                    doc.letter_id, a.sent_idx,
+                )
+            )
+    return records
+
+
+# content and non-content classes, few lemmas so that they repeat
+_ORACLE_TOKENS = st.tuples(
+    st.sampled_from(["a", "b", "c", "d"]), st.sampled_from([N, V, ADJ, PRON, DET, PUNCT])
+)
+_ORACLE_DOCS = st.lists(
+    st.lists(_ORACLE_TOKENS, max_size=12), min_size=1, max_size=5
+).map(lambda sentences: mk_doc(*sentences))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_ORACLE_DOCS, min_size=1, max_size=3),
+    st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+)
+def test_cooccur_counts_match_record_oracle(docs, window):
+    graphs, oracle_graphs = [], []
+    for doc in docs:
+        freqs = token_frequencies([doc])
+        weights = extract_cooccurrences(doc, window=window)
+        records = cooccurrence_records(doc, window=window)
+        assert sum(weights.values()) == len(records)
+        got = build_graph(weights, freqs)
+        want = build_graph(records, freqs)
+        assert got.nodes == want.nodes
+        assert got.edges == want.edges
+        got.validate()
+        graphs.append(got)
+        oracle_graphs.append(want)
+    merged, oracle_merged = merge_graphs(graphs), merge_graphs(oracle_graphs)
+    assert merged.nodes == oracle_merged.nodes
+    assert merged.edges == oracle_merged.edges
 
 
 # windowed verb-argument pairs

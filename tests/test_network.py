@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from letternet.extraction import PairRecord, RelationKind
+from letternet.extraction import PairRecord, RelationKind, extract_cooccurrences
 from letternet.network import (
     Centrality,
     GraphBuildError,
@@ -81,6 +81,36 @@ def test_merge_graphs_sums():
     assert merged.nodes[("man", N)] == 5
     assert merged.edges[(("man", N), ("see", V), S)] == 2
     assert merge_graphs([]).n_nodes == 0
+
+
+def test_build_graph_from_edge_weights():
+    weights = {(("god", N), ("man", N), C): 3, (("man", N), ("see", V), S): 1}
+    g = build_graph(weights, FREQS)
+    assert g.nodes == {("god", N): 7, ("man", N): 4, ("see", V): 3}
+    assert g.edges == weights
+    with pytest.raises(GraphBuildError, match="ghost"):
+        build_graph({(("ghost", N), ("man", N), C): 1}, FREQS)
+
+
+def test_build_graph_canonicalises_cooccur_records():
+    g = build_graph([rec(("see", V), ("man", N), C), rec(("man", N), ("see", V), C)], FREQS)
+    assert g.edges == {(("man", N), ("see", V), C): 2}
+
+
+def test_merged_node_frequency_sums_only_letters_where_it_is_an_endpoint():
+    # "lone" pairs with "man" in letter A; in letter B it stands alone in
+    # its sentence, so B's occurrence is not part of the merged frequency.
+    a = mk_doc([("lone", N), ("man", N)], letter_id="A")
+    b = mk_doc([("lone", N)], [("man", N), ("see", V)], letter_id="B")
+    merged = merge_graphs(
+        [build_graph(extract_cooccurrences(d), token_frequencies([d])) for d in (a, b)]
+    )
+    assert token_frequencies([a, b])[("lone", N)] == 2
+    assert merged.nodes == {("lone", N): 1, ("man", N): 2, ("see", V): 1}
+    assert merged.edges == {
+        (("lone", N), ("man", N), C): 1,
+        (("man", N), ("see", V), C): 1,
+    }
 
 
 def test_validate_rejects_bad_graphs():
