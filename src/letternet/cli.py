@@ -29,7 +29,6 @@ from letternet.export import (
     ExportError,
     GexfValidationError,
     GraphFormatError,
-    StyleError,
     export_csv_edges,
     export_dot,
     export_gexf,
@@ -92,7 +91,6 @@ _USER_ERRORS = (
     GoldFormatError,
     AnaphoraError,
     GraphBuildError,
-    StyleError,
     ExportError,
     GexfValidationError,
     GraphFormatError,
@@ -197,7 +195,7 @@ def _parse_context(text: str) -> int | None:
     raise ConfigError(f"bad context {text!r}; expected sentence or window:K")
 
 
-def validate_config(cfg: RunConfig, need_manifest: bool = True) -> None:
+def validate_config(cfg: RunConfig) -> None:
     if cfg.mode not in MODES:
         raise ConfigError(f"bad mode {cfg.mode!r}; expected one of {MODES}")
     if cfg.scope not in SCOPES:
@@ -216,7 +214,7 @@ def validate_config(cfg: RunConfig, need_manifest: bool = True) -> None:
                 parse_prune_rule(rule)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-    if need_manifest and not cfg.pretagged_dir:
+    if not cfg.pretagged_dir:
         if not cfg.manifest:
             raise ConfigError("no manifest configured (use --manifest or a config file)")
         if not Path(cfg.manifest).is_file():
@@ -288,7 +286,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 

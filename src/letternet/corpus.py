@@ -9,13 +9,13 @@ stripped before any linguistic processing.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
+
+from letternet.pipeline import read_table
 
 log = logging.getLogger(__name__)
 
@@ -243,13 +243,13 @@ def filter_corpus(
     return Corpus([letter for letter in corpus if predicate(letter.meta)])
 
 
-def _parse_bool(value: str, lineno: int, path: Path) -> bool:
-    v = value.strip().lower()
+def _parse_bool(value: str) -> bool:
+    v = value.lower()
     if v in _TRUE_WORDS:
         return True
     if v in _FALSE_WORDS:
         return False
-    raise ManifestError(f"{path}:{lineno}: bad boolean {value!r}")
+    raise ValueError(f"bad boolean {value!r}")
 
 
 def load_manifest(
@@ -260,58 +260,49 @@ def load_manifest(
     Expected columns: letter_id, sender, addressee, year,
     year_uncertain, language, file and optional cut_marker.  "-" stands
     for an absent addressee or cut marker.  Paths are resolved relative
-    to the manifest's directory.  An empty manifest is a warning, not an
-    error; an undecodable file, malformed rows, letter ids that are not
-    plain file names and duplicate identifiers are errors naming the
-    offending line.
+    to the manifest's directory.  Blank and "#" lines are skipped.  A
+    manifest without letters is a warning, not an error; an undecodable
+    file, a row whose field count differs from the header's, other
+    malformed rows, letter ids that are not plain file names and
+    duplicate identifiers are errors naming the offending line.
     """
     p = Path(path)
     if not p.is_file():
         raise ManifestError(f"manifest not found: {p}")
-    try:
-        with p.open(newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {p}: {exc}") from exc
-    base = p.parent
-    letters: list[Letter] = []
-    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter="\t")
-    fields = reader.fieldnames or []
-    missing = [c for c in _MANIFEST_COLUMNS if c not in fields]
+    rows = read_table(p, None, "manifest", ManifestError)
+    columns = rows[0][1] if rows else []
+    missing = [c for c in _MANIFEST_COLUMNS if c not in columns]
     if missing:
         raise ManifestError(f"{p}: manifest misses columns {missing}")
-    for lineno, row in enumerate(reader, start=2):
-        letter_id = (row.get("letter_id") or "").strip()
+    letters: list[Letter] = []
+    for where, values in rows[1:]:
+        row = dict(zip(columns, values))
+        letter_id = row["letter_id"]
         if not letter_id:
-            raise ManifestError(f"{p}:{lineno}: empty letter_id")
+            raise ManifestError(f"{where}: empty letter_id")
         try:
-            year = int((row.get("year") or "").strip())
+            year = int(row["year"])
         except ValueError:
-            raise ManifestError(
-                f"{p}:{lineno}: bad year {row.get('year')!r}"
-            ) from None
-        addressee = (row.get("addressee") or "").strip()
+            raise ManifestError(f"{where}: bad year {row['year']!r}") from None
+        addressee = row["addressee"]
         try:
             meta = LetterMeta(
                 letter_id=letter_id,
-                sender=(row.get("sender") or "").strip(),
+                sender=row["sender"],
                 addressee=None if addressee in ("", "-") else addressee,
                 year=year,
-                year_uncertain=_parse_bool(
-                    row.get("year_uncertain") or "", lineno, p
-                ),
-                language=(row.get("language") or "en").strip() or "en",
+                year_uncertain=_parse_bool(row["year_uncertain"]),
+                language=row["language"] or "en",
             )
         except ValueError as exc:
-            raise ManifestError(f"{p}:{lineno}: {exc}") from None
-        marker = (row.get("cut_marker") or "").strip()
+            raise ManifestError(f"{where}: {exc}") from None
+        marker = row.get("cut_marker", "")
         cfg = cleaning
         if marker and marker != "-":
             cfg = replace(cleaning, cut_marker=marker)
-        rel = (row.get("file") or "").strip()
-        if not rel:
-            raise ManifestError(f"{p}:{lineno}: empty file column")
-        letters.append(load_letter(base / rel, meta, cfg))
+        if not row["file"]:
+            raise ManifestError(f"{where}: empty file column")
+        letters.append(load_letter(p.parent / row["file"], meta, cfg))
     if not letters:
         log.warning("manifest %s lists no letters", p)
     return Corpus(letters)

@@ -218,18 +218,16 @@ def export_gexf(
 def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
     """Structurally validate a GEXF document.
 
-    Accepts a path or raw document content.  Checks the 1.2draft
-    skeleton: namespaces and version, unique node ids, labelled nodes,
-    edges whose endpoints exist, attribute values that reference
-    declared attributes, edge types and positive weights, and sane viz
-    colour/size values.  Returns (node count, edge count); raises
+    Accepts a file as a :class:`~pathlib.Path`, or the document itself
+    as ``str`` or ``bytes``.  Checks the 1.2draft skeleton: namespaces
+    and version, unique node ids, labelled nodes, edges whose endpoints
+    exist, attribute values that reference declared attributes, edge
+    types and positive weights, and sane viz colour/size values.  Returns (node count, edge count); raises
     :class:`GexfValidationError` on the first violation.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("<")
-    ):
+    if isinstance(source, Path):
         try:
-            data = Path(source).read_bytes()
+            data = source.read_bytes()
         except OSError as exc:
             raise GexfValidationError(f"cannot read {source}: {exc}") from exc
     elif isinstance(source, str):

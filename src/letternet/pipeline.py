@@ -3,10 +3,10 @@
 The pipeline takes cleaned letter text through sentence splitting,
 tokenisation, spelling normalisation (u/v and i/j conventions, a
 lexicon of period variants), rule-based part-of-speech tagging and
-suffix-stripping lemmatisation.  Annotated documents can be written to
-and re-read from a simple one-token-per-line vertical format so that a
-better external tagger can be substituted without touching the rest of
-the toolchain.
+suffix-stripping lemmatisation, all done token by token in
+:class:`Annotator`.  Annotated documents can be written to and re-read
+from a simple one-token-per-line vertical format; that is also how the
+output of another tagger enters the toolchain (:func:`ingest_pretagged`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -66,13 +66,14 @@ class ExportError(OSError):
 
 
 def read_table(
-    path: str | Path, n_fields: int, what: str, error: type[Exception]
+    path: str | Path, n_fields: int | None, what: str, error: type[Exception]
 ) -> list[tuple[str, list[str]]]:
     """Rows of a tab-separated resource file as ("path:line", fields).
 
     The file is read as UTF-8; blank and "#" lines are skipped, and each
     line and each field is stripped.  An unreadable or undecodable file
-    and a row without exactly ``n_fields`` fields raise ``error``.
+    and a row without exactly ``n_fields`` fields raise ``error``; with
+    ``n_fields`` None the first row (a header) sets the count.
     """
     p = Path(path)
     try:
@@ -85,6 +86,8 @@ def read_table(
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split("\t")
+        if n_fields is None:
+            n_fields = len(parts)
         if len(parts) != n_fields:
             raise error(
                 f"{p}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
@@ -342,13 +345,6 @@ def modernize_spelling(word: str, known: Callable[[str], bool]) -> str:
 # tagging
 
 
-class TaggerInterface(Protocol):
-    """Anything that can assign a word class to a normalised token."""
-
-    def tag(self, normalized: str, surface: str = "") -> PosClass:
-        ...
-
-
 class RuleTagger:
     """Dictionary-first tagger with suffix fallbacks.
 
@@ -377,7 +373,7 @@ class RuleTagger:
     def known_as(self, word: str, pos: PosClass) -> bool:
         return self.lexicon.get(word.casefold()) is pos
 
-    def tag(self, normalized: str, surface: str = "") -> PosClass:
+    def tag(self, normalized: str) -> PosClass:
         word = normalized.casefold()
         hit = self.lexicon.get(word)
         if hit is not None:
@@ -442,37 +438,31 @@ class Lemmatizer:
             return word
         return candidate
 
-    def _verb(self, w: str) -> str:
-        pos = PosClass.VERB
+    def _strip_s(self, w: str, pos: PosClass, es_after: str) -> str:
+        """Undo -ies, -es and -s: noun plurals and verbs' third person.
+
+        "-es" loses both letters after "ch", "sh" or one of ``es_after``.
+        """
         if len(w) > 4 and w.endswith("ies"):
             return w[:-3] + "y"
+        if len(w) > 3 and w.endswith("es"):
+            if self._known_as(w[:-1], pos):
+                return w[:-1]
+            if w[-4:-2] in ("ch", "sh") or w[-3] in es_after:
+                return w[:-2]
+        if len(w) > 3 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
+            return w[:-1]
+        return w
+
+    def _verb(self, w: str) -> str:
+        pos = PosClass.VERB
         if len(w) > 4 and w.endswith("ied"):
             return w[:-3] + "y"
         if len(w) > 4 and w.endswith("ing"):
             return self._strip_or_keep(w, w[:-3], pos)
         if len(w) > 4 and w.endswith("ed"):
             return self._strip_or_keep(w, w[:-2], pos)
-        if len(w) > 3 and w.endswith("es"):
-            if self._known_as(w[:-1], pos):
-                return w[:-1]
-            if w[-4:-2] in ("ch", "sh") or w[-3] in "sxzo":
-                return w[:-2]
-        if len(w) > 3 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
-            return w[:-1]
-        return w
-
-    def _noun(self, w: str) -> str:
-        pos = PosClass.NOUN
-        if len(w) > 4 and w.endswith("ies"):
-            return w[:-3] + "y"
-        if len(w) > 3 and w.endswith("es"):
-            if self._known_as(w[:-1], pos):
-                return w[:-1]
-            if w[-4:-2] in ("ch", "sh") or w[-3] in "sxz":
-                return w[:-2]
-        if len(w) > 3 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
-            return w[:-1]
-        return w
+        return self._strip_s(w, pos, "sxzo")
 
     def lemmatize(self, normalized: str, pos: PosClass) -> str:
         word = normalized.casefold()
@@ -484,7 +474,7 @@ class Lemmatizer:
         if pos is PosClass.VERB:
             return self._verb(word)
         if pos is PosClass.NOUN:
-            return self._noun(word)
+            return self._strip_s(word, pos, "sxz")
         return word
 
     @classmethod
@@ -507,85 +497,47 @@ class Lemmatizer:
 # token annotation
 
 
-def normalize_and_tag(
-    surfaces: Iterable[str],
-    lexicon: VariantLexicon,
-    tagger: TaggerInterface,
-    lemmatizer: Lemmatizer,
-    sent_idx: int = 0,
-) -> list[Token]:
-    """Annotate one sentence's surface tokens.
-
-    The variant lexicon wins where it has an entry (and may force class
-    and lemma); everything else goes through spelling modernisation,
-    the tagger and the lemmatiser.  Punctuation, numbers and "&" are
-    classed directly.  A tagger failure downgrades the token to OTHER
-    with a warning instead of aborting the sentence.
-    """
-    known = getattr(tagger, "known", None)
-    known_word = known if callable(known) else (lambda word: False)
-    tokens: list[Token] = []
-    for idx, surface in enumerate(surfaces):
-        if surface == "&":
-            tokens.append(Token(surface, "&", "&", PosClass.CONJ, sent_idx, idx))
-            continue
-        if surface.isdigit():
-            tokens.append(Token(surface, surface, surface, PosClass.NUM, sent_idx, idx))
-            continue
-        if not any(ch.isalpha() for ch in surface):
-            tokens.append(
-                Token(surface, surface, surface, PosClass.PUNCT, sent_idx, idx)
-            )
-            continue
-        key = surface.casefold()
-        entry = lexicon.lookup(key)
-        if entry is not None:
-            normalized = entry.normalized
-            pos = entry.pos
-            lemma = entry.lemma
-        else:
-            normalized = modernize_spelling(key, known_word)
-            pos = None
-            lemma = None
-        if pos is None:
-            try:
-                pos = tagger.tag(normalized, surface)
-            except Exception:
-                log.warning(
-                    "tagger failed on %r (sentence %d, token %d); classing as OTHER",
-                    surface,
-                    sent_idx,
-                    idx,
-                )
-                pos = PosClass.OTHER
-            if pos is None:
-                pos = PosClass.OTHER
-        if lemma is None:
-            lemma = lemmatizer.lemmatize(normalized, pos)
-        tokens.append(Token(surface, normalized, lemma, pos, sent_idx, idx))
-    return tokens
-
-
 @dataclass
 class Annotator:
-    """Bundles the pipeline components for convenient whole-letter runs."""
+    """Annotates whole letters, one token at a time.
+
+    Punctuation, numbers and "&" are classed directly.  For a word the
+    variant lexicon wins where it has an entry (and may force class and
+    lemma); everything else goes through spelling modernisation against
+    the tagger's word list, the tagger and the lemmatiser.
+    """
 
     lexicon: VariantLexicon
-    tagger: TaggerInterface
+    tagger: RuleTagger
     lemmatizer: Lemmatizer
     split: SplitConfig = SplitConfig()
 
     def annotate_text(self, letter_id: str, text: str) -> AnnotatedDoc:
+        lookup, known = self.lexicon.lookup, self.tagger.known
+        tag, lemmatize = self.tagger.tag, self.lemmatizer.lemmatize
         sentences = []
         for sent_idx, sentence in enumerate(split_sentences(text, self.split)):
-            surfaces = tokenize(sentence)
-            sentences.append(
-                tuple(
-                    normalize_and_tag(
-                        surfaces, self.lexicon, self.tagger, self.lemmatizer, sent_idx
-                    )
-                )
-            )
+            tokens = []
+            for idx, surface in enumerate(tokenize(sentence)):
+                if surface == "&":
+                    normalized, pos, lemma = "&", PosClass.CONJ, "&"
+                elif surface.isdigit():
+                    normalized, pos, lemma = surface, PosClass.NUM, surface
+                elif not any(ch.isalpha() for ch in surface):
+                    normalized, pos, lemma = surface, PosClass.PUNCT, surface
+                else:
+                    key = surface.casefold()
+                    entry = lookup(key)
+                    if entry is None:
+                        normalized, pos, lemma = modernize_spelling(key, known), None, None
+                    else:
+                        normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
+                    if pos is None:
+                        pos = tag(normalized)
+                    if lemma is None:
+                        lemma = lemmatize(normalized, pos)
+                tokens.append(Token(surface, normalized, lemma, pos, sent_idx, idx))
+            sentences.append(tuple(tokens))
         return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
 
     def annotate(self, letter) -> AnnotatedDoc:

@@ -1,13 +1,18 @@
 """Config resolution and the letternet command line."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import letternet
 from letternet import cli
@@ -476,10 +481,8 @@ def test_unknown_subcommand_exits_with_usage():
 
 NOT_UTF8 = b"\xff\xfe\n"
 NETWORK = ["network", "--manifest", "{manifest}", "--out", "{out}"]
-ESCAPING_MANIFEST = (
-    b"letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
-    b"../../escaped\tDury\t-\t1630\tfalse\ten\ta.txt\n"
-)
+MANIFEST_HEADER = b"letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
+ESCAPING_MANIFEST = MANIFEST_HEADER + b"../../escaped\tDury\t-\t1630\tfalse\ten\ta.txt\n"
 
 
 @pytest.mark.parametrize(
@@ -507,6 +510,22 @@ ESCAPING_MANIFEST = (
             ["preprocess", "--manifest", "{bad}", "--out", "{out}/a"],
             "bad:2: letter_id '../../escaped' is not a plain file name",
         ),
+        (
+            b"# two letters\n" + MANIFEST_HEADER + b"\n# A1 has a stray field\n"
+            b"A1\tDury\t-\t1630\tfalse\ten\ta.txt\textra\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:5: expected 7 tab-separated fields, got 8\n",
+        ),
+        (
+            MANIFEST_HEADER + b"A1\tDury\t-\t1630\tmaybe\ten\ta.txt\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:2: bad boolean 'maybe'\n",
+        ),
+        (
+            b'{"out": "o\\u0000x"}',
+            ["network", "--manifest", "{manifest}", "--config", "{bad}"],
+            "cannot create output directory",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -523,6 +542,9 @@ ESCAPING_MANIFEST = (
         "out-under-a-file",
         "manifest-not-utf8",
         "manifest-escaping-letter-id",
+        "manifest-comments-and-extra-field",
+        "manifest-bad-boolean",
+        "config-out-with-nul",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
@@ -533,9 +555,59 @@ def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv,
     code, _, stderr = run_main([arg.format(**values) for arg in argv], capsys)
     assert code == 1
     assert stderr.startswith("letternet: error:")
-    assert fragment in stderr
+    assert fragment.format(**values) in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "escaped.tsv").exists()
+
+
+# Config items: a RunConfig key with a value of its own type or of any
+# JSON type.  Strings lean towards what the options accept, and hold no
+# "/" or "\\", so a path value stays one name under the working directory.
+_CONFIG_STRINGS = st.sampled_from(
+    ["", ".", "..", "\0", "o\0x", "pairs", "per-letter", "window:2", "gt0", "mean1", "json"]
+) | st.text(alphabet=st.sampled_from("\0.:-aé1 "), max_size=6)
+_CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _CONFIG_STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_CONFIG_STRINGS, inner, max_size=2),
+    max_leaves=4,
+)
+_TYPED_VALUES = {
+    "str": _CONFIG_STRINGS,
+    "str | None": st.none() | _CONFIG_STRINGS,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "tuple[str, ...]": st.lists(_CONFIG_STRINGS, max_size=3),
+}
+_CONFIG_ITEMS = st.sampled_from(fields(RunConfig)).flatmap(
+    lambda f: st.tuples(st.just(f.name), _TYPED_VALUES[f.type] | _CONFIG_VALUES)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["preprocess", "network", "eval", "stats", "run"]),
+    config=st.lists(_CONFIG_ITEMS, max_size=3).map(dict),
+)
+@example(command="network", config={"out": "o\0x"})
+def test_random_config_never_raises(mini_corpus, command, config):
+    # a few keys at a time and a real manifest unless one is drawn, so
+    # that many runs get past validation into the pipeline
+    config.setdefault("manifest", str(mini_corpus))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        work.mkdir()
+        (work / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(work)  # output directories are relative to the working directory
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", "c.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1)
+    if code:
+        assert stderr.getvalue().startswith("letternet: error:")
 
 
 def test_trace_targets_are_cli_attributes(monkeypatch):

@@ -203,6 +203,22 @@ def test_load_manifest_bad_bool(tmp_path):
         load_manifest(p)
 
 
+def test_load_manifest_skips_comments_and_blank_lines(tmp_path):
+    p = tmp_path / "m.tsv"
+    (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+    p.write_text(
+        "# corpus of one letter\n"
+        "letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
+        "\n"
+        "# A, undated copy\n"
+        "A\tDury\t-\t1630\tyes\ten\ta.txt\n",
+        encoding="utf-8",
+    )
+    corpus = load_manifest(p)
+    assert corpus.ids() == ["A"]
+    assert corpus.get("A").meta.year_uncertain
+
+
 def test_load_manifest_not_found(tmp_path):
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(tmp_path / "absent.tsv")

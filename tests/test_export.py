@@ -108,7 +108,8 @@ def test_gexf_validator_rejects_broken_documents(toy_graph):
     # an edge pointing at a missing node id
     with pytest.raises(GexfValidationError, match="edge"):
         validate_gexf(good.replace('source="god::NOUN"', 'source="ghost::NOUN"'))
-    with pytest.raises(GexfValidationError):
+    # a str is always a document, never a file name
+    with pytest.raises(GexfValidationError, match="not well-formed XML"):
         validate_gexf("not xml at <all")
 
 

@@ -17,7 +17,6 @@ from letternet.pipeline import (
     ingest_pretagged,
     load_default_abbreviations,
     modernize_spelling,
-    normalize_and_tag,
     split_sentences,
     tokenize,
     write_vertical,
@@ -181,8 +180,10 @@ def test_tagger_suffixes(tagger):
     assert tagger.tag("prudency") is PosClass.NOUN
 
 
-def test_tagger_capitalized_unknown_is_noun(tagger):
-    assert tagger.tag("comenius", surface="Comenius") is PosClass.NOUN
+def test_tagger_capitalized_unknown_is_noun(annotator):
+    # the tagger sees only the normalised (lower-cased) form
+    tok = annotator.annotate_text("T", "Comenius").sentences[0][0]
+    assert (tok.normalized, tok.pos) == ("comenius", PosClass.NOUN)
 
 
 def test_tagger_default_noun(tagger):
@@ -201,9 +202,7 @@ def test_tagger_file_errors(tmp_path):
 
 @pytest.fixture(scope="module")
 def lemmatizer(tagger):
-    lem = Lemmatizer.from_file(data_path("lemma_exceptions.tsv"))
-    lem._known_as = tagger.known_as
-    return lem
+    return Lemmatizer.from_file(data_path("lemma_exceptions.tsv"), known_as=tagger.known_as)
 
 
 def test_lemma_exceptions(lemmatizer):
@@ -246,7 +245,7 @@ def test_lemma_idempotent_on_corpus(annotator, sample_corpus):
                 assert lem.lemmatize(tok.lemma, tok.pos) == tok.lemma
 
 
-# normalize_and_tag
+# token annotation
 
 
 def _annotate_one(annotator, text):
