@@ -34,6 +34,7 @@ from letternet.export import (
     export_gexf,
     export_json,
     export_stats,
+    sorted_view,
     stats_report,
 )
 from letternet.extraction import (
@@ -307,14 +308,15 @@ def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
 
 def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None:
     for name, graph in _build_graphs(cfg, docs):
+        view = sorted_view(graph)
         written = []
         for fmt, (suffix, exporter) in _EXPORTERS.items():
             if fmt in cfg.formats:
                 path = out / f"{name}{suffix}"
-                globals()[exporter](graph, path)
+                globals()[exporter](view, path)
                 written.append(path.name)
         stats_path = out / f"{name}_stats.txt"
-        export_stats(graph, stats_path, cfg.top)
+        export_stats(view, stats_path, cfg.top)
         written.append(stats_path.name)
         print(
             f"{name}: {graph.n_nodes} nodes, {graph.n_edges} edges "

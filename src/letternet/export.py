@@ -2,9 +2,14 @@
 
 All writers are deterministic (nodes and edges sorted, no timestamps),
 so the same graph always produces byte-identical files, and all writes
-are atomic: the target file appears complete or not at all.  Styling
-(class colours, frequency-scaled node sizes) follows one StyleSpec
-shared by the GEXF and DOT writers.
+are atomic: the target file appears complete or not at all.  The writers
+share one sorted view of a graph (:class:`SortedGraph`), which a caller
+that writes several files builds once with :func:`sorted_view`; given a
+plain :class:`~letternet.network.LexicalGraph`, a writer builds the view
+itself.  JSON is written directly in ``json.dumps(..., indent=2)``
+layout, with only the lemma strings passed through the ``json``
+encoder.  Styling (class colours, frequency-scaled node sizes) follows
+one StyleSpec shared by the GEXF and DOT writers.
 """
 
 from __future__ import annotations
@@ -16,18 +21,21 @@ import math
 import re
 import statistics
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple, Union
 
-from letternet.extraction import RelationKind
+from letternet.extraction import RelationKind, node_order
 from letternet.network import (
     Centrality,
     EdgeKey,
     LexicalGraph,
     NodeKey,
-    centrality,
+    degree_scores,
     kind_is_directed,
+    rank,
 )
 from letternet.pipeline import ExportError, PosClass, write_atomic
 
@@ -107,29 +115,49 @@ class StyleSpec:
         return self.size_min + span * (freq - freq_min) / (freq_max - freq_min)
 
 
-def _hex_to_rgb(color: str) -> tuple[int, int, int]:
-    return int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)
+def _viz_rgb(color: str) -> str:
+    """"#RRGGBB" as the r, g and b attributes of a viz:color element."""
+    r, g, b = (int(color[i : i + 2], 16) for i in (1, 3, 5))
+    return f'r="{r}" g="{g}" b="{b}"'
 
 
-def _node_id(key: NodeKey) -> str:
-    return f"{key[0]}::{key[1].name}"
+class SortedGraph(NamedTuple):
+    """A graph's nodes and edges in file order, names as plain strings.
+
+    ``nodes`` holds (node id, lemma, class name, frequency) rows sorted
+    by lemma, then class name; the node id is "lemma::CLASS".  ``edges``
+    holds (source, target, kind name, directed, weight) rows whose
+    endpoints are positions in ``nodes``, sorted by source, target and
+    kind name, which orders them by source lemma and class, target lemma
+    and class, then kind.
+    """
+
+    nodes: list[tuple[str, str, str, int]]
+    edges: list[tuple[int, int, str, bool, int]]
 
 
-def _sorted_nodes(graph: LexicalGraph) -> list[tuple[NodeKey, int]]:
-    return sorted(graph.nodes.items(), key=lambda kv: (kv[0][0], kv[0][1].name))
+GraphLike = Union[LexicalGraph, SortedGraph]
 
 
-def _sorted_edges(graph: LexicalGraph) -> list[tuple[EdgeKey, int]]:
-    return sorted(
-        graph.edges.items(),
-        key=lambda kv: (
-            kv[0][0][0],
-            kv[0][0][1].name,
-            kv[0][1][0],
-            kv[0][1][1].name,
-            kv[0][2].name,
-        ),
+def sorted_view(graph: GraphLike) -> SortedGraph:
+    """Sort a graph once for every writer; a view is returned as it is."""
+    if isinstance(graph, SortedGraph):
+        return graph
+    # (lemma, class name) is unique, so the sort never compares further
+    rows = sorted((*node_order(key), freq, key) for key, freq in graph.nodes.items())
+    number = {key: i for i, (_, _, _, key) in enumerate(rows)}
+    nodes = [(f"{lemma}::{cls}", lemma, cls, freq) for lemma, cls, freq, _ in rows]
+    kinds = {kind: (kind.name, kind_is_directed(kind)) for kind in RelationKind}
+    edges = sorted(
+        (number[src], number[dst], *kinds[kind], weight)
+        for (src, dst, kind), weight in graph.edges.items()
     )
+    return SortedGraph(nodes=nodes, edges=edges)
+
+
+def _freq_range(view: SortedGraph) -> tuple[int, int]:
+    freqs = [freq for _, _, _, freq in view.nodes]
+    return (min(freqs), max(freqs)) if freqs else (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +173,21 @@ def _xml_attr(value: str) -> str:
     )
 
 
-def gexf_bytes(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> bytes:
+def gexf_bytes(graph: GraphLike, style: StyleSpec = StyleSpec()) -> bytes:
     """Serialise a graph as GEXF 1.2draft with viz colours and sizes."""
-    freqs = list(graph.nodes.values())
-    freq_min = min(freqs) if freqs else 0
-    freq_max = max(freqs) if freqs else 0
-    any_directed = any(kind_is_directed(kind) for (_, _, kind) in graph.edges)
+    view = sorted_view(graph)
+    freq_min, freq_max = _freq_range(view)
+    any_directed = any(directed for _, _, _, directed, _ in view.edges)
     default_type = "directed" if any_directed else "undirected"
+    node_rgb = {pos.name: _viz_rgb(style.node_color(pos)) for pos in PosClass}
+    edge_rgb = {kind.name: _viz_rgb(style.edge_color(kind)) for kind in RelationKind}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<gexf xmlns="{GEXF_NS}" xmlns:viz="{VIZ_NS}" version="1.2">',
         "  <meta>",
         "    <creator>letternet</creator>",
-        f"    <description>lexical network: {graph.n_nodes} nodes, "
-        f"{graph.n_edges} edges</description>",
+        f"    <description>lexical network: {len(view.nodes)} nodes, "
+        f"{len(view.edges)} edges</description>",
         "  </meta>",
         f'  <graph mode="static" defaultedgetype="{default_type}">',
         '    <attributes class="node">',
@@ -170,38 +199,31 @@ def gexf_bytes(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> bytes:
         "    </attributes>",
         "    <nodes>",
     ]
-    for key, freq in _sorted_nodes(graph):
-        lemma, pos = key
-        r, g, b = _hex_to_rgb(style.node_color(pos))
+    ids = [_xml_attr(node_id) for node_id, _, _, _ in view.nodes]
+    for xml_id, (_, lemma, cls, freq) in zip(ids, view.nodes):
         size = style.node_size(freq, freq_min, freq_max)
-        out.extend(
-            [
-                f'      <node id="{_xml_attr(_node_id(key))}" label="{_xml_attr(lemma)}">',
-                "        <attvalues>",
-                f'          <attvalue for="0" value="{pos.name}"/>',
-                f'          <attvalue for="1" value="{freq}"/>',
-                "        </attvalues>",
-                f'        <viz:color r="{r}" g="{g}" b="{b}"/>',
-                f'        <viz:size value="{size:.3f}"/>',
-                "      </node>",
-            ]
+        out.append(
+            f'      <node id="{xml_id}" label="{_xml_attr(lemma)}">\n'
+            "        <attvalues>\n"
+            f'          <attvalue for="0" value="{cls}"/>\n'
+            f'          <attvalue for="1" value="{freq}"/>\n'
+            "        </attvalues>\n"
+            f"        <viz:color {node_rgb[cls]}/>\n"
+            f'        <viz:size value="{size:.3f}"/>\n'
+            "      </node>"
         )
     out.append("    </nodes>")
     out.append("    <edges>")
-    for edge_id, ((src, dst, kind), weight) in enumerate(_sorted_edges(graph)):
-        r, g, b = _hex_to_rgb(style.edge_color(kind))
-        edge_type = "directed" if kind_is_directed(kind) else "undirected"
-        out.extend(
-            [
-                f'      <edge id="{edge_id}" source="{_xml_attr(_node_id(src))}"'
-                f' target="{_xml_attr(_node_id(dst))}" type="{edge_type}"'
-                f' weight="{weight}">',
-                "        <attvalues>",
-                f'          <attvalue for="0" value="{kind.name}"/>',
-                "        </attvalues>",
-                f'        <viz:color r="{r}" g="{g}" b="{b}"/>',
-                "      </edge>",
-            ]
+    for edge_id, (src, dst, kind, directed, weight) in enumerate(view.edges):
+        edge_type = "directed" if directed else "undirected"
+        out.append(
+            f'      <edge id="{edge_id}" source="{ids[src]}" target="{ids[dst]}"'
+            f' type="{edge_type}" weight="{weight}">\n'
+            "        <attvalues>\n"
+            f'          <attvalue for="0" value="{kind}"/>\n'
+            "        </attvalues>\n"
+            f"        <viz:color {edge_rgb[kind]}/>\n"
+            "      </edge>"
         )
     out.append("    </edges>")
     out.append("  </graph>")
@@ -210,7 +232,7 @@ def gexf_bytes(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> bytes:
 
 
 def export_gexf(
-    graph: LexicalGraph, path: str | Path, style: StyleSpec = StyleSpec()
+    graph: GraphLike, path: str | Path, style: StyleSpec = StyleSpec()
 ) -> None:
     write_atomic(path, gexf_bytes(graph, style))
 
@@ -340,7 +362,7 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_text(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> str:
+def dot_text(graph: GraphLike, style: StyleSpec = StyleSpec()) -> str:
     """Serialise a graph in Graphviz DOT form.
 
     Emitted as a digraph; co-occurrence edges carry ``dir="none"`` so
@@ -348,37 +370,36 @@ def dot_text(graph: LexicalGraph, style: StyleSpec = StyleSpec()) -> str:
     frequency scaling as the GEXF size, edge pen width grows with the
     logarithm of the weight.
     """
-    freqs = list(graph.nodes.values())
-    freq_min = min(freqs) if freqs else 0
-    freq_max = max(freqs) if freqs else 0
+    view = sorted_view(graph)
+    freq_min, freq_max = _freq_range(view)
+    node_colors = {pos.name: style.node_color(pos) for pos in PosClass}
+    edge_colors = {kind.name: style.edge_color(kind) for kind in RelationKind}
     lines = [
         "digraph lexical_network {",
         '  graph [charset="UTF-8", outputorder="edgesfirst"];',
         '  node [style="filled", fontcolor="#FFFFFF"];',
     ]
-    for key, freq in _sorted_nodes(graph):
-        lemma, pos = key
+    ids = [_dot_quote(node_id) for node_id, _, _, _ in view.nodes]
+    for dot_id, (_, lemma, cls, freq) in zip(ids, view.nodes):
         size = style.node_size(freq, freq_min, freq_max)
         lines.append(
-            f"  {_dot_quote(_node_id(key))} [label={_dot_quote(lemma)},"
-            f' fillcolor="{style.node_color(pos)}", fontsize="{size:.1f}"];'
+            f"  {dot_id} [label={_dot_quote(lemma)},"
+            f' fillcolor="{node_colors[cls]}", fontsize="{size:.1f}"];'
         )
-    for (src, dst, kind), weight in _sorted_edges(graph):
+    for src, dst, kind, directed, weight in view.edges:
         attrs = (
-            f'color="{style.edge_color(kind)}",'
+            f'color="{edge_colors[kind]}",'
             f' penwidth="{1.0 + math.log(weight):.2f}", label="{weight}"'
         )
-        if not kind_is_directed(kind):
+        if not directed:
             attrs += ', dir="none"'
-        lines.append(
-            f"  {_dot_quote(_node_id(src))} -> {_dot_quote(_node_id(dst))} [{attrs}];"
-        )
+        lines.append(f"  {ids[src]} -> {ids[dst]} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_dot(
-    graph: LexicalGraph, path: str | Path, style: StyleSpec = StyleSpec()
+    graph: GraphLike, path: str | Path, style: StyleSpec = StyleSpec()
 ) -> None:
     write_atomic(path, dot_text(graph, style).encode("utf-8"))
 
@@ -387,29 +408,61 @@ def export_dot(
 # JSON
 
 
-def graph_to_dict(graph: LexicalGraph) -> dict:
+def graph_to_dict(graph: GraphLike) -> dict:
+    view = sorted_view(graph)
+    nodes = view.nodes
     return {
         "format": "lexical-network",
         "version": 1,
         "nodes": [
-            {"lemma": key[0], "pos": key[1].name, "frequency": freq}
-            for key, freq in _sorted_nodes(graph)
+            {"lemma": lemma, "pos": cls, "frequency": freq}
+            for _, lemma, cls, freq in nodes
         ],
         "edges": [
             {
-                "source": [src[0], src[1].name],
-                "target": [dst[0], dst[1].name],
-                "kind": kind.name,
+                "source": [nodes[src][1], nodes[src][2]],
+                "target": [nodes[dst][1], nodes[dst][2]],
+                "kind": kind,
                 "weight": weight,
             }
-            for (src, dst, kind), weight in _sorted_edges(graph)
+            for src, dst, kind, _, weight in view.edges
         ],
     }
 
 
-def export_json(graph: LexicalGraph, path: str | Path) -> None:
-    payload = json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
-    write_atomic(path, payload.encode("utf-8"))
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def export_json(graph: GraphLike, path: str | Path) -> None:
+    """Write ``json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False)``
+    and a final newline.
+
+    The layout is written here, since ``indent`` makes ``json`` fall back
+    to its pure-Python encoder; only the lemmas go through the encoder's
+    string escaping.
+    """
+    view = sorted_view(graph)
+    lemmas = [encode_basestring(lemma) for _, lemma, _, _ in view.nodes]
+    nodes = [
+        f'    {{\n      "lemma": {lemma},\n      "pos": "{cls}",\n'
+        f'      "frequency": {freq}\n    }}'
+        for lemma, (_, _, cls, freq) in zip(lemmas, view.nodes)
+    ]
+    ends = [
+        f'[\n        {lemma},\n        "{cls}"\n      ]'
+        for lemma, (_, _, cls, _) in zip(lemmas, view.nodes)
+    ]
+    edges = [
+        f'    {{\n      "source": {ends[src]},\n      "target": {ends[dst]},\n'
+        f'      "kind": "{kind}",\n      "weight": {weight}\n    }}'
+        for src, dst, kind, _, weight in view.edges
+    ]
+    text = (
+        '{\n  "format": "lexical-network",\n  "version": 1,\n'
+        f'  "nodes": {_json_list(nodes)},\n  "edges": {_json_list(edges)}\n}}\n'
+    )
+    write_atomic(path, text.encode("utf-8"))
 
 
 def graph_from_dict(data: dict) -> LexicalGraph:
@@ -469,15 +522,19 @@ def import_json(source: str | Path) -> LexicalGraph:
 # CSV
 
 
-def export_csv_edges(graph: LexicalGraph, path: str | Path) -> None:
+def export_csv_edges(graph: GraphLike, path: str | Path) -> None:
     """Write the edge list as CSV with a header row."""
+    view = sorted_view(graph)
+    nodes = view.nodes
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["source_lemma", "source_pos", "target_lemma", "target_pos", "kind", "weight"]
     )
-    for (src, dst, kind), weight in _sorted_edges(graph):
-        writer.writerow([src[0], src[1].name, dst[0], dst[1].name, kind.name, weight])
+    writer.writerows(
+        (nodes[src][1], nodes[src][2], nodes[dst][1], nodes[dst][2], kind, weight)
+        for src, dst, kind, _, weight in view.edges
+    )
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
@@ -494,56 +551,64 @@ def _distribution_line(label: str, values: list[int]) -> str:
     )
 
 
-def stats_report(graph: LexicalGraph, top_n: int = 10) -> str:
+def stats_report(graph: GraphLike, top_n: int = 10) -> str:
     """Human-readable summary of a graph.
 
     Includes node and edge counts broken down by class and kind,
     distribution summaries (population standard deviation), the most
     frequent nodes overall and per major class, and the top nodes under
-    each centrality measure.
+    each centrality measure.  Every ranking is a stable sort of the
+    view's node order, so ties fall back to lemma, then class name.
     """
+    view = sorted_view(graph)
+    nodes, edges = view.nodes, view.edges
+    freqs = [freq for _, _, _, freq in nodes]
+    weights = [weight for _, _, _, _, weight in edges]
     lines = [
-        f"Nodes: {graph.n_nodes}",
-        f"Edges: {graph.n_edges} (total weight {graph.total_weight})",
+        f"Nodes: {len(nodes)}",
+        f"Edges: {len(edges)} (total weight {sum(weights)})",
     ]
-    by_class: dict[str, int] = {}
-    for (_, pos), _freq in graph.nodes.items():
-        by_class[pos.name] = by_class.get(pos.name, 0) + 1
+    by_class = Counter(cls for _, _, cls, _ in nodes)
     lines.append("Nodes by class:")
     for name in sorted(by_class):
         lines.append(f"  {name}  {by_class[name]}")
     by_kind: dict[str, tuple[int, int]] = {}
-    for (_, _, kind), weight in graph.edges.items():
-        count, total = by_kind.get(kind.name, (0, 0))
-        by_kind[kind.name] = (count + 1, total + weight)
+    for _, _, kind, _, weight in edges:
+        count, total = by_kind.get(kind, (0, 0))
+        by_kind[kind] = (count + 1, total + weight)
     lines.append("Edges by kind:")
     for name in sorted(by_kind):
         count, total = by_kind[name]
         lines.append(f"  {name}  {count} (weight {total})")
-    lines.append(_distribution_line("Node frequency summary", list(graph.nodes.values())))
-    lines.append(_distribution_line("Edge weight summary", list(graph.edges.values())))
+    lines.append(_distribution_line("Node frequency summary", freqs))
+    lines.append(_distribution_line("Edge weight summary", weights))
 
-    ranked = sorted(
-        graph.nodes.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1].name)
-    )
+    ranked = rank(freqs)
     lines.append("Top nodes by frequency:")
-    for (lemma, pos), freq in ranked[:top_n]:
-        lines.append(f"  {lemma} ({pos.name})  {freq}")
-    for title, pos_class in (
-        ("Top nouns by frequency:", PosClass.NOUN),
-        ("Top verbs by frequency:", PosClass.VERB),
-        ("Top adjectives by frequency:", PosClass.ADJ),
+    for i in ranked[:top_n]:
+        _, lemma, cls, freq = nodes[i]
+        lines.append(f"  {lemma} ({cls})  {freq}")
+    for title, cls in (
+        ("Top nouns by frequency:", PosClass.NOUN.name),
+        ("Top verbs by frequency:", PosClass.VERB.name),
+        ("Top adjectives by frequency:", PosClass.ADJ.name),
     ):
-        subset = [kv for kv in ranked if kv[0][1] is pos_class]
+        subset = [i for i in ranked if nodes[i][2] == cls]
         lines.append(title)
-        for (lemma, _pos), freq in subset[:top_n]:
-            lines.append(f"  {lemma}  {freq}")
+        for i in subset[:top_n]:
+            lines.append(f"  {nodes[i][1]}  {nodes[i][3]}")
+    scores = degree_scores(
+        len(nodes),
+        ((src, dst, directed, weight) for src, dst, _, directed, weight in edges),
+    )
     for measure in Centrality:
+        score = scores[measure]
         lines.append(f"Top nodes by {measure.name}:")
-        for (lemma, pos), score in centrality(graph, measure)[:top_n]:
-            lines.append(f"  {lemma} ({pos.name})  {score}")
+        for i in rank(score)[:top_n]:
+            _, lemma, cls, _ = nodes[i]
+            lines.append(f"  {lemma} ({cls})  {score[i]}")
     return "\n".join(lines) + "\n"
 
 
-def export_stats(graph: LexicalGraph, path: str | Path, top_n: int = 10) -> None:
+def export_stats(graph: GraphLike, path: str | Path, top_n: int = 10) -> None:
     write_atomic(path, stats_report(graph, top_n).encode("utf-8"))

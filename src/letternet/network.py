@@ -241,6 +241,41 @@ class Centrality(enum.Enum):
     WEIGHTED_DEGREE = "WEIGHTED_DEGREE"
 
 
+def degree_scores(
+    n_nodes: int, edges: Iterable[tuple[int, int, bool, int]]
+) -> dict[Centrality, list[int]]:
+    """All four degree measures from one pass over the edges.
+
+    Nodes are numbered ``0 .. n_nodes - 1`` and each edge is a
+    (source, target, directed, weight) row of node numbers.  Returns one
+    score list per measure, indexed by node number, with the semantics
+    :func:`centrality` documents.
+    """
+    degree = [0] * n_nodes
+    weighted = [0] * n_nodes
+    in_degree = [0] * n_nodes
+    out_degree = [0] * n_nodes
+    for src, dst, directed, weight in edges:
+        degree[src] += 1
+        degree[dst] += 1
+        weighted[src] += weight
+        weighted[dst] += weight
+        if directed:
+            out_degree[src] += 1
+            in_degree[dst] += 1
+    return {
+        Centrality.DEGREE: degree,
+        Centrality.IN_DEGREE: in_degree,
+        Centrality.OUT_DEGREE: out_degree,
+        Centrality.WEIGHTED_DEGREE: weighted,
+    }
+
+
+def rank(scores: Sequence[int]) -> list[int]:
+    """Node numbers by descending score, equal scores in numbering order."""
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+
+
 def centrality(
     graph: LexicalGraph, measure: Centrality
 ) -> list[tuple[NodeKey, int]]:
@@ -251,19 +286,16 @@ def centrality(
     over the graph sum to twice the total edge weight.  IN_DEGREE and
     OUT_DEGREE only look at directed (SUBJ, OBJ) edges.  Ties are broken
     lexicographically by lemma, then class name, so rankings are stable.
+    The scores come from :func:`degree_scores`, the pass the stats
+    report uses as well, over the nodes numbered in that tie-break order.
     """
-    scores: dict[NodeKey, int] = {key: 0 for key in graph.nodes}
-    for (src, dst, kind), weight in graph.edges.items():
-        if measure is Centrality.DEGREE:
-            scores[src] += 1
-            scores[dst] += 1
-        elif measure is Centrality.WEIGHTED_DEGREE:
-            scores[src] += weight
-            scores[dst] += weight
-        elif measure is Centrality.IN_DEGREE:
-            if kind in DIRECTED_KINDS:
-                scores[dst] += 1
-        elif measure is Centrality.OUT_DEGREE:
-            if kind in DIRECTED_KINDS:
-                scores[src] += 1
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1].name))
+    keys = sorted(graph.nodes, key=node_order)
+    number = {key: i for i, key in enumerate(keys)}
+    scores = degree_scores(
+        len(keys),
+        (
+            (number[src], number[dst], kind in DIRECTED_KINDS, weight)
+            for (src, dst, kind), weight in graph.edges.items()
+        ),
+    )[measure]
+    return [(keys[i], scores[i]) for i in rank(scores)]

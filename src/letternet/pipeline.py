@@ -591,8 +591,10 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
     """Write a document in vertical form.
 
     One token per line (surface, normalized, lemma, class separated by
-    tabs), a blank line between sentences, "#" comment lines.  The write
-    is atomic: the file appears complete or not at all.
+    tabs), a blank line between sentences, and a "# letter ..." comment
+    line first.  A token row always has four fields, so a "#" token is
+    not read back as a comment.  The write is atomic: the file appears
+    complete or not at all.
     """
     lines = [f"# letter {doc.letter_id}"]
     for i, sentence in enumerate(doc.sentences):
@@ -608,17 +610,21 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
 def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> AnnotatedDoc:
     """Read a vertical file produced here or by an external tagger.
 
-    Blank lines separate sentences and "#" lines are comments.  A row
-    with the wrong number of fields raises :class:`VerticalFormatError`
-    naming the line; an unknown word class label degrades to OTHER with
-    a warning.  The letter id defaults to the file's stem.
+    Blank lines separate sentences.  A line whose first non-blank
+    character is "#" is a comment unless it has exactly four
+    tab-separated fields, in which case it is a token row (say, of the
+    token "#").  Any other row with the wrong number of fields raises
+    :class:`VerticalFormatError` naming the line, and so does a file
+    that cannot be read or is not UTF-8, naming the file; an unknown
+    word class label degrades to OTHER with a warning.  The letter id
+    defaults to the file's stem.
     """
     p = Path(path)
     if letter_id is None:
         letter_id = p.stem
     try:
         lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise VerticalFormatError(f"cannot read {p}: {exc}") from exc
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
@@ -633,10 +639,10 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
         if not line.strip():
             flush()
             continue
-        if line.lstrip().startswith("#"):
-            continue
         parts = line.split("\t")
         if len(parts) != 4:
+            if line.lstrip().startswith("#"):
+                continue
             raise VerticalFormatError(
                 f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )

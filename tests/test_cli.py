@@ -526,6 +526,11 @@ ESCAPING_MANIFEST = MANIFEST_HEADER + b"../../escaped\tDury\t-\t1630\tfalse\ten\
             ["network", "--manifest", "{manifest}", "--config", "{bad}"],
             "cannot create output directory",
         ),
+        (
+            NOT_UTF8,
+            ["network", "--pretagged-dir", "{vertical}", "--out", "{out}"],
+            "letternet: error: cannot read {vertical}/L1.tsv: ",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -545,13 +550,17 @@ ESCAPING_MANIFEST = MANIFEST_HEADER + b"../../escaped\tDury\t-\t1630\tfalse\ten\
         "manifest-comments-and-extra-field",
         "manifest-bad-boolean",
         "config-out-with-nul",
+        "vertical-not-utf8",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
     bad = tmp_path / "bad"
+    vertical = tmp_path / "vertical"  # for --pretagged-dir: one file, L1.tsv
     if content is not None:
         bad.write_bytes(content)
-    values = {"manifest": mini_corpus, "out": tmp_path / "out", "bad": bad}
+        vertical.mkdir()
+        (vertical / "L1.tsv").write_bytes(content)
+    values = {"manifest": mini_corpus, "out": tmp_path / "out", "bad": bad, "vertical": vertical}
     code, _, stderr = run_main([arg.format(**values) for arg in argv], capsys)
     assert code == 1
     assert stderr.startswith("letternet: error:")

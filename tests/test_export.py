@@ -1,8 +1,15 @@
 """Styled GEXF, DOT, JSON and CSV output plus the text stats report."""
 
+import csv
+import io
 import json
+import math
+import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from letternet.export import (
     ExportError,
@@ -15,15 +22,17 @@ from letternet.export import (
     export_dot,
     export_gexf,
     export_json,
+    export_stats,
     gexf_bytes,
     graph_from_dict,
     graph_to_dict,
     import_json,
+    sorted_view,
     stats_report,
     validate_gexf,
 )
-from letternet.extraction import RelationKind
-from letternet.network import LexicalGraph
+from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
+from letternet.network import Centrality, LexicalGraph, centrality
 from letternet.pipeline import PosClass
 
 from conftest import N, V
@@ -277,3 +286,295 @@ def test_stats_report_respects_top_n(toy_graph):
             break
         nouns_before_next_header += 1
     assert nouns_before_next_header == 1
+
+
+# Reference writers: each format written straight from the graph's dicts,
+# sorting once per format and ranking once per measure.  The writers under
+# test share one sorted view; their output must match these byte for byte.
+
+
+def ref_sorted_nodes(graph):
+    return sorted(graph.nodes.items(), key=lambda kv: (kv[0][0], kv[0][1].name))
+
+
+def ref_sorted_edges(graph):
+    return sorted(
+        graph.edges.items(),
+        key=lambda kv: (
+            kv[0][0][0],
+            kv[0][0][1].name,
+            kv[0][1][0],
+            kv[0][1][1].name,
+            kv[0][2].name,
+        ),
+    )
+
+
+def ref_node_id(key):
+    return f"{key[0]}::{key[1].name}"
+
+
+def ref_xml_attr(value):
+    return (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
+
+
+def ref_rgb(color):
+    return int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)
+
+
+def ref_gexf_bytes(graph, style=StyleSpec()):
+    freqs = list(graph.nodes.values())
+    freq_min = min(freqs) if freqs else 0
+    freq_max = max(freqs) if freqs else 0
+    any_directed = any(kind in DIRECTED_KINDS for (_, _, kind) in graph.edges)
+    default_type = "directed" if any_directed else "undirected"
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<gexf xmlns="http://www.gexf.net/1.2draft"'
+        ' xmlns:viz="http://www.gexf.net/1.2draft/viz" version="1.2">',
+        "  <meta>",
+        "    <creator>letternet</creator>",
+        f"    <description>lexical network: {graph.n_nodes} nodes, "
+        f"{graph.n_edges} edges</description>",
+        "  </meta>",
+        f'  <graph mode="static" defaultedgetype="{default_type}">',
+        '    <attributes class="node">',
+        '      <attribute id="0" title="pos" type="string"/>',
+        '      <attribute id="1" title="frequency" type="integer"/>',
+        "    </attributes>",
+        '    <attributes class="edge">',
+        '      <attribute id="0" title="kind" type="string"/>',
+        "    </attributes>",
+        "    <nodes>",
+    ]
+    for key, freq in ref_sorted_nodes(graph):
+        lemma, pos = key
+        r, g, b = ref_rgb(style.node_color(pos))
+        size = style.node_size(freq, freq_min, freq_max)
+        out.extend(
+            [
+                f'      <node id="{ref_xml_attr(ref_node_id(key))}" label="{ref_xml_attr(lemma)}">',
+                "        <attvalues>",
+                f'          <attvalue for="0" value="{pos.name}"/>',
+                f'          <attvalue for="1" value="{freq}"/>',
+                "        </attvalues>",
+                f'        <viz:color r="{r}" g="{g}" b="{b}"/>',
+                f'        <viz:size value="{size:.3f}"/>',
+                "      </node>",
+            ]
+        )
+    out.append("    </nodes>")
+    out.append("    <edges>")
+    for edge_id, ((src, dst, kind), weight) in enumerate(ref_sorted_edges(graph)):
+        r, g, b = ref_rgb(style.edge_color(kind))
+        edge_type = "directed" if kind in DIRECTED_KINDS else "undirected"
+        out.extend(
+            [
+                f'      <edge id="{edge_id}" source="{ref_xml_attr(ref_node_id(src))}"'
+                f' target="{ref_xml_attr(ref_node_id(dst))}" type="{edge_type}"'
+                f' weight="{weight}">',
+                "        <attvalues>",
+                f'          <attvalue for="0" value="{kind.name}"/>',
+                "        </attvalues>",
+                f'        <viz:color r="{r}" g="{g}" b="{b}"/>',
+                "      </edge>",
+            ]
+        )
+    out.append("    </edges>")
+    out.append("  </graph>")
+    out.append("</gexf>")
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def ref_dot_quote(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def ref_dot_text(graph, style=StyleSpec()):
+    freqs = list(graph.nodes.values())
+    freq_min = min(freqs) if freqs else 0
+    freq_max = max(freqs) if freqs else 0
+    lines = [
+        "digraph lexical_network {",
+        '  graph [charset="UTF-8", outputorder="edgesfirst"];',
+        '  node [style="filled", fontcolor="#FFFFFF"];',
+    ]
+    for key, freq in ref_sorted_nodes(graph):
+        lemma, pos = key
+        size = style.node_size(freq, freq_min, freq_max)
+        lines.append(
+            f"  {ref_dot_quote(ref_node_id(key))} [label={ref_dot_quote(lemma)},"
+            f' fillcolor="{style.node_color(pos)}", fontsize="{size:.1f}"];'
+        )
+    for (src, dst, kind), weight in ref_sorted_edges(graph):
+        attrs = (
+            f'color="{style.edge_color(kind)}",'
+            f' penwidth="{1.0 + math.log(weight):.2f}", label="{weight}"'
+        )
+        if kind not in DIRECTED_KINDS:
+            attrs += ', dir="none"'
+        lines.append(
+            f"  {ref_dot_quote(ref_node_id(src))} -> {ref_dot_quote(ref_node_id(dst))} [{attrs}];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_graph_to_dict(graph):
+    return {
+        "format": "lexical-network",
+        "version": 1,
+        "nodes": [
+            {"lemma": key[0], "pos": key[1].name, "frequency": freq}
+            for key, freq in ref_sorted_nodes(graph)
+        ],
+        "edges": [
+            {
+                "source": [src[0], src[1].name],
+                "target": [dst[0], dst[1].name],
+                "kind": kind.name,
+                "weight": weight,
+            }
+            for (src, dst, kind), weight in ref_sorted_edges(graph)
+        ],
+    }
+
+
+def ref_csv_text(graph):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["source_lemma", "source_pos", "target_lemma", "target_pos", "kind", "weight"]
+    )
+    for (src, dst, kind), weight in ref_sorted_edges(graph):
+        writer.writerow([src[0], src[1].name, dst[0], dst[1].name, kind.name, weight])
+    return buf.getvalue()
+
+
+def ref_centrality(graph, measure):
+    scores = {key: 0 for key in graph.nodes}
+    for (src, dst, kind), weight in graph.edges.items():
+        if measure is Centrality.DEGREE:
+            scores[src] += 1
+            scores[dst] += 1
+        elif measure is Centrality.WEIGHTED_DEGREE:
+            scores[src] += weight
+            scores[dst] += weight
+        elif measure is Centrality.IN_DEGREE:
+            if kind in DIRECTED_KINDS:
+                scores[dst] += 1
+        elif measure is Centrality.OUT_DEGREE:
+            if kind in DIRECTED_KINDS:
+                scores[src] += 1
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1].name))
+
+
+def ref_distribution_line(label, values):
+    if not values:
+        return f"{label}: n/a (empty)"
+    return (
+        f"{label}: min {min(values)}  max {max(values)}  "
+        f"mean {statistics.fmean(values):.3f}  sd {statistics.pstdev(values):.3f}"
+    )
+
+
+def ref_stats_report(graph, top_n=10):
+    lines = [
+        f"Nodes: {graph.n_nodes}",
+        f"Edges: {graph.n_edges} (total weight {graph.total_weight})",
+    ]
+    by_class = {}
+    for (_, pos), _freq in graph.nodes.items():
+        by_class[pos.name] = by_class.get(pos.name, 0) + 1
+    lines.append("Nodes by class:")
+    for name in sorted(by_class):
+        lines.append(f"  {name}  {by_class[name]}")
+    by_kind = {}
+    for (_, _, kind), weight in graph.edges.items():
+        count, total = by_kind.get(kind.name, (0, 0))
+        by_kind[kind.name] = (count + 1, total + weight)
+    lines.append("Edges by kind:")
+    for name in sorted(by_kind):
+        count, total = by_kind[name]
+        lines.append(f"  {name}  {count} (weight {total})")
+    lines.append(ref_distribution_line("Node frequency summary", list(graph.nodes.values())))
+    lines.append(ref_distribution_line("Edge weight summary", list(graph.edges.values())))
+    ranked = sorted(graph.nodes.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1].name))
+    lines.append("Top nodes by frequency:")
+    for (lemma, pos), freq in ranked[:top_n]:
+        lines.append(f"  {lemma} ({pos.name})  {freq}")
+    for title, pos_class in (
+        ("Top nouns by frequency:", PosClass.NOUN),
+        ("Top verbs by frequency:", PosClass.VERB),
+        ("Top adjectives by frequency:", PosClass.ADJ),
+    ):
+        subset = [kv for kv in ranked if kv[0][1] is pos_class]
+        lines.append(title)
+        for (lemma, _pos), freq in subset[:top_n]:
+            lines.append(f"  {lemma}  {freq}")
+    for measure in Centrality:
+        lines.append(f"Top nodes by {measure.name}:")
+        for (lemma, pos), score in ref_centrality(graph, measure)[:top_n]:
+            lines.append(f"  {lemma} ({pos.name})  {score}")
+    return "\n".join(lines) + "\n"
+
+
+# Lemmas lean on characters each format escapes or quotes, on a few
+# shared letters (so one lemma comes in several classes and the class
+# name breaks the tie) and on small weights (so scores and frequencies tie).
+_LEMMAS = st.text(
+    st.sampled_from(list('ab"&<>\\,\n\r\t\x00\x01\x1f\x7fé中\u2028 :'))
+    | st.characters(codec="utf-8"),
+    max_size=3,
+)
+_CLASSES = st.sampled_from([PosClass.NOUN, PosClass.VERB, PosClass.ADJ, PosClass.ADV])
+
+
+@st.composite
+def _graphs(draw):
+    keys = draw(st.lists(st.tuples(_LEMMAS, _CLASSES), unique=True, max_size=8))
+    nodes = {key: draw(st.integers(1, 4)) for key in keys}
+    edges = {}
+    for _ in range(draw(st.integers(0, 12)) if keys else 0):
+        src, dst = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+        kind = draw(st.sampled_from(RelationKind))
+        if kind is RelationKind.COOCCUR and node_order(src) > node_order(dst):
+            src, dst = dst, src
+        edges[(src, dst, kind)] = draw(st.integers(1, 4))
+    return LexicalGraph(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs(), st.integers(0, 4))
+@example(LexicalGraph(), 10)
+def test_writers_match_reference(graph, top_n):
+    expected = {
+        "g.gexf": ref_gexf_bytes(graph),
+        "g.dot": ref_dot_text(graph).encode("utf-8"),
+        "g.json": (
+            json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
+        ).encode("utf-8"),
+        "g.csv": ref_csv_text(graph).encode("utf-8"),
+        "g.txt": ref_stats_report(graph, top_n).encode("utf-8"),
+    }
+    assert graph_to_dict(graph) == ref_graph_to_dict(graph)
+    assert stats_report(graph, top_n) == ref_stats_report(graph, top_n)
+    for measure in Centrality:
+        assert centrality(graph, measure) == ref_centrality(graph, measure)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        # as the CLI calls them, on one shared view, and on the plain graph
+        for source in (sorted_view(graph), graph):
+            export_gexf(source, out / "g.gexf")
+            export_dot(source, out / "g.dot")
+            export_json(source, out / "g.json")
+            export_csv_edges(source, out / "g.csv")
+            export_stats(source, out / "g.txt", top_n)
+            for name, payload in expected.items():
+                assert (out / name).read_bytes() == payload, name
+        assert import_json(out / "g.json") == graph

@@ -1,5 +1,8 @@
 """Sentence split, tokenization, spelling normalization, tagging, lemmas."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -288,6 +291,44 @@ def test_vertical_round_trip(tmp_path, annotator):
     back = ingest_pretagged(path)
     assert back.letter_id == "R1"
     assert back == doc
+
+
+def test_vertical_round_trip_keeps_hash_token(tmp_path, annotator):
+    doc = annotator.annotate_text("L", "He paid # 5 for it.")
+    path = tmp_path / "L.tsv"
+    write_vertical(doc, path)
+    back = ingest_pretagged(path)
+    assert [t.surface for t in back.sentences[0]] == ["He", "paid", "#", "5", "for", "it", "."]
+    assert back == doc
+
+
+def test_ingest_comment_needs_other_than_four_fields(tmp_path):
+    p = tmp_path / "c.tsv"
+    p.write_text(
+        "# letter C\n# note\twith a tab\n  # indented note\n"
+        "a\ta\ta\tNOUN\n#\t#\t#\tPUNCT\n",
+        encoding="utf-8",
+    )
+    doc = ingest_pretagged(p)
+    assert [(t.surface, t.tok_idx) for t in doc.tokens()] == [("a", 0), ("#", 1)]
+
+
+# Pieces of letter text: words, the vertical format's comment marker,
+# ampersands, digits, runs of dots, apostrophes and sentence punctuation.
+_TEXT_PIECES = st.sampled_from(
+    ["the", "God", "vse", "loue", "doth", "Mr.", "viz.", "é", "#", "#x", "&", "&c",
+     "5", "1630", ".", "..", "...", "'", "'s", "don't", ",", ":", ";", "?", "!",
+     "(", ")", " ", " ", "\n"]
+)
+
+
+@given(st.lists(_TEXT_PIECES, max_size=40).map("".join))
+def test_vertical_round_trip_property(annotator, text):
+    doc = annotator.annotate_text("P1", text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "P1.tsv"
+        write_vertical(doc, path)
+        assert ingest_pretagged(path) == doc
 
 
 def test_ingest_stem_is_default_id(tmp_path, annotator):
