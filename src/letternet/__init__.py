@@ -9,12 +9,10 @@ together behind a command line interface.
 """
 
 from letternet.corpus import (
-    CleaningConfig,
     Corpus,
     Letter,
     LetterMeta,
     clean_text,
-    filter_corpus,
     load_letter,
     load_manifest,
 )
@@ -55,7 +53,6 @@ from letternet.network import (
     token_frequencies,
 )
 from letternet.export import (
-    StyleSpec,
     export_csv_edges,
     export_dot,
     export_gexf,

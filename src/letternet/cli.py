@@ -19,12 +19,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from letternet.corpus import (
-    CleaningConfig,
-    LetterLoadError,
-    ManifestError,
-    load_manifest,
-)
+from letternet.corpus import LetterLoadError, ManifestError, load_manifest
 from letternet.export import (
     ExportError,
     GexfValidationError,
@@ -38,6 +33,7 @@ from letternet.export import (
     stats_report,
 )
 from letternet.extraction import (
+    DEFAULT_MAX_DISTANCE,
     AnaphoraError,
     AnaphoraMap,
     GoldFormatError,
@@ -110,7 +106,7 @@ class RunConfig:
     out: str = "out"
     mode: str = "cooccur"
     context: str = "sentence"
-    max_dist: int = 4
+    max_dist: int = DEFAULT_MAX_DISTANCE
     verb_blocker: bool = True
     colon_boundary: bool = False
     prune_nodes: str | None = None
@@ -149,7 +145,7 @@ _VALUE_TYPES = {
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read a JSON config file.
+    """Read a JSON config file (UTF-8, with or without a byte-order mark).
 
     Unknown keys and values of the wrong type are rejected by name.
     Relative input paths are resolved against the config file's
@@ -158,7 +154,7 @@ def load_config_file(path: str | Path) -> dict:
     """
     p = Path(path)
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        data = json.loads(p.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -248,7 +244,7 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
         docs = [ingest_pretagged(p) for p in paths]
     else:
         annotator = _annotator(cfg)
-        corpus = load_manifest(cfg.manifest, CleaningConfig())
+        corpus = load_manifest(cfg.manifest)
         docs = [annotator.annotate(letter) for letter in corpus]
     if cfg.anaphora:
         amap = AnaphoraMap.from_file(cfg.anaphora)

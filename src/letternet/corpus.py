@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
-from letternet.pipeline import read_table
+from letternet.pipeline import read_table, reject_control_chars
 
 log = logging.getLogger(__name__)
 
@@ -51,21 +51,6 @@ class LetterLoadError(ValueError):
 
 
 @dataclass(frozen=True)
-class CleaningConfig:
-    """Switches for the transcription cleaning pass.
-
-    ``cut_marker`` names a literal string at which the text is truncated
-    before cleaning; manifests use it to drop trailing passages in
-    another language.
-    """
-
-    strip_markup: bool = True
-    drop_bracketed: bool = True
-    rejoin_hyphenation: bool = True
-    cut_marker: str | None = None
-
-
-@dataclass(frozen=True)
 class LetterMeta:
     letter_id: str
     sender: str
@@ -93,8 +78,9 @@ class LetterMeta:
 class Letter:
     """A transcription together with its metadata.
 
-    ``clean_text`` is derived from ``raw_text`` by :func:`clean_text`
-    under the letter's cleaning configuration.
+    ``raw_text`` is the file's text without a byte-order mark, and
+    ``clean_text`` is derived from it by :func:`clean_text`, with the
+    cut marker of the letter's manifest row if it has one.
     """
 
     meta: LetterMeta
@@ -149,38 +135,36 @@ def _drop_bracketed(text: str) -> str:
     return "".join(out)
 
 
-def clean_text(text: str, config: CleaningConfig = CleaningConfig()) -> str:
+def clean_text(text: str, cut_marker: str | None = None) -> str:
     """Normalise a raw transcription to plain prose.
 
-    Angle-bracket markup and square-bracketed editorial notes are
-    dropped, hyphenation across line breaks is rejoined when configured,
-    and whitespace runs collapse to single spaces.  Unbalanced or nested
+    With a ``cut_marker`` the text is first truncated where that literal
+    string starts; manifests use it to drop trailing passages in another
+    language.  Angle-bracket markup and square-bracketed editorial notes
+    are dropped, hyphenation across line breaks is rejoined, and
+    whitespace runs collapse to single spaces.  Unbalanced or nested
     markers are kept verbatim and reported as warnings rather than
     guessed at.  The function is idempotent: cleaning cleaned text is a
     no-op.
     """
-    if config.cut_marker:
-        pos = text.find(config.cut_marker)
+    if cut_marker:
+        pos = text.find(cut_marker)
         if pos >= 0:
             text = text[:pos]
-    if config.rejoin_hyphenation:
-        text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
-    if config.strip_markup:
-        text = _strip_markup(text)
-    if config.drop_bracketed:
-        text = _drop_bracketed(text)
+    text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
+    text = _strip_markup(text)
+    text = _drop_bracketed(text)
     return _WS_RE.sub(" ", text).strip()
 
 
-def load_letter(
-    path: str | Path,
-    meta: LetterMeta,
-    cleaning: CleaningConfig = CleaningConfig(),
-) -> Letter:
+def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = None) -> Letter:
     """Read one transcription file and attach cleaned text.
 
-    Missing files and undecodable bytes raise :class:`LetterLoadError`;
-    an empty file is only a warning and yields an empty-bodied letter.
+    The file is read as UTF-8, with or without a byte-order mark, and
+    cleaned by :func:`clean_text` with ``cut_marker``.  A missing file,
+    undecodable bytes and a control character that XML cannot hold
+    raise :class:`LetterLoadError` naming the file; an empty file is
+    only a warning and yields an empty-bodied letter.
     """
     p = Path(path)
     try:
@@ -188,13 +172,16 @@ def load_letter(
     except OSError as exc:
         raise LetterLoadError(f"cannot read letter {meta.letter_id!r}: {exc}") from exc
     try:
-        raw = raw_bytes.decode("utf-8")
+        raw = raw_bytes.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # exc.start counts from after a byte-order mark
+        offset = exc.start + len(raw_bytes) - len(exc.object)
         raise LetterLoadError(
             f"letter {meta.letter_id!r}: {p} is not valid UTF-8 "
-            f"(byte offset {exc.start})"
+            f"(byte offset {offset})"
         ) from exc
-    cleaned = clean_text(raw, cleaning)
+    reject_control_chars(raw, f"letter {meta.letter_id!r}: {p}", LetterLoadError)
+    cleaned = clean_text(raw, cut_marker)
     if not cleaned:
         log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)
     return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
@@ -232,17 +219,6 @@ class Corpus:
         raise KeyError(letter_id)
 
 
-def filter_corpus(
-    corpus: Corpus, predicate: Callable[[LetterMeta], bool]
-) -> Corpus:
-    """Subset of the corpus whose metadata satisfies ``predicate``.
-
-    Letter contents are shared, not copied, and the (year, id) ordering
-    is preserved.
-    """
-    return Corpus([letter for letter in corpus if predicate(letter.meta)])
-
-
 def _parse_bool(value: str) -> bool:
     v = value.lower()
     if v in _TRUE_WORDS:
@@ -252,15 +228,14 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"bad boolean {value!r}")
 
 
-def load_manifest(
-    path: str | Path, cleaning: CleaningConfig = CleaningConfig()
-) -> Corpus:
+def load_manifest(path: str | Path) -> Corpus:
     """Load a corpus from a tab-separated manifest.
 
     Expected columns: letter_id, sender, addressee, year,
     year_uncertain, language, file and optional cut_marker.  "-" stands
     for an absent addressee or cut marker.  Paths are resolved relative
-    to the manifest's directory.  Blank and "#" lines are skipped.  A
+    to the manifest's directory, and each letter is read by
+    :func:`load_letter` with its row's cut marker.  Blank and "#" lines are skipped.  A
     manifest without letters is a warning, not an error; an undecodable
     file, a row whose field count differs from the header's, other
     malformed rows, letter ids that are not plain file names and
@@ -297,12 +272,11 @@ def load_manifest(
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from None
         marker = row.get("cut_marker", "")
-        cfg = cleaning
-        if marker and marker != "-":
-            cfg = replace(cleaning, cut_marker=marker)
         if not row["file"]:
             raise ManifestError(f"{where}: empty file column")
-        letters.append(load_letter(p.parent / row["file"], meta, cfg))
+        letters.append(
+            load_letter(p.parent / row["file"], meta, None if marker == "-" else marker)
+        )
     if not letters:
         log.warning("manifest %s lists no letters", p)
     return Corpus(letters)

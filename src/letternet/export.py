@@ -8,8 +8,9 @@ that writes several files builds once with :func:`sorted_view`; given a
 plain :class:`~letternet.network.LexicalGraph`, a writer builds the view
 itself.  JSON is written directly in ``json.dumps(..., indent=2)``
 layout, with only the lemma strings passed through the ``json``
-encoder.  Styling (class colours, frequency-scaled node sizes) follows
-one StyleSpec shared by the GEXF and DOT writers.
+encoder.  The GEXF and DOT writers share one fixed style: colours by
+word class and relation kind (``DEFAULT_*``), and node sizes from 10 to
+60 growing linearly with frequency.
 """
 
 from __future__ import annotations
@@ -18,31 +19,26 @@ import csv
 import io
 import json
 import math
-import re
 import statistics
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
 
-from letternet.extraction import RelationKind, node_order
+from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
 from letternet.network import (
     Centrality,
     EdgeKey,
     LexicalGraph,
     NodeKey,
     degree_scores,
-    kind_is_directed,
     rank,
 )
 from letternet.pipeline import ExportError, PosClass, write_atomic
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 VIZ_NS = "http://www.gexf.net/1.2draft/viz"
-
-_HEX_RE = re.compile(r"^#[0-9A-Fa-f]{6}$")
 
 DEFAULT_NODE_COLORS: Mapping[PosClass, str] = {
     PosClass.VERB: "#FF0000",
@@ -55,10 +51,11 @@ DEFAULT_EDGE_COLORS: Mapping[RelationKind, str] = {
     RelationKind.OBJ: "#0000FF",
     RelationKind.COOCCUR: "#888888",
 }
-
-
-class StyleError(ValueError):
-    """Raised for malformed style specifications."""
+# class and kind name -> "#RRGGBB", as the writers look colours up
+_NODE_COLORS = {
+    pos.name: DEFAULT_NODE_COLORS.get(pos, DEFAULT_FALLBACK_COLOR) for pos in PosClass
+}
+_EDGE_COLORS = {kind.name: DEFAULT_EDGE_COLORS[kind] for kind in RelationKind}
 
 
 class GexfValidationError(ValueError):
@@ -69,50 +66,11 @@ class GraphFormatError(ValueError):
     """Raised when a JSON graph file cannot be decoded."""
 
 
-@dataclass(frozen=True)
-class StyleSpec:
-    """Colours and node size range used by the visual exports.
-
-    Node size grows linearly with frequency from ``size_min`` to
-    ``size_max``; when every node has the same frequency all get
-    ``size_min``.  Colours are "#RRGGBB" strings keyed by word class
-    and relation kind, with a fallback colour for unkeyed classes.
-    """
-
-    node_colors: Mapping[PosClass, str] = field(
-        default_factory=lambda: dict(DEFAULT_NODE_COLORS)
-    )
-    fallback_color: str = DEFAULT_FALLBACK_COLOR
-    edge_colors: Mapping[RelationKind, str] = field(
-        default_factory=lambda: dict(DEFAULT_EDGE_COLORS)
-    )
-    size_min: float = 10.0
-    size_max: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.size_min < self.size_max):
-            raise StyleError(
-                f"need 0 < size_min < size_max, got {self.size_min}/{self.size_max}"
-            )
-        for color in (
-            *self.node_colors.values(),
-            self.fallback_color,
-            *self.edge_colors.values(),
-        ):
-            if not _HEX_RE.match(color):
-                raise StyleError(f"bad colour {color!r}, expected #RRGGBB")
-
-    def node_color(self, pos: PosClass) -> str:
-        return self.node_colors.get(pos, self.fallback_color)
-
-    def edge_color(self, kind: RelationKind) -> str:
-        return self.edge_colors.get(kind, self.fallback_color)
-
-    def node_size(self, freq: int, freq_min: int, freq_max: int) -> float:
-        if freq_max <= freq_min:
-            return self.size_min
-        span = self.size_max - self.size_min
-        return self.size_min + span * (freq - freq_min) / (freq_max - freq_min)
+def _node_size(freq: int, lo: int, hi: int) -> float:
+    """Size from 10 to 60, linear in frequency; 10 when ``hi <= lo``."""
+    if hi <= lo:
+        return 10.0
+    return 10.0 + 50.0 * (freq - lo) / (hi - lo)
 
 
 def _viz_rgb(color: str) -> str:
@@ -147,7 +105,7 @@ def sorted_view(graph: GraphLike) -> SortedGraph:
     rows = sorted((*node_order(key), freq, key) for key, freq in graph.nodes.items())
     number = {key: i for i, (_, _, _, key) in enumerate(rows)}
     nodes = [(f"{lemma}::{cls}", lemma, cls, freq) for lemma, cls, freq, _ in rows]
-    kinds = {kind: (kind.name, kind_is_directed(kind)) for kind in RelationKind}
+    kinds = {kind: (kind.name, kind in DIRECTED_KINDS) for kind in RelationKind}
     edges = sorted(
         (number[src], number[dst], *kinds[kind], weight)
         for (src, dst, kind), weight in graph.edges.items()
@@ -173,14 +131,14 @@ def _xml_attr(value: str) -> str:
     )
 
 
-def gexf_bytes(graph: GraphLike, style: StyleSpec = StyleSpec()) -> bytes:
+def gexf_bytes(graph: GraphLike) -> bytes:
     """Serialise a graph as GEXF 1.2draft with viz colours and sizes."""
     view = sorted_view(graph)
     freq_min, freq_max = _freq_range(view)
     any_directed = any(directed for _, _, _, directed, _ in view.edges)
     default_type = "directed" if any_directed else "undirected"
-    node_rgb = {pos.name: _viz_rgb(style.node_color(pos)) for pos in PosClass}
-    edge_rgb = {kind.name: _viz_rgb(style.edge_color(kind)) for kind in RelationKind}
+    node_rgb = {name: _viz_rgb(color) for name, color in _NODE_COLORS.items()}
+    edge_rgb = {name: _viz_rgb(color) for name, color in _EDGE_COLORS.items()}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<gexf xmlns="{GEXF_NS}" xmlns:viz="{VIZ_NS}" version="1.2">',
@@ -201,7 +159,7 @@ def gexf_bytes(graph: GraphLike, style: StyleSpec = StyleSpec()) -> bytes:
     ]
     ids = [_xml_attr(node_id) for node_id, _, _, _ in view.nodes]
     for xml_id, (_, lemma, cls, freq) in zip(ids, view.nodes):
-        size = style.node_size(freq, freq_min, freq_max)
+        size = _node_size(freq, freq_min, freq_max)
         out.append(
             f'      <node id="{xml_id}" label="{_xml_attr(lemma)}">\n'
             "        <attvalues>\n"
@@ -231,10 +189,8 @@ def gexf_bytes(graph: GraphLike, style: StyleSpec = StyleSpec()) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def export_gexf(
-    graph: GraphLike, path: str | Path, style: StyleSpec = StyleSpec()
-) -> None:
-    write_atomic(path, gexf_bytes(graph, style))
+def export_gexf(graph: GraphLike, path: str | Path) -> None:
+    write_atomic(path, gexf_bytes(graph))
 
 
 def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
@@ -362,7 +318,7 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_text(graph: GraphLike, style: StyleSpec = StyleSpec()) -> str:
+def dot_text(graph: GraphLike) -> str:
     """Serialise a graph in Graphviz DOT form.
 
     Emitted as a digraph; co-occurrence edges carry ``dir="none"`` so
@@ -372,8 +328,6 @@ def dot_text(graph: GraphLike, style: StyleSpec = StyleSpec()) -> str:
     """
     view = sorted_view(graph)
     freq_min, freq_max = _freq_range(view)
-    node_colors = {pos.name: style.node_color(pos) for pos in PosClass}
-    edge_colors = {kind.name: style.edge_color(kind) for kind in RelationKind}
     lines = [
         "digraph lexical_network {",
         '  graph [charset="UTF-8", outputorder="edgesfirst"];',
@@ -381,14 +335,14 @@ def dot_text(graph: GraphLike, style: StyleSpec = StyleSpec()) -> str:
     ]
     ids = [_dot_quote(node_id) for node_id, _, _, _ in view.nodes]
     for dot_id, (_, lemma, cls, freq) in zip(ids, view.nodes):
-        size = style.node_size(freq, freq_min, freq_max)
+        size = _node_size(freq, freq_min, freq_max)
         lines.append(
             f"  {dot_id} [label={_dot_quote(lemma)},"
-            f' fillcolor="{node_colors[cls]}", fontsize="{size:.1f}"];'
+            f' fillcolor="{_NODE_COLORS[cls]}", fontsize="{size:.1f}"];'
         )
     for src, dst, kind, directed, weight in view.edges:
         attrs = (
-            f'color="{edge_colors[kind]}",'
+            f'color="{_EDGE_COLORS[kind]}",'
             f' penwidth="{1.0 + math.log(weight):.2f}", label="{weight}"'
         )
         if not directed:
@@ -398,36 +352,12 @@ def dot_text(graph: GraphLike, style: StyleSpec = StyleSpec()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(
-    graph: GraphLike, path: str | Path, style: StyleSpec = StyleSpec()
-) -> None:
-    write_atomic(path, dot_text(graph, style).encode("utf-8"))
+def export_dot(graph: GraphLike, path: str | Path) -> None:
+    write_atomic(path, dot_text(graph).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def graph_to_dict(graph: GraphLike) -> dict:
-    view = sorted_view(graph)
-    nodes = view.nodes
-    return {
-        "format": "lexical-network",
-        "version": 1,
-        "nodes": [
-            {"lemma": lemma, "pos": cls, "frequency": freq}
-            for _, lemma, cls, freq in nodes
-        ],
-        "edges": [
-            {
-                "source": [nodes[src][1], nodes[src][2]],
-                "target": [nodes[dst][1], nodes[dst][2]],
-                "kind": kind,
-                "weight": weight,
-            }
-            for src, dst, kind, _, weight in view.edges
-        ],
-    }
 
 
 def _json_list(items: list[str]) -> str:
@@ -435,12 +365,16 @@ def _json_list(items: list[str]) -> str:
 
 
 def export_json(graph: GraphLike, path: str | Path) -> None:
-    """Write ``json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False)``
-    and a final newline.
+    """Write a graph as a "lexical-network" JSON document.
 
+    The document holds ``format``, ``version`` (1), ``nodes`` as
+    {lemma, pos, frequency} objects and ``edges`` as {source, target,
+    kind, weight} objects whose endpoints are [lemma, pos] pairs, in
+    file order.  The text is what ``json.dumps(..., indent=2,
+    ensure_ascii=False)`` gives for that document, plus a final newline.
     The layout is written here, since ``indent`` makes ``json`` fall back
     to its pure-Python encoder; only the lemmas go through the encoder's
-    string escaping.
+    string escaping.  :func:`import_json` reads it back.
     """
     view = sorted_view(graph)
     lemmas = [encode_basestring(lemma) for _, lemma, _, _ in view.nodes]

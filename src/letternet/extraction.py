@@ -72,22 +72,18 @@ def node_order(key: NodeKey) -> tuple[str, str]:
     return (key[0], key[1].name)
 
 
-def extract_cooccurrences(
-    doc: AnnotatedDoc,
-    window: int | None = None,
-    pos_filter: frozenset[PosClass] = DEFAULT_CONTENT_CLASSES,
-) -> Counter[EdgeKey]:
+def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Counter[EdgeKey]:
     """Co-occurrence edge weights for the content words of a letter.
 
     With ``window=None`` the context is the whole sentence; otherwise
     two tokens co-occur when their positions differ by at most
     ``window`` (``tok_idx`` must increase along each sentence, as the
-    annotator and the vertical reader produce it).  Only tokens whose
-    class is in ``pos_filter`` take part.  Each unordered pair of token
-    occurrences adds 1 to the weight of its ``(src, dst, COOCCUR)`` key,
-    whose endpoints are in canonical :func:`node_order`.  Two
-    occurrences of the same lemma still co-occur (a node may pair with
-    itself).
+    annotator and the vertical reader produce it).  Only tokens of the
+    content classes (``DEFAULT_CONTENT_CLASSES``: NOUN, VERB, ADJ) take
+    part.  Each unordered pair of token occurrences adds 1 to the weight
+    of its ``(src, dst, COOCCUR)`` key, whose endpoints are in canonical
+    :func:`node_order`.  Two occurrences of the same lemma still co-occur
+    (a node may pair with itself).
 
     In a sentence where node a occurs n_a times, a pair a != b gains
     n_a * n_b and a self-pair C(n_a, 2), so the sentence context is
@@ -99,7 +95,9 @@ def extract_cooccurrences(
     weights: Counter[EdgeKey] = Counter()
     for sentence in doc.sentences:
         if window is None:
-            counts = Counter((t.lemma, t.pos) for t in sentence if t.pos in pos_filter)
+            counts = Counter(
+                (t.lemma, t.pos) for t in sentence if t.pos in DEFAULT_CONTENT_CLASSES
+            )
             nodes = sorted(counts.items(), key=lambda kv: node_order(kv[0]))
             for i, (a, n_a) in enumerate(nodes):
                 if n_a > 1:
@@ -110,7 +108,7 @@ def extract_cooccurrences(
             content = [
                 ((t.lemma, t.pos), node_order((t.lemma, t.pos)), t.tok_idx)
                 for t in sentence
-                if t.pos in pos_filter
+                if t.pos in DEFAULT_CONTENT_CLASSES
             ]
             for i, (a, order_a, pos_a) in enumerate(content):
                 for b, order_b, pos_b in content[i + 1 :]:
@@ -210,9 +208,6 @@ class AnaphoraMap:
     """
 
     entries: Mapping[tuple[str, int, int], str]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def for_letter(self, letter_id: str) -> dict[tuple[int, int], str]:
         return {

@@ -35,10 +35,6 @@ class GraphBuildError(ValueError):
     """Raised when an edge references a lemma without frequency data."""
 
 
-def kind_is_directed(kind: RelationKind) -> bool:
-    return kind in DIRECTED_KINDS
-
-
 @dataclass
 class LexicalGraph:
     """A typed, weighted lexical network.
@@ -162,9 +158,6 @@ class Threshold:
     def cutoff(self, values: Sequence[int]) -> float:
         return float(self.minimum)
 
-    def describe(self) -> str:
-        return f"value > {self.minimum:g}"
-
 
 @dataclass(frozen=True)
 class MeanSd:
@@ -176,9 +169,6 @@ class MeanSd:
         if not values:
             return 0.0
         return statistics.fmean(values) + self.k * statistics.pstdev(values)
-
-    def describe(self) -> str:
-        return f"value > mean + {self.k:g} sd"
 
 
 PruneRule = Union[Threshold, MeanSd]

@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
@@ -49,6 +49,10 @@ _VOWELS = "aeiou"
 _TERMINATORS = ".!?"
 _CLOSERS = "'’\"”)"
 
+# C0 controls other than tab, newline, vertical tab, form feed and
+# carriage return: XML 1.0 cannot hold them, so a lemma with one would
+# make a GEXF file that is not well-formed.
+_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f]")
 _TOKEN_RE = re.compile(r"[A-Za-z]+(?:['’][A-Za-z]+)*|\d+|\.{2,}|[^\sA-Za-z0-9]")
 _WORD_BEFORE_RE = re.compile(r"[A-Za-z]+$")
 
@@ -65,21 +69,37 @@ class ExportError(OSError):
     """Raised when an output file cannot be written."""
 
 
+def reject_control_chars(text: str, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` at the first control character XML cannot hold.
+
+    The message starts with ``where`` and the line number, counted as
+    ``str.splitlines`` counts the lines of ``text``.
+    """
+    bad = _CONTROL_RE.search(text)
+    if bad:
+        lineno = len((text[: bad.start()] + "_").splitlines())
+        raise error(f"{where}:{lineno}: control character U+{ord(bad.group()):04X}")
+
+
 def read_table(
     path: str | Path, n_fields: int | None, what: str, error: type[Exception]
 ) -> list[tuple[str, list[str]]]:
     """Rows of a tab-separated resource file as ("path:line", fields).
 
-    The file is read as UTF-8; blank and "#" lines are skipped, and each
-    line and each field is stripped.  An unreadable or undecodable file
-    and a row without exactly ``n_fields`` fields raise ``error``; with
-    ``n_fields`` None the first row (a header) sets the count.
+    The file is read as UTF-8, with or without a byte-order mark; blank
+    and "#" lines are skipped, and each line and each field is stripped.
+    An unreadable or undecodable file, a control character that XML
+    cannot hold and a row without exactly ``n_fields`` fields raise
+    ``error``; with ``n_fields`` None the first row (a header) sets the
+    count.
     """
     p = Path(path)
     try:
-        lines = p.read_text(encoding="utf-8").splitlines()
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {p}: {exc}") from exc
+    reject_control_chars(text, str(p), error)
+    lines = text.splitlines()
     rows = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -260,12 +280,6 @@ class VariantLexicon:
     def lookup(self, surface: str) -> VariantEntry | None:
         return self._entries.get(surface.casefold())
 
-    def __contains__(self, surface: str) -> bool:
-        return surface.casefold() in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "VariantLexicon":
         """Read a four-column file: historical, normalized, pos, lemma.
@@ -410,11 +424,11 @@ class Lemmatizer:
 
     def __init__(
         self,
-        exceptions: dict[tuple[str, PosClass | None], str] | None = None,
-        known_as: Callable[[str, PosClass], bool] | None = None,
+        exceptions: dict[tuple[str, PosClass | None], str],
+        known_as: Callable[[str, PosClass], bool],
     ) -> None:
-        self.exceptions = dict(exceptions or {})
-        self._known_as = known_as or (lambda word, pos: False)
+        self.exceptions = dict(exceptions)
+        self._known_as = known_as
 
     def _restore(self, stem: str, pos: PosClass) -> str:
         if self._known_as(stem, pos):
@@ -479,9 +493,7 @@ class Lemmatizer:
 
     @classmethod
     def from_file(
-        cls,
-        path: str | Path,
-        known_as: Callable[[str, PosClass], bool] | None = None,
+        cls, path: str | Path, known_as: Callable[[str, PosClass], bool]
     ) -> "Lemmatizer":
         """Read a three-column exception list (form, class-or-"-", lemma)."""
         exceptions: dict[tuple[str, PosClass | None], str] = {}
@@ -558,10 +570,6 @@ def _load_abbreviations(path: str | Path) -> frozenset[str]:
     return frozenset(word.rstrip(".").lower() for _, (word,) in rows)
 
 
-def load_default_abbreviations() -> frozenset[str]:
-    return _load_abbreviations(data_path("abbreviations.txt"))
-
-
 def default_annotator(
     *,
     colon_boundary: bool = False,
@@ -614,18 +622,21 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
     character is "#" is a comment unless it has exactly four
     tab-separated fields, in which case it is a token row (say, of the
     token "#").  Any other row with the wrong number of fields raises
-    :class:`VerticalFormatError` naming the line, and so does a file
-    that cannot be read or is not UTF-8, naming the file; an unknown
-    word class label degrades to OTHER with a warning.  The letter id
-    defaults to the file's stem.
+    :class:`VerticalFormatError` naming the line, and so does a control
+    character that XML cannot hold; a file that cannot be read or is not
+    UTF-8 (a byte-order mark is allowed) raises it naming the file.  An
+    unknown word class label degrades to OTHER with a warning.  The
+    letter id defaults to the file's stem.
     """
     p = Path(path)
     if letter_id is None:
         letter_id = p.stem
     try:
-        lines = p.read_text(encoding="utf-8").splitlines()
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise VerticalFormatError(f"cannot read {p}: {exc}") from exc
+    reject_control_chars(text, str(p), VerticalFormatError)
+    lines = text.splitlines()
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
 

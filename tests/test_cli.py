@@ -1,5 +1,6 @@
 """Config resolution and the letternet command line."""
 
+import codecs
 import contextlib
 import importlib.util
 import io
@@ -27,7 +28,7 @@ from letternet.cli import (
 )
 from letternet.export import import_json
 from letternet.extraction import RelationKind
-from letternet.pipeline import Annotator
+from letternet.pipeline import Annotator, data_path
 
 from conftest import MANIFEST, N, V
 
@@ -367,6 +368,45 @@ def test_network_from_pretagged_matches_direct(mini_corpus, tmp_path, capsys):
     assert (direct / "network.json").read_bytes() == (again / "network.json").read_bytes()
 
 
+def test_byte_order_marks_change_no_output(mini_corpus, tmp_path, capsys):
+    # every input once as saved and once with a UTF-8 byte-order mark
+    inputs = {
+        "manifest.tsv": mini_corpus.read_bytes(),
+        "a.txt": (mini_corpus.parent / "a.txt").read_bytes(),
+        "b.txt": (mini_corpus.parent / "b.txt").read_bytes(),
+        "lexicon.tsv": data_path("variant_lexicon.tsv").read_bytes(),
+        "abbrevs.txt": data_path("abbreviations.txt").read_bytes(),
+        "config.json": json.dumps(
+            {
+                "manifest": "manifest.tsv",
+                "variant_lexicon": "lexicon.tsv",
+                "abbreviations": "abbrevs.txt",
+                "formats": ["gexf", "dot", "json", "csv"],
+            }
+        ).encode("utf-8"),
+    }
+    outputs = {}
+    for name, prefix in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        root = tmp_path / name
+        root.mkdir()
+        for file_name, data in inputs.items():
+            (root / file_name).write_bytes(prefix + data)
+        assert main(["run", "--config", str(root / "config.json"), "--out", str(root / "run")]) == 0
+        vertical = root / "vertical"
+        vertical.mkdir()
+        for path in (root / "run").glob("*.tsv"):
+            (vertical / path.name).write_bytes(prefix + path.read_bytes())
+        argv = ["network", "--pretagged-dir", str(vertical), "--mode", "pairs"]
+        assert main([*argv, "--out", str(root / "pairs"), "--format", "json"]) == 0
+        outputs[name] = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.glob("[rp]*/*"))
+        }
+    capsys.readouterr()
+    assert len(outputs["plain"]) == 9
+    assert outputs["marked"] == outputs["plain"]
+
+
 def test_run_chains_preprocess_and_network(mini_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run_main(
@@ -483,6 +523,9 @@ NOT_UTF8 = b"\xff\xfe\n"
 NETWORK = ["network", "--manifest", "{manifest}", "--out", "{out}"]
 MANIFEST_HEADER = b"letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
 ESCAPING_MANIFEST = MANIFEST_HEADER + b"../../escaped\tDury\t-\t1630\tfalse\ten\ta.txt\n"
+VERTICAL_WITH_CONTROL = (
+    b"# letter L1\nThe\tthe\tthe\tDET\ntutor\ttutor\ttu\x01tor\tNOUN\ndoth\tdoth\tdo\tVERB\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -531,6 +574,21 @@ ESCAPING_MANIFEST = MANIFEST_HEADER + b"../../escaped\tDury\t-\t1630\tfalse\ten\
             ["network", "--pretagged-dir", "{vertical}", "--out", "{out}"],
             "letternet: error: cannot read {vertical}/L1.tsv: ",
         ),
+        (
+            VERTICAL_WITH_CONTROL,
+            ["network", "--pretagged-dir", "{vertical}", "--mode", "pairs", "--out", "{out}"],
+            "letternet: error: {vertical}/L1.tsv:3: control character U+0001\n",
+        ),
+        (
+            b"tutour\ttutor\tNOUN\ttu\x02tor\n",
+            NETWORK + ["--variant-lexicon", "{bad}"],
+            "letternet: error: {bad}:1: control character U+0002\n",
+        ),
+        (
+            b"The tutor doth loue the child.\nThe tu\x1ftor\n",
+            ["network", "--manifest", "{letters}", "--out", "{out}"],
+            "letternet: error: letter 'L1': {bad}:2: control character U+001F\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -551,16 +609,27 @@ ESCAPING_MANIFEST = MANIFEST_HEADER + b"../../escaped\tDury\t-\t1630\tfalse\ten\
         "manifest-bad-boolean",
         "config-out-with-nul",
         "vertical-not-utf8",
+        "vertical-control-char",
+        "lexicon-control-char",
+        "letter-control-char",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
     bad = tmp_path / "bad"
     vertical = tmp_path / "vertical"  # for --pretagged-dir: one file, L1.tsv
+    letters = tmp_path / "letters.tsv"  # a manifest with one letter, bad
     if content is not None:
         bad.write_bytes(content)
         vertical.mkdir()
         (vertical / "L1.tsv").write_bytes(content)
-    values = {"manifest": mini_corpus, "out": tmp_path / "out", "bad": bad, "vertical": vertical}
+        letters.write_bytes(MANIFEST_HEADER + b"L1\tDury\t-\t1630\tfalse\ten\tbad\n")
+    values = {
+        "manifest": mini_corpus,
+        "out": tmp_path / "out",
+        "bad": bad,
+        "vertical": vertical,
+        "letters": letters,
+    }
     code, _, stderr = run_main([arg.format(**values) for arg in argv], capsys)
     assert code == 1
     assert stderr.startswith("letternet: error:")

@@ -1,17 +1,17 @@
 """Letter loading and transcription cleaning."""
 
+import codecs
+
 import pytest
 from hypothesis import given, strategies as st
 
 from letternet.corpus import (
-    CleaningConfig,
     Corpus,
     Letter,
     LetterLoadError,
     LetterMeta,
     ManifestError,
     clean_text,
-    filter_corpus,
     load_letter,
     load_manifest,
 )
@@ -57,19 +57,13 @@ def test_hyphenation_rejoined():
 
 
 def test_cut_marker_truncates():
-    cfg = CleaningConfig(cut_marker="Hierauff")
-    assert clean_text("english text. Hierauff wird ein", cfg) == "english text."
+    assert clean_text("english text. Hierauff wird ein", cut_marker="Hierauff") == "english text."
     # marker absent: no change
-    assert clean_text("english text.", cfg) == "english text."
+    assert clean_text("english text.", cut_marker="Hierauff") == "english text."
 
 
 def test_whitespace_collapsed():
     assert clean_text("a\n\n  b\tc") == "a b c"
-
-
-def test_cleaning_disabled_flags():
-    cfg = CleaningConfig(strip_markup=False, drop_bracketed=False, rejoin_hyphenation=False)
-    assert clean_text("a <gap> [x] b", cfg) == "a <gap> [x] b"
 
 
 @pytest.mark.parametrize("text", ["<<>>", "x <<g>> y"])
@@ -123,6 +117,37 @@ def test_load_letter_cleans(tmp_path):
     assert letter.clean_text == "hello world"
 
 
+def test_load_letter_with_byte_order_mark(tmp_path, annotator):
+    text = "Hee doth loue the Tutour. He is good."
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    letter = load_letter(marked, meta())
+    assert letter == load_letter(plain, meta())
+    assert letter.raw_text == text
+    # no U+FEFF token at tok_idx 0 to shift the positions anaphora tables use
+    assert annotator.annotate(letter) == annotator.annotate(load_letter(plain, meta()))
+    # a decoding error still gives the offset in the file, mark included
+    marked.write_bytes(codecs.BOM_UTF8 + b"ok \xff")
+    with pytest.raises(LetterLoadError, match="byte offset 6"):
+        load_letter(marked, meta())
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1c", "\x1f"])
+def test_load_letter_rejects_control_characters(tmp_path, char):
+    p = tmp_path / "l.txt"
+    p.write_text(f"first line\nthe tu{char}tor\n", encoding="utf-8")
+    code = f"U\\+{ord(char):04X}"
+    with pytest.raises(LetterLoadError, match=rf"'X1': .*l\.txt:2: control character {code}"):
+        load_letter(p, meta())
+
+
+def test_load_letter_keeps_whitespace_controls(tmp_path):
+    p = tmp_path / "l.txt"
+    p.write_text("a\tb\x0bc\x0cd\r\ne", encoding="utf-8")
+    assert load_letter(p, meta()).clean_text == "a b c d e"
+
+
 # corpus container
 
 
@@ -146,13 +171,6 @@ def test_corpus_get():
     assert c.get("A").meta.year == 1600
     with pytest.raises(KeyError):
         c.get("nope")
-
-
-def test_filter_corpus():
-    c = Corpus([_letter("A", 1600), _letter("B", 1650)])
-    late = filter_corpus(c, lambda m: m.year >= 1650)
-    assert late.ids() == ["B"]
-    assert c.ids() == ["A", "B"]
 
 
 # manifest files
@@ -233,5 +251,11 @@ def test_load_manifest_rejects_unsafe_letter_id(tmp_path, letter_id):
         f"{letter_id}\tDury\t-\t1630\tfalse\ten\ta.txt\n",
         encoding="utf-8",
     )
-    with pytest.raises(ManifestError, match=r"m\.tsv:2: letter_id .* not a plain file name"):
+    # a NUL is refused already as the manifest is read, like any control
+    # character that XML cannot hold
+    if "\0" in letter_id:
+        reason = r"control character U\+0000"
+    else:
+        reason = r"letter_id .* not a plain file name"
+    with pytest.raises(ManifestError, match=r"m\.tsv:2: " + reason):
         load_manifest(p)

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from letternet.export import (
+    DEFAULT_EDGE_COLORS,
+    DEFAULT_FALLBACK_COLOR,
+    DEFAULT_NODE_COLORS,
     ExportError,
     GexfValidationError,
     GraphFormatError,
-    StyleError,
-    StyleSpec,
+    _node_size,
     dot_text,
     export_csv_edges,
     export_dot,
@@ -25,7 +27,6 @@ from letternet.export import (
     export_stats,
     gexf_bytes,
     graph_from_dict,
-    graph_to_dict,
     import_json,
     sorted_view,
     stats_report,
@@ -60,27 +61,22 @@ def directed_graph():
 
 
 def test_style_defaults_cover_content_classes():
-    style = StyleSpec()
-    assert style.node_color(N) == "#0000FF"
-    assert style.node_color(V) == "#FF0000"
-    assert style.node_color(PosClass.ADJ) == "#00FF00"
-    assert style.node_color(PosClass.ADV) == style.fallback_color
-
-
-def test_style_rejects_bad_values():
-    with pytest.raises(StyleError):
-        StyleSpec(size_min=20.0, size_max=10.0)
-    with pytest.raises(StyleError):
-        StyleSpec(fallback_color="red")
+    assert DEFAULT_NODE_COLORS[N] == "#0000FF"
+    assert DEFAULT_NODE_COLORS[V] == "#FF0000"
+    assert DEFAULT_NODE_COLORS[PosClass.ADJ] == "#00FF00"
+    assert PosClass.ADV not in DEFAULT_NODE_COLORS
+    assert set(DEFAULT_EDGE_COLORS) == set(RelationKind)
+    # a class without a colour of its own gets the fallback
+    adverb = LexicalGraph(nodes={("well", PosClass.ADV): 1}, edges={})
+    assert f'fillcolor="{DEFAULT_FALLBACK_COLOR}"' in dot_text(adverb)
 
 
 def test_node_size_interpolates():
-    style = StyleSpec(size_min=10.0, size_max=60.0)
-    assert style.node_size(1, 1, 5) == pytest.approx(10.0)
-    assert style.node_size(5, 1, 5) == pytest.approx(60.0)
-    assert style.node_size(3, 1, 5) == pytest.approx(35.0)
+    assert _node_size(1, 1, 5) == pytest.approx(10.0)
+    assert _node_size(5, 1, 5) == pytest.approx(60.0)
+    assert _node_size(3, 1, 5) == pytest.approx(35.0)
     # degenerate range collapses to the minimum
-    assert style.node_size(4, 4, 4) == pytest.approx(10.0)
+    assert _node_size(4, 4, 4) == pytest.approx(10.0)
 
 
 # gexf
@@ -194,8 +190,10 @@ def test_json_round_trip_lossless(toy_graph, tmp_path):
     assert path.read_text(encoding="utf-8") == first
 
 
-def test_graph_dict_shape(toy_graph):
-    d = graph_to_dict(toy_graph)
+def test_graph_dict_shape(toy_graph, tmp_path):
+    path = tmp_path / "g.json"
+    export_json(toy_graph, path)
+    d = json.loads(path.read_text(encoding="utf-8"))
     assert d["format"] == "lexical-network"
     assert d["version"] == 1
     assert {n["lemma"] for n in d["nodes"]} == {"god", "see", "truth", "man"}
@@ -327,7 +325,24 @@ def ref_rgb(color):
     return int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)
 
 
-def ref_gexf_bytes(graph, style=StyleSpec()):
+# The fixed style, spelled out here so the references do not share it
+# with the code under test.
+REF_NODE_COLORS = {N: "#0000FF", V: "#FF0000", PosClass.ADJ: "#00FF00"}
+REF_FALLBACK_COLOR = "#999999"
+REF_EDGE_COLORS = {C: "#888888", S: "#FF0000", O: "#0000FF"}
+
+
+def ref_node_color(pos):
+    return REF_NODE_COLORS.get(pos, REF_FALLBACK_COLOR)
+
+
+def ref_node_size(freq, freq_min, freq_max):
+    if freq_max <= freq_min:
+        return 10.0
+    return 10.0 + (60.0 - 10.0) * (freq - freq_min) / (freq_max - freq_min)
+
+
+def ref_gexf_bytes(graph):
     freqs = list(graph.nodes.values())
     freq_min = min(freqs) if freqs else 0
     freq_max = max(freqs) if freqs else 0
@@ -354,8 +369,8 @@ def ref_gexf_bytes(graph, style=StyleSpec()):
     ]
     for key, freq in ref_sorted_nodes(graph):
         lemma, pos = key
-        r, g, b = ref_rgb(style.node_color(pos))
-        size = style.node_size(freq, freq_min, freq_max)
+        r, g, b = ref_rgb(ref_node_color(pos))
+        size = ref_node_size(freq, freq_min, freq_max)
         out.extend(
             [
                 f'      <node id="{ref_xml_attr(ref_node_id(key))}" label="{ref_xml_attr(lemma)}">',
@@ -371,7 +386,7 @@ def ref_gexf_bytes(graph, style=StyleSpec()):
     out.append("    </nodes>")
     out.append("    <edges>")
     for edge_id, ((src, dst, kind), weight) in enumerate(ref_sorted_edges(graph)):
-        r, g, b = ref_rgb(style.edge_color(kind))
+        r, g, b = ref_rgb(REF_EDGE_COLORS[kind])
         edge_type = "directed" if kind in DIRECTED_KINDS else "undirected"
         out.extend(
             [
@@ -395,7 +410,7 @@ def ref_dot_quote(value):
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def ref_dot_text(graph, style=StyleSpec()):
+def ref_dot_text(graph):
     freqs = list(graph.nodes.values())
     freq_min = min(freqs) if freqs else 0
     freq_max = max(freqs) if freqs else 0
@@ -406,14 +421,14 @@ def ref_dot_text(graph, style=StyleSpec()):
     ]
     for key, freq in ref_sorted_nodes(graph):
         lemma, pos = key
-        size = style.node_size(freq, freq_min, freq_max)
+        size = ref_node_size(freq, freq_min, freq_max)
         lines.append(
             f"  {ref_dot_quote(ref_node_id(key))} [label={ref_dot_quote(lemma)},"
-            f' fillcolor="{style.node_color(pos)}", fontsize="{size:.1f}"];'
+            f' fillcolor="{ref_node_color(pos)}", fontsize="{size:.1f}"];'
         )
     for (src, dst, kind), weight in ref_sorted_edges(graph):
         attrs = (
-            f'color="{style.edge_color(kind)}",'
+            f'color="{REF_EDGE_COLORS[kind]}",'
             f' penwidth="{1.0 + math.log(weight):.2f}", label="{weight}"'
         )
         if kind not in DIRECTED_KINDS:
@@ -557,12 +572,11 @@ def test_writers_match_reference(graph, top_n):
         "g.gexf": ref_gexf_bytes(graph),
         "g.dot": ref_dot_text(graph).encode("utf-8"),
         "g.json": (
-            json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
+            json.dumps(ref_graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
         ).encode("utf-8"),
         "g.csv": ref_csv_text(graph).encode("utf-8"),
         "g.txt": ref_stats_report(graph, top_n).encode("utf-8"),
     }
-    assert graph_to_dict(graph) == ref_graph_to_dict(graph)
     assert stats_report(graph, top_n) == ref_stats_report(graph, top_n)
     for measure in Centrality:
         assert centrality(graph, measure) == ref_centrality(graph, measure)

@@ -83,8 +83,6 @@ def test_cooccur_pos_filter():
     doc = mk_doc([("good", ADJ), ("man", N), ("he", PRON)])
     got = weight_shapes(extract_cooccurrences(doc))
     assert got == {("good", ADJ, "man", N, C): 1}
-    nouns_only = extract_cooccurrences(doc, pos_filter=frozenset({N}))
-    assert weight_shapes(nouns_only) == {}
 
 
 def test_cooccur_repeated_lemma_adds_weight():
@@ -124,11 +122,11 @@ def test_cooccur_bad_window():
 # record-per-pair oracle for co-occurrence counting
 
 
-def cooccurrence_records(doc, window=None, pos_filter=DEFAULT_CONTENT_CLASSES):
+def cooccurrence_records(doc, window=None):
     """One COOCCUR record for every pair of content tokens in context."""
     records = []
     for sentence in doc.sentences:
-        content = [t for t in sentence if t.pos in pos_filter]
+        content = [t for t in sentence if t.pos in DEFAULT_CONTENT_CLASSES]
         for a, b in combinations(content, 2):
             if window is not None and abs(a.tok_idx - b.tok_idx) > window:
                 continue

@@ -158,11 +158,6 @@ def test_parse_prune_rule():
             parse_prune_rule(bad)
 
 
-def test_rule_describe():
-    assert "3" in Threshold(3).describe()
-    assert "sd" in MeanSd(2.0).describe()
-
-
 # pruning semantics
 
 

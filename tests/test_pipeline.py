@@ -1,5 +1,6 @@
 """Sentence split, tokenization, spelling normalization, tagging, lemmas."""
 
+import codecs
 import tempfile
 from pathlib import Path
 
@@ -14,11 +15,12 @@ from letternet.pipeline import (
     PosClass,
     RuleTagger,
     SplitConfig,
+    VariantEntry,
     VariantLexicon,
+    VerticalFormatError,
     data_path,
     default_annotator,
     ingest_pretagged,
-    load_default_abbreviations,
     modernize_spelling,
     split_sentences,
     tokenize,
@@ -139,6 +141,17 @@ def test_variant_file_errors(tmp_path):
     p.write_text("vse\tuse\t-\t\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError, match=":1: expected 4 tab-separated fields, got 3"):
         VariantLexicon.from_file(p)
+    p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x02tor\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: control character U\+0002"):
+        VariantLexicon.from_file(p)
+
+
+def test_variant_lexicon_with_byte_order_mark(tmp_path):
+    p = tmp_path / "v.tsv"
+    p.write_bytes(codecs.BOM_UTF8 + b"vse\tuse\tVERB\t-\ntutour\ttutor\tNOUN\t-\n")
+    lexicon = VariantLexicon.from_file(p)
+    assert lexicon.lookup("vse") == VariantEntry("use", PosClass.VERB, None)
+    assert lexicon.lookup("tutour") == VariantEntry("tutor", PosClass.NOUN, None)
 
 
 def test_modernize_uv_swap(tagger):
@@ -331,6 +344,22 @@ def test_vertical_round_trip_property(annotator, text):
         assert ingest_pretagged(path) == doc
 
 
+def test_ingest_with_byte_order_mark(tmp_path, annotator):
+    doc = annotator.annotate_text("B1", "Hee doth loue the Tutour. # 5")
+    path = tmp_path / "B1.tsv"
+    write_vertical(doc, path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert ingest_pretagged(path) == doc
+
+
+def test_ingest_rejects_control_characters(tmp_path):
+    p = tmp_path / "c.tsv"
+    # U+001C is also a line break to str.splitlines, which numbers the lines
+    p.write_text("# letter C\na\ta\ta\tNOUN\n\nb\tb\tb\x1cc\tNOUN\n", encoding="utf-8")
+    with pytest.raises(VerticalFormatError, match=r"c\.tsv:4: control character U\+001C"):
+        ingest_pretagged(p)
+
+
 def test_ingest_stem_is_default_id(tmp_path, annotator):
     doc = annotator.annotate_text("whatever", "A word.")
     path = tmp_path / "L99.tsv"
@@ -374,7 +403,7 @@ def test_ingest_blank_line_splits_sentences(tmp_path):
 
 
 def test_default_abbreviations_loaded():
-    abbrevs = load_default_abbreviations()
+    abbrevs = default_annotator().split.abbreviations
     assert "mr" in abbrevs and "viz" in abbrevs
 
 
