@@ -163,8 +163,9 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     The file is read as UTF-8, with or without a byte-order mark, and
     cleaned by :func:`clean_text` with ``cut_marker``.  A missing file,
     undecodable bytes and a control character that XML cannot hold
-    raise :class:`LetterLoadError` naming the file; an empty file is
-    only a warning and yields an empty-bodied letter.
+    (other than a vertical tab or form feed, which cleaning makes a
+    space) raise :class:`LetterLoadError` naming the file; an empty
+    file is only a warning and yields an empty-bodied letter.
     """
     p = Path(path)
     try:
@@ -180,7 +181,9 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
             f"letter {meta.letter_id!r}: {p} is not valid UTF-8 "
             f"(byte offset {offset})"
         ) from exc
-    reject_control_chars(raw, f"letter {meta.letter_id!r}: {p}", LetterLoadError)
+    reject_control_chars(
+        raw, f"letter {meta.letter_id!r}: {p}", LetterLoadError, letter=True
+    )
     cleaned = clean_text(raw, cut_marker)
     if not cleaned:
         log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)

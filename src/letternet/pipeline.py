@@ -3,10 +3,12 @@
 The pipeline takes cleaned letter text through sentence splitting,
 tokenisation, spelling normalisation (u/v and i/j conventions, a
 lexicon of period variants), rule-based part-of-speech tagging and
-suffix-stripping lemmatisation, all done token by token in
-:class:`Annotator`.  Annotated documents can be written to and re-read
-from a simple one-token-per-line vertical format; that is also how the
-output of another tagger enters the toolchain (:func:`ingest_pretagged`).
+suffix-stripping lemmatisation, done in :class:`Annotator`.  A word's
+annotation depends on its spelling alone, so the annotator resolves
+each distinct form once and reuses the result for every later token of
+that form.  Annotated documents can be written to and re-read from a
+simple one-token-per-line vertical format; that is also how the output
+of another tagger enters the toolchain (:func:`ingest_pretagged`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import enum
 import logging
 import os
 import re
+import string
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -46,15 +49,19 @@ MODAL_LEMMAS = frozenset(
 )
 
 _VOWELS = "aeiou"
-_TERMINATORS = ".!?"
+# Runs of sentence terminators, without and with the colon.
+_TERMINATORS_RE = re.compile(r"[.!?]+")
+_TERMINATORS_COLON_RE = re.compile(r"[.!?:]+")
 _CLOSERS = "'’\"”)"
 
-# C0 controls other than tab, newline, vertical tab, form feed and
-# carriage return: XML 1.0 cannot hold them, so a lemma with one would
-# make a GEXF file that is not well-formed.
-_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f]")
+# C0 controls other than tab, newline and carriage return: XML 1.0
+# cannot hold them, so a lemma with one would make a GEXF file that is
+# not well-formed.  A letter may also hold vertical tabs and form feeds,
+# which cleaning turns into spaces.
+_CONTROL_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
+_LETTER_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f]")
 _TOKEN_RE = re.compile(r"[A-Za-z]+(?:['’][A-Za-z]+)*|\d+|\.{2,}|[^\sA-Za-z0-9]")
-_WORD_BEFORE_RE = re.compile(r"[A-Za-z]+$")
+_ASCII_LETTERS = frozenset(string.ascii_letters)
 
 
 class LexiconFormatError(ValueError):
@@ -69,15 +76,20 @@ class ExportError(OSError):
     """Raised when an output file cannot be written."""
 
 
-def reject_control_chars(text: str, where: str, error: type[Exception]) -> None:
+def reject_control_chars(
+    text: str, where: str, error: type[Exception], *, letter: bool = False
+) -> None:
     """Raise ``error`` at the first control character XML cannot hold.
 
-    The message starts with ``where`` and the line number, counted as
-    ``str.splitlines`` counts the lines of ``text``.
+    With ``letter`` true, vertical tabs and form feeds pass, as they do
+    in a letter's text.  The message starts with ``where`` and the line
+    number, counting "\\r\\n", "\\r" and "\\n" as line breaks, as an
+    editor does.
     """
-    bad = _CONTROL_RE.search(text)
+    bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
     if bad:
-        lineno = len((text[: bad.start()] + "_").splitlines())
+        before = text[: bad.start()]
+        lineno = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
         raise error(f"{where}:{lineno}: control character U+{ord(bad.group()):04X}")
 
 
@@ -86,9 +98,10 @@ def read_table(
 ) -> list[tuple[str, list[str]]]:
     """Rows of a tab-separated resource file as ("path:line", fields).
 
-    The file is read as UTF-8, with or without a byte-order mark; blank
-    and "#" lines are skipped, and each line and each field is stripped.
-    An unreadable or undecodable file, a control character that XML
+    The file is read as UTF-8, with or without a byte-order mark, and
+    split into lines at "\\n", "\\r\\n" and "\\r" only; blank and "#"
+    lines are skipped, and each line and each field is stripped.  An
+    unreadable or undecodable file, a control character that XML
     cannot hold and a row without exactly ``n_fields`` fields raise
     ``error``; with ``n_fields`` None the first row (a header) sets the
     count.
@@ -99,7 +112,8 @@ def read_table(
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {p}: {exc}") from exc
     reject_control_chars(text, str(p), error)
-    lines = text.splitlines()
+    # read_text has turned "\r\n" and "\r" into "\n"
+    lines = text.split("\n")
     rows = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -141,9 +155,8 @@ def write_atomic(path: str | Path, payload: bytes) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class Token:
-    """One annotated token.
+class Token(NamedTuple):
+    """One annotated token, as an immutable named tuple.
 
     ``surface`` is the form as transcribed, ``normalized`` the
     modernised spelling, ``lemma`` the dictionary head word.  Indices
@@ -194,8 +207,17 @@ class SplitConfig:
 
 
 def _is_abbreviation(text: str, dot_pos: int, config: SplitConfig) -> bool:
-    match = _WORD_BEFORE_RE.search(text, 0, dot_pos)
-    return bool(match) and match.group(0).lower() in config.abbreviations
+    """Whether the ASCII word that ends at ``dot_pos`` is an abbreviation.
+
+    Like ``re.search(r"[A-Za-z]+$", text[:dot_pos])``, the word may also
+    end just before a newline at ``dot_pos - 1``.  Only the word itself
+    is scanned, so a text's dots cost time linear in its length.
+    """
+    end = dot_pos - 1 if dot_pos and text[dot_pos - 1] == "\n" else dot_pos
+    start = end
+    while start and text[start - 1] in _ASCII_LETTERS:
+        start -= 1
+    return start < end and text[start:end].lower() in config.abbreviations
 
 
 def split_sentences(text: str, config: SplitConfig = SplitConfig()) -> list[str]:
@@ -207,28 +229,25 @@ def split_sentences(text: str, config: SplitConfig = SplitConfig()) -> list[str]
     without a final terminator still yields its last sentence.  The
     pieces cover every non-whitespace character of the input in order.
     """
-    terminators = _TERMINATORS + (":" if config.colon_boundary else "")
+    find = (_TERMINATORS_COLON_RE if config.colon_boundary else _TERMINATORS_RE).search
     sentences: list[str] = []
     start = 0
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] in terminators:
-            j = i + 1
-            while j < n and text[j] in terminators:
-                j += 1
-            while j < n and text[j] in _CLOSERS:
-                j += 1
-            if text[i] == "." and j == i + 1 and _is_abbreviation(text, i, config):
-                i += 1
-                continue
-            if j >= n or text[j].isspace():
-                piece = text[start:j].strip()
-                if piece:
-                    sentences.append(piece)
-                start = j
-                i = j
-                continue
-        i += 1
+    n = len(text)
+    run = find(text)
+    while run:
+        i, j = run.span()
+        while j < n and text[j] in _CLOSERS:
+            j += 1
+        if (j >= n or text[j].isspace()) and not (
+            j == i + 1 and text[i] == "." and _is_abbreviation(text, i, config)
+        ):
+            piece = text[start:j].strip()
+            if piece:
+                sentences.append(piece)
+            start = j
+            run = find(text, j)
+        else:
+            run = find(text, i + 1)
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
@@ -509,46 +528,59 @@ class Lemmatizer:
 # token annotation
 
 
-@dataclass
+@dataclass(frozen=True)
 class Annotator:
-    """Annotates whole letters, one token at a time.
+    """Annotates whole letters, resolving each distinct form once.
 
     Punctuation, numbers and "&" are classed directly.  For a word the
     variant lexicon wins where it has an entry (and may force class and
     lemma); everything else goes through spelling modernisation against
-    the tagger's word list, the tagger and the lemmatiser.
+    the tagger's word list, the tagger and the lemmatiser.  None of this
+    looks at a token's neighbours, so the (normalized, lemma, pos) of
+    each surface form, as transcribed, is memoized on the annotator and
+    lives as long as it does.  The annotator is frozen, so its lexicons
+    cannot change under the memo, and a new annotator starts with an
+    empty one.
     """
 
     lexicon: VariantLexicon
     tagger: RuleTagger
     lemmatizer: Lemmatizer
     split: SplitConfig = SplitConfig()
+    _forms: dict[str, tuple[str, str, PosClass]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
+        """(normalized, lemma, pos) of one surface form."""
+        if surface == "&":
+            return "&", "&", PosClass.CONJ
+        if surface.isdigit():
+            return surface, surface, PosClass.NUM
+        if not any(ch.isalpha() for ch in surface):
+            return surface, surface, PosClass.PUNCT
+        key = surface.casefold()
+        entry = self.lexicon.lookup(key)
+        if entry is None:
+            normalized, pos, lemma = modernize_spelling(key, self.tagger.known), None, None
+        else:
+            normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
+        if pos is None:
+            pos = self.tagger.tag(normalized)
+        if lemma is None:
+            lemma = self.lemmatizer.lemmatize(normalized, pos)
+        return normalized, lemma, pos
 
     def annotate_text(self, letter_id: str, text: str) -> AnnotatedDoc:
-        lookup, known = self.lexicon.lookup, self.tagger.known
-        tag, lemmatize = self.tagger.tag, self.lemmatizer.lemmatize
+        forms, resolve = self._forms, self._resolve
         sentences = []
         for sent_idx, sentence in enumerate(split_sentences(text, self.split)):
             tokens = []
             for idx, surface in enumerate(tokenize(sentence)):
-                if surface == "&":
-                    normalized, pos, lemma = "&", PosClass.CONJ, "&"
-                elif surface.isdigit():
-                    normalized, pos, lemma = surface, PosClass.NUM, surface
-                elif not any(ch.isalpha() for ch in surface):
-                    normalized, pos, lemma = surface, PosClass.PUNCT, surface
-                else:
-                    key = surface.casefold()
-                    entry = lookup(key)
-                    if entry is None:
-                        normalized, pos, lemma = modernize_spelling(key, known), None, None
-                    else:
-                        normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
-                    if pos is None:
-                        pos = tag(normalized)
-                    if lemma is None:
-                        lemma = lemmatize(normalized, pos)
-                tokens.append(Token(surface, normalized, lemma, pos, sent_idx, idx))
+                form = forms.get(surface)
+                if form is None:
+                    form = forms[surface] = resolve(surface)
+                tokens.append(Token(surface, *form, sent_idx, idx))
             sentences.append(tuple(tokens))
         return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
 
@@ -618,15 +650,16 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
 def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> AnnotatedDoc:
     """Read a vertical file produced here or by an external tagger.
 
-    Blank lines separate sentences.  A line whose first non-blank
-    character is "#" is a comment unless it has exactly four
-    tab-separated fields, in which case it is a token row (say, of the
-    token "#").  Any other row with the wrong number of fields raises
-    :class:`VerticalFormatError` naming the line, and so does a control
-    character that XML cannot hold; a file that cannot be read or is not
-    UTF-8 (a byte-order mark is allowed) raises it naming the file.  An
-    unknown word class label degrades to OTHER with a warning.  The
-    letter id defaults to the file's stem.
+    Lines end at "\\n", "\\r\\n" or "\\r" only, and blank lines
+    separate sentences.  A line whose first non-blank character is "#"
+    is a comment unless it has exactly four tab-separated fields, in
+    which case it is a token row (say, of the token "#").  Any other row
+    with the wrong number of fields raises :class:`VerticalFormatError`
+    naming the line, and so does a control character that XML cannot
+    hold; a file that cannot be read or is not UTF-8 (a byte-order mark
+    is allowed) raises it naming the file.  An unknown word class label
+    degrades to OTHER with a warning.  The letter id defaults to the
+    file's stem.
     """
     p = Path(path)
     if letter_id is None:
@@ -636,7 +669,8 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
     except (OSError, UnicodeDecodeError) as exc:
         raise VerticalFormatError(f"cannot read {p}: {exc}") from exc
     reject_control_chars(text, str(p), VerticalFormatError)
-    lines = text.splitlines()
+    # read_text has turned "\r\n" and "\r" into "\n"
+    lines = text.split("\n")
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
 

@@ -688,18 +688,38 @@ def test_random_config_never_raises(mini_corpus, command, config):
         assert stderr.getvalue().startswith("letternet: error:")
 
 
-def test_trace_targets_are_cli_attributes(monkeypatch):
-    # The benchmark's tracer patches these names on letternet.cli with
-    # getattr/setattr, so renaming an import there would break --trace 1.
+def _load_spans(monkeypatch):
+    """The benchmark's tracer module, loaded from its file."""
     spans_path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
     spans = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_trace_targets_are_cli_attributes(monkeypatch):
+    # The benchmark's tracer patches these names on letternet.cli with
+    # getattr/setattr, so renaming an import there would break --trace 1.
+    spans = _load_spans(monkeypatch)
     names = [name for name, _span, _count in spans.CLI_TARGETS]
     assert names
     assert [name for name in names if not hasattr(cli, name)] == []
+
+
+def test_trace_sees_every_annotation(monkeypatch, tmp_path):
+    # The tracer wraps Annotator.annotate; if annotation stopped going
+    # through it, the benchmark's pipeline.annotate_s would read 0.
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.tracing(0), tracer.span(spans.MAIN_SPAN):
+        code = main(["network", "--manifest", str(MANIFEST), "--out", str(tmp_path / "out")])
+    assert code == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count(spans.ANNOTATE_SPAN) == 13
+    assert tracer.counts[0]["pipeline.annotate_calls"] == 13
+    assert tracer.counts[0]["pipeline.tokens"] == 2192
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):

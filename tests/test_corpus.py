@@ -142,6 +142,14 @@ def test_load_letter_rejects_control_characters(tmp_path, char):
         load_letter(p, meta())
 
 
+def test_load_letter_counts_lines_as_an_editor_does(tmp_path):
+    # "\r\n" is one line break, U+2028 and U+0085 are none
+    p = tmp_path / "l.txt"
+    p.write_bytes("first\u2028line\r\nsecond\x85line\rthe tu\x01tor\n".encode("utf-8"))
+    with pytest.raises(LetterLoadError, match=r"l\.txt:3: control character U\+0001"):
+        load_letter(p, meta())
+
+
 def test_load_letter_keeps_whitespace_controls(tmp_path):
     p = tmp_path / "l.txt"
     p.write_text("a\tb\x0bc\x0cd\r\ne", encoding="utf-8")

@@ -21,7 +21,7 @@ from letternet.extraction import (
     load_gold,
 )
 from letternet.network import build_graph, merge_graphs, token_frequencies
-from letternet.pipeline import PosClass
+from letternet.pipeline import PosClass, Token
 
 from conftest import mk_doc, mk_sentence, N, V
 
@@ -317,6 +317,8 @@ def test_apply_anaphora_replaces_pronoun():
     assert tok.normalized == "tutor"
     assert tok.pos is N
     assert tok.surface == "he"
+    assert type(tok) is Token
+    assert tok == Token(surface="he", normalized="tutor", lemma="tutor", pos=N, sent_idx=0, tok_idx=0)
     # source doc untouched
     assert doc.sentences[0][0].pos is PRON
 

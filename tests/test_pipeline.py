@@ -1,13 +1,16 @@
 """Sentence split, tokenization, spelling normalization, tagging, lemmas."""
 
 import codecs
+import re
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from letternet.pipeline import (
+    AnnotatedDoc,
     Annotator,
     ExportError,
     Lemmatizer,
@@ -15,6 +18,7 @@ from letternet.pipeline import (
     PosClass,
     RuleTagger,
     SplitConfig,
+    Token,
     VariantEntry,
     VariantLexicon,
     VerticalFormatError,
@@ -22,6 +26,7 @@ from letternet.pipeline import (
     default_annotator,
     ingest_pretagged,
     modernize_spelling,
+    reject_control_chars,
     split_sentences,
     tokenize,
     write_vertical,
@@ -67,6 +72,81 @@ def test_split_tail_without_terminator_kept():
 
 def test_split_empty():
     assert split_sentences("   ") == []
+
+
+# The splitter as it was before it jumped between terminators and
+# scanned back over the word before a dot: a loop over every character,
+# and a regex search from the start of the text at every dot.
+_REF_WORD_BEFORE_RE = re.compile(r"[A-Za-z]+$")
+
+
+def ref_is_abbreviation(text, dot_pos, config):
+    match = _REF_WORD_BEFORE_RE.search(text, 0, dot_pos)
+    return bool(match) and match.group(0).lower() in config.abbreviations
+
+
+def ref_split_sentences(text, config=SplitConfig()):
+    terminators = ".!?" + (":" if config.colon_boundary else "")
+    closers = "'’\"”)"
+    sentences = []
+    start = 0
+    i, n = 0, len(text)
+    while i < n:
+        if text[i] in terminators:
+            j = i + 1
+            while j < n and text[j] in terminators:
+                j += 1
+            while j < n and text[j] in closers:
+                j += 1
+            if text[i] == "." and j == i + 1 and ref_is_abbreviation(text, i, config):
+                i += 1
+                continue
+            if j >= n or text[j].isspace():
+                piece = text[start:j].strip()
+                if piece:
+                    sentences.append(piece)
+                start = j
+                i = j
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+_SPLIT_ABBREVIATIONS = ["Mr", "mrs", "Dr", "St", "viz", "No", "cf", "Messrs"]
+# Each chunk is a word, maybe a newline, terminators or closers, and a gap.
+_SPLIT_CHUNKS = st.tuples(
+    st.sampled_from(_SPLIT_ABBREVIATIONS + ["word", "Hartlib", "é", "café", "x", ""]),
+    st.sampled_from(["", "", "\n", " "]),
+    st.sampled_from([".", ".", ".", "...", "..", "?!", "!", "?", ":", ".)", ".'", "”", ""]),
+    st.sampled_from([" ", " ", "\n", "\n\n", "\t", ""]),
+).map("".join)
+
+
+@pytest.fixture(scope="module")
+def bundled_abbreviations():
+    abbreviations = default_annotator().split.abbreviations
+    assert {a.lower() for a in _SPLIT_ABBREVIATIONS} <= abbreviations
+    return abbreviations
+
+
+@given(st.lists(_SPLIT_CHUNKS, max_size=12).map("".join))
+def test_split_matches_reference(bundled_abbreviations, text):
+    for colon in (False, True):
+        config = SplitConfig(colon_boundary=colon, abbreviations=bundled_abbreviations)
+        assert split_sentences(text, config) == ref_split_sentences(text, config)
+
+
+def test_split_abbreviation_edges(bundled_abbreviations):
+    config = SplitConfig(abbreviations=bundled_abbreviations)
+    # "$" also matches before a final newline, so "Mr\n." is still "Mr."
+    assert split_sentences("Mr\n. Hartlib wrote.", config) == ["Mr\n. Hartlib wrote."]
+    # the scan covers ASCII letters only: "é" ends the word before the dot
+    assert split_sentences("Sté. Amand. No. 5.", config) == ["Sté.", "Amand.", "No. 5."]
+    for text in ["\n. x", ". x", "Mr."]:
+        assert split_sentences(text, config) == ref_split_sentences(text, config)
 
 
 # tokenization
@@ -144,6 +224,44 @@ def test_variant_file_errors(tmp_path):
     p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x02tor\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: control character U\+0002"):
         VariantLexicon.from_file(p)
+    # not a line break in a table, and XML cannot hold it
+    p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x0ctor\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: control character U\+000C"):
+        VariantLexicon.from_file(p)
+
+
+def test_variant_lexicon_rows_end_only_at_line_breaks(tmp_path):
+    # str.splitlines would also break this row at U+2028
+    p = tmp_path / "v.tsv"
+    p.write_text("# lexicon\r\nvse\tu\u2028se\tVERB\t-\r\nmoue\tmove\tVERB\t-\n", encoding="utf-8")
+    lexicon = VariantLexicon.from_file(p)
+    assert lexicon.lookup("vse") == VariantEntry("u\u2028se", PosClass.VERB, None)
+    assert lexicon.lookup("moue") == VariantEntry("move", PosClass.VERB, None)
+
+
+@pytest.mark.parametrize(
+    "before, lineno",
+    [
+        ("", 1),
+        ("a\nb\n", 3),
+        ("a\r\nb\r\n", 3),
+        ("a\rb\r", 3),
+        ("a\r\n\rb\n", 4),
+        ("a\u2028b\x85c\u2029d", 1),
+        ("a\u2028b\x85c\u2029d\r\n", 2),
+    ],
+)
+def test_reject_control_chars_counts_editor_lines(before, lineno):
+    with pytest.raises(ValueError, match=rf"^f:{lineno}: control character U\+0001$"):
+        reject_control_chars(before + "x\x01", "f", ValueError)
+
+
+def test_reject_control_chars_in_letters_keeps_whitespace():
+    reject_control_chars("a\x0bb\x0cc", "f", ValueError, letter=True)
+    with pytest.raises(ValueError, match=r"^f:2: control character U\+000B$"):
+        reject_control_chars("a b\nc\x0bd\x0ce", "f", ValueError)
+    with pytest.raises(ValueError, match=r"^f:2: control character U\+001E$"):
+        reject_control_chars("a\x0cb\nc\x1ed", "f", ValueError, letter=True)
 
 
 def test_variant_lexicon_with_byte_order_mark(tmp_path):
@@ -294,6 +412,95 @@ def test_token_indices(annotator):
     assert [t.tok_idx for t in doc.sentences[1]] == [0, 1, 2]
 
 
+def test_token_is_an_immutable_named_tuple():
+    tok = Token(surface="Vse", normalized="use", lemma="use", pos=PosClass.VERB, sent_idx=0, tok_idx=1)
+    with pytest.raises(AttributeError):
+        tok.lemma = "x"
+    twin = Token("Vse", "use", "use", PosClass.VERB, 0, 1)
+    assert tok == twin and hash(tok) == hash(twin)
+    assert tok != Token("Vse", "use", "use", PosClass.VERB, 0, 2)
+    assert repr(tok) == (
+        "Token(surface='Vse', normalized='use', lemma='use', "
+        "pos=<PosClass.VERB: 'VERB'>, sent_idx=0, tok_idx=1)"
+    )
+    doc = AnnotatedDoc(letter_id="D", sentences=((tok,),))
+    assert hash(doc) == hash(AnnotatedDoc(letter_id="D", sentences=((twin,),)))
+
+
+def ref_annotate_text(annotator, letter_id, text):
+    """The annotator's loop without its memo: every token resolved anew."""
+    lookup, known = annotator.lexicon.lookup, annotator.tagger.known
+    tag, lemmatize = annotator.tagger.tag, annotator.lemmatizer.lemmatize
+    sentences = []
+    for sent_idx, sentence in enumerate(ref_split_sentences(text, annotator.split)):
+        tokens = []
+        for idx, surface in enumerate(tokenize(sentence)):
+            if surface == "&":
+                normalized, pos, lemma = "&", PosClass.CONJ, "&"
+            elif surface.isdigit():
+                normalized, pos, lemma = surface, PosClass.NUM, surface
+            elif not any(ch.isalpha() for ch in surface):
+                normalized, pos, lemma = surface, PosClass.PUNCT, surface
+            else:
+                key = surface.casefold()
+                entry = lookup(key)
+                if entry is None:
+                    normalized, pos, lemma = modernize_spelling(key, known), None, None
+                else:
+                    normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
+                if pos is None:
+                    pos = tag(normalized)
+                if lemma is None:
+                    lemma = lemmatize(normalized, pos)
+            tokens.append(Token(surface, normalized, lemma, pos, sent_idx, idx))
+        sentences.append(tuple(tokens))
+    return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
+
+
+@pytest.fixture(scope="module")
+def shared_annotators():
+    """Annotators whose memos fill up across every example drawn."""
+    return default_annotator(), default_annotator(colon_boundary=True)
+
+
+_ANNOTATION_PIECES = st.one_of(
+    st.sampled_from(
+        ["vse", "Vse", "moue", "ioy", "loue", "Tutour", "tutour", "TUTOUR", "doth", "the",
+         "&", "&c", "5", "1630", ".", ".", "..", "...", "'", "'s", "don't", "Mr.", "viz.",
+         "é", ",", ":", "?", "!", " ", " ", " ", "\n"]
+    ),
+    st.text(alphabet="aeiouvjbrstlnAV", min_size=1, max_size=8),
+)
+_ANNOTATION_TEXTS = st.lists(_ANNOTATION_PIECES, max_size=30).map("".join)
+
+
+@given(st.lists(_ANNOTATION_TEXTS, min_size=1, max_size=4))
+def test_memo_matches_uncached_annotation(shared_annotators, texts):
+    for annotator in shared_annotators:
+        for _ in range(2):
+            for i, text in enumerate(texts):
+                letter_id = f"L{i}"
+                expected = ref_annotate_text(annotator, letter_id, text)
+                assert annotator.annotate_text(letter_id, text) == expected
+
+
+def test_annotators_keep_their_own_memo(tmp_path):
+    lexicon = tmp_path / "variants.tsv"
+    lexicon.write_text("vse\tvouch\tNOUN\t-\n", encoding="utf-8")
+    a, b = default_annotator(), default_annotator(variant_lexicon=lexicon)
+    text = "I vse it. Vse it."
+    first, other, again = (ann.annotate_text("T", text) for ann in (a, b, a))
+    assert first == again == ref_annotate_text(a, "T", text)
+    assert other == ref_annotate_text(b, "T", text)
+    assert [t.lemma for t in first.tokens() if t.surface.lower() == "vse"] == ["use", "use"]
+    assert [t.lemma for t in other.tokens() if t.surface.lower() == "vse"] == ["vouch", "vouch"]
+
+
+def test_annotator_is_frozen(annotator):
+    with pytest.raises(FrozenInstanceError):
+        annotator.lexicon = VariantLexicon()
+
+
 # vertical files
 
 
@@ -354,9 +561,28 @@ def test_ingest_with_byte_order_mark(tmp_path, annotator):
 
 def test_ingest_rejects_control_characters(tmp_path):
     p = tmp_path / "c.tsv"
-    # U+001C is also a line break to str.splitlines, which numbers the lines
+    # lines are counted at "\n" only, as an editor counts them
     p.write_text("# letter C\na\ta\ta\tNOUN\n\nb\tb\tb\x1cc\tNOUN\n", encoding="utf-8")
     with pytest.raises(VerticalFormatError, match=r"c\.tsv:4: control character U\+001C"):
+        ingest_pretagged(p)
+
+
+def test_ingest_rows_end_only_at_line_breaks(tmp_path):
+    # str.splitlines would also break the row at U+0085
+    p = tmp_path / "u.tsv"
+    p.write_text("# letter U\nvse\tuse\tu\x85se\tVERB\n\nit\tit\tit\tPRON\n", encoding="utf-8")
+    doc = ingest_pretagged(p)
+    assert doc.sentences == (
+        (Token("vse", "use", "u\x85se", PosClass.VERB, 0, 0),),
+        (Token("it", "it", "it", PosClass.PRON, 1, 0),),
+    )
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c"])
+def test_ingest_rejects_vertical_tab_and_form_feed(tmp_path, char):
+    p = tmp_path / "c.tsv"
+    p.write_text(f"# letter C\na\ta\ta{char}b\tNOUN\n", encoding="utf-8")
+    with pytest.raises(VerticalFormatError, match=rf"c\.tsv:2: control character U\+{ord(char):04X}"):
         ingest_pretagged(p)
 
 
