@@ -5,7 +5,8 @@ cleans transcriptions, ``pipeline`` segments and annotates the text,
 ``extraction`` produces co-occurrence edge weights and verb-argument
 pair records, ``network`` aggregates them into weighted graphs, and ``export``
 writes the graphs in interchange formats.  ``cli`` wires the stages
-together behind a command line interface.
+together behind a command line interface.  Every error that bad input
+raises derives from :class:`LetternetError`.
 """
 
 from letternet.corpus import (
@@ -19,6 +20,7 @@ from letternet.corpus import (
 from letternet.pipeline import (
     AnnotatedDoc,
     Annotator,
+    LetternetError,
     PosClass,
     SplitConfig,
     Token,

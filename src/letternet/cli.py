@@ -19,11 +19,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from letternet.corpus import LetterLoadError, ManifestError, load_manifest
+from letternet.corpus import load_manifest
 from letternet.export import (
-    ExportError,
-    GexfValidationError,
-    GraphFormatError,
     export_csv_edges,
     export_dot,
     export_gexf,
@@ -34,9 +31,7 @@ from letternet.export import (
 )
 from letternet.extraction import (
     DEFAULT_MAX_DISTANCE,
-    AnaphoraError,
     AnaphoraMap,
-    GoldFormatError,
     apply_anaphora,
     evaluate_pairs,
     extract_cooccurrences,
@@ -44,7 +39,6 @@ from letternet.extraction import (
     load_gold,
 )
 from letternet.network import (
-    GraphBuildError,
     LexicalGraph,
     Threshold,
     build_graph,
@@ -55,10 +49,10 @@ from letternet.network import (
 )
 from letternet.pipeline import (
     AnnotatedDoc,
-    LexiconFormatError,
-    VerticalFormatError,
+    LetternetError,
     default_annotator,
     ingest_pretagged,
+    read_input,
     write_atomic,
     write_vertical,
 )
@@ -80,21 +74,8 @@ FORMATS = tuple(_EXPORTERS)
 MODES = ("cooccur", "pairs")
 SCOPES = ("merged", "per-letter")
 
-_USER_ERRORS = (
-    ManifestError,
-    LetterLoadError,
-    LexiconFormatError,
-    VerticalFormatError,
-    GoldFormatError,
-    AnaphoraError,
-    GraphBuildError,
-    ExportError,
-    GexfValidationError,
-    GraphFormatError,
-)
 
-
-class ConfigError(ValueError):
+class ConfigError(ValueError, LetternetError):
     """Raised for unusable configuration files or option values."""
 
 
@@ -145,7 +126,7 @@ _VALUE_TYPES = {
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read a JSON config file (UTF-8, with or without a byte-order mark).
+    """Read a JSON config file with :func:`~letternet.pipeline.read_input`.
 
     Unknown keys and values of the wrong type are rejected by name.
     Relative input paths are resolved against the config file's
@@ -154,9 +135,7 @@ def load_config_file(path: str | Path) -> dict:
     """
     p = Path(path)
     try:
-        data = json.loads(p.read_text(encoding="utf-8-sig"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from exc
+        data = json.loads(read_input(p, "config", ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -477,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.handler(cfg)
-    except (ConfigError, *_USER_ERRORS) as exc:
+    except LetternetError as exc:
         print(f"letternet: error: {exc}", file=sys.stderr)
         return 1
 

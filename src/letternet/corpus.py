@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from letternet.pipeline import read_table, reject_control_chars
+from letternet.pipeline import LetternetError, read_input, read_table
 
 log = logging.getLogger(__name__)
 
@@ -42,11 +42,11 @@ _FALSE_WORDS = frozenset({"0", "false", "no", "n", ""})
 _UNSAFE_ID_CHARS = frozenset("/\\\0")
 
 
-class ManifestError(ValueError):
+class ManifestError(ValueError, LetternetError):
     """Raised for unreadable or inconsistent corpus manifests."""
 
 
-class LetterLoadError(ValueError):
+class LetterLoadError(ValueError, LetternetError):
     """Raised when a letter transcription cannot be read."""
 
 
@@ -78,7 +78,7 @@ class LetterMeta:
 class Letter:
     """A transcription together with its metadata.
 
-    ``raw_text`` is the file's text without a byte-order mark, and
+    ``raw_text`` is the file's text as ``read_input`` returns it, and
     ``clean_text`` is derived from it by :func:`clean_text`, with the
     cut marker of the letter's manifest row if it has one.
     """
@@ -160,7 +160,7 @@ def clean_text(text: str, cut_marker: str | None = None) -> str:
 def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = None) -> Letter:
     """Read one transcription file and attach cleaned text.
 
-    The file is read as UTF-8, with or without a byte-order mark, and
+    The file is read by :func:`~letternet.pipeline.read_input` and
     cleaned by :func:`clean_text` with ``cut_marker``.  A missing file,
     undecodable bytes and a control character that XML cannot hold
     (other than a vertical tab or form feed, which cleaning makes a
@@ -168,22 +168,7 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     file is only a warning and yields an empty-bodied letter.
     """
     p = Path(path)
-    try:
-        raw_bytes = p.read_bytes()
-    except OSError as exc:
-        raise LetterLoadError(f"cannot read letter {meta.letter_id!r}: {exc}") from exc
-    try:
-        raw = raw_bytes.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.start counts from after a byte-order mark
-        offset = exc.start + len(raw_bytes) - len(exc.object)
-        raise LetterLoadError(
-            f"letter {meta.letter_id!r}: {p} is not valid UTF-8 "
-            f"(byte offset {offset})"
-        ) from exc
-    reject_control_chars(
-        raw, f"letter {meta.letter_id!r}: {p}", LetterLoadError, letter=True
-    )
+    raw = read_input(p, f"letter {meta.letter_id!r}", LetterLoadError, letter=True)
     cleaned = clean_text(raw, cut_marker)
     if not cleaned:
         log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import re
 import statistics
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -35,7 +36,7 @@ from letternet.network import (
     degree_scores,
     rank,
 )
-from letternet.pipeline import ExportError, PosClass, write_atomic
+from letternet.pipeline import ExportError, LetternetError, PosClass, read_input, write_atomic
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 VIZ_NS = "http://www.gexf.net/1.2draft/viz"
@@ -56,13 +57,15 @@ _NODE_COLORS = {
     pos.name: DEFAULT_NODE_COLORS.get(pos, DEFAULT_FALLBACK_COLOR) for pos in PosClass
 }
 _EDGE_COLORS = {kind.name: DEFAULT_EDGE_COLORS[kind] for kind in RelationKind}
+# C0 controls that XML 1.0 cannot hold, and lone surrogates
+_UNWRITABLE_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff]")
 
 
-class GexfValidationError(ValueError):
+class GexfValidationError(ValueError, LetternetError):
     """Raised when a GEXF document violates the expected structure."""
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(ValueError, LetternetError):
     """Raised when a JSON graph file cannot be decoded."""
 
 
@@ -399,52 +402,61 @@ def export_json(graph: GraphLike, path: str | Path) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
+def _node_key(pair) -> NodeKey:
+    """The node key of a JSON [lemma, class] pair the writers can write back."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{pair!r} is not a [lemma, class] pair")
+    lemma, pos = pair
+    if not isinstance(lemma, str) or _UNWRITABLE_RE.search(lemma):
+        raise ValueError(f"bad lemma {lemma!r}")
+    return lemma, PosClass[pos]
+
+
 def graph_from_dict(data: dict) -> LexicalGraph:
+    """The graph of a JSON document; :class:`GraphFormatError` names a bad entry.
+
+    The graph must pass :meth:`LexicalGraph.validate`.
+    """
     if not isinstance(data, dict) or data.get("format") != "lexical-network":
         raise GraphFormatError("not a lexical-network JSON document")
     nodes: dict[NodeKey, int] = {}
     for item in data.get("nodes", []):
         try:
-            key = (item["lemma"], PosClass[item["pos"]])
+            key = _node_key([item["lemma"], item["pos"]])
             freq = item["frequency"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad node entry {item!r}") from exc
-        if not isinstance(freq, int) or freq < 1:
-            raise GraphFormatError(f"bad node frequency {freq!r}")
         if key in nodes:
             raise GraphFormatError(f"duplicate node {key}")
         nodes[key] = freq
     edges: dict[EdgeKey, int] = {}
     for item in data.get("edges", []):
         try:
-            src = (item["source"][0], PosClass[item["source"][1]])
-            dst = (item["target"][0], PosClass[item["target"][1]])
+            src, dst = _node_key(item["source"]), _node_key(item["target"])
             kind = RelationKind[item["kind"]]
             weight = item["weight"]
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad edge entry {item!r}") from exc
-        if not isinstance(weight, int) or weight < 1:
-            raise GraphFormatError(f"bad edge weight {weight!r}")
-        if src not in nodes or dst not in nodes:
-            raise GraphFormatError(f"edge {src}-{dst} references missing node")
         edge = (src, dst, kind)
         if edge in edges:
             raise GraphFormatError(f"duplicate edge {edge}")
         edges[edge] = weight
-    return LexicalGraph(nodes=nodes, edges=edges)
+    graph = LexicalGraph(nodes=nodes, edges=edges)
+    try:
+        graph.validate()
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+    return graph
 
 
 def import_json(source: str | Path) -> LexicalGraph:
     """Read a graph written by :func:`export_json`.
 
     Round trip is exact: export then import reproduces the same nodes,
-    edges and weights.
+    edges and weights.  Every error is a :class:`GraphFormatError`.
     """
     p = Path(source)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {p}: {exc}") from exc
+    text = read_input(p, "", GraphFormatError)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

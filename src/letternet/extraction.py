@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from letternet.pipeline import AnnotatedDoc, PosClass, Token, read_table
+from letternet.pipeline import AnnotatedDoc, LetternetError, PosClass, Token, read_table
 
 log = logging.getLogger(__name__)
 
@@ -39,11 +39,11 @@ DEFAULT_CONTENT_CLASSES = frozenset({PosClass.NOUN, PosClass.VERB, PosClass.ADJ}
 DEFAULT_MAX_DISTANCE = 4
 
 
-class GoldFormatError(ValueError):
+class GoldFormatError(ValueError, LetternetError):
     """Raised for malformed gold-standard triple files."""
 
 
-class AnaphoraError(ValueError):
+class AnaphoraError(ValueError, LetternetError):
     """Raised for malformed anaphora files or non-pronoun targets."""
 
 

@@ -26,12 +26,12 @@ from letternet.extraction import (
     RelationKind,
     node_order,
 )
-from letternet.pipeline import AnnotatedDoc
+from letternet.pipeline import AnnotatedDoc, LetternetError
 
 log = logging.getLogger(__name__)
 
 
-class GraphBuildError(ValueError):
+class GraphBuildError(ValueError, LetternetError):
     """Raised when an edge references a lemma without frequency data."""
 
 
@@ -63,12 +63,12 @@ class LexicalGraph:
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on breach."""
         for key, freq in self.nodes.items():
-            if not isinstance(freq, int) or freq < 1:
+            if isinstance(freq, bool) or not isinstance(freq, int) or freq < 1:
                 raise ValueError(f"node {key}: frequency {freq!r} not a positive int")
         for (src, dst, kind), weight in self.edges.items():
             if src not in self.nodes or dst not in self.nodes:
                 raise ValueError(f"edge {src}-{dst} has unregistered endpoint")
-            if not isinstance(weight, int) or weight < 1:
+            if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
                 raise ValueError(
                     f"edge {src}-{dst} ({kind.name}): weight {weight!r} not a positive int"
                 )

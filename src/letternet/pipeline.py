@@ -60,37 +60,62 @@ _CLOSERS = "'’\"”)"
 # which cleaning turns into spaces.
 _CONTROL_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _LETTER_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f]")
-_TOKEN_RE = re.compile(r"[A-Za-z]+(?:['’][A-Za-z]+)*|\d+|\.{2,}|[^\sA-Za-z0-9]")
+# [^\W\d_] is every letter (str.isalpha) and every numeral that is not
+# a decimal digit ("²", "½"); tokenize cuts the latter out of words.
+_TOKEN = r"[^\W\d_{0}]+(?:['’][^\W\d_{0}]+)*|\d+|\.{{2,}}|\S"
+_TOKEN_RE = re.compile(_TOKEN.format(""))
+_NOT_WORD_RE = re.compile(r"[\W\d_]+")
 _ASCII_LETTERS = frozenset(string.ascii_letters)
 
 
-class LexiconFormatError(ValueError):
+class LetternetError(Exception):
+    """Base of the package's errors, which also derive from ValueError or OSError."""
+
+
+class LexiconFormatError(ValueError, LetternetError):
     """Raised for malformed lexicon resource files."""
 
 
-class VerticalFormatError(ValueError):
+class VerticalFormatError(ValueError, LetternetError):
     """Raised for malformed vertical (one token per line) files."""
 
 
-class ExportError(OSError):
+class ExportError(OSError, LetternetError):
     """Raised when an output file cannot be written."""
 
 
-def reject_control_chars(
-    text: str, where: str, error: type[Exception], *, letter: bool = False
-) -> None:
-    """Raise ``error`` at the first control character XML cannot hold.
+def read_input(
+    path: str | Path, what: str, error: type[Exception], *, letter: bool = False
+) -> str:
+    """The text of an input file: UTF-8, a byte-order mark dropped, lines ending in "\\n".
 
-    With ``letter`` true, vertical tabs and form feeds pass, as they do
-    in a letter's text.  The message starts with ``where`` and the line
-    number, counting "\\r\\n", "\\r" and "\\n" as line breaks, as an
-    editor does.
+    "\\r\\n" and "\\r" become "\\n".  An unreadable or undecodable file
+    (naming the byte offset) raises ``error`` with "cannot read {what}
+    {path}: ...", and a control character that XML cannot hold with
+    "{path}:{line}: ...".  With ``letter`` true, vertical tabs and form
+    feeds pass, and every message names the file "{what}: {path}".
     """
+    p = Path(path)
+    # a letter's file name need not say which letter it is
+    where = f"{what}: {p}" if letter else str(p)
+    name = where if letter or not what else f"{what} {p}"
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {name}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start counts from after a byte-order mark
+        offset = exc.start + len(data) - len(exc.object)
+        raise error(f"cannot read {name}: not valid UTF-8 (byte offset {offset})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
     if bad:
-        before = text[: bad.start()]
-        lineno = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        lineno = text.count("\n", 0, bad.start()) + 1
         raise error(f"{where}:{lineno}: control character U+{ord(bad.group()):04X}")
+    return text
 
 
 def read_table(
@@ -98,24 +123,14 @@ def read_table(
 ) -> list[tuple[str, list[str]]]:
     """Rows of a tab-separated resource file as ("path:line", fields).
 
-    The file is read as UTF-8, with or without a byte-order mark, and
-    split into lines at "\\n", "\\r\\n" and "\\r" only; blank and "#"
-    lines are skipped, and each line and each field is stripped.  An
-    unreadable or undecodable file, a control character that XML
-    cannot hold and a row without exactly ``n_fields`` fields raise
-    ``error``; with ``n_fields`` None the first row (a header) sets the
-    count.
+    The file is read by :func:`read_input`; blank and "#" lines are
+    skipped, and each line and each field is stripped.  A row without
+    exactly ``n_fields`` fields raises ``error``; with ``n_fields`` None
+    the first row (a header) sets the count.
     """
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} {p}: {exc}") from exc
-    reject_control_chars(text, str(p), error)
-    # read_text has turned "\r\n" and "\r" into "\n"
-    lines = text.split("\n")
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_input(p, what, error).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -257,11 +272,18 @@ def split_sentences(text: str, config: SplitConfig = SplitConfig()) -> list[str]
 def tokenize(sentence: str) -> list[str]:
     """Break a sentence into word, number and punctuation tokens.
 
-    Word-internal apostrophes stay attached, runs of dots form a single
-    token, and every other punctuation character stands alone.  Every
+    A word is a run of letters (``str.isalpha``: "ſaid", "Æneas") with
+    internal apostrophes, a number a run of decimal digits, runs of dots
+    form a single token, and every other character stands alone.  Every
     non-whitespace character of the input ends up in exactly one token.
     """
-    return _TOKEN_RE.findall(sentence)
+    token_re = _TOKEN_RE
+    if not sentence.isascii():
+        letters = _NOT_WORD_RE.sub("", sentence)
+        if letters and not letters.isalpha():
+            numerals = sorted({ch for ch in letters if not ch.isalpha()})
+            token_re = re.compile(_TOKEN.format(re.escape("".join(numerals))))
+    return token_re.findall(sentence)
 
 
 # ---------------------------------------------------------------------------
@@ -650,27 +672,19 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
 def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> AnnotatedDoc:
     """Read a vertical file produced here or by an external tagger.
 
-    Lines end at "\\n", "\\r\\n" or "\\r" only, and blank lines
-    separate sentences.  A line whose first non-blank character is "#"
-    is a comment unless it has exactly four tab-separated fields, in
-    which case it is a token row (say, of the token "#").  Any other row
-    with the wrong number of fields raises :class:`VerticalFormatError`
-    naming the line, and so does a control character that XML cannot
-    hold; a file that cannot be read or is not UTF-8 (a byte-order mark
-    is allowed) raises it naming the file.  An unknown word class label
+    The file is read by :func:`read_input`, and blank lines separate
+    sentences.  A line whose first non-blank character is "#" is a
+    comment unless it has exactly four tab-separated fields, in which
+    case it is a token row (say, of the token "#").  Any other row with
+    the wrong number of fields raises :class:`VerticalFormatError`
+    naming the line.  An unknown word class label
     degrades to OTHER with a warning.  The letter id defaults to the
     file's stem.
     """
     p = Path(path)
     if letter_id is None:
         letter_id = p.stem
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise VerticalFormatError(f"cannot read {p}: {exc}") from exc
-    reject_control_chars(text, str(p), VerticalFormatError)
-    # read_text has turned "\r\n" and "\r" into "\n"
-    lines = text.split("\n")
+    lines = read_input(p, "", VerticalFormatError).split("\n")
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import letternet
-from letternet import cli
+from letternet import cli, corpus, export, extraction, network, pipeline
 from letternet.cli import (
     CONFIG_ENV_VAR,
     ConfigError,
@@ -28,9 +28,9 @@ from letternet.cli import (
 )
 from letternet.export import import_json
 from letternet.extraction import RelationKind
-from letternet.pipeline import Annotator, data_path
+from letternet.pipeline import Annotator, LetternetError, data_path
 
-from conftest import MANIFEST, N, V
+from conftest import MANIFEST, SAMPLE_DIR, N, V
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +407,27 @@ def test_byte_order_marks_change_no_output(mini_corpus, tmp_path, capsys):
     assert outputs["marked"] == outputs["plain"]
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_breaks_change_no_output(tmp_path, capsys, newline):
+    # The sample corpus as shipped (LF) and re-saved with other line
+    # breaks.  Letter 1 breaks "consi-/deration" over a line, which must
+    # rejoin whatever ends the line.
+    outputs = {}
+    for name, eol in (("lf", b"\n"), ("other", newline)):
+        root = tmp_path / name
+        root.mkdir()
+        for path in SAMPLE_DIR.iterdir():
+            (root / path.name).write_bytes(path.read_bytes().replace(b"\n", eol))
+        out = tmp_path / f"{name}-out"
+        argv = ["network", "--manifest", str(root / "manifest.tsv"), "--out", str(out)]
+        assert main([*argv, "--format", "gexf,dot,json,csv"]) == 0
+        outputs[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    capsys.readouterr()
+    assert len(outputs["lf"]) == 5
+    assert b'"consideration"' in outputs["lf"]["network.json"]
+    assert outputs["other"] == outputs["lf"]
+
+
 def test_run_chains_preprocess_and_network(mini_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run_main(
@@ -686,6 +707,83 @@ def test_random_config_never_raises(mini_corpus, command, config):
     assert code in (0, 1)
     if code:
         assert stderr.getvalue().startswith("letternet: error:")
+
+
+def test_every_error_class_is_a_letternet_error():
+    # cli.main reports exactly the LetternetErrors, so an error class
+    # outside that family would end in a traceback
+    modules = [pipeline, corpus, extraction, network, export, cli]
+    classes = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    ]
+    assert len(classes) == 12  # LetternetError and the eleven below it
+    assert [c.__name__ for c in classes if not issubclass(c, LetternetError)] == []
+
+
+# Bytes for the input files: fields that the formats expect, broken
+# encodings, a byte-order mark, C0 controls and stray line breaks, in
+# rows of 1 to 8 tab-separated fields with any of the three line breaks.
+_FIELDS = st.sampled_from(
+    [b"", b" ", b"A1", b"B1", b"L1", b"Dury", b"1630", b"0", b"1", b"-1", b"true",
+     b"en", b"a.txt", b"b.txt", b"-", b"#", b"NOUN", b"VERB", b"PRON", b"the", b"tutor",
+     b"doth", b"see", b"vse", b"use", b"mr.", b"\xc3\xa9", b"\xc5\xbf", b"..", b"\xff",
+     b"\x00", b"\x01", b"\x0b", b"\x0c", b"\x1f", b"\r", b"\t", codecs.BOM_UTF8,
+     b"{", b"}", b",", b'"top": 3', b'"mode": "pairs"']
+)
+_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.lists(_FIELDS, max_size=3).map(b"".join), min_size=1, max_size=8).map(b"\t".join),
+        st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    ).map(b"".join),
+    max_size=5,
+).map(b"".join)
+_INPUT_BYTES = st.builds(
+    lambda bom, head, rows: bom + head + rows,
+    st.sampled_from([b"", codecs.BOM_UTF8]),
+    st.sampled_from([b"", MANIFEST_HEADER, b"# letter L1\n", b"{\r\n"]),
+    _ROWS,
+)
+# input slot -> (file name, command line naming the file as {bad});
+# the other inputs are those of the mini corpus
+_MINI = ["network", "--manifest", "{manifest}"]
+_INPUT_SLOTS = {
+    "manifest": ("manifest.tsv", ["network", "--manifest", "{bad}"]),
+    "letter": ("a.txt", _MINI),
+    "variant lexicon": ("v.tsv", _MINI + ["--variant-lexicon", "{bad}"]),
+    "abbreviations": ("abbr.txt", _MINI + ["--abbreviations", "{bad}"]),
+    "anaphora": ("ana.tsv", _MINI + ["--mode", "pairs", "--anaphora", "{bad}"]),
+    "gold": ("gold.tsv", ["eval", "--manifest", "{manifest}", "--gold", "{bad}"]),
+    "config": ("c.json", _MINI + ["--config", "{bad}"]),
+    "vertical file": ("vertical/L1.tsv", ["network", "--pretagged-dir", "{bad.parent}"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot=st.sampled_from(sorted(_INPUT_SLOTS)), content=_INPUT_BYTES)
+@example(slot="letter", content=b"x\xff")
+@example(slot="config", content=codecs.BOM_UTF8 + b'{\r"top": 3\r}\r')
+def test_any_input_bytes_end_in_a_user_error_or_success(mini_corpus, slot, content):
+    file_name, argv = _INPUT_SLOTS[slot]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for path in mini_corpus.parent.iterdir():  # the manifest and its letters
+            (root / path.name).write_bytes(path.read_bytes())
+        bad = root / file_name
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(content)
+        args = [arg.format(manifest=root / "manifest.tsv", bad=bad) for arg in argv]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*args, "--out", str(root / "out")])
+    assert code in (0, 1), stderr.getvalue()
+    if code:
+        assert stderr.getvalue().startswith("letternet: error:")
+    assert "Traceback" not in stderr.getvalue()
 
 
 def _load_spans(monkeypatch):

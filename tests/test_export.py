@@ -1,9 +1,11 @@
 """Styled GEXF, DOT, JSON and CSV output plus the text stats report."""
 
+import codecs
 import csv
 import io
 import json
 import math
+import re
 import statistics
 import tempfile
 from pathlib import Path
@@ -199,40 +201,68 @@ def test_graph_dict_shape(toy_graph, tmp_path):
     assert {n["lemma"] for n in d["nodes"]} == {"god", "see", "truth", "man"}
 
 
+_NODE = {"lemma": "a", "pos": "NOUN", "frequency": 1}
+_EDGE = {"source": ["a", "NOUN"], "target": ["a", "NOUN"], "kind": "COOCCUR", "weight": 1}
+
+
+def _doc(nodes=(_NODE,), edges=()):
+    return {"format": "lexical-network", "version": 1, "nodes": list(nodes), "edges": list(edges)}
+
+
+_BAD_GRAPH_DOCS = [
+    ({"format": "something-else", "version": 1}, "not a lexical-network"),
+    (_doc([{**_NODE, "pos": "NOT_A_CLASS"}]), "bad node entry"),
+    (_doc(edges=[{**_EDGE, "target": ["missing", "NOUN"]}]), "unregistered endpoint"),
+    # what the writers could not write back the same
+    (_doc([{**_NODE, "frequency": True}]), "frequency True not a positive int"),
+    (_doc(edges=[{**_EDGE, "weight": True}]), "weight True not a positive int"),
+    (_doc([{**_NODE, "lemma": ["a"]}]), "bad node entry"),
+    (_doc([{**_NODE, "lemma": 7}]), "bad node entry"),
+    (_doc([{**_NODE, "lemma": "tu\u0001tor"}]), "bad node entry"),
+    (_doc([{**_NODE, "lemma": "tu\ud800tor"}]), "bad node entry"),
+    (_doc(edges=[{**_EDGE, "source": [["a"], "NOUN"]}]), "bad edge entry"),
+    (_doc(edges=[{**_EDGE, "source": [7, "NOUN"]}]), "bad edge entry"),
+    (_doc(edges=[{**_EDGE, "source": ["a", "NOUN", "x"]}]), "bad edge entry"),
+    (_doc(edges=[{**_EDGE, "source": {"a": 0, "NOUN": 1}}]), "bad edge entry"),
+    (_doc([{**_NODE, "frequency": 0}]), "frequency 0 not a positive int"),
+    # a co-occurrence edge is stored with its endpoints in canonical order
+    (
+        _doc(
+            [_NODE, {**_NODE, "lemma": "b"}],
+            [{**_EDGE, "source": ["b", "NOUN"], "target": ["a", "NOUN"]}],
+        ),
+        "not canonical",
+    ),
+]
+
+
 def test_graph_from_dict_validates():
-    with pytest.raises(GraphFormatError):
-        graph_from_dict({"format": "something-else", "version": 1})
-    with pytest.raises(GraphFormatError):
-        graph_from_dict(
-            {
-                "format": "lexical-network",
-                "version": 1,
-                "nodes": [{"lemma": "a", "pos": "NOT_A_CLASS", "frequency": 1}],
-                "edges": [],
-            }
-        )
-    with pytest.raises(GraphFormatError):
-        graph_from_dict(
-            {
-                "format": "lexical-network",
-                "version": 1,
-                "nodes": [{"lemma": "a", "pos": "NOUN", "frequency": 1}],
-                "edges": [
-                    {
-                        "source": ["a", "NOUN"],
-                        "target": ["missing", "NOUN"],
-                        "kind": "COOCCUR",
-                        "weight": 1,
-                    }
-                ],
-            }
-        )
+    assert graph_from_dict(_doc(edges=[_EDGE])).edges == {
+        (("a", N), ("a", N), RelationKind.COOCCUR): 1
+    }
+    for doc, fragment in _BAD_GRAPH_DOCS:
+        with pytest.raises(GraphFormatError, match=re.escape(fragment)):
+            graph_from_dict(doc)
 
 
 def test_import_json_bad_file(tmp_path):
     p = tmp_path / "g.json"
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(GraphFormatError):
+        import_json(p)
+
+
+def test_import_json_reads_a_byte_order_mark(toy_graph, tmp_path):
+    p = tmp_path / "g.json"
+    export_json(toy_graph, p)
+    p.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+    assert import_json(p) == toy_graph
+
+
+def test_import_json_names_the_byte_offset(tmp_path):
+    p = tmp_path / "g.json"
+    p.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(GraphFormatError, match=r"not valid UTF-8 \(byte offset 12\)"):
         import_json(p)
 
 
@@ -547,6 +577,7 @@ _LEMMAS = st.text(
     | st.characters(codec="utf-8"),
     max_size=3,
 )
+_XML_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _CLASSES = st.sampled_from([PosClass.NOUN, PosClass.VERB, PosClass.ADJ, PosClass.ADV])
 
 
@@ -591,4 +622,10 @@ def test_writers_match_reference(graph, top_n):
             export_stats(source, out / "g.txt", top_n)
             for name, payload in expected.items():
                 assert (out / name).read_bytes() == payload, name
-        assert import_json(out / "g.json") == graph
+        # a lemma with a control character that XML cannot hold would make
+        # the next GEXF file ill-formed, so reading it back is refused
+        if any(_XML_CONTROL.search(lemma) for lemma, _ in graph.nodes):
+            with pytest.raises(GraphFormatError, match="bad node entry"):
+                import_json(out / "g.json")
+        else:
+            assert import_json(out / "g.json") == graph

@@ -121,6 +121,11 @@ def test_validate_rejects_bad_graphs():
     )
     with pytest.raises(ValueError, match="weight"):
         bad_weight.validate()
+    # True is an int to isinstance, but no count
+    with pytest.raises(ValueError, match="frequency True"):
+        LexicalGraph(nodes={("a", N): True}).validate()
+    with pytest.raises(ValueError, match="weight True"):
+        LexicalGraph(nodes={("a", N): 1}, edges={(("a", N), ("a", N), C): True}).validate()
     loose_end = LexicalGraph(
         nodes={("a", N): 1}, edges={(("a", N), ("b", N), C): 1}
     )

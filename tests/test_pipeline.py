@@ -26,7 +26,7 @@ from letternet.pipeline import (
     default_annotator,
     ingest_pretagged,
     modernize_spelling,
-    reject_control_chars,
+    read_input,
     split_sentences,
     tokenize,
     write_vertical,
@@ -164,6 +164,58 @@ def test_tokenize_ampersand_and_digits():
     assert tokenize("care & 12 moe") == ["care", "&", "12", "moe"]
 
 
+def test_tokenize_non_ascii_letters():
+    # a word is a run of str.isalpha characters, so long s, accented
+    # letters and ligatures stay inside it; other numerals stand alone
+    assert tokenize("The Tutour ſaid the café & Æneas’s x² ½ Ⅻ ٣٤") == [
+        "The", "Tutour", "ſaid", "the", "café", "&", "Æneas’s", "x", "²", "½", "Ⅻ", "٣٤"
+    ]
+
+
+def test_non_ascii_word_is_one_token(annotator):
+    doc = annotator.annotate_text("U1", "The Tutour ſaid that the café was good.")
+    # casefolding turns the long s into "s", so "ſaid" is known as "said"
+    assert [(t.surface, t.lemma) for t in doc.tokens()][2:6] == [
+        ("ſaid", "say"), ("that", "that"), ("the", "the"), ("café", "café")
+    ]
+
+
+def ref_tokenize(sentence):
+    """The tokenizer as a plain character loop over ``str`` predicates."""
+    tokens, i, n = [], 0, len(sentence)
+    while i < n:
+        ch, j = sentence[i], i + 1
+        if ch.isalpha():
+            while j < n and (
+                sentence[j].isalpha()
+                or (sentence[j] in "'’" and j + 1 < n and sentence[j + 1].isalpha())
+            ):
+                j += 1
+        elif ch.isdecimal():
+            while j < n and sentence[j].isdecimal():
+                j += 1
+        elif ch == ".":
+            while j < n and sentence[j] == ".":
+                j += 1
+        if not ch.isspace():
+            tokens.append(sentence[i:j])
+        i = j
+    return tokens
+
+
+# letters (ASCII, long s, accented, ligature, CJK, a letter that is also
+# a numeral), numerals that are not letters or digits, digits of two
+# scripts, a combining accent, apostrophes, dots and white space
+_TOKEN_CHARS = st.sampled_from(
+    list("aZſéÆß中〇²½³Ⅻ٣7\u0301_&'’.,  \n\t\u2028\x85")
+) | st.characters()
+
+
+@given(st.text(_TOKEN_CHARS, max_size=30))
+def test_tokenize_matches_character_loop(sentence):
+    assert tokenize(sentence) == ref_tokenize(sentence)
+
+
 # variant lexicon and spelling modernization
 
 
@@ -251,17 +303,26 @@ def test_variant_lexicon_rows_end_only_at_line_breaks(tmp_path):
         ("a\u2028b\x85c\u2029d\r\n", 2),
     ],
 )
-def test_reject_control_chars_counts_editor_lines(before, lineno):
-    with pytest.raises(ValueError, match=rf"^f:{lineno}: control character U\+0001$"):
-        reject_control_chars(before + "x\x01", "f", ValueError)
+def test_reject_control_chars_counts_editor_lines(tmp_path, before, lineno):
+    # read_input refuses the character, at the line an editor shows
+    p = tmp_path / "f"
+    p.write_bytes((before + "x\x01").encode("utf-8"))
+    where = re.escape(str(p))
+    with pytest.raises(ValueError, match=rf"^{where}:{lineno}: control character U\+0001$"):
+        read_input(p, "", ValueError)
 
 
-def test_reject_control_chars_in_letters_keeps_whitespace():
-    reject_control_chars("a\x0bb\x0cc", "f", ValueError, letter=True)
-    with pytest.raises(ValueError, match=r"^f:2: control character U\+000B$"):
-        reject_control_chars("a b\nc\x0bd\x0ce", "f", ValueError)
-    with pytest.raises(ValueError, match=r"^f:2: control character U\+001E$"):
-        reject_control_chars("a\x0cb\nc\x1ed", "f", ValueError, letter=True)
+def test_reject_control_chars_in_letters_keeps_whitespace(tmp_path):
+    p = tmp_path / "f"
+    where = re.escape(str(p))
+    p.write_bytes(b"a\x0bb\x0cc")
+    assert read_input(p, "letter 'L'", ValueError, letter=True) == "a\x0bb\x0cc"
+    p.write_bytes(b"a b\nc\x0bd\x0ce")
+    with pytest.raises(ValueError, match=rf"^{where}:2: control character U\+000B$"):
+        read_input(p, "", ValueError)
+    p.write_bytes(b"a\x0cb\nc\x1ed")
+    with pytest.raises(ValueError, match=rf"^letter 'L': {where}:2: control character U\+001E$"):
+        read_input(p, "letter 'L'", ValueError, letter=True)
 
 
 def test_variant_lexicon_with_byte_order_mark(tmp_path):
@@ -533,10 +594,12 @@ def test_ingest_comment_needs_other_than_four_fields(tmp_path):
     assert [(t.surface, t.tok_idx) for t in doc.tokens()] == [("a", 0), ("#", 1)]
 
 
-# Pieces of letter text: words, the vertical format's comment marker,
+# Pieces of letter text: words (some with letters outside ASCII, or
+# next to a numeral), the vertical format's comment marker,
 # ampersands, digits, runs of dots, apostrophes and sentence punctuation.
 _TEXT_PIECES = st.sampled_from(
-    ["the", "God", "vse", "loue", "doth", "Mr.", "viz.", "é", "#", "#x", "&", "&c",
+    ["the", "God", "vse", "loue", "doth", "Mr.", "viz.", "é", "ſaid", "café", "Æneas",
+     "x²", "½", "#", "#x", "&", "&c",
      "5", "1630", ".", "..", "...", "'", "'s", "don't", ",", ":", ";", "?", "!",
      "(", ")", " ", " ", "\n"]
 )
