@@ -25,6 +25,7 @@ YEAR_MAX = 1900
 _TAG_RE = re.compile(r"<[^<>]*>")
 _HYPHEN_BREAK_RE = re.compile(r"(\w)-[ \t]*\n\s*(\w)")
 _WS_RE = re.compile(r"\s+")
+_BRACKET_RE = re.compile(r"[\[\]]")
 
 _MANIFEST_COLUMNS = (
     "letter_id",
@@ -102,36 +103,32 @@ def _strip_markup(text: str) -> str:
 def _drop_bracketed(text: str) -> str:
     # Non-nested [...] spans are editorial notes and are removed whole;
     # nested or unbalanced brackets are reported and kept verbatim.
+    # Only the bracket positions are visited; text[last:] is not copied yet.
     out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "[":
-            j, depth, max_depth = i + 1, 1, 1
-            while j < n and depth:
-                if text[j] == "[":
-                    depth += 1
-                    max_depth = max(max_depth, depth)
-                elif text[j] == "]":
-                    depth -= 1
-                j += 1
+    last = depth = start = max_depth = 0
+    for m in _BRACKET_RE.finditer(text):
+        i = m.start()
+        if text[i] == "[":
+            if not depth:
+                start = i
+            depth += 1
+            max_depth = max(max_depth, depth)
+        elif depth:
+            depth -= 1
             if depth:
-                log.warning("unbalanced '[' at offset %d left as literal text", i)
-                out.append(text[i:])
-                break
+                continue
             if max_depth > 1:
-                log.warning("nested brackets at offset %d left untouched", i)
-                out.append(text[i:j])
+                log.warning("nested brackets at offset %d left untouched", start)
             else:
+                out.append(text[last:start])
                 out.append(" ")
-            i = j
-        elif ch == "]":
-            log.warning("stray ']' at offset %d left as literal text", i)
-            out.append(ch)
-            i += 1
+                last = i + 1
+            max_depth = 0
         else:
-            out.append(ch)
-            i += 1
+            log.warning("stray ']' at offset %d left as literal text", i)
+    if depth:
+        log.warning("unbalanced '[' at offset %d left as literal text", start)
+    out.append(text[last:])
     return "".join(out)
 
 

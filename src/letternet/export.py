@@ -57,8 +57,8 @@ _NODE_COLORS = {
     pos.name: DEFAULT_NODE_COLORS.get(pos, DEFAULT_FALLBACK_COLOR) for pos in PosClass
 }
 _EDGE_COLORS = {kind.name: DEFAULT_EDGE_COLORS[kind] for kind in RelationKind}
-# C0 controls that XML 1.0 cannot hold, and lone surrogates
-_UNWRITABLE_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff]")
+# C0 controls and noncharacters that XML 1.0 cannot hold, and lone surrogates
+_UNWRITABLE_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class GexfValidationError(ValueError, LetternetError):

@@ -27,6 +27,9 @@ class RelationKind(enum.Enum):
     SUBJ = "SUBJ"
     OBJ = "OBJ"
 
+    # as for PosClass: the C identity hash, not Enum's Python-level one
+    __hash__ = object.__hash__
+
 
 NodeKey = tuple[str, PosClass]
 EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
@@ -69,7 +72,7 @@ class PairRecord:
 
 def node_order(key: NodeKey) -> tuple[str, str]:
     """Sort key that puts the endpoints of an undirected edge in canonical order."""
-    return (key[0], key[1].name)
+    return (key[0], key[1]._name_)
 
 
 def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Counter[EdgeKey]:

@@ -78,11 +78,7 @@ class LexicalGraph:
 
 def token_frequencies(docs: Iterable[AnnotatedDoc]) -> Counter:
     """(lemma, class) occurrence counts over whole documents."""
-    freqs: Counter = Counter()
-    for doc in docs:
-        for token in doc.tokens():
-            freqs[(token.lemma, token.pos)] += 1
-    return freqs
+    return Counter((token.lemma, token.pos) for doc in docs for token in doc.tokens())
 
 
 def _edge_weights(records: Iterable[PairRecord]) -> Counter[EdgeKey]:

@@ -43,6 +43,9 @@ class PosClass(enum.Enum):
     PUNCT = "PUNCT"
     OTHER = "OTHER"
 
+    # identity hash in C: members are singletons, Enum.__hash__ a Python call
+    __hash__ = object.__hash__
+
 
 MODAL_LEMMAS = frozenset(
     {"must", "can", "may", "shall", "will", "might", "could", "should", "would", "ought"}
@@ -54,12 +57,13 @@ _TERMINATORS_RE = re.compile(r"[.!?]+")
 _TERMINATORS_COLON_RE = re.compile(r"[.!?:]+")
 _CLOSERS = "'’\"”)"
 
-# C0 controls other than tab, newline and carriage return: XML 1.0
-# cannot hold them, so a lemma with one would make a GEXF file that is
-# not well-formed.  A letter may also hold vertical tabs and form feeds,
-# which cleaning turns into spaces.
-_CONTROL_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
-_LETTER_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f]")
+# C0 controls other than tab, newline and carriage return, and the
+# noncharacters U+FFFE and U+FFFF: XML 1.0 cannot hold them, so a lemma
+# with one would make a GEXF file that is not well-formed.  A letter may
+# also hold vertical tabs and form feeds, which cleaning turns into
+# spaces.
+_CONTROL_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+_LETTER_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f\ufffe\uffff]")
 # [^\W\d_] is every letter (str.isalpha) and every numeral that is not
 # a decimal digit ("²", "½"); tokenize cuts the latter out of words.
 _TOKEN = r"[^\W\d_{0}]+(?:['’][^\W\d_{0}]+)*|\d+|\.{{2,}}|\S"
@@ -91,9 +95,10 @@ def read_input(
 
     "\\r\\n" and "\\r" become "\\n".  An unreadable or undecodable file
     (naming the byte offset) raises ``error`` with "cannot read {what}
-    {path}: ...", and a control character that XML cannot hold with
-    "{path}:{line}: ...".  With ``letter`` true, vertical tabs and form
-    feeds pass, and every message names the file "{what}: {path}".
+    {path}: ...", and a control character or noncharacter that XML
+    cannot hold with "{path}:{line}: ...".  With ``letter`` true,
+    vertical tabs and form feeds pass, and every message names the file
+    "{what}: {path}".
     """
     p = Path(path)
     # a letter's file name need not say which letter it is
@@ -114,7 +119,9 @@ def read_input(
     bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
     if bad:
         lineno = text.count("\n", 0, bad.start()) + 1
-        raise error(f"{where}:{lineno}: control character U+{ord(bad.group()):04X}")
+        code = ord(bad.group())
+        kind = "noncharacter" if code > 0xFFFD else "control character"
+        raise error(f"{where}:{lineno}: {kind} U+{code:04X}")
     return text
 
 
@@ -664,7 +671,7 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
             lines.append("")
         for token in sentence:
             lines.append(
-                f"{token.surface}\t{token.normalized}\t{token.lemma}\t{token.pos.name}"
+                f"{token.surface}\t{token.normalized}\t{token.lemma}\t{token.pos._name_}"
             )
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 

@@ -601,6 +601,11 @@ VERTICAL_WITH_CONTROL = (
             "letternet: error: {vertical}/L1.tsv:3: control character U+0001\n",
         ),
         (
+            "# letter L1\ntutor\ttutor\ttu\uffffor\tNOUN\n".encode("utf-8"),
+            ["network", "--pretagged-dir", "{vertical}", "--out", "{out}"],
+            "letternet: error: {vertical}/L1.tsv:2: noncharacter U+FFFF\n",
+        ),
+        (
             b"tutour\ttutor\tNOUN\ttu\x02tor\n",
             NETWORK + ["--variant-lexicon", "{bad}"],
             "letternet: error: {bad}:1: control character U+0002\n",
@@ -631,6 +636,7 @@ VERTICAL_WITH_CONTROL = (
         "config-out-with-nul",
         "vertical-not-utf8",
         "vertical-control-char",
+        "vertical-noncharacter",
         "lexicon-control-char",
         "letter-control-char",
     ],

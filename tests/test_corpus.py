@@ -1,9 +1,10 @@
 """Letter loading and transcription cleaning."""
 
 import codecs
+import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from letternet.corpus import (
     Corpus,
@@ -11,6 +12,7 @@ from letternet.corpus import (
     LetterLoadError,
     LetterMeta,
     ManifestError,
+    _drop_bracketed,
     clean_text,
     load_letter,
     load_manifest,
@@ -64,6 +66,54 @@ def test_cut_marker_truncates():
 
 def test_whitespace_collapsed():
     assert clean_text("a\n\n  b\tc") == "a b c"
+
+
+def ref_drop_bracketed(text: str) -> str:
+    """Reference for ``_drop_bracketed``: one step per character."""
+    log = logging.getLogger("letternet.corpus")
+    out: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "[":
+            j, depth, max_depth = i + 1, 1, 1
+            while j < n and depth:
+                if text[j] == "[":
+                    depth += 1
+                    max_depth = max(max_depth, depth)
+                elif text[j] == "]":
+                    depth -= 1
+                j += 1
+            if depth:
+                log.warning("unbalanced '[' at offset %d left as literal text", i)
+                out.append(text[i:])
+                break
+            if max_depth > 1:
+                log.warning("nested brackets at offset %d left untouched", i)
+                out.append(text[i:j])
+            else:
+                out.append(" ")
+            i = j
+        elif ch == "]":
+            log.warning("stray ']' at offset %d left as literal text", i)
+            out.append(ch)
+            i += 1
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+@settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(alphabet=st.sampled_from("[[]]ab \n"), max_size=40))
+def test_drop_bracketed_matches_reference(caplog, text):
+    def run(drop):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="letternet.corpus"):
+            result = drop(text)
+        return result, [record.getMessage() for record in caplog.records]
+
+    assert run(_drop_bracketed) == run(ref_drop_bracketed)
 
 
 @pytest.mark.parametrize("text", ["<<>>", "x <<g>> y"])
@@ -139,6 +189,16 @@ def test_load_letter_rejects_control_characters(tmp_path, char):
     p.write_text(f"first line\nthe tu{char}tor\n", encoding="utf-8")
     code = f"U\\+{ord(char):04X}"
     with pytest.raises(LetterLoadError, match=rf"'X1': .*l\.txt:2: control character {code}"):
+        load_letter(p, meta())
+
+
+@pytest.mark.parametrize("char", ["\ufffe", "\uffff"])
+def test_load_letter_rejects_noncharacters(tmp_path, char):
+    # XML 1.0 cannot hold them either
+    p = tmp_path / "l.txt"
+    p.write_text(f"first line\nthe tu{char}tor\n", encoding="utf-8")
+    code = f"U\\+{ord(char):04X}"
+    with pytest.raises(LetterLoadError, match=rf"'X1': .*l\.txt:2: noncharacter {code}"):
         load_letter(p, meta())
 
 

@@ -220,6 +220,7 @@ _BAD_GRAPH_DOCS = [
     (_doc([{**_NODE, "lemma": 7}]), "bad node entry"),
     (_doc([{**_NODE, "lemma": "tu\u0001tor"}]), "bad node entry"),
     (_doc([{**_NODE, "lemma": "tu\ud800tor"}]), "bad node entry"),
+    (_doc([{**_NODE, "lemma": "tu\uffffor"}]), "bad node entry"),
     (_doc(edges=[{**_EDGE, "source": [["a"], "NOUN"]}]), "bad edge entry"),
     (_doc(edges=[{**_EDGE, "source": [7, "NOUN"]}]), "bad edge entry"),
     (_doc(edges=[{**_EDGE, "source": ["a", "NOUN", "x"]}]), "bad edge entry"),
@@ -577,7 +578,7 @@ _LEMMAS = st.text(
     | st.characters(codec="utf-8"),
     max_size=3,
 )
-_XML_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
+_XML_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 _CLASSES = st.sampled_from([PosClass.NOUN, PosClass.VERB, PosClass.ADJ, PosClass.ADV])
 
 
@@ -622,7 +623,7 @@ def test_writers_match_reference(graph, top_n):
             export_stats(source, out / "g.txt", top_n)
             for name, payload in expected.items():
                 assert (out / name).read_bytes() == payload, name
-        # a lemma with a control character that XML cannot hold would make
+        # a lemma with a character that XML cannot hold would make
         # the next GEXF file ill-formed, so reading it back is refused
         if any(_XML_CONTROL.search(lemma) for lemma, _ in graph.nodes):
             with pytest.raises(GraphFormatError, match="bad node entry"):

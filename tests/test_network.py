@@ -2,6 +2,7 @@
 
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -43,11 +44,19 @@ FREQS = {
 # building
 
 
-def test_token_frequencies_counts_all_tokens():
+def test_token_frequencies_counts_all_tokens(annotator, sample_corpus):
     doc = mk_doc([("man", N), ("see", V), ("man", N)])
     freqs = token_frequencies([doc])
     assert freqs[("man", N)] == 2
     assert freqs[("see", V)] == 1
+    # the same counts as a per-token loop on the sample corpus
+    docs = [annotator.annotate(letter) for letter in sample_corpus]
+    expected = Counter()
+    for doc in docs:
+        for token in doc.tokens():
+            expected[(token.lemma, token.pos)] += 1
+    assert token_frequencies(docs) == expected
+    assert token_frequencies(iter(docs)) == expected
 
 
 def test_build_graph_accumulates_weights():
