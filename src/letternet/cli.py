@@ -16,8 +16,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from letternet.corpus import load_manifest
 from letternet.export import (
@@ -79,8 +79,7 @@ class ConfigError(ValueError, LetternetError):
     """Raised for unusable configuration files or option values."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved settings for one invocation."""
 
     manifest: str | None = None
@@ -111,8 +110,9 @@ _PATH_KEYS = (
     "variant_lexicon",
     "abbreviations",
 )
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-# RunConfig field annotation -> (description, check of a JSON config value).
+# RunConfig field -> its annotation as written (NamedTuple keeps a ForwardRef)
+_FIELD_TYPES = {name: ref.__forward_arg__ for name, ref in RunConfig.__annotations__.items()}
+# field annotation -> (description, check of a JSON config value)
 _VALUE_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
@@ -140,13 +140,13 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"{p}: unknown config keys: {', '.join(unknown)}")
-    for f in fields(RunConfig):
-        expected, check = _VALUE_TYPES[f.type]
-        if f.name in data and not check(data[f.name]):
-            raise ConfigError(f"{p}: {f.name} must be {expected}, got {data[f.name]!r}")
+    for name, annotation in _FIELD_TYPES.items():
+        expected, check = _VALUE_TYPES[annotation]
+        if name in data and not check(data[name]):
+            raise ConfigError(f"{p}: {name} must be {expected}, got {data[name]!r}")
     for key in _PATH_KEYS:
         value = data.get(key)
         if isinstance(value, str) and value and not Path(value).is_absolute():
@@ -418,13 +418,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
-        cfg = replace(cfg, **load_config_file(config_path))
+        cfg = cfg._replace(**load_config_file(config_path))
     overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if getattr(args, f.name) is not None
+        name: getattr(args, name) for name in RunConfig._fields if getattr(args, name) is not None
     }
-    return replace(cfg, **overrides)
+    return cfg._replace(**overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from letternet.pipeline import LetternetError, read_input, read_table
+from letternet.pipeline import LetternetError, _Record, read_input, read_table
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +50,7 @@ class LetterLoadError(ValueError, LetternetError):
     """Raised when a letter transcription cannot be read."""
 
 
-@dataclass(frozen=True)
-class LetterMeta:
+class _LetterMetaFields(NamedTuple):
     letter_id: str
     sender: str
     addressee: str | None
@@ -60,7 +58,14 @@ class LetterMeta:
     year_uncertain: bool = False
     language: str = "en"
 
-    def __post_init__(self) -> None:
+
+class LetterMeta(_LetterMetaFields):
+    """A manifest row's metadata; a bad letter id or year raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "LetterMeta":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.letter_id:
             raise ValueError("letter_id must be non-empty")
         if self.letter_id in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(self.letter_id):
@@ -73,10 +78,15 @@ class LetterMeta:
                 f"letter {self.letter_id!r}: year {self.year} outside "
                 f"plausible range {YEAR_MIN}..{YEAR_MAX}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "LetterMeta":
+        # NamedTuple's _make, and so _replace, would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     """A transcription together with its metadata.
 
     ``raw_text`` is the file's text as ``read_input`` returns it, and
@@ -172,16 +182,13 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
 
 
-@dataclass
-class Corpus:
+class Corpus(_Record):
     """An ordered collection of letters with distinct identifiers."""
 
-    letters: list[Letter] = field(default_factory=list)
+    _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        self.letters = sorted(
-            self.letters, key=lambda l: (l.meta.year, l.meta.letter_id)
-        )
+    def __init__(self, letters: Iterable[Letter] = ()) -> None:
+        self.letters = sorted(letters, key=lambda l: (l.meta.year, l.meta.letter_id))
         seen: set[str] = set()
         for letter in self.letters:
             if letter.meta.letter_id in seen:

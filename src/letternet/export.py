@@ -20,8 +20,6 @@ import io
 import json
 import math
 import re
-import statistics
-import xml.etree.ElementTree as ET
 from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -34,6 +32,7 @@ from letternet.network import (
     LexicalGraph,
     NodeKey,
     degree_scores,
+    mean_sd,
     rank,
 )
 from letternet.pipeline import ExportError, LetternetError, PosClass, read_input, write_atomic
@@ -206,6 +205,8 @@ def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
     types and positive weights, and sane viz colour/size values.  Returns (node count, edge count); raises
     :class:`GexfValidationError` on the first violation.
     """
+    import xml.etree.ElementTree as ET  # here: no command validates, and pyexpat is slow to load
+
     if isinstance(source, Path):
         try:
             data = source.read_bytes()
@@ -240,7 +241,7 @@ def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
                 raise GexfValidationError("attribute without id or title")
             declared[cls].add(attr_id)
 
-    def check_attvalues(parent: ET.Element, cls: str, owner: str) -> None:
+    def check_attvalues(parent, cls: str, owner: str) -> None:
         for holder in parent.findall(f"{{{GEXF_NS}}}attvalues"):
             for attvalue in holder.findall(f"{{{GEXF_NS}}}attvalue"):
                 ref = attvalue.get("for")
@@ -249,7 +250,7 @@ def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
                         f"{owner}: attvalue references undeclared attribute {ref!r}"
                     )
 
-    def check_viz(parent: ET.Element, owner: str) -> None:
+    def check_viz(parent, owner: str) -> None:
         for color in parent.findall(f"{{{VIZ_NS}}}color"):
             for channel in ("r", "g", "b"):
                 raw = color.get(channel)
@@ -491,10 +492,8 @@ def export_csv_edges(graph: GraphLike, path: str | Path) -> None:
 def _distribution_line(label: str, values: list[int]) -> str:
     if not values:
         return f"{label}: n/a (empty)"
-    return (
-        f"{label}: min {min(values)}  max {max(values)}  "
-        f"mean {statistics.fmean(values):.3f}  sd {statistics.pstdev(values):.3f}"
-    )
+    mean, sd = mean_sd(values)
+    return f"{label}: min {min(values)}  max {max(values)}  mean {mean:.3f}  sd {sd:.3f}"
 
 
 def stats_report(graph: GraphLike, top_n: int = 10) -> str:

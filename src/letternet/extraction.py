@@ -13,9 +13,8 @@ from __future__ import annotations
 import enum
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from letternet.pipeline import AnnotatedDoc, LetternetError, PosClass, Token, read_table
 
@@ -50,8 +49,7 @@ class AnaphoraError(ValueError, LetternetError):
     """Raised for malformed anaphora files or non-pronoun targets."""
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     """One extracted relation instance.
 
     For SUBJ the source is the noun and the target the verb; for OBJ
@@ -202,8 +200,7 @@ def extract_window_pairs(
 # anaphora
 
 
-@dataclass(frozen=True)
-class AnaphoraMap:
+class AnaphoraMap(NamedTuple):
     """Manual pronoun resolutions keyed by token position.
 
     Maps (letter_id, sent_idx, tok_idx) to the noun lemma the pronoun
@@ -292,21 +289,31 @@ def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
 # gold triples and evaluation
 
 
-@dataclass(frozen=True)
-class GoldTriple:
-    """A manually judged verb with its subject and/or object lemma."""
-
+class _GoldTripleFields(NamedTuple):
     letter_id: str
     sent_idx: int
     verb_lemma: str
     subj_lemma: str | None
     obj_lemma: str | None
 
-    def __post_init__(self) -> None:
+
+class GoldTriple(_GoldTripleFields):
+    """A manually judged verb with its subject and/or object lemma."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GoldTriple":
+        self = super().__new__(cls, *args, **kwargs)
         if self.subj_lemma is None and self.obj_lemma is None:
             raise ValueError(
                 f"gold triple for {self.verb_lemma!r} needs a subject or an object"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "GoldTriple":
+        # NamedTuple's _make, and so _replace, would skip the checks
+        return cls(*iterable)
 
 
 def load_gold(path: str | Path) -> list[GoldTriple]:
@@ -341,8 +348,7 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
     return triples
 
 
-@dataclass(frozen=True)
-class Scores:
+class Scores(NamedTuple):
     """Precision, recall and F1 with their supporting counts.
 
     A score is None where it is undefined: precision without system
@@ -357,8 +363,7 @@ class Scores:
     n_gold: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     subj: Scores
     obj: Scores
     overall: Scores

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import re
-import statistics
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 from letternet.extraction import (
@@ -26,7 +26,7 @@ from letternet.extraction import (
     RelationKind,
     node_order,
 )
-from letternet.pipeline import AnnotatedDoc, LetternetError
+from letternet.pipeline import AnnotatedDoc, LetternetError, _Frozen, _Record
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,7 @@ class GraphBuildError(ValueError, LetternetError):
     """Raised when an edge references a lemma without frequency data."""
 
 
-@dataclass
-class LexicalGraph:
+class LexicalGraph(_Record):
     """A typed, weighted lexical network.
 
     ``nodes`` maps (lemma, class) to its frequency, ``edges`` maps
@@ -45,8 +44,13 @@ class LexicalGraph:
     exactly one entry.
     """
 
-    nodes: dict[NodeKey, int] = field(default_factory=dict)
-    edges: dict[EdgeKey, int] = field(default_factory=dict)
+    _fields = ("nodes", "edges")
+
+    def __init__(
+        self, nodes: dict[NodeKey, int] | None = None, edges: dict[EdgeKey, int] | None = None
+    ) -> None:
+        self.nodes = {} if nodes is None else nodes
+        self.edges = {} if edges is None else edges
 
     @property
     def n_nodes(self) -> int:
@@ -145,26 +149,62 @@ def merge_graphs(graphs: Sequence[LexicalGraph]) -> LexicalGraph:
 # pruning
 
 
-@dataclass(frozen=True)
-class Threshold:
+# A correctly rounded float square root needs this many bits of the
+# integer root, the last one rounded to odd.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _isqrt_rto(num: int, den: int) -> int:
+    """The integer square root of num / den, rounded to odd."""
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
+
+
+def mean_sd(values: Sequence[int]) -> tuple[float, float]:
+    """Mean and population standard deviation of a non-empty list of ints.
+
+    Bitwise equal to ``statistics.fmean`` and ``statistics.pstdev``: the
+    mean is the float sum over the count, and the deviation the correctly
+    rounded square root of the exact variance (n Σx² - (Σx)²) / n², taken
+    from the integer sums without fractions.
+    """
+    n = len(values)
+    total = sum(values)
+    num = n * sum(x * x for x in values) - total * total
+    den = n * n
+    shift = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        sd = float(_isqrt_rto(num, den << 2 * shift) << shift)
+    else:
+        sd = _isqrt_rto(num << -2 * shift, den) / (1 << -shift)
+    return math.fsum(values) / n, sd
+
+
+class Threshold(_Frozen):
     """Keep values strictly greater than a fixed minimum."""
 
-    minimum: float
+    __slots__ = _fields = ("minimum",)
+
+    def __init__(self, minimum: float) -> None:
+        self._init(minimum=minimum)
 
     def cutoff(self, values: Sequence[int]) -> float:
         return float(self.minimum)
 
 
-@dataclass(frozen=True)
-class MeanSd:
+class MeanSd(_Frozen):
     """Keep values strictly above mean + k population standard deviations."""
 
-    k: float
+    __slots__ = _fields = ("k",)
+
+    def __init__(self, k: float) -> None:
+        self._init(k=k)
 
     def cutoff(self, values: Sequence[int]) -> float:
         if not values:
             return 0.0
-        return statistics.fmean(values) + self.k * statistics.pstdev(values)
+        mean, sd = mean_sd(values)
+        return mean + self.k * sd
 
 
 PruneRule = Union[Threshold, MeanSd]

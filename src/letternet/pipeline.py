@@ -19,7 +19,6 @@ import os
 import re
 import string
 import tempfile
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -47,9 +46,8 @@ class PosClass(enum.Enum):
     __hash__ = object.__hash__
 
 
-MODAL_LEMMAS = frozenset(
-    {"must", "can", "may", "shall", "will", "might", "could", "should", "would", "ought"}
-)
+# label -> word class, as PosClass[label] but without Enum.__getitem__'s call
+_POS_BY_NAME = {pos.name: pos for pos in PosClass}
 
 _VOWELS = "aeiou"
 # Runs of sentence terminators, without and with the colon.
@@ -194,12 +192,62 @@ class Token(NamedTuple):
     tok_idx: int
 
 
-@dataclass(frozen=True)
-class AnnotatedDoc:
-    """All sentences of one letter, fully annotated."""
+class _Record:
+    """Base of small classes whose fields are named in ``_fields``.
 
-    letter_id: str
-    sentences: tuple[tuple[Token, ...], ...]
+    Equality (within one class) and ``repr`` go by the field values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` whose fields are set once, by ``__init__``.
+
+    Assigning or deleting an attribute raises AttributeError, the hash
+    goes by the field values, and pickling and copying call the class
+    with the field values again.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AnnotatedDoc(_Frozen):
+    """All sentences of one letter, fully annotated; its length is its token count."""
+
+    __slots__ = _fields = ("letter_id", "sentences")
+
+    def __init__(self, letter_id: str, sentences: tuple[tuple[Token, ...], ...]) -> None:
+        self._init(letter_id=letter_id, sentences=sentences)
 
     def tokens(self) -> Iterator[Token]:
         for sentence in self.sentences:
@@ -213,8 +261,7 @@ class AnnotatedDoc:
 # sentence splitting
 
 
-@dataclass(frozen=True)
-class SplitConfig:
+class SplitConfig(NamedTuple):
     """Sentence boundary options.
 
     ``colon_boundary`` additionally breaks sentences at colons, which
@@ -304,8 +351,7 @@ def _word_class(label: str, where: str) -> PosClass:
         raise LexiconFormatError(f"{where}: unknown word class {label!r}") from None
 
 
-@dataclass(frozen=True)
-class VariantEntry:
+class VariantEntry(NamedTuple):
     normalized: str
     pos: PosClass | None
     lemma: str | None
@@ -557,8 +603,7 @@ class Lemmatizer:
 # token annotation
 
 
-@dataclass(frozen=True)
-class Annotator:
+class Annotator(_Frozen):
     """Annotates whole letters, resolving each distinct form once.
 
     Punctuation, numbers and "&" are classed directly.  For a word the
@@ -569,16 +614,21 @@ class Annotator:
     each surface form, as transcribed, is memoized on the annotator and
     lives as long as it does.  The annotator is frozen, so its lexicons
     cannot change under the memo, and a new annotator starts with an
-    empty one.
+    empty one.  The memo takes no part in equality, hashing, ``repr`` or
+    pickling.
     """
 
-    lexicon: VariantLexicon
-    tagger: RuleTagger
-    lemmatizer: Lemmatizer
-    split: SplitConfig = SplitConfig()
-    _forms: dict[str, tuple[str, str, PosClass]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("lexicon", "tagger", "lemmatizer", "split")
+    __slots__ = (*_fields, "_forms")
+
+    def __init__(
+        self,
+        lexicon: VariantLexicon,
+        tagger: RuleTagger,
+        lemmatizer: Lemmatizer,
+        split: SplitConfig = SplitConfig(),
+    ) -> None:
+        self._init(lexicon=lexicon, tagger=tagger, lemmatizer=lemmatizer, split=split, _forms={})
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""
@@ -692,18 +742,14 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
     if letter_id is None:
         letter_id = p.stem
     lines = read_input(p, "", VerticalFormatError).split("\n")
+    pos_named = _POS_BY_NAME.get
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
-
-    def flush() -> None:
-        nonlocal current
-        if current:
-            sentences.append(tuple(current))
-            current = []
-
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            flush()
+        if not line or line.isspace():
+            if current:
+                sentences.append(tuple(current))
+                current = []
             continue
         parts = line.split("\t")
         if len(parts) != 4:
@@ -713,22 +759,13 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
                 f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         surface, normalized, lemma, label = parts
-        try:
-            pos = PosClass[label.strip()]
-        except KeyError:
+        pos = pos_named(label) or pos_named(label.strip())
+        if pos is None:
             log.warning("%s:%d: unknown word class %r, using OTHER", p, lineno, label)
             pos = PosClass.OTHER
-        current.append(
-            Token(
-                surface=surface,
-                normalized=normalized,
-                lemma=lemma,
-                pos=pos,
-                sent_idx=len(sentences),
-                tok_idx=len(current),
-            )
-        )
-    flush()
+        current.append(Token(surface, normalized, lemma, pos, len(sentences), len(current)))
+    if current:
+        sentences.append(tuple(current))
     if not sentences:
         log.warning("%s: no tokens found", p)
     return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))

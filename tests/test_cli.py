@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -683,8 +682,9 @@ _TYPED_VALUES = {
     "bool": st.booleans(),
     "tuple[str, ...]": st.lists(_CONFIG_STRINGS, max_size=3),
 }
-_CONFIG_ITEMS = st.sampled_from(fields(RunConfig)).flatmap(
-    lambda f: st.tuples(st.just(f.name), _TYPED_VALUES[f.type] | _CONFIG_VALUES)
+# RunConfig's annotations are strings, which NamedTuple keeps as ForwardRefs
+_CONFIG_ITEMS = st.sampled_from(list(RunConfig.__annotations__.items())).flatmap(
+    lambda item: st.tuples(st.just(item[0]), _TYPED_VALUES[item[1].__forward_arg__] | _CONFIG_VALUES)
 )
 
 
@@ -843,3 +843,23 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_skips_slow_standard_modules(tmp_path):
+    # dataclasses pulls in inspect, statistics fractions and decimal, and
+    # ElementTree pyexpat: a cold start paid for all of them, and no command uses them
+    env = dict(os.environ)
+    package_root = Path(letternet.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    modules = ["dataclasses", "inspect", "statistics", "xml.etree.ElementTree"]
+    code = f"import sys, letternet.cli; print([m for m in {modules!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

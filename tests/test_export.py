@@ -20,6 +20,7 @@ from letternet.export import (
     ExportError,
     GexfValidationError,
     GraphFormatError,
+    _distribution_line,
     _node_size,
     dot_text,
     export_csv_edges,
@@ -35,7 +36,7 @@ from letternet.export import (
     validate_gexf,
 )
 from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
-from letternet.network import Centrality, LexicalGraph, centrality
+from letternet.network import Centrality, LexicalGraph, centrality, mean_sd
 from letternet.pipeline import PosClass
 
 from conftest import N, V
@@ -527,6 +528,25 @@ def ref_distribution_line(label, values):
         f"{label}: min {min(values)}  max {max(values)}  "
         f"mean {statistics.fmean(values):.3f}  sd {statistics.pstdev(values):.3f}"
     )
+
+
+_INTS = st.integers(0, 12) | st.integers(-(10**6), 10**6) | st.integers(-(10**30), 10**30)
+_INT_LISTS = st.lists(_INTS, min_size=1, max_size=60) | st.builds(
+    lambda value, n: [value] * n, _INTS, st.integers(1, 30)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INT_LISTS)
+@example([10**30])
+@example([10**30, 10**30 - 1, 1])
+@example([7] * 13)
+def test_mean_sd_is_bitwise_statistics(values):
+    # the stats report and MeanSd cutoffs must not move by one ulp
+    mean, sd = mean_sd(values)
+    assert mean.hex() == statistics.fmean(values).hex()
+    assert sd.hex() == statistics.pstdev(values).hex()
+    assert _distribution_line("x", values) == ref_distribution_line("x", values)
 
 
 def ref_stats_report(graph, top_n=10):

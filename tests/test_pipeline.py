@@ -1,13 +1,13 @@
 """Sentence split, tokenization, spelling normalization, tagging, lemmas."""
 
 import codecs
+import logging
 import re
 import tempfile
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from letternet.pipeline import (
     AnnotatedDoc,
@@ -558,7 +558,7 @@ def test_annotators_keep_their_own_memo(tmp_path):
 
 
 def test_annotator_is_frozen(annotator):
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         annotator.lexicon = VariantLexicon()
 
 
@@ -612,6 +612,100 @@ def test_vertical_round_trip_property(annotator, text):
         path = Path(tmp) / "P1.tsv"
         write_vertical(doc, path)
         assert ingest_pretagged(path) == doc
+
+
+def ref_ingest_pretagged(path, letter_id=None):
+    """The vertical reader as it was before its per-row work was cut."""
+    log = logging.getLogger("letternet.pipeline")
+    p = Path(path)
+    if letter_id is None:
+        letter_id = p.stem
+    lines = read_input(p, "", VerticalFormatError).split("\n")
+    sentences = []
+    current = []
+
+    def flush():
+        nonlocal current
+        if current:
+            sentences.append(tuple(current))
+            current = []
+
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            flush()
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            if line.lstrip().startswith("#"):
+                continue
+            raise VerticalFormatError(
+                f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
+            )
+        surface, normalized, lemma, label = parts
+        try:
+            pos = PosClass[label.strip()]
+        except KeyError:
+            log.warning("%s:%d: unknown word class %r, using OTHER", p, lineno, label)
+            pos = PosClass.OTHER
+        current.append(
+            Token(
+                surface=surface,
+                normalized=normalized,
+                lemma=lemma,
+                pos=pos,
+                sent_idx=len(sentences),
+                tok_idx=len(current),
+            )
+        )
+    flush()
+    if not sentences:
+        log.warning("%s: no tokens found", p)
+    return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
+
+
+# Rows of a vertical file: blank-only lines (U+0085 and U+00A0 are
+# whitespace too), comments, and rows of 3 to 5 fields whose last field
+# is a known, unknown or space-padded label.
+_BLANK_ROWS = st.sampled_from(["", " ", "\t", " \t ", "\x85", "\xa0", "\u2028"])
+_COMMENT_ROWS = st.sampled_from(["# letter L1", "  # note", "#\tnote", "# a\tb\tc\td\te"])
+_CELLS = st.sampled_from(["a", "the", "#", "# x", " ", "", "x y", "é"])
+_LABELS = st.sampled_from(
+    ["NOUN", "VERB", "PUNCT", "OTHER", " NOUN", "VERB  ", " ADJ\xa0", "noun", "MYSTERY", "", "#"]
+)
+_ROWS = st.one_of(
+    _BLANK_ROWS,
+    _COMMENT_ROWS,
+    st.builds(
+        lambda cells, label: "\t".join([*cells, label]),
+        st.lists(_CELLS, min_size=2, max_size=4),
+        _LABELS,
+    ),
+)
+
+
+def _read_outcome(read, path, caplog):
+    caplog.clear()
+    try:
+        result = read(path)
+    except VerticalFormatError as exc:
+        result = ("error", str(exc))
+    return result, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_ROWS, max_size=12), st.booleans())
+@example(["a\ta\ta\tNOUN", " ", "b\tb\tb\t VERB", "c\tc\tc\tMYSTERY"], True)
+@example(["a\tb\tNOUN"], False)
+def test_ingest_matches_reference_reader(caplog, rows, final_newline):
+    # caplog is cleared before each read, so every example sees only its own records
+    caplog.set_level(logging.WARNING, logger="letternet.pipeline")
+    text = "\n".join(rows) + ("\n" if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "V1.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert _read_outcome(ingest_pretagged, path, caplog) == _read_outcome(
+            ref_ingest_pretagged, path, caplog
+        )
 
 
 def test_ingest_with_byte_order_mark(tmp_path, annotator):

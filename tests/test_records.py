@@ -1,0 +1,151 @@
+"""The record types: equality, hashing, immutability, pickling and repr.
+
+The plain records are NamedTuples, the validating ones NamedTuples with
+a checking ``__new__``, and the rest small classes with the same
+behaviour as before: equal fields give equal objects, frozen types
+refuse assignment, and every type survives ``pickle`` and ``deepcopy``.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from letternet.cli import RunConfig
+from letternet.corpus import Corpus, Letter, LetterMeta
+from letternet.extraction import (
+    AnaphoraMap,
+    EvalReport,
+    GoldTriple,
+    PairRecord,
+    RelationKind,
+    Scores,
+)
+from letternet.network import LexicalGraph, MeanSd, Threshold
+from letternet.pipeline import (
+    AnnotatedDoc,
+    Annotator,
+    PosClass,
+    SplitConfig,
+    Token,
+    VariantEntry,
+    default_annotator,
+)
+
+N = PosClass.NOUN
+TYPE_NAMES = (
+    "RunConfig", "LetterMeta", "Letter", "Corpus", "PairRecord", "AnaphoraMap",
+    "GoldTriple", "Scores", "EvalReport", "LexicalGraph", "Threshold", "MeanSd",
+    "AnnotatedDoc", "SplitConfig", "VariantEntry", "Annotator",
+)
+MUTABLE = {"Corpus", "LexicalGraph"}
+UNHASHABLE = MUTABLE | {"AnaphoraMap"}  # AnaphoraMap holds a dict
+
+
+def _instances(annotator):
+    meta = LetterMeta("A", "Dury", None, 1630)
+    letter = Letter(meta, "raw", "clean")
+    scores = Scores(0.5, 0.25, 1 / 3, 1, 2, 4)
+    return {
+        "RunConfig": RunConfig(manifest="m.tsv", formats=("gexf", "json")),
+        "LetterMeta": meta,
+        "Letter": letter,
+        "Corpus": Corpus([letter]),
+        "PairRecord": PairRecord("man", N, "see", PosClass.VERB, RelationKind.SUBJ, "A", 0),
+        "AnaphoraMap": AnaphoraMap({("A", 0, 0): "tutor"}),
+        "GoldTriple": GoldTriple("A", 0, "see", "man", None),
+        "Scores": scores,
+        "EvalReport": EvalReport(scores, scores, scores),
+        "LexicalGraph": LexicalGraph(nodes={("man", N): 2}, edges={}),
+        "Threshold": Threshold(2.0),
+        "MeanSd": MeanSd(2.0),
+        "AnnotatedDoc": AnnotatedDoc("A", ((Token("Man", "man", "man", N, 0, 0),),)),
+        "SplitConfig": SplitConfig(colon_boundary=True, abbreviations=frozenset({"mr"})),
+        "VariantEntry": VariantEntry("use", PosClass.VERB, None),
+        # the lexicons compare by identity, so both instances share them
+        "Annotator": Annotator(
+            annotator.lexicon, annotator.tagger, annotator.lemmatizer, annotator.split
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    annotator = default_annotator()
+    first, second = _instances(annotator), _instances(annotator)
+    return {name: (first[name], second[name]) for name in first}
+
+
+def test_all_sixteen_types_covered(pairs):
+    assert len(TYPE_NAMES) == 16 and sorted(pairs) == sorted(TYPE_NAMES)
+    assert all(type(obj).__name__ == name for name, (obj, _) in pairs.items())
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_record_behaviour(pairs, name):
+    obj, twin = pairs[name]
+    assert obj == twin and not obj != twin
+    assert repr(obj).startswith(f"{name}(")
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(twin)
+    field = type(obj)._fields[0]
+    if name in MUTABLE:
+        setattr(obj, field, getattr(obj, field))
+    else:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(clone) is type(obj)
+        if name == "Annotator":
+            # a copy has its own lexicons, so it can only annotate the same
+            text = "The Tutour doth vse the booke. Mr. Dury came."
+            assert clone.annotate_text("T", text) == obj.annotate_text("T", text)
+        else:
+            assert clone == obj
+
+
+def test_threshold_and_mean_sd_differ():
+    assert Threshold(2.0) != MeanSd(2.0)
+    assert Threshold(2.0) != (2.0,)
+    assert Threshold(2) == Threshold(2.0) and hash(Threshold(2)) == hash(Threshold(2.0))
+
+
+def test_annotated_doc_length_counts_tokens():
+    token = Token("a", "a", "a", N, 0, 0)
+    assert len(AnnotatedDoc("A", ((token, token), (token,)))) == 3
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LetterMeta("", "s", None, 1600), "letter_id must be non-empty"),
+        (lambda: LetterMeta("a/b", "s", None, 1600), "'a/b' is not a plain file name"),
+        (lambda: LetterMeta("..", "s", None, 1600), "'..' is not a plain file name"),
+        (lambda: LetterMeta(letter_id="A", sender="s", addressee=None, year=10),
+         "letter 'A': year 10 outside plausible range 1400..1900"),
+        (lambda: GoldTriple("A", 0, "see", None, None),
+         "gold triple for 'see' needs a subject or an object"),
+    ],
+)
+def test_validating_records_still_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_validating_records_keep_defaults_and_keywords():
+    meta = LetterMeta(letter_id="A", sender="s", addressee=None, year=1600)
+    assert (meta.year_uncertain, meta.language) == (False, "en")
+    assert pickle.loads(pickle.dumps(meta)) == meta
+    assert GoldTriple("A", 0, "go", obj_lemma="way", subj_lemma=None).obj_lemma == "way"
+
+
+def test_replace_runs_the_checks():
+    meta = LetterMeta("A", "s", None, 1600)
+    assert meta._replace(year=1700).year == 1700
+    with pytest.raises(ValueError, match="not a plain file name"):
+        meta._replace(letter_id="a/b")
+    with pytest.raises(ValueError, match="needs a subject or an object"):
+        GoldTriple("A", 0, "see", "man", None)._replace(subj_lemma=None)
