@@ -31,6 +31,7 @@ from letternet.export import (
 )
 from letternet.extraction import (
     DEFAULT_MAX_DISTANCE,
+    AnaphoraError,
     AnaphoraMap,
     apply_anaphora,
     evaluate_pairs,
@@ -40,7 +41,6 @@ from letternet.extraction import (
 )
 from letternet.network import (
     LexicalGraph,
-    Threshold,
     build_graph,
     merge_graphs,
     parse_prune_rule,
@@ -110,15 +110,15 @@ _PATH_KEYS = (
     "variant_lexicon",
     "abbreviations",
 )
-# RunConfig field -> its annotation as written (NamedTuple keeps a ForwardRef)
-_FIELD_TYPES = {name: ref.__forward_arg__ for name, ref in RunConfig.__annotations__.items()}
-# field annotation -> (description, check of a JSON config value)
+# type of a RunConfig default -> (description, check of a JSON config
+# value); a value must have the type of its default, and a None default
+# stands for a string or null
 _VALUE_TYPES = {
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple[str, ...]": (
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    tuple: (
         "a list of strings",
         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     ),
@@ -140,11 +140,11 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
-    unknown = sorted(set(data) - set(_FIELD_TYPES))
+    unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         raise ConfigError(f"{p}: unknown config keys: {', '.join(unknown)}")
-    for name, annotation in _FIELD_TYPES.items():
-        expected, check = _VALUE_TYPES[annotation]
+    for name, default in RunConfig._field_defaults.items():
+        expected, check = _VALUE_TYPES[type(default)]
         if name in data and not check(data[name]):
             raise ConfigError(f"{p}: {name} must be {expected}, got {data[name]!r}")
     for key in _PATH_KEYS:
@@ -207,14 +207,6 @@ def validate_config(cfg: RunConfig) -> None:
 # shared pipeline steps
 
 
-def _annotator(cfg: RunConfig):
-    return default_annotator(
-        colon_boundary=cfg.colon_boundary,
-        variant_lexicon=cfg.variant_lexicon,
-        abbreviations=cfg.abbreviations,
-    )
-
-
 def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
     if cfg.pretagged_dir:
         paths = sorted(Path(cfg.pretagged_dir).glob("*.tsv"))
@@ -222,11 +214,19 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
             log.warning("no vertical files in %s", cfg.pretagged_dir)
         docs = [ingest_pretagged(p) for p in paths]
     else:
-        annotator = _annotator(cfg)
+        annotator = default_annotator(
+            colon_boundary=cfg.colon_boundary,
+            variant_lexicon=cfg.variant_lexicon,
+            abbreviations=cfg.abbreviations,
+        )
         corpus = load_manifest(cfg.manifest)
         docs = [annotator.annotate(letter) for letter in corpus]
     if cfg.anaphora:
         amap = AnaphoraMap.from_file(cfg.anaphora)
+        unloaded = {lid for lid, _, _ in amap.entries} - {doc.letter_id for doc in docs}
+        if unloaded:
+            names = ", ".join(sorted(unloaded))
+            raise AnaphoraError(f"{cfg.anaphora}: rows for letters that were not loaded: {names}")
         docs = [apply_anaphora(doc, amap) for doc in docs]
     return docs
 
@@ -249,8 +249,8 @@ def _build_graphs(cfg: RunConfig, docs: list[AnnotatedDoc]) -> list[tuple[str, L
     else:
         graphs = [("network", merge_graphs([g for _, g in per_letter]))]
     if cfg.prune_nodes or cfg.prune_edges:
-        node_rule = parse_prune_rule(cfg.prune_nodes) if cfg.prune_nodes else Threshold(0)
-        edge_rule = parse_prune_rule(cfg.prune_edges) if cfg.prune_edges else Threshold(0)
+        node_rule = parse_prune_rule(cfg.prune_nodes or "gt0")
+        edge_rule = parse_prune_rule(cfg.prune_edges or "gt0")
         graphs = [
             (name, prune(g, node_rule, edge_rule, drop_isolated=not cfg.keep_isolated))
             for name, g in graphs
@@ -272,7 +272,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
-    validate_config(cfg)
     out = _out_dir(cfg)
     docs = _load_docs(cfg)
     for doc in docs:
@@ -305,23 +304,24 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 
 def cmd_network(cfg: RunConfig) -> int:
-    validate_config(cfg)
     out = _out_dir(cfg)
     _export_network(cfg, _load_docs(cfg), out)
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    validate_config(cfg)
     if not cfg.gold:
         raise ConfigError("eval needs a gold file (--gold or the gold config key)")
     gold = load_gold(cfg.gold)
+    if not gold:
+        raise ConfigError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
-    docs = [d for d in _load_docs(cfg) if d.letter_id in gold_letters]
-    if not docs:
-        raise ConfigError(
-            f"gold file covers letters {sorted(gold_letters)} but none were loaded"
-        )
+    docs = _load_docs(cfg)
+    unloaded = gold_letters - {doc.letter_id for doc in docs}
+    if unloaded:
+        names = ", ".join(sorted(unloaded))
+        raise ConfigError(f"{cfg.gold}: triples for letters that were not loaded: {names}")
+    docs = [doc for doc in docs if doc.letter_id in gold_letters]
     records = []
     for doc in docs:
         records.extend(
@@ -336,7 +336,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    validate_config(cfg)
     docs = _load_docs(cfg)
     for name, graph in _build_graphs(cfg, docs):
         if cfg.scope == "per-letter":
@@ -453,6 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        validate_config(cfg)
         return args.handler(cfg)
     except LetternetError as exc:
         print(f"letternet: error: {exc}", file=sys.stderr)

@@ -35,7 +35,15 @@ from letternet.network import (
     mean_sd,
     rank,
 )
-from letternet.pipeline import ExportError, LetternetError, PosClass, read_input, write_atomic
+from letternet.pipeline import (
+    _POS_BY_NAME,
+    _XML_UNWRITABLE,
+    ExportError,
+    LetternetError,
+    PosClass,
+    read_input,
+    write_atomic,
+)
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 VIZ_NS = "http://www.gexf.net/1.2draft/viz"
@@ -56,8 +64,8 @@ _NODE_COLORS = {
     pos.name: DEFAULT_NODE_COLORS.get(pos, DEFAULT_FALLBACK_COLOR) for pos in PosClass
 }
 _EDGE_COLORS = {kind.name: DEFAULT_EDGE_COLORS[kind] for kind in RelationKind}
-# C0 controls and noncharacters that XML 1.0 cannot hold, and lone surrogates
-_UNWRITABLE_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# what XML 1.0 cannot hold, vertical tab and form feed included, and lone surrogates
+_UNWRITABLE_RE = re.compile(f"[\x0b\x0c\ud800-\udfff{_XML_UNWRITABLE}]")
 
 
 class GexfValidationError(ValueError, LetternetError):
@@ -410,7 +418,7 @@ def _node_key(pair) -> NodeKey:
     lemma, pos = pair
     if not isinstance(lemma, str) or _UNWRITABLE_RE.search(lemma):
         raise ValueError(f"bad lemma {lemma!r}")
-    return lemma, PosClass[pos]
+    return lemma, _POS_BY_NAME[pos]
 
 
 def graph_from_dict(data: dict) -> LexicalGraph:

@@ -40,6 +40,9 @@ DEFAULT_CONTENT_CLASSES = frozenset({PosClass.NOUN, PosClass.VERB, PosClass.ADJ}
 
 DEFAULT_MAX_DISTANCE = 4
 
+# scan direction from the verb -> kind of the pair found on that side
+_SIDES = ((-1, RelationKind.SUBJ), (1, RelationKind.OBJ))
+
 
 class GoldFormatError(ValueError, LetternetError):
     """Raised for malformed gold-standard triple files."""
@@ -167,32 +170,16 @@ def extract_window_pairs(
         for i, token in enumerate(sentence):
             if token.pos is not PosClass.VERB:
                 continue
-            subj = _scan(sentence, i, -1, max_dist, verb_blocker)
-            if subj is not None:
-                records.append(
-                    PairRecord(
-                        src_lemma=subj.lemma,
-                        src_pos=PosClass.NOUN,
-                        dst_lemma=token.lemma,
-                        dst_pos=PosClass.VERB,
-                        kind=RelationKind.SUBJ,
-                        letter_id=doc.letter_id,
-                        sent_idx=token.sent_idx,
+            for step, kind in _SIDES:
+                noun = _scan(sentence, i, step, max_dist, verb_blocker)
+                if noun is not None:
+                    src, dst = (noun, token) if step < 0 else (token, noun)
+                    records.append(
+                        PairRecord(
+                            src.lemma, src.pos, dst.lemma, dst.pos,
+                            kind, doc.letter_id, token.sent_idx,
+                        )
                     )
-                )
-            obj = _scan(sentence, i, 1, max_dist, verb_blocker)
-            if obj is not None:
-                records.append(
-                    PairRecord(
-                        src_lemma=token.lemma,
-                        src_pos=PosClass.VERB,
-                        dst_lemma=obj.lemma,
-                        dst_pos=PosClass.NOUN,
-                        kind=RelationKind.OBJ,
-                        letter_id=doc.letter_id,
-                        sent_idx=token.sent_idx,
-                    )
-                )
     return records
 
 
@@ -268,19 +255,9 @@ def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
         new_sentence = []
         for token in sentence:
             lemma = targets.get((sent_idx, token.tok_idx))
-            if lemma is None:
-                new_sentence.append(token)
-            else:
-                new_sentence.append(
-                    Token(
-                        surface=token.surface,
-                        normalized=lemma,
-                        lemma=lemma,
-                        pos=PosClass.NOUN,
-                        sent_idx=token.sent_idx,
-                        tok_idx=token.tok_idx,
-                    )
-                )
+            if lemma is not None:
+                token = token._replace(normalized=lemma, lemma=lemma, pos=PosClass.NOUN)
+            new_sentence.append(token)
         new_sentences.append(tuple(new_sentence))
     return AnnotatedDoc(letter_id=doc.letter_id, sentences=tuple(new_sentences))
 
@@ -393,54 +370,33 @@ def _score(auto: Counter, gold: Counter) -> Scores:
     return Scores(precision, recall, f1, tp, n_auto, n_gold)
 
 
-def _auto_key(record: PairRecord) -> tuple[str, int, str, str, RelationKind]:
-    if record.kind is RelationKind.SUBJ:
-        noun, verb = record.src_lemma, record.dst_lemma
-    else:
-        verb, noun = record.src_lemma, record.dst_lemma
-    return (record.letter_id, record.sent_idx, verb, noun, record.kind)
-
-
 def evaluate_pairs(records: Iterable[PairRecord], gold: Iterable[GoldTriple]) -> EvalReport:
     """Compare extracted pairs against gold triples.
 
-    Matching is by (letter, sentence, verb lemma, noun lemma, kind) with
-    multiset semantics, so a pair extracted twice can only match two
-    gold instances.  COOCCUR records are ignored.  Scores are reported
-    per kind and overall.
+    Records and gold pairs alike are keyed by (letter, sentence, source
+    lemma, target lemma, kind), a SUBJ gold pair running from subject to
+    verb and an OBJ pair from verb to object, with multiset semantics,
+    so a pair extracted twice can only match two gold instances.
+    COOCCUR records are ignored.  Scores are reported per kind and
+    overall.
     """
-    auto_subj: Counter = Counter()
-    auto_obj: Counter = Counter()
-    for record in records:
-        if record.kind is RelationKind.SUBJ:
-            auto_subj[_auto_key(record)] += 1
-        elif record.kind is RelationKind.OBJ:
-            auto_obj[_auto_key(record)] += 1
-    gold_subj: Counter = Counter()
-    gold_obj: Counter = Counter()
-    for triple in gold:
-        if triple.subj_lemma is not None:
-            gold_subj[
-                (
-                    triple.letter_id,
-                    triple.sent_idx,
-                    triple.verb_lemma,
-                    triple.subj_lemma,
-                    RelationKind.SUBJ,
-                )
-            ] += 1
-        if triple.obj_lemma is not None:
-            gold_obj[
-                (
-                    triple.letter_id,
-                    triple.sent_idx,
-                    triple.verb_lemma,
-                    triple.obj_lemma,
-                    RelationKind.OBJ,
-                )
-            ] += 1
+    auto = Counter(
+        (r.letter_id, r.sent_idx, r.src_lemma, r.dst_lemma, r.kind)
+        for r in records
+        if r.kind in DIRECTED_KINDS
+    )
+    expected: Counter = Counter()
+    for t in gold:
+        if t.subj_lemma is not None:
+            expected[(t.letter_id, t.sent_idx, t.subj_lemma, t.verb_lemma, RelationKind.SUBJ)] += 1
+        if t.obj_lemma is not None:
+            expected[(t.letter_id, t.sent_idx, t.verb_lemma, t.obj_lemma, RelationKind.OBJ)] += 1
+
+    def of_kind(counts: Counter, kind: RelationKind) -> Counter:
+        return Counter({key: n for key, n in counts.items() if key[4] is kind})
+
     return EvalReport(
-        subj=_score(auto_subj, gold_subj),
-        obj=_score(auto_obj, gold_obj),
-        overall=_score(auto_subj + auto_obj, gold_subj + gold_obj),
+        subj=_score(of_kind(auto, RelationKind.SUBJ), of_kind(expected, RelationKind.SUBJ)),
+        obj=_score(of_kind(auto, RelationKind.OBJ), of_kind(expected, RelationKind.OBJ)),
+        overall=_score(auto, expected),
     )

@@ -209,19 +209,16 @@ class MeanSd(_Frozen):
 
 PruneRule = Union[Threshold, MeanSd]
 
-_GT_RE = re.compile(r"^gt(\d+(?:\.\d+)?)$")
-_MEAN_RE = re.compile(r"^mean(\d+(?:\.\d+)?)$")
+_PRUNE_RULE_RE = re.compile(r"^(gt|mean)(\d+(?:\.\d+)?)$")
 
 
 def parse_prune_rule(text: str) -> PruneRule:
     """Parse "gtN" into a threshold rule and "meanK" into a mean+k*sd rule."""
-    m = _GT_RE.match(text.strip())
-    if m:
-        return Threshold(minimum=float(m.group(1)))
-    m = _MEAN_RE.match(text.strip())
-    if m:
-        return MeanSd(k=float(m.group(1)))
-    raise ValueError(f"bad prune rule {text!r}; expected gtN or meanK")
+    m = _PRUNE_RULE_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"bad prune rule {text!r}; expected gtN or meanK")
+    rule = Threshold if m.group(1) == "gt" else MeanSd
+    return rule(float(m.group(2)))
 
 
 def prune(

@@ -55,13 +55,14 @@ _TERMINATORS_RE = re.compile(r"[.!?]+")
 _TERMINATORS_COLON_RE = re.compile(r"[.!?:]+")
 _CLOSERS = "'’\"”)"
 
-# C0 controls other than tab, newline and carriage return, and the
-# noncharacters U+FFFE and U+FFFF: XML 1.0 cannot hold them, so a lemma
-# with one would make a GEXF file that is not well-formed.  A letter may
-# also hold vertical tabs and form feeds, which cleaning turns into
-# spaces.
-_CONTROL_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
-_LETTER_CONTROL_RE = re.compile("[\x00-\x08\x0e-\x1f\ufffe\uffff]")
+# What XML 1.0 cannot hold, as a regex class body, less the vertical tab
+# and form feed: C0 controls other than tab, newline and carriage return,
+# and the noncharacters U+FFFE and U+FFFF.  A lemma with one would make a
+# GEXF file that is not well-formed.  A letter may hold vertical tabs and
+# form feeds, which cleaning turns into spaces; other inputs may not.
+_XML_UNWRITABLE = "\x00-\x08\x0e-\x1f\ufffe\uffff"
+_LETTER_CONTROL_RE = re.compile(f"[{_XML_UNWRITABLE}]")
+_CONTROL_RE = re.compile(f"[\x0b\x0c{_XML_UNWRITABLE}]")
 # [^\W\d_] is every letter (str.isalpha) and every numeral that is not
 # a decimal digit ("²", "½"); tokenize cuts the latter out of words.
 _TOKEN = r"[^\W\d_{0}]+(?:['’][^\W\d_{0}]+)*|\d+|\.{{2,}}|\S"
@@ -346,7 +347,7 @@ def tokenize(sentence: str) -> list[str]:
 
 def _word_class(label: str, where: str) -> PosClass:
     try:
-        return PosClass[label]
+        return _POS_BY_NAME[label]
     except KeyError:
         raise LexiconFormatError(f"{where}: unknown word class {label!r}") from None
 

@@ -126,6 +126,22 @@ def test_shipped_sample_config_loads():
     assert data["manifest"].endswith("manifest.tsv")
 
 
+def test_sample_config_and_readme_name_every_setting():
+    # the README calls sample_config.json a complete example, and its
+    # settings table lists the keys a config file may set
+    data = json.loads(data_path("sample_config.json").read_text(encoding="utf-8"))
+    assert sorted(data) == sorted(RunConfig._fields)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key / flag", 1)[1].split("\n\n", 1)[0]
+    keys = [
+        name
+        for row in table.splitlines()[2:]
+        for name in row.split("|")[1].split("`")[1::2]
+        if not name.startswith("--")
+    ]
+    assert sorted(keys) == sorted(RunConfig._fields)
+
+
 # flag / config / default precedence
 
 
@@ -614,6 +630,21 @@ VERTICAL_WITH_CONTROL = (
             ["network", "--manifest", "{letters}", "--out", "{out}"],
             "letternet: error: letter 'L1': {bad}:2: control character U+001F\n",
         ),
+        (
+            b"L99\t0\t3\ttutor\n",
+            NETWORK + ["--mode", "pairs", "--anaphora", "{bad}"],
+            "letternet: error: {bad}: rows for letters that were not loaded: L99\n",
+        ),
+        (
+            b"A1\t0\tloue\ttutor\tchild\nL99\t0\tsee\tgod\t-\n",
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}: triples for letters that were not loaded: L99\n",
+        ),
+        (
+            b"# no triples\n",
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}: no gold triples\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -638,6 +669,9 @@ VERTICAL_WITH_CONTROL = (
         "vertical-noncharacter",
         "lexicon-control-char",
         "letter-control-char",
+        "anaphora-unknown-letter",
+        "gold-unknown-letter",
+        "gold-empty",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
