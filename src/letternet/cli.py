@@ -1,12 +1,12 @@
 """Command line interface.
 
-Subcommands cover the pipeline end to end: ``preprocess`` writes
-annotated letters in vertical form, ``network`` builds and exports
-graphs, ``eval`` scores the pair heuristic against gold triples,
-``stats`` prints a graph summary and ``run`` chains preprocess and
-network.  Settings come from defaults, then an optional JSON config
-file (flag ``--config`` or the LETTERNET_CONFIG environment variable),
-then command line flags, in that order of precedence.
+Five commands with one set of options cover the pipeline end to end:
+``preprocess`` writes annotated letters in vertical form, ``network``
+builds and exports graphs, ``eval`` scores the pair heuristic against
+gold triples, ``stats`` prints a graph summary and ``run`` chains
+preprocess and network.  Settings come from defaults, then an optional
+JSON config file (flag ``--config`` or the LETTERNET_CONFIG environment
+variable), then command line flags, in that order of precedence.
 """
 
 from __future__ import annotations
@@ -231,19 +231,16 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
     return docs
 
 
-def _extract(cfg: RunConfig, doc: AnnotatedDoc):
-    if cfg.mode == "pairs":
-        return extract_window_pairs(
-            doc, max_dist=cfg.max_dist, verb_blocker=cfg.verb_blocker
-        )
-    return extract_cooccurrences(doc, window=_parse_context(cfg.context))
-
-
 def _build_graphs(cfg: RunConfig, docs: list[AnnotatedDoc]) -> list[tuple[str, LexicalGraph]]:
-    per_letter = [
-        (doc.letter_id, build_graph(_extract(cfg, doc), token_frequencies([doc])))
-        for doc in docs
-    ]
+    window = _parse_context(cfg.context)
+    per_letter = []
+    for doc in docs:
+        records = (
+            extract_window_pairs(doc, max_dist=cfg.max_dist, verb_blocker=cfg.verb_blocker)
+            if cfg.mode == "pairs"
+            else extract_cooccurrences(doc, window=window)
+        )
+        per_letter.append((doc.letter_id, build_graph(records, token_frequencies([doc]))))
     if cfg.scope == "per-letter":
         graphs = per_letter
     else:
@@ -268,7 +265,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands: each prints its results and returns nothing
 
 
 def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
@@ -298,18 +295,12 @@ def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None
         )
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
-    _preprocess(cfg)
-    return 0
-
-
-def cmd_network(cfg: RunConfig) -> int:
+def cmd_network(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     _export_network(cfg, _load_docs(cfg), out)
-    return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig) -> None:
     if not cfg.gold:
         raise ConfigError("eval needs a gold file (--gold or the gold config key)")
     gold = load_gold(cfg.gold)
@@ -317,10 +308,17 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
     docs = _load_docs(cfg)
-    unloaded = gold_letters - {doc.letter_id for doc in docs}
+    n_sentences = {doc.letter_id: len(doc.sentences) for doc in docs}
+    unloaded = gold_letters - n_sentences.keys()
     if unloaded:
         names = ", ".join(sorted(unloaded))
         raise ConfigError(f"{cfg.gold}: triples for letters that were not loaded: {names}")
+    for t in gold:
+        if t.sent_idx >= n_sentences[t.letter_id]:
+            raise ConfigError(
+                f"{cfg.gold}: letter {t.letter_id} has {n_sentences[t.letter_id]} sentences,"
+                f" so no sentence {t.sent_idx}"
+            )
     docs = [doc for doc in docs if doc.letter_id in gold_letters]
     records = []
     for doc in docs:
@@ -332,29 +330,46 @@ def cmd_eval(cfg: RunConfig) -> int:
     print(text)
     out = _out_dir(cfg)
     write_atomic(out / "eval_report.txt", (text + "\n").encode("utf-8"))
-    return 0
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: RunConfig) -> None:
     docs = _load_docs(cfg)
     for name, graph in _build_graphs(cfg, docs):
         if cfg.scope == "per-letter":
             print(f"== {name} ==")
         print(stats_report(graph, cfg.top), end="")
-    return 0
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: RunConfig) -> None:
     out, docs = _preprocess(cfg)
     _export_network(cfg, docs, out)
-    return 0
+
+
+# command -> (one-line help, handler); the one list of commands, which
+# the parser's choices, its help text and main's dispatch all read
+COMMANDS = {
+    "preprocess": ("annotate letters and write vertical files", _preprocess),
+    "network": ("build, prune and export graphs", cmd_network),
+    "eval": ("score the pair heuristic against gold triples", cmd_eval),
+    "stats": ("print a graph summary", cmd_stats),
+    "run": ("preprocess then network", cmd_run),
+}
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="letternet",
+        usage="%(prog)s COMMAND [OPTIONS]",
+        description="Build lexical networks from corpora of historical letters.",
+        epilog="commands:\n"
+        + "".join(f"  {name:<12}{text}\n" for name, (text, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND", help="see below")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--manifest", metavar="PATH", help="corpus manifest (TSV)")
     parser.add_argument("--out", metavar="DIR", help="output directory")
@@ -411,6 +426,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--abbreviations", metavar="PATH", help="abbreviation list")
     parser.add_argument("--top", type=int, metavar="N", help="list length in reports")
+    return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -424,26 +440,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg._replace(**overrides)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="letternet",
-        description="Build lexical networks from corpora of historical letters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "preprocess": ("annotate letters and write vertical files", cmd_preprocess),
-        "network": ("build, prune and export graphs", cmd_network),
-        "eval": ("score the pair heuristic against gold triples", cmd_eval),
-        "stats": ("print a graph summary", cmd_stats),
-        "run": ("preprocess then network", cmd_run),
-    }
-    for name, (help_text, handler) in commands.items():
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_options(sp)
-        sp.set_defaults(handler=handler)
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
@@ -453,10 +449,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         validate_config(cfg)
-        return args.handler(cfg)
+        COMMANDS[args.command][1](cfg)
     except LetternetError as exc:
         print(f"letternet: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -238,6 +238,9 @@ def load_manifest(path: str | Path) -> Corpus:
         raise ManifestError(f"manifest not found: {p}")
     rows = read_table(p, None, "manifest", ManifestError)
     columns = rows[0][1] if rows else []
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise ManifestError(f"{rows[0][0]}: header names column {name!r} twice")
     missing = [c for c in _MANIFEST_COLUMNS if c not in columns]
     if missing:
         raise ManifestError(f"{p}: manifest misses columns {missing}")

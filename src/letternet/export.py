@@ -59,11 +59,24 @@ DEFAULT_EDGE_COLORS: Mapping[RelationKind, str] = {
     RelationKind.OBJ: "#0000FF",
     RelationKind.COOCCUR: "#888888",
 }
-# class and kind name -> "#RRGGBB", as the writers look colours up
+
+
+def _viz_rgb(color: str) -> str:
+    """"#RRGGBB" as the r, g and b attributes of a viz:color element."""
+    r, g, b = (int(color[i : i + 2], 16) for i in (1, 3, 5))
+    return f'r="{r}" g="{g}" b="{b}"'
+
+
+# class and kind name -> "#RRGGBB", as the writers look colours up, and
+# the same colours as viz:color attributes for GEXF
 _NODE_COLORS = {
     pos.name: DEFAULT_NODE_COLORS.get(pos, DEFAULT_FALLBACK_COLOR) for pos in PosClass
 }
 _EDGE_COLORS = {kind.name: DEFAULT_EDGE_COLORS[kind] for kind in RelationKind}
+_NODE_RGB = {name: _viz_rgb(color) for name, color in _NODE_COLORS.items()}
+_EDGE_RGB = {name: _viz_rgb(color) for name, color in _EDGE_COLORS.items()}
+# kind -> (name, directed), as a sorted view's edge rows hold them
+_KIND_ROWS = {kind: (kind.name, kind in DIRECTED_KINDS) for kind in RelationKind}
 # what XML 1.0 cannot hold, vertical tab and form feed included, and lone surrogates
 _UNWRITABLE_RE = re.compile(f"[\x0b\x0c\ud800-\udfff{_XML_UNWRITABLE}]")
 
@@ -81,12 +94,6 @@ def _node_size(freq: int, lo: int, hi: int) -> float:
     if hi <= lo:
         return 10.0
     return 10.0 + 50.0 * (freq - lo) / (hi - lo)
-
-
-def _viz_rgb(color: str) -> str:
-    """"#RRGGBB" as the r, g and b attributes of a viz:color element."""
-    r, g, b = (int(color[i : i + 2], 16) for i in (1, 3, 5))
-    return f'r="{r}" g="{g}" b="{b}"'
 
 
 class SortedGraph(NamedTuple):
@@ -115,9 +122,8 @@ def sorted_view(graph: GraphLike) -> SortedGraph:
     rows = sorted((*node_order(key), freq, key) for key, freq in graph.nodes.items())
     number = {key: i for i, (_, _, _, key) in enumerate(rows)}
     nodes = [(f"{lemma}::{cls}", lemma, cls, freq) for lemma, cls, freq, _ in rows]
-    kinds = {kind: (kind.name, kind in DIRECTED_KINDS) for kind in RelationKind}
     edges = sorted(
-        (number[src], number[dst], *kinds[kind], weight)
+        (number[src], number[dst], *_KIND_ROWS[kind], weight)
         for (src, dst, kind), weight in graph.edges.items()
     )
     return SortedGraph(nodes=nodes, edges=edges)
@@ -147,8 +153,6 @@ def gexf_bytes(graph: GraphLike) -> bytes:
     freq_min, freq_max = _freq_range(view)
     any_directed = any(directed for _, _, _, directed, _ in view.edges)
     default_type = "directed" if any_directed else "undirected"
-    node_rgb = {name: _viz_rgb(color) for name, color in _NODE_COLORS.items()}
-    edge_rgb = {name: _viz_rgb(color) for name, color in _EDGE_COLORS.items()}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<gexf xmlns="{GEXF_NS}" xmlns:viz="{VIZ_NS}" version="1.2">',
@@ -176,7 +180,7 @@ def gexf_bytes(graph: GraphLike) -> bytes:
             f'          <attvalue for="0" value="{cls}"/>\n'
             f'          <attvalue for="1" value="{freq}"/>\n'
             "        </attvalues>\n"
-            f"        <viz:color {node_rgb[cls]}/>\n"
+            f"        <viz:color {_NODE_RGB[cls]}/>\n"
             f'        <viz:size value="{size:.3f}"/>\n'
             "      </node>"
         )
@@ -190,7 +194,7 @@ def gexf_bytes(graph: GraphLike) -> bytes:
             "        <attvalues>\n"
             f'          <attvalue for="0" value="{kind}"/>\n'
             "        </attvalues>\n"
-            f"        <viz:color {edge_rgb[kind]}/>\n"
+            f"        <viz:color {_EDGE_RGB[kind]}/>\n"
             "      </edge>"
         )
     out.append("    </edges>")

@@ -307,7 +307,9 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
         try:
             sent_idx = int(sent_s)
         except ValueError:
-            raise GoldFormatError(f"{where}: bad sentence index {sent_s!r}") from None
+            sent_idx = -1
+        if sent_idx < 0:
+            raise GoldFormatError(f"{where}: bad sentence index {sent_s!r}")
         if not verb or verb == "-":
             raise GoldFormatError(f"{where}: empty verb lemma")
         try:

@@ -18,7 +18,6 @@ import logging
 import os
 import re
 import string
-import tempfile
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -154,12 +153,14 @@ def read_table(
 def write_atomic(path: str | Path, payload: bytes) -> None:
     """Write a file so that it appears complete or not at all.
 
-    An OSError becomes :class:`ExportError`; whatever goes wrong, the
-    temporary file is removed.
+    The file gets the mode that ``open(path, "wb")`` would give it,
+    0o666 less the umask.  An OSError becomes :class:`ExportError`;
+    whatever goes wrong, the temporary file is removed.
     """
     target = Path(path)
+    tmp_name = target.parent / f"{target.name}.{os.urandom(4).hex()}"
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise ExportError(f"cannot write {target}: {exc}") from exc
     try:

@@ -142,7 +142,15 @@ def test_sample_config_and_readme_name_every_setting():
     assert sorted(keys) == sorted(RunConfig._fields)
 
 
-# flag / config / default precedence
+def test_readme_lists_every_command():
+    # the README's command table and cli.COMMANDS name the same commands
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command ", 1)[1].split("\n\n", 1)[0]
+    names = [row.split("|")[1].split("`")[1] for row in table.splitlines()[2:]]
+    assert names == list(cli.COMMANDS)
+
+
+# the command line, and flag / config / default precedence
 
 
 def resolve(argv):
@@ -169,6 +177,32 @@ def test_boolean_flags_only_flip_when_given():
 def test_format_flag_splits_commas():
     cfg = resolve(["network", "--format", "json, csv"])
     assert cfg.formats == ("json", "csv")
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    options = ["--mode", "pairs", "--format", "json,csv", "--no-blocker", "--top", "3"]
+    assert resolve(options + ["network"]) == resolve(["network"] + options)
+    assert resolve(options[:2] + ["network"] + options[2:]) == resolve(["network"] + options)
+    assert resolve(options + ["network"]).mode == "pairs"
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    stdout = capsys.readouterr().out
+    for name, (help_text, _handler) in cli.COMMANDS.items():
+        assert f"  {name}" in stdout
+        assert help_text in stdout
+    assert "--max-dist N" in stdout
+
+
+def test_malformed_command_line_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["network", "--max-dist", "x"])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "letternet: error: argument --max-dist: invalid int value: 'x'" in stderr
 
 
 def test_env_var_supplies_config(tmp_path, monkeypatch):
@@ -549,6 +583,27 @@ def test_eval_gold_for_unknown_letter(mini_corpus, tmp_path, capsys):
     assert "Z9" in stderr
 
 
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_outputs_get_the_mode_of_a_plain_new_file(mini_corpus, tmp_path, capsys, umask, mode):
+    out = tmp_path / "out"
+    old_umask = os.umask(umask)
+    try:
+        code, _, _ = run_main(
+            ["run", "--manifest", str(mini_corpus), "--out", str(out), "--format", "gexf,csv"],
+            capsys,
+        )
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert sorted(modes) == [
+        "A1.tsv", "B1.tsv", "network.gexf", "network_edges.csv", "network_stats.txt"
+    ]
+    assert set(modes.values()) == {mode}
+
+
 def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -645,6 +700,21 @@ VERTICAL_WITH_CONTROL = (
             ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
             "letternet: error: {bad}: no gold triples\n",
         ),
+        (
+            b"A1\t0\tloue\ttutor\tchild\nA1\t-3\tsee\tchild\t-\n",
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}:2: bad sentence index '-3'\n",
+        ),
+        (
+            b"A1\t0\tloue\ttutor\tchild\nA1\t2\tsee\tchild\t-\n",
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}: letter A1 has 2 sentences, so no sentence 2\n",
+        ),
+        (
+            MANIFEST_HEADER.replace(b"\n", b"\tfile\n") + b"A1\tDury\t-\t1630\tfalse\ten\ta\tb\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:1: header names column 'file' twice\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -672,6 +742,9 @@ VERTICAL_WITH_CONTROL = (
         "anaphora-unknown-letter",
         "gold-unknown-letter",
         "gold-empty",
+        "gold-negative-sentence",
+        "gold-sentence-past-the-letter",
+        "manifest-column-twice",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
