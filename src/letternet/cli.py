@@ -52,6 +52,7 @@ from letternet.pipeline import (
     LetternetError,
     default_annotator,
     ingest_pretagged,
+    parse_index,
     read_input,
     write_atomic,
     write_vertical,
@@ -161,10 +162,9 @@ def _parse_context(text: str) -> int | None:
     if text == "sentence":
         return None
     if text.startswith("window:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad context {text!r}") from None
+        k = parse_index(text[len("window:") :])
+        if k is None:
+            raise ConfigError(f"bad context {text!r}")
         if k < 1:
             raise ConfigError(f"window size must be >= 1, got {k}")
         return k

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from letternet.pipeline import LetternetError, _Record, read_input, read_table
+from letternet.pipeline import LetternetError, _Record, parse_index, read_input, read_table
 
 log = logging.getLogger(__name__)
 
@@ -250,10 +250,9 @@ def load_manifest(path: str | Path) -> Corpus:
         letter_id = row["letter_id"]
         if not letter_id:
             raise ManifestError(f"{where}: empty letter_id")
-        try:
-            year = int(row["year"])
-        except ValueError:
-            raise ManifestError(f"{where}: bad year {row['year']!r}") from None
+        year = parse_index(row["year"])
+        if year is None:
+            raise ManifestError(f"{where}: bad year {row['year']!r}")
         addressee = row["addressee"]
         try:
             meta = LetterMeta(

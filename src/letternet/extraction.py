@@ -16,7 +16,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from letternet.pipeline import AnnotatedDoc, LetternetError, PosClass, Token, read_table
+from letternet.pipeline import (
+    AnnotatedDoc, LetternetError, PosClass, Token, parse_index, read_table,
+)
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +82,8 @@ def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Count
     """Co-occurrence edge weights for the content words of a letter.
 
     With ``window=None`` the context is the whole sentence; otherwise
-    two tokens co-occur when their positions differ by at most
-    ``window`` (``tok_idx`` must increase along each sentence, as the
-    annotator and the vertical reader produce it).  Only tokens of the
+    two tokens co-occur when their positions, their indices in the
+    sentence, differ by at most ``window``.  Only tokens of the
     content classes (``DEFAULT_CONTENT_CLASSES``: NOUN, VERB, ADJ) take
     part.  Each unordered pair of token occurrences adds 1 to the weight
     of its ``(src, dst, COOCCUR)`` key, whose endpoints are in canonical
@@ -110,8 +111,8 @@ def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Count
                     weights[(a, b, cooccur)] += n_a * n_b
         else:
             content = [
-                ((t.lemma, t.pos), node_order((t.lemma, t.pos)), t.tok_idx)
-                for t in sentence
+                ((t.lemma, t.pos), node_order((t.lemma, t.pos)), i)
+                for i, t in enumerate(sentence)
                 if t.pos in DEFAULT_CONTENT_CLASSES
             ]
             for i, (a, order_a, pos_a) in enumerate(content):
@@ -166,7 +167,7 @@ def extract_window_pairs(
     if max_dist < 0:
         raise ValueError(f"max_dist must be >= 0, got {max_dist}")
     records: list[PairRecord] = []
-    for sentence in doc.sentences:
+    for sent_idx, sentence in enumerate(doc.sentences):
         for i, token in enumerate(sentence):
             if token.pos is not PosClass.VERB:
                 continue
@@ -177,7 +178,7 @@ def extract_window_pairs(
                     records.append(
                         PairRecord(
                             src.lemma, src.pos, dst.lemma, dst.pos,
-                            kind, doc.letter_id, token.sent_idx,
+                            kind, doc.letter_id, sent_idx,
                         )
                     )
     return records
@@ -205,20 +206,26 @@ class AnaphoraMap(NamedTuple):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AnaphoraMap":
-        """Read a four-column file: letter_id, sent_idx, tok_idx, lemma."""
+        """Read a four-column file: letter_id, sent_idx, tok_idx, lemma.
+
+        The indices are ASCII digits, and a position has at most one row.
+        """
         entries: dict[tuple[str, int, int], str] = {}
         for where, (letter_id, sent_s, tok_s, lemma) in read_table(
             path, 4, "anaphora file", AnaphoraError
         ):
-            try:
-                sent_idx, tok_idx = int(sent_s), int(tok_s)
-            except ValueError:
-                raise AnaphoraError(
-                    f"{where}: bad token position {sent_s!r}/{tok_s!r}"
-                ) from None
+            sent_idx, tok_idx = parse_index(sent_s), parse_index(tok_s)
+            if sent_idx is None or tok_idx is None:
+                raise AnaphoraError(f"{where}: bad token position {sent_s!r}/{tok_s!r}")
             if not lemma or lemma == "-":
                 raise AnaphoraError(f"{where}: empty replacement lemma")
-            entries[(letter_id, sent_idx, tok_idx)] = lemma.lower()
+            key = (letter_id, sent_idx, tok_idx)
+            if key in entries:
+                raise AnaphoraError(
+                    f"{where}: sentence {sent_idx}, token {tok_idx} of {letter_id}"
+                    " repeats an earlier row"
+                )
+            entries[key] = lemma.lower()
         return cls(entries=entries)
 
 
@@ -234,12 +241,13 @@ def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
     targets = amap.for_letter(doc.letter_id)
     if not targets:
         return doc
-    for (sent_idx, tok_idx) in targets:
-        if sent_idx < 0 or sent_idx >= len(doc.sentences):
+    sentences = list(doc.sentences)
+    for (sent_idx, tok_idx), lemma in targets.items():
+        if sent_idx < 0 or sent_idx >= len(sentences):
             raise AnaphoraError(
                 f"{doc.letter_id}: no sentence {sent_idx} for anaphora target"
             )
-        sentence = doc.sentences[sent_idx]
+        sentence = sentences[sent_idx]
         if tok_idx < 0 or tok_idx >= len(sentence):
             raise AnaphoraError(
                 f"{doc.letter_id}: no token {tok_idx} in sentence {sent_idx}"
@@ -250,16 +258,9 @@ def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
                 f"{doc.letter_id}: anaphora target at sentence {sent_idx}, "
                 f"token {tok_idx} is {token.pos.name}, not PRON"
             )
-    new_sentences = []
-    for sent_idx, sentence in enumerate(doc.sentences):
-        new_sentence = []
-        for token in sentence:
-            lemma = targets.get((sent_idx, token.tok_idx))
-            if lemma is not None:
-                token = token._replace(normalized=lemma, lemma=lemma, pos=PosClass.NOUN)
-            new_sentence.append(token)
-        new_sentences.append(tuple(new_sentence))
-    return AnnotatedDoc(letter_id=doc.letter_id, sentences=tuple(new_sentences))
+        noun = token._replace(normalized=lemma, lemma=lemma, pos=PosClass.NOUN)
+        sentences[sent_idx] = (*sentence[:tok_idx], noun, *sentence[tok_idx + 1 :])
+    return AnnotatedDoc(letter_id=doc.letter_id, sentences=tuple(sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +305,8 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
     for where, (letter_id, sent_s, verb, subj, obj) in read_table(
         path, 5, "gold file", GoldFormatError
     ):
-        try:
-            sent_idx = int(sent_s)
-        except ValueError:
-            sent_idx = -1
-        if sent_idx < 0:
+        sent_idx = parse_index(sent_s)
+        if sent_idx is None:
             raise GoldFormatError(f"{where}: bad sentence index {sent_s!r}")
         if not verb or verb == "-":
             raise GoldFormatError(f"{where}: empty verb lemma")

@@ -150,6 +150,15 @@ def read_table(
     return rows
 
 
+def parse_index(text: str) -> int | None:
+    """The number a field of ASCII digits spells, or None for any other text.
+
+    ``int`` alone would also take a sign, underscores, surrounding
+    spaces and the digits of other scripts.
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def write_atomic(path: str | Path, payload: bytes) -> None:
     """Write a file so that it appears complete or not at all.
 
@@ -181,17 +190,16 @@ class Token(NamedTuple):
     """One annotated token, as an immutable named tuple.
 
     ``surface`` is the form as transcribed, ``normalized`` the
-    modernised spelling, ``lemma`` the dictionary head word.  Indices
-    locate the token: ``sent_idx`` within the document, ``tok_idx``
-    within its sentence.
+    modernised spelling, ``lemma`` the dictionary head word.  A token
+    does not record where it stands: its position is its index in
+    ``AnnotatedDoc.sentences`` and in its sentence, so every occurrence
+    of a form can be the same object.
     """
 
     surface: str
     normalized: str
     lemma: str
     pos: PosClass
-    sent_idx: int
-    tok_idx: int
 
 
 class _Record:
@@ -380,14 +388,18 @@ class VariantLexicon:
     def from_file(cls, path: str | Path) -> "VariantLexicon":
         """Read a four-column file: historical, normalized, pos, lemma.
 
-        "-" leaves pos or lemma open; "#" starts a comment line.
+        "-" leaves pos or lemma open; "#" starts a comment line.  Two
+        rows for one historical form, ignoring case, are an error.
         """
         entries: dict[str, VariantEntry] = {}
         rows = read_table(path, 4, "lexicon", LexiconFormatError)
         for where, (historical, normalized, label, lemma) in rows:
             if not historical or not normalized:
                 raise LexiconFormatError(f"{where}: empty form")
-            entries[historical] = VariantEntry(
+            key = historical.casefold()
+            if key in entries:
+                raise LexiconFormatError(f"{where}: {historical!r} repeats an earlier row")
+            entries[key] = VariantEntry(
                 normalized=normalized.lower(),
                 pos=None if label == "-" else _word_class(label, where),
                 lemma=None if lemma == "-" else lemma.lower(),
@@ -497,9 +509,14 @@ class RuleTagger:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RuleTagger":
-        """Read a two-column word class list (word, class)."""
-        rows = read_table(path, 2, "word list", LexiconFormatError)
-        return cls({word: _word_class(label, where) for where, (word, label) in rows})
+        """Read a two-column word class list (word, class), one row per word ignoring case."""
+        lexicon: dict[str, PosClass] = {}
+        for where, (word, label) in read_table(path, 2, "word list", LexiconFormatError):
+            key = word.casefold()
+            if key in lexicon:
+                raise LexiconFormatError(f"{where}: {word!r} repeats an earlier row")
+            lexicon[key] = _word_class(label, where)
+        return cls(lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +608,20 @@ class Lemmatizer:
     def from_file(
         cls, path: str | Path, known_as: Callable[[str, PosClass], bool]
     ) -> "Lemmatizer":
-        """Read a three-column exception list (form, class-or-"-", lemma)."""
+        """Read a three-column exception list (form, class-or-"-", lemma).
+
+        Two rows for one form, ignoring case, and class are an error.
+        """
         exceptions: dict[tuple[str, PosClass | None], str] = {}
         for where, (form, label, lemma) in read_table(
             path, 3, "exceptions", LexiconFormatError
         ):
-            pos = None if label == "-" else _word_class(label, where)
-            exceptions[(form.casefold(), pos)] = lemma.casefold()
+            key = (form.casefold(), None if label == "-" else _word_class(label, where))
+            if key in exceptions:
+                raise LexiconFormatError(
+                    f"{where}: {form!r} as {label} repeats an earlier row"
+                )
+            exceptions[key] = lemma.casefold()
         return cls(exceptions, known_as)
 
 
@@ -612,12 +636,12 @@ class Annotator(_Frozen):
     variant lexicon wins where it has an entry (and may force class and
     lemma); everything else goes through spelling modernisation against
     the tagger's word list, the tagger and the lemmatiser.  None of this
-    looks at a token's neighbours, so the (normalized, lemma, pos) of
-    each surface form, as transcribed, is memoized on the annotator and
-    lives as long as it does.  The annotator is frozen, so its lexicons
-    cannot change under the memo, and a new annotator starts with an
-    empty one.  The memo takes no part in equality, hashing, ``repr`` or
-    pickling.
+    looks at a token's neighbours, so the :class:`Token` of each surface
+    form, as transcribed, is memoized on the annotator and lives as long
+    as it does: every occurrence of a form is the same object.  The
+    annotator is frozen, so its lexicons cannot change under the memo,
+    and a new annotator starts with an empty one.  The memo takes no
+    part in equality, hashing, ``repr`` or pickling.
     """
 
     _fields = ("lexicon", "tagger", "lemmatizer", "split")
@@ -655,13 +679,13 @@ class Annotator(_Frozen):
     def annotate_text(self, letter_id: str, text: str) -> AnnotatedDoc:
         forms, resolve = self._forms, self._resolve
         sentences = []
-        for sent_idx, sentence in enumerate(split_sentences(text, self.split)):
+        for sentence in split_sentences(text, self.split):
             tokens = []
-            for idx, surface in enumerate(tokenize(sentence)):
-                form = forms.get(surface)
-                if form is None:
-                    form = forms[surface] = resolve(surface)
-                tokens.append(Token(surface, *form, sent_idx, idx))
+            for surface in tokenize(sentence):
+                token = forms.get(surface)
+                if token is None:
+                    token = forms[surface] = Token(surface, *resolve(surface))
+                tokens.append(token)
             sentences.append(tuple(tokens))
         return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
 
@@ -765,7 +789,7 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
         if pos is None:
             log.warning("%s:%d: unknown word class %r, using OTHER", p, lineno, label)
             pos = PosClass.OTHER
-        current.append(Token(surface, normalized, lemma, pos, len(sentences), len(current)))
+        current.append(Token(surface, normalized, lemma, pos))
     if current:
         sentences.append(tuple(current))
     if not sentences:

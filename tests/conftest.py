@@ -12,29 +12,19 @@ N = PosClass.NOUN
 V = PosClass.VERB
 
 
-def mk_sentence(spec, sent_idx=0):
+def mk_sentence(spec):
     """Build a token tuple from (lemma, PosClass) pairs.
 
     Surface and normalized forms reuse the lemma; good enough for
     extraction and graph tests that never look at spelling.
     """
-    toks = []
-    for tok_idx, (lemma, pos) in enumerate(spec):
-        toks.append(
-            Token(
-                surface=lemma,
-                normalized=lemma,
-                lemma=lemma,
-                pos=pos,
-                sent_idx=sent_idx,
-                tok_idx=tok_idx,
-            )
-        )
-    return tuple(toks)
+    return tuple(
+        Token(surface=lemma, normalized=lemma, lemma=lemma, pos=pos) for lemma, pos in spec
+    )
 
 
 def mk_doc(*sentences, letter_id="T1"):
-    sents = tuple(mk_sentence(spec, i) for i, spec in enumerate(sentences))
+    sents = tuple(mk_sentence(spec) for spec in sentences)
     return AnnotatedDoc(letter_id=letter_id, sentences=sents)
 
 

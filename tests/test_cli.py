@@ -715,6 +715,36 @@ VERTICAL_WITH_CONTROL = (
             ["network", "--manifest", "{bad}", "--out", "{out}"],
             "letternet: error: {bad}:1: header names column 'file' twice\n",
         ),
+        (
+            MANIFEST_HEADER + b"A1\tDury\t-\t1_6_3_0\tfalse\ten\ta.txt\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:2: bad year '1_6_3_0'\n",
+        ),
+        (
+            "A1\t0\tloue\ttutor\tchild\nA1\t\u0663\tsee\tchild\t-\n".encode("utf-8"),
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}:2: bad sentence index '\u0663'\n",
+        ),
+        (
+            b"A1\t0\t+5\ttutor\n",
+            NETWORK + ["--mode", "pairs", "--anaphora", "{bad}"],
+            "letternet: error: {bad}:1: bad token position '0'/'+5'\n",
+        ),
+        (
+            None,
+            NETWORK + ["--context", "window: 7"],
+            "letternet: error: bad context 'window: 7'\n",
+        ),
+        (
+            b"A1\t0\t0\ttutor\nA1\t0\t0\tzzz\n",
+            NETWORK + ["--mode", "pairs", "--anaphora", "{bad}"],
+            "letternet: error: {bad}:2: sentence 0, token 0 of A1 repeats an earlier row\n",
+        ),
+        (
+            b"Vse\tuse\tVERB\t-\nvse\tvouch\tNOUN\t-\n",
+            NETWORK + ["--variant-lexicon", "{bad}"],
+            "letternet: error: {bad}:2: 'vse' repeats an earlier row\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -745,6 +775,12 @@ VERTICAL_WITH_CONTROL = (
         "gold-negative-sentence",
         "gold-sentence-past-the-letter",
         "manifest-column-twice",
+        "manifest-year-not-ascii-digits",
+        "gold-sentence-not-ascii-digits",
+        "anaphora-index-with-sign",
+        "context-window-with-space",
+        "anaphora-repeated-position",
+        "lexicon-repeated-form",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):

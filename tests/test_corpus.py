@@ -175,7 +175,7 @@ def test_load_letter_with_byte_order_mark(tmp_path, annotator):
     letter = load_letter(marked, meta())
     assert letter == load_letter(plain, meta())
     assert letter.raw_text == text
-    # no U+FEFF token at tok_idx 0 to shift the positions anaphora tables use
+    # no U+FEFF token at index 0 to shift the positions anaphora tables use
     assert annotator.annotate(letter) == annotator.annotate(load_letter(plain, meta()))
     # a decoding error still gives the offset in the file, mark included
     marked.write_bytes(codecs.BOM_UTF8 + b"ok \xff")

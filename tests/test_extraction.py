@@ -125,16 +125,16 @@ def test_cooccur_bad_window():
 def cooccurrence_records(doc, window=None):
     """One COOCCUR record for every pair of content tokens in context."""
     records = []
-    for sentence in doc.sentences:
-        content = [t for t in sentence if t.pos in DEFAULT_CONTENT_CLASSES]
-        for a, b in combinations(content, 2):
-            if window is not None and abs(a.tok_idx - b.tok_idx) > window:
+    for sent_idx, sentence in enumerate(doc.sentences):
+        content = [(i, t) for i, t in enumerate(sentence) if t.pos in DEFAULT_CONTENT_CLASSES]
+        for (i, a), (j, b) in combinations(content, 2):
+            if window is not None and abs(i - j) > window:
                 continue
             first, second = sorted((a, b), key=lambda t: (t.lemma, t.pos.name))
             records.append(
                 PairRecord(
                     first.lemma, first.pos, second.lemma, second.pos, C,
-                    doc.letter_id, a.sent_idx,
+                    doc.letter_id, sent_idx,
                 )
             )
     return records
@@ -256,15 +256,15 @@ def test_pairs_reading_order_and_determinism():
 
 def brute_force_pairs(doc, max_dist=4, verb_blocker=True):
     out = []
-    for sent in doc.sentences:
-        for v in sent:
+    for sent_idx, sent in enumerate(doc.sentences):
+        for v_idx, v in enumerate(sent):
             if v.pos is not PosClass.VERB:
                 continue
             for step in (-1, 1):
-                j = v.tok_idx + step
+                j = v_idx + step
                 found = None
                 while 0 <= j < len(sent):
-                    if abs(j - v.tok_idx) - 1 > max_dist:
+                    if abs(j - v_idx) - 1 > max_dist:
                         break
                     tok = sent[j]
                     if tok.pos is PosClass.VERB and verb_blocker:
@@ -278,12 +278,12 @@ def brute_force_pairs(doc, max_dist=4, verb_blocker=True):
                 if step < 0:
                     rec = PairRecord(
                         found.lemma, found.pos, v.lemma, v.pos, S,
-                        doc.letter_id, v.sent_idx,
+                        doc.letter_id, sent_idx,
                     )
                 else:
                     rec = PairRecord(
                         v.lemma, v.pos, found.lemma, found.pos, O,
-                        doc.letter_id, v.sent_idx,
+                        doc.letter_id, sent_idx,
                     )
                 out.append(rec)
     return out
@@ -318,7 +318,7 @@ def test_apply_anaphora_replaces_pronoun():
     assert tok.pos is N
     assert tok.surface == "he"
     assert type(tok) is Token
-    assert tok == Token(surface="he", normalized="tutor", lemma="tutor", pos=N, sent_idx=0, tok_idx=0)
+    assert tok == Token(surface="he", normalized="tutor", lemma="tutor", pos=N)
     # source doc untouched
     assert doc.sentences[0][0].pos is PRON
 
@@ -366,6 +366,9 @@ def test_anaphora_map_file_errors(tmp_path):
         AnaphoraMap.from_file(p)
     p.write_text("L01\tx\t1\ttutor\n", encoding="utf-8")
     with pytest.raises(AnaphoraError):
+        AnaphoraMap.from_file(p)
+    p.write_text("L01\t1\t15\ttutor\nL02\t1\t15\tchild\nL01\t1\t15\tzzz\n", encoding="utf-8")
+    with pytest.raises(AnaphoraError, match=r"a\.tsv:3: sentence 1, token 15 of L01 repeats"):
         AnaphoraMap.from_file(p)
 
 

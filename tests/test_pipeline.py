@@ -280,6 +280,10 @@ def test_variant_file_errors(tmp_path):
     p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x0ctor\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: control character U\+000C"):
         VariantLexicon.from_file(p)
+    # keys are case-folded, so the second row would silently win
+    p.write_text("Vse\tuse\tVERB\t-\nvse\tvouch\tNOUN\t-\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: 'vse' repeats an earlier row"):
+        VariantLexicon.from_file(p)
 
 
 def test_variant_lexicon_rows_end_only_at_line_breaks(tmp_path):
@@ -390,6 +394,9 @@ def test_tagger_file_errors(tmp_path):
     p.write_text("word\tNOPE\n", encoding="utf-8")
     with pytest.raises(LexiconFormatError, match="NOPE"):
         RuleTagger.from_file(p)
+    p.write_text("the\tDET\n# a note\nThe\tNOUN\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=r"t\.tsv:3: 'The' repeats an earlier row"):
+        RuleTagger.from_file(p)
 
 
 # lemmatization
@@ -405,6 +412,16 @@ def test_lemma_exceptions(lemmatizer):
     assert lemmatizer.lemmatize("went", PosClass.VERB) == "go"
     assert lemmatizer.lemmatize("children", PosClass.NOUN) == "child"
     assert lemmatizer.lemmatize("men", PosClass.NOUN) == "man"
+
+
+def test_lemma_exception_file_errors(tmp_path, tagger):
+    p = tmp_path / "e.tsv"
+    # one row per form and class: "-" is a class of its own
+    p.write_text("went\tVERB\tgo\nwent\t-\tgo\n", encoding="utf-8")
+    assert len(Lemmatizer.from_file(p, known_as=tagger.known_as).exceptions) == 2
+    p.write_text("went\tVERB\tgo\nWent\tVERB\twend\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=r"e\.tsv:2: 'Went' as VERB repeats an earlier row"):
+        Lemmatizer.from_file(p, known_as=tagger.known_as)
 
 
 def test_lemma_verb_rules(lemmatizer):
@@ -468,21 +485,23 @@ def test_variant_beats_swap_rule(annotator):
 
 
 def test_token_indices(annotator):
+    # a token's position is its index in doc.sentences and in its sentence
     doc = _annotate_one(annotator, "One two. Three four.")
-    assert [t.sent_idx for t in doc.sentences[0]] == [0, 0, 0]
-    assert [t.tok_idx for t in doc.sentences[1]] == [0, 1, 2]
+    assert [[t.surface for t in s] for s in doc.sentences] == [
+        ["One", "two", "."],
+        ["Three", "four", "."],
+    ]
 
 
 def test_token_is_an_immutable_named_tuple():
-    tok = Token(surface="Vse", normalized="use", lemma="use", pos=PosClass.VERB, sent_idx=0, tok_idx=1)
+    tok = Token(surface="Vse", normalized="use", lemma="use", pos=PosClass.VERB)
     with pytest.raises(AttributeError):
         tok.lemma = "x"
-    twin = Token("Vse", "use", "use", PosClass.VERB, 0, 1)
+    twin = Token("Vse", "use", "use", PosClass.VERB)
     assert tok == twin and hash(tok) == hash(twin)
-    assert tok != Token("Vse", "use", "use", PosClass.VERB, 0, 2)
+    assert tok != Token("Vse", "use", "use", PosClass.NOUN)
     assert repr(tok) == (
-        "Token(surface='Vse', normalized='use', lemma='use', "
-        "pos=<PosClass.VERB: 'VERB'>, sent_idx=0, tok_idx=1)"
+        "Token(surface='Vse', normalized='use', lemma='use', pos=<PosClass.VERB: 'VERB'>)"
     )
     doc = AnnotatedDoc(letter_id="D", sentences=((tok,),))
     assert hash(doc) == hash(AnnotatedDoc(letter_id="D", sentences=((twin,),)))
@@ -493,9 +512,9 @@ def ref_annotate_text(annotator, letter_id, text):
     lookup, known = annotator.lexicon.lookup, annotator.tagger.known
     tag, lemmatize = annotator.tagger.tag, annotator.lemmatizer.lemmatize
     sentences = []
-    for sent_idx, sentence in enumerate(ref_split_sentences(text, annotator.split)):
+    for sentence in ref_split_sentences(text, annotator.split):
         tokens = []
-        for idx, surface in enumerate(tokenize(sentence)):
+        for surface in tokenize(sentence):
             if surface == "&":
                 normalized, pos, lemma = "&", PosClass.CONJ, "&"
             elif surface.isdigit():
@@ -513,7 +532,7 @@ def ref_annotate_text(annotator, letter_id, text):
                     pos = tag(normalized)
                 if lemma is None:
                     lemma = lemmatize(normalized, pos)
-            tokens.append(Token(surface, normalized, lemma, pos, sent_idx, idx))
+            tokens.append(Token(surface, normalized, lemma, pos))
         sentences.append(tuple(tokens))
     return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
 
@@ -557,6 +576,19 @@ def test_annotators_keep_their_own_memo(tmp_path):
     assert [t.lemma for t in other.tokens() if t.surface.lower() == "vse"] == ["vouch", "vouch"]
 
 
+def test_one_token_per_form():
+    annotator = default_annotator()
+    texts = ["Vse it, vse it. The Tutour doth vse it.", "I vse the Tutour, & it."]
+    docs = [annotator.annotate_text(f"L{i}", text) for i, text in enumerate(texts)]
+    first = {}
+    for token in (t for doc in docs for t in doc.tokens()):
+        assert token is first.setdefault(token.surface, token)
+    assert docs[1].sentences[0][1] is docs[0].sentences[0][3]  # "vse" in both letters
+    fresh = default_annotator().annotate_text("L0", texts[0])
+    assert fresh == docs[0]
+    assert all(a is not b for a, b in zip(fresh.tokens(), docs[0].tokens()))
+
+
 def test_annotator_is_frozen(annotator):
     with pytest.raises(AttributeError):
         annotator.lexicon = VariantLexicon()
@@ -591,7 +623,9 @@ def test_ingest_comment_needs_other_than_four_fields(tmp_path):
         encoding="utf-8",
     )
     doc = ingest_pretagged(p)
-    assert [(t.surface, t.tok_idx) for t in doc.tokens()] == [("a", 0), ("#", 1)]
+    assert doc.sentences == (
+        (Token("a", "a", "a", PosClass.NOUN), Token("#", "#", "#", PosClass.PUNCT)),
+    )
 
 
 # Pieces of letter text: words (some with letters outside ASCII, or
@@ -647,16 +681,7 @@ def ref_ingest_pretagged(path, letter_id=None):
         except KeyError:
             log.warning("%s:%d: unknown word class %r, using OTHER", p, lineno, label)
             pos = PosClass.OTHER
-        current.append(
-            Token(
-                surface=surface,
-                normalized=normalized,
-                lemma=lemma,
-                pos=pos,
-                sent_idx=len(sentences),
-                tok_idx=len(current),
-            )
-        )
+        current.append(Token(surface=surface, normalized=normalized, lemma=lemma, pos=pos))
     flush()
     if not sentences:
         log.warning("%s: no tokens found", p)
@@ -730,8 +755,8 @@ def test_ingest_rows_end_only_at_line_breaks(tmp_path):
     p.write_text("# letter U\nvse\tuse\tu\x85se\tVERB\n\nit\tit\tit\tPRON\n", encoding="utf-8")
     doc = ingest_pretagged(p)
     assert doc.sentences == (
-        (Token("vse", "use", "u\x85se", PosClass.VERB, 0, 0),),
-        (Token("it", "it", "it", PosClass.PRON, 1, 0),),
+        (Token("vse", "use", "u\x85se", PosClass.VERB),),
+        (Token("it", "it", "it", PosClass.PRON),),
     )
 
 

@@ -59,7 +59,7 @@ def _instances(annotator):
         "LexicalGraph": LexicalGraph(nodes={("man", N): 2}, edges={}),
         "Threshold": Threshold(2.0),
         "MeanSd": MeanSd(2.0),
-        "AnnotatedDoc": AnnotatedDoc("A", ((Token("Man", "man", "man", N, 0, 0),),)),
+        "AnnotatedDoc": AnnotatedDoc("A", ((Token("Man", "man", "man", N),),)),
         "SplitConfig": SplitConfig(colon_boundary=True, abbreviations=frozenset({"mr"})),
         "VariantEntry": VariantEntry("use", PosClass.VERB, None),
         # the lexicons compare by identity, so both instances share them
@@ -114,7 +114,7 @@ def test_threshold_and_mean_sd_differ():
 
 
 def test_annotated_doc_length_counts_tokens():
-    token = Token("a", "a", "a", N, 0, 0)
+    token = Token("a", "a", "a", N)
     assert len(AnnotatedDoc("A", ((token, token), (token,)))) == 3
 
 
