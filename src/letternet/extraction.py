@@ -14,7 +14,7 @@ import enum
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from letternet.pipeline import (
     AnnotatedDoc, LetternetError, PosClass, Token, parse_index, read_table,
@@ -78,38 +78,39 @@ def node_order(key: NodeKey) -> tuple[str, str]:
     return (key[0], key[1]._name_)
 
 
-def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Counter[EdgeKey]:
-    """Co-occurrence edge weights for the content words of a letter.
+def cooccurrence_kernel(window: int | None = None) -> Callable[[AnnotatedDoc, Counter], set]:
+    """The co-occurrence counter for one context.
 
     With ``window=None`` the context is the whole sentence; otherwise
     two tokens co-occur when their positions, their indices in the
     sentence, differ by at most ``window``.  Only tokens of the
     content classes (``DEFAULT_CONTENT_CLASSES``: NOUN, VERB, ADJ) take
-    part.  Each unordered pair of token occurrences adds 1 to the weight
-    of its ``(src, dst, COOCCUR)`` key, whose endpoints are in canonical
-    :func:`node_order`.  Two occurrences of the same lemma still co-occur
-    (a node may pair with itself).
-
-    In a sentence where node a occurs n_a times, a pair a != b gains
-    n_a * n_b and a self-pair C(n_a, 2), so the sentence context is
-    counted without visiting every token pair.
+    part.  Called on a letter and a table, the kernel adds 1 per
+    unordered pair of token occurrences to its ``(src, dst, COOCCUR)``
+    key, endpoints in canonical :func:`node_order`, and returns the
+    nodes that are in a pair.  Two occurrences of the same lemma still
+    co-occur (a node may pair with itself).
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     cooccur = RelationKind.COOCCUR
-    weights: Counter[EdgeKey] = Counter()
-    for sentence in doc.sentences:
-        if window is None:
-            counts = Counter(
-                (t.lemma, t.pos) for t in sentence if t.pos in DEFAULT_CONTENT_CLASSES
+
+    def in_sentences(doc: AnnotatedDoc, weights: Counter) -> set:
+        touched = set()
+        for sentence in doc.sentences:
+            # in node_order, each pair below is a canonical key; update counts them in C
+            keys = sorted(
+                [(t.lemma, t.pos) for t in sentence if t.pos in DEFAULT_CONTENT_CLASSES],
+                key=node_order,
             )
-            nodes = sorted(counts.items(), key=lambda kv: node_order(kv[0]))
-            for i, (a, n_a) in enumerate(nodes):
-                if n_a > 1:
-                    weights[(a, a, cooccur)] += n_a * (n_a - 1) // 2
-                for b, n_b in nodes[i + 1 :]:
-                    weights[(a, b, cooccur)] += n_a * n_b
-        else:
+            if len(keys) > 1:
+                touched.update(keys)
+                weights.update([(a, b, cooccur) for i, a in enumerate(keys) for b in keys[i + 1 :]])
+        return touched
+
+    def in_windows(doc: AnnotatedDoc, weights: Counter) -> set:
+        touched = set()
+        for sentence in doc.sentences:
             content = [
                 ((t.lemma, t.pos), node_order((t.lemma, t.pos)), i)
                 for i, t in enumerate(sentence)
@@ -119,8 +120,18 @@ def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Count
                 for b, order_b, pos_b in content[i + 1 :]:
                     if pos_b - pos_a > window:
                         break
+                    touched.update((a, b))
                     edge = (a, b, cooccur) if order_a <= order_b else (b, a, cooccur)
-                    weights[edge] += 1
+                    weights[edge] = weights.get(edge, 0) + 1
+        return touched
+
+    return in_sentences if window is None else in_windows
+
+
+def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Counter[EdgeKey]:
+    """Co-occurrence edge weights of one letter, by :func:`cooccurrence_kernel`."""
+    weights: Counter[EdgeKey] = Counter()
+    cooccurrence_kernel(window)(doc, weights)
     return weights
 
 

@@ -16,14 +16,17 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from letternet.extraction import (
+    DEFAULT_MAX_DISTANCE,
     DIRECTED_KINDS,
     EdgeKey,
     NodeKey,
     PairRecord,
     RelationKind,
+    cooccurrence_kernel,
+    extract_window_pairs,
     node_order,
 )
 from letternet.pipeline import AnnotatedDoc, LetternetError, _Frozen, _Record
@@ -85,16 +88,17 @@ def token_frequencies(docs: Iterable[AnnotatedDoc]) -> Counter:
     return Counter((token.lemma, token.pos) for doc in docs for token in doc.tokens())
 
 
-def _edge_weights(records: Iterable[PairRecord]) -> Counter[EdgeKey]:
-    """One unit of weight per record, COOCCUR endpoints in canonical order."""
-    weights: Counter[EdgeKey] = Counter()
+def _add_records(records: Iterable[PairRecord], weights: Counter[EdgeKey]) -> set[NodeKey]:
+    """Add 1 per record to its edge, COOCCUR endpoints in canonical order; return the endpoints."""
+    touched = set()
     for record in records:
         src = (record.src_lemma, record.src_pos)
         dst = (record.dst_lemma, record.dst_pos)
         if record.kind is RelationKind.COOCCUR and node_order(src) > node_order(dst):
             src, dst = dst, src
         weights[(src, dst, record.kind)] += 1
-    return weights
+        touched.update((src, dst))
+    return touched
 
 
 def build_graph(
@@ -114,7 +118,10 @@ def build_graph(
     extracted from); an endpoint without frequency data raises
     :class:`GraphBuildError` naming the lemma.
     """
-    weights = edges if isinstance(edges, Mapping) else _edge_weights(edges)
+    weights = edges
+    if not isinstance(edges, Mapping):
+        weights = Counter()
+        _add_records(edges, weights)
     nodes: dict[NodeKey, int] = {}
     for src, dst, _kind in weights:
         for key in (src, dst):
@@ -126,6 +133,35 @@ def build_graph(
                     )
                 nodes[key] = int(freq)
     return LexicalGraph(nodes=nodes, edges=dict(weights))
+
+
+def _fold(docs: Iterable[AnnotatedDoc], kernel: Callable) -> LexicalGraph:
+    # The kernel adds a letter's edge weights to the one shared table and
+    # returns the nodes it touched; only those gain the letter's token
+    # counts, as merge_graphs over per-letter build_graph results would.
+    nodes: dict[NodeKey, int] = {}
+    edges: Counter[EdgeKey] = Counter()
+    for doc in docs:
+        touched = kernel(doc, edges)
+        freqs = token_frequencies([doc]) if touched else {}
+        for key in touched:
+            nodes[key] = nodes.get(key, 0) + freqs[key]
+    return LexicalGraph(nodes=nodes, edges=dict(edges))
+
+
+def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) -> LexicalGraph:
+    """:func:`merge_graphs` of each letter's co-occurrence graph, counted in one pass."""
+    return _fold(docs, cooccurrence_kernel(window))
+
+
+def pair_graph(
+    docs: Iterable[AnnotatedDoc], max_dist: int = DEFAULT_MAX_DISTANCE, verb_blocker: bool = True
+) -> LexicalGraph:
+    """:func:`merge_graphs` of each letter's graph of window pairs, counted in one pass."""
+    return _fold(
+        docs,
+        lambda doc, edges: _add_records(extract_window_pairs(doc, max_dist, verb_blocker), edges),
+    )
 
 
 def merge_graphs(graphs: Sequence[LexicalGraph]) -> LexicalGraph:

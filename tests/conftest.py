@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from letternet.network import LexicalGraph
 from letternet.pipeline import AnnotatedDoc, PosClass, Token, data_path
-from letternet.extraction import RelationKind
+from letternet.extraction import DEFAULT_CONTENT_CLASSES, PairRecord, RelationKind
 
 
 SAMPLE_DIR = data_path("sample_corpus")
@@ -26,6 +28,24 @@ def mk_sentence(spec):
 def mk_doc(*sentences, letter_id="T1"):
     sents = tuple(mk_sentence(spec) for spec in sentences)
     return AnnotatedDoc(letter_id=letter_id, sentences=sents)
+
+
+def cooccurrence_records(doc, window=None):
+    """One COOCCUR record for every pair of content tokens in context."""
+    records = []
+    for sent_idx, sentence in enumerate(doc.sentences):
+        content = [(i, t) for i, t in enumerate(sentence) if t.pos in DEFAULT_CONTENT_CLASSES]
+        for (i, a), (j, b) in combinations(content, 2):
+            if window is not None and abs(i - j) > window:
+                continue
+            first, second = sorted((a, b), key=lambda t: (t.lemma, t.pos.name))
+            records.append(
+                PairRecord(
+                    first.lemma, first.pos, second.lemma, second.pos, RelationKind.COOCCUR,
+                    doc.letter_id, sent_idx,
+                )
+            )
+    return records
 
 
 @pytest.fixture

@@ -205,6 +205,20 @@ def test_malformed_command_line_exits_2(capsys):
     assert "letternet: error: argument --max-dist: invalid int value: 'x'" in stderr
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--top", "1_0"), ("--max-dist", "٣"), ("--top", " 7 "), ("--max-dist", "+2")],
+)
+def test_numeric_options_take_ascii_digits_only(capsys, option, value):
+    # the digit rule of the file readers; int() would read each as a number
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", option, value])
+    assert exc.value.code == 2
+    assert f"letternet: error: argument {option}: invalid int value" in capsys.readouterr().err
+    args = build_parser().parse_args(["stats", "--top", "-1", "--max-dist", "12"])
+    assert (args.top, args.max_dist) == (-1, 12)
+
+
 def test_env_var_supplies_config(tmp_path, monkeypatch):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"top": 3}), encoding="utf-8")

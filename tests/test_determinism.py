@@ -21,6 +21,8 @@ from conftest import MANIFEST
 _COMMANDS = [
     ["network", "--mode", "cooccur", "--scope", "merged", "--format", "gexf,dot,json,csv"],
     ["network", "--mode", "pairs", "--scope", "per-letter"],
+    ["network", "--context", "window:3", "--scope", "merged", "--format", "gexf,csv"],
+    ["network", "--mode", "pairs", "--scope", "merged", "--format", "gexf,csv"],
 ]
 # Runs each command into out/<i>; argv[1] is the output root.
 _CHILD = f"""

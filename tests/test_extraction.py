@@ -1,13 +1,11 @@
 """Co-occurrence and windowed verb-argument extraction."""
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from letternet.extraction import (
-    DEFAULT_CONTENT_CLASSES,
     AnaphoraError,
     AnaphoraMap,
     GoldFormatError,
@@ -23,7 +21,7 @@ from letternet.extraction import (
 from letternet.network import build_graph, merge_graphs, token_frequencies
 from letternet.pipeline import PosClass, Token
 
-from conftest import mk_doc, mk_sentence, N, V
+from conftest import cooccurrence_records, mk_doc, mk_sentence, N, V
 
 ADJ = PosClass.ADJ
 PRON = PosClass.PRON
@@ -117,27 +115,6 @@ def test_cooccur_bad_window():
     doc = mk_doc([("a", N), ("b", N)])
     with pytest.raises(ValueError):
         extract_cooccurrences(doc, window=0)
-
-
-# record-per-pair oracle for co-occurrence counting
-
-
-def cooccurrence_records(doc, window=None):
-    """One COOCCUR record for every pair of content tokens in context."""
-    records = []
-    for sent_idx, sentence in enumerate(doc.sentences):
-        content = [(i, t) for i, t in enumerate(sentence) if t.pos in DEFAULT_CONTENT_CLASSES]
-        for (i, a), (j, b) in combinations(content, 2):
-            if window is not None and abs(i - j) > window:
-                continue
-            first, second = sorted((a, b), key=lambda t: (t.lemma, t.pos.name))
-            records.append(
-                PairRecord(
-                    first.lemma, first.pos, second.lemma, second.pos, C,
-                    doc.letter_id, sent_idx,
-                )
-            )
-    return records
 
 
 # content and non-content classes, few lemmas so that they repeat

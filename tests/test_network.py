@@ -5,8 +5,14 @@ import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from letternet.extraction import PairRecord, RelationKind, extract_cooccurrences
+from letternet.extraction import (
+    PairRecord,
+    RelationKind,
+    extract_cooccurrences,
+    extract_window_pairs,
+)
 from letternet.network import (
     Centrality,
     GraphBuildError,
@@ -15,14 +21,16 @@ from letternet.network import (
     Threshold,
     build_graph,
     centrality,
+    cooccurrence_graph,
     merge_graphs,
+    pair_graph,
     parse_prune_rule,
     prune,
     token_frequencies,
 )
 from letternet.pipeline import PosClass
 
-from conftest import mk_doc, N, V
+from conftest import cooccurrence_records, mk_doc, N, V
 
 S = RelationKind.SUBJ
 O = RelationKind.OBJ
@@ -106,20 +114,76 @@ def test_build_graph_canonicalises_cooccur_records():
     assert g.edges == {(("man", N), ("see", V), C): 2}
 
 
+def merged_letters(docs, extract):
+    """The graph of each letter on its own, merged: the one-pass graphs' oracle."""
+    return merge_graphs([build_graph(extract(d), token_frequencies([d])) for d in docs])
+
+
 def test_merged_node_frequency_sums_only_letters_where_it_is_an_endpoint():
     # "lone" pairs with "man" in letter A; in letter B it stands alone in
     # its sentence, so B's occurrence is not part of the merged frequency.
     a = mk_doc([("lone", N), ("man", N)], letter_id="A")
     b = mk_doc([("lone", N)], [("man", N), ("see", V)], letter_id="B")
-    merged = merge_graphs(
-        [build_graph(extract_cooccurrences(d), token_frequencies([d])) for d in (a, b)]
-    )
+    merged = merged_letters([a, b], extract_cooccurrences)
     assert token_frequencies([a, b])[("lone", N)] == 2
     assert merged.nodes == {("lone", N): 1, ("man", N): 2, ("see", V): 1}
     assert merged.edges == {
         (("lone", N), ("man", N), C): 1,
         (("man", N), ("see", V), C): 1,
     }
+    assert cooccurrence_graph([a, b]) == merged
+    # with window:1, "lone" in A is two positions from "man", so only B's
+    # "man" and "see" pair; A adds nothing at all
+    a = mk_doc([("lone", N), ("of", PosClass.DET), ("man", N)], letter_id="A")
+    windowed = cooccurrence_graph([a, b], window=1)
+    assert windowed.nodes == {("man", N): 1, ("see", V): 1}
+    assert windowed.edges == {(("man", N), ("see", V), C): 1}
+    assert windowed == merged_letters([a, b], lambda d: extract_cooccurrences(d, 1))
+
+
+# few lemmas and every class the extractors tell apart, so that nodes
+# repeat within and across letters
+_TOKENS = st.tuples(
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.sampled_from([N, V, PosClass.ADJ, PosClass.MODAL, PosClass.PRON, PosClass.PUNCT]),
+)
+_LETTERS = st.lists(st.lists(_TOKENS, max_size=10), min_size=1, max_size=4).map(
+    lambda sentences: mk_doc(*sentences)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LETTERS, min_size=1, max_size=4), st.sampled_from([None, 1, 2, 3, 4]))
+def test_cooccurrence_graph_matches_merged_letters(docs, window):
+    for group in (docs[:1], docs):
+        got = cooccurrence_graph(group, window)
+        assert got == merged_letters(group, lambda d: extract_cooccurrences(d, window))
+        assert got == merged_letters(group, lambda d: cooccurrence_records(d, window))
+        got.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_LETTERS, min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+def test_pair_graph_matches_merged_letters(docs, max_dist, verb_blocker):
+    for group in (docs[:1], docs):
+        got = pair_graph(group, max_dist=max_dist, verb_blocker=verb_blocker)
+        assert got == merged_letters(
+            group, lambda d: extract_window_pairs(d, max_dist, verb_blocker)
+        )
+        got.validate()
+
+
+def test_one_pass_graphs_reject_bad_settings():
+    doc = mk_doc([("a", N), ("b", V)])
+    with pytest.raises(ValueError, match="window"):
+        cooccurrence_graph([doc], window=0)
+    with pytest.raises(ValueError, match="max_dist"):
+        pair_graph([doc], max_dist=-1)
+    assert cooccurrence_graph([]) == pair_graph([]) == LexicalGraph()
 
 
 def test_validate_rejects_bad_graphs():
