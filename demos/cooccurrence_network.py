@@ -3,7 +3,7 @@ Build a co-occurrence network from the bundled letters
 ======================================================
 
 Annotates the thirteen sample letters, links every pair of content
-words that share a sentence, merges the per-letter graphs, prunes
+words that share a sentence into one corpus-wide graph, prunes
 rare nodes and thin edges, and writes the result in GEXF and JSON
 form to the directory given as the first argument, or to
 ``demo_out/`` under the current working directory.
@@ -12,14 +12,7 @@ form to the directory given as the first argument, or to
 import sys
 from pathlib import Path
 
-from letternet import (
-    build_graph,
-    default_annotator,
-    extract_cooccurrences,
-    load_manifest,
-    merge_graphs,
-    token_frequencies,
-)
+from letternet import cooccurrence_graph, default_annotator, load_manifest
 from letternet.export import export_gexf, export_json, stats_report
 from letternet.network import MeanSd, prune
 from letternet.pipeline import data_path
@@ -34,14 +27,10 @@ if __name__ == "__main__":
     docs = [annotator.annotate(letter) for letter in corpus]
     print(f"annotated {len(docs)} letters")
 
-    # one graph per letter, then one merged graph for the whole corpus;
-    # the extractor counts co-occurring token pairs per edge, as a
-    # Counter keyed by (source node, target node, COOCCUR)
-    graphs = []
-    for doc in docs:
-        weights = extract_cooccurrences(doc)
-        graphs.append(build_graph(weights, token_frequencies([doc])))
-    merged = merge_graphs(graphs)
+    # one graph for the whole corpus, counted in one pass: each edge,
+    # keyed by (source node, target node, COOCCUR), counts its
+    # co-occurring token pairs, as merging the letters' graphs would
+    merged = cooccurrence_graph(docs)
     print(f"merged graph: {merged.n_nodes} nodes, {merged.n_edges} edges")
 
     # keep only nodes and edges more than two standard deviations

@@ -7,26 +7,14 @@ absolute thresholds and mean-plus-k-standard-deviations cutoffs to
 show how fast the network shrinks and which nodes survive.
 """
 
-from letternet import (
-    build_graph,
-    default_annotator,
-    extract_cooccurrences,
-    load_manifest,
-    merge_graphs,
-    token_frequencies,
-)
+from letternet import cooccurrence_graph, default_annotator, load_manifest
 from letternet.network import Centrality, MeanSd, Threshold, centrality, prune
 from letternet.pipeline import data_path
 
 if __name__ == "__main__":
     corpus = load_manifest(data_path("sample_corpus") / "manifest.tsv")
     annotator = default_annotator()
-    graphs = []
-    for letter in corpus:
-        doc = annotator.annotate(letter)
-        weights = extract_cooccurrences(doc)  # Counter: (src, dst, COOCCUR) -> weight
-        graphs.append(build_graph(weights, token_frequencies([doc])))
-    merged = merge_graphs(graphs)
+    merged = cooccurrence_graph(annotator.annotate(letter) for letter in corpus)
     print(f"full graph: {merged.n_nodes} nodes, {merged.n_edges} edges, "
           f"total weight {merged.total_weight}\n")
 

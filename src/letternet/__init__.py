@@ -2,8 +2,8 @@
 
 The package is organised as a pipeline: ``corpus`` reads manifests and
 cleans transcriptions, ``pipeline`` segments and annotates the text,
-``extraction`` produces co-occurrence edge weights and verb-argument
-pair records, ``network`` aggregates them into weighted graphs, and ``export``
+``extraction`` produces verb-argument pair records, ``network`` counts
+co-occurrences and aggregates both into weighted graphs, and ``export``
 writes the graphs in interchange formats.  ``cli`` wires the stages
 together behind a command line interface.  Every error that bad input
 raises derives from :class:`LetternetError`.
@@ -38,7 +38,6 @@ from letternet.extraction import (
     RelationKind,
     apply_anaphora,
     evaluate_pairs,
-    extract_cooccurrences,
     extract_window_pairs,
     load_gold,
 )
@@ -50,6 +49,7 @@ from letternet.network import (
     build_graph,
     centrality,
     cooccurrence_graph,
+    extract_cooccurrences,
     merge_graphs,
     pair_graph,
     parse_prune_rule,

@@ -35,7 +35,6 @@ from letternet.extraction import (
     AnaphoraMap,
     apply_anaphora,
     evaluate_pairs,
-    extract_cooccurrences,  # noqa: F401  bound for the benchmark tracer
     extract_window_pairs,
     load_gold,
 )
@@ -43,6 +42,7 @@ from letternet.network import (
     LexicalGraph,
     build_graph,  # noqa: F401  bound for the benchmark tracer
     cooccurrence_graph,
+    extract_cooccurrences,  # noqa: F401  bound for the benchmark tracer
     merge_graphs,  # noqa: F401  bound for the benchmark tracer
     pair_graph,
     parse_prune_rule,

@@ -1,7 +1,8 @@
 """Relation extraction over annotated letters.
 
-Two extractors produce what graphs are built from: co-occurrence edge
-weights within a sentence or token window, and the records of a shallow
+The co-occurrence rule lives with the graph that counts it
+(``network.cooccurrence_graph``); this module holds the node and edge
+keys and their canonical order, and the records of a shallow
 verb-argument heuristic that reads the nearest noun to the left of a
 verb as its subject and the nearest noun to the right as its object.
 The heuristic trades parsing for robustness: early modern prose defeats
@@ -14,7 +15,7 @@ import enum
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from letternet.pipeline import (
     AnnotatedDoc, LetternetError, PosClass, Token, parse_index, read_table,
@@ -76,63 +77,6 @@ class PairRecord(NamedTuple):
 def node_order(key: NodeKey) -> tuple[str, str]:
     """Sort key that puts the endpoints of an undirected edge in canonical order."""
     return (key[0], key[1]._name_)
-
-
-def cooccurrence_kernel(window: int | None = None) -> Callable[[AnnotatedDoc, Counter], set]:
-    """The co-occurrence counter for one context.
-
-    With ``window=None`` the context is the whole sentence; otherwise
-    two tokens co-occur when their positions, their indices in the
-    sentence, differ by at most ``window``.  Only tokens of the
-    content classes (``DEFAULT_CONTENT_CLASSES``: NOUN, VERB, ADJ) take
-    part.  Called on a letter and a table, the kernel adds 1 per
-    unordered pair of token occurrences to its ``(src, dst, COOCCUR)``
-    key, endpoints in canonical :func:`node_order`, and returns the
-    nodes that are in a pair.  Two occurrences of the same lemma still
-    co-occur (a node may pair with itself).
-    """
-    if window is not None and window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    cooccur = RelationKind.COOCCUR
-
-    def in_sentences(doc: AnnotatedDoc, weights: Counter) -> set:
-        touched = set()
-        for sentence in doc.sentences:
-            # in node_order, each pair below is a canonical key; update counts them in C
-            keys = sorted(
-                [(t.lemma, t.pos) for t in sentence if t.pos in DEFAULT_CONTENT_CLASSES],
-                key=node_order,
-            )
-            if len(keys) > 1:
-                touched.update(keys)
-                weights.update([(a, b, cooccur) for i, a in enumerate(keys) for b in keys[i + 1 :]])
-        return touched
-
-    def in_windows(doc: AnnotatedDoc, weights: Counter) -> set:
-        touched = set()
-        for sentence in doc.sentences:
-            content = [
-                ((t.lemma, t.pos), node_order((t.lemma, t.pos)), i)
-                for i, t in enumerate(sentence)
-                if t.pos in DEFAULT_CONTENT_CLASSES
-            ]
-            for i, (a, order_a, pos_a) in enumerate(content):
-                for b, order_b, pos_b in content[i + 1 :]:
-                    if pos_b - pos_a > window:
-                        break
-                    touched.update((a, b))
-                    edge = (a, b, cooccur) if order_a <= order_b else (b, a, cooccur)
-                    weights[edge] = weights.get(edge, 0) + 1
-        return touched
-
-    return in_sentences if window is None else in_windows
-
-
-def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Counter[EdgeKey]:
-    """Co-occurrence edge weights of one letter, by :func:`cooccurrence_kernel`."""
-    weights: Counter[EdgeKey] = Counter()
-    cooccurrence_kernel(window)(doc, weights)
-    return weights
 
 
 def _scan(

@@ -16,16 +16,17 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence, Union
 
 from letternet.extraction import (
+    DEFAULT_CONTENT_CLASSES,
     DEFAULT_MAX_DISTANCE,
     DIRECTED_KINDS,
     EdgeKey,
     NodeKey,
     PairRecord,
     RelationKind,
-    cooccurrence_kernel,
     extract_window_pairs,
     node_order,
 )
@@ -108,7 +109,7 @@ def build_graph(
     """Build a graph from edge weights or from pair records.
 
     ``edges`` is either a mapping from edge key to weight, as
-    :func:`~letternet.extraction.extract_cooccurrences` returns it
+    :func:`extract_cooccurrences` returns it
     (keys are used as given), or pair records, each of which adds 1 to
     its edge, COOCCUR endpoints put in canonical order.  The same lemma
     pair related in different ways yields one edge per kind.  The nodes
@@ -135,33 +136,114 @@ def build_graph(
     return LexicalGraph(nodes=nodes, edges=dict(weights))
 
 
-def _fold(docs: Iterable[AnnotatedDoc], kernel: Callable) -> LexicalGraph:
-    # The kernel adds a letter's edge weights to the one shared table and
-    # returns the nodes it touched; only those gain the letter's token
-    # counts, as merge_graphs over per-letter build_graph results would.
-    nodes: dict[NodeKey, int] = {}
-    edges: Counter[EdgeKey] = Counter()
-    for doc in docs:
-        touched = kernel(doc, edges)
-        freqs = token_frequencies([doc]) if touched else {}
-        for key in touched:
-            nodes[key] = nodes.get(key, 0) + freqs[key]
-    return LexicalGraph(nodes=nodes, edges=dict(edges))
-
-
 def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) -> LexicalGraph:
-    """:func:`merge_graphs` of each letter's co-occurrence graph, counted in one pass."""
-    return _fold(docs, cooccurrence_kernel(window))
+    """:func:`merge_graphs` of each letter's co-occurrence graph, counted in one pass.
+
+    With ``window=None`` the context is the whole sentence; otherwise
+    two tokens co-occur when their positions, their indices in the
+    sentence, differ by at most ``window``.  Only tokens of the content
+    classes (``DEFAULT_CONTENT_CLASSES``: NOUN, VERB, ADJ) take part.
+    Each unordered pair of token occurrences adds 1 to its
+    ``(src, dst, COOCCUR)`` edge, endpoints in canonical
+    :func:`node_order`; two occurrences of the same lemma still co-occur
+    (a node may pair with itself).  The counting runs on int node ids,
+    and each distinct edge is put in canonical order once, at the end.
+    A node's frequency sums its occurrences in the letters where it is
+    in a pair, counted from the same id lists as the edges.
+    """
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    ids: dict[NodeKey, int] = {}  # node -> id, in first-seen order
+    pairs: Counter[tuple[int, int]] = Counter()  # (smaller id, larger id) -> weight
+    freqs: Counter[int] = Counter()
+    for doc in docs:
+        seen: list[int] = []
+        touched: set[int] = set()
+        for sentence in doc.sentences:
+            if window is None or window >= len(sentence) - 1:
+                # every two content tokens of the sentence are in context
+                row = [
+                    ids.setdefault((t.lemma, t.pos), len(ids))
+                    for t in sentence
+                    if t.pos in DEFAULT_CONTENT_CLASSES
+                ]
+                seen += row
+                if len(row) > 1:
+                    row.sort()
+                    touched.update(row)
+                    _count_sentence(row, pairs)
+            else:
+                row = [
+                    (i, ids.setdefault((t.lemma, t.pos), len(ids)))
+                    for i, t in enumerate(sentence)
+                    if t.pos in DEFAULT_CONTENT_CLASSES
+                ]
+                for j, (i, a) in enumerate(row):
+                    seen.append(a)
+                    # positions increase, so no partner lies past row[j + window]
+                    for k, b in row[j + 1 : j + 1 + window]:
+                        if k - i > window:
+                            break
+                        key = (a, b) if a <= b else (b, a)
+                        pairs[key] += 1
+                        touched.update(key)
+        if touched:
+            counts = Counter(seen)
+            for a in touched:
+                freqs[a] += counts[a]
+    keys = list(ids)
+    order = [node_order(key) for key in keys]
+    cooccur = RelationKind.COOCCUR
+    edges = {
+        (keys[a], keys[b], cooccur) if order[a] < order[b] else (keys[b], keys[a], cooccur): w
+        for (a, b), w in pairs.items()
+    }
+    return LexicalGraph(nodes={keys[a]: f for a, f in freqs.items()}, edges=edges)
+
+
+def extract_cooccurrences(doc: AnnotatedDoc, window: int | None = None) -> Counter[EdgeKey]:
+    """One letter's co-occurrence edge weights: its :func:`cooccurrence_graph` edges.
+
+    The node counts, which come from the same pass, are dropped here.
+    """
+    return Counter(cooccurrence_graph([doc], window).edges)
+
+
+def _count_sentence(row: list[int], pairs: Counter[tuple[int, int]]) -> None:
+    # row is sorted, so each pair has its smaller id first.  The pair list
+    # takes one C step per token pair; id multiplicities take one Python
+    # step, about 4x dearer, per pair of distinct ids, so they pay once
+    # under half of a long sentence's ids are distinct.  The tally is
+    # skipped up to 64 ids, where it would cost about 1/n of the pair list.
+    counts = Counter(row) if len(row) > 64 else None
+    if counts is None or 2 * len(counts) >= len(row):
+        pairs.update(combinations(row, 2))
+        return
+    tally = list(counts.items())
+    for n, (a, c_a) in enumerate(tally):
+        if c_a > 1:
+            pairs[(a, a)] += c_a * (c_a - 1) // 2
+        for b, c_b in tally[n + 1 :]:
+            pairs[(a, b)] += c_a * c_b
 
 
 def pair_graph(
     docs: Iterable[AnnotatedDoc], max_dist: int = DEFAULT_MAX_DISTANCE, verb_blocker: bool = True
 ) -> LexicalGraph:
-    """:func:`merge_graphs` of each letter's graph of window pairs, counted in one pass."""
-    return _fold(
-        docs,
-        lambda doc, edges: _add_records(extract_window_pairs(doc, max_dist, verb_blocker), edges),
-    )
+    """:func:`merge_graphs` of each letter's graph of window pairs, counted in one pass.
+
+    Each letter's records are added straight into one shared edge table;
+    only the endpoints gain the letter's :func:`token_frequencies`, as
+    they would under merge_graphs over per-letter build_graph results.
+    """
+    nodes: dict[NodeKey, int] = {}
+    edges: Counter[EdgeKey] = Counter()
+    for doc in docs:
+        touched = _add_records(extract_window_pairs(doc, max_dist, verb_blocker), edges)
+        freqs = token_frequencies([doc]) if touched else {}
+        for key in touched:
+            nodes[key] = nodes.get(key, 0) + freqs[key]
+    return LexicalGraph(nodes=nodes, edges=dict(edges))
 
 
 def merge_graphs(graphs: Sequence[LexicalGraph]) -> LexicalGraph:

@@ -314,6 +314,28 @@ def test_network_format_selection(mini_corpus, tmp_path, capsys):
     assert header.startswith("source_lemma")
 
 
+def test_network_of_a_letter_without_sentence_ends(tmp_path, capsys):
+    # one sentence of 6,000 content tokens (8 in each of 750 clauses), as
+    # a transcription with no sentence-ending punctuation gives
+    clause = "The tutor doth loue the child, and the child doth see the truth, "
+    (tmp_path / "long.txt").write_text(clause * 750, encoding="utf-8")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\tcut_marker\n"
+        "L1\tHartlib\tDury\t1630\tfalse\ten\tlong.txt\t-\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, _, _ = run_main(
+        ["network", "--manifest", str(manifest), "--out", str(out), "--format", "json"], capsys
+    )
+    assert code == 0
+    graph = import_json(out / "network.json")
+    assert graph.nodes[("child", N)] == 1500
+    assert graph.edges[(("truth", N), ("tutor", N), RelationKind.COOCCUR)] == 750 * 750
+    assert graph.total_weight == 6000 * 5999 // 2
+
+
 def test_network_per_letter_scope(mini_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run_main(

@@ -14,11 +14,10 @@ from letternet.extraction import (
     RelationKind,
     apply_anaphora,
     evaluate_pairs,
-    extract_cooccurrences,
     extract_window_pairs,
     load_gold,
 )
-from letternet.network import build_graph, merge_graphs, token_frequencies
+from letternet.network import build_graph, extract_cooccurrences, merge_graphs, token_frequencies
 from letternet.pipeline import PosClass, Token
 
 from conftest import cooccurrence_records, mk_doc, mk_sentence, N, V

@@ -2,17 +2,19 @@
 
 import random
 import statistics
+import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from letternet.extraction import (
     PairRecord,
     RelationKind,
-    extract_cooccurrences,
     extract_window_pairs,
 )
+from letternet import network
 from letternet.network import (
     Centrality,
     GraphBuildError,
@@ -22,13 +24,14 @@ from letternet.network import (
     build_graph,
     centrality,
     cooccurrence_graph,
+    extract_cooccurrences,
     merge_graphs,
     pair_graph,
     parse_prune_rule,
     prune,
     token_frequencies,
 )
-from letternet.pipeline import PosClass
+from letternet.pipeline import AnnotatedDoc, PosClass, Token
 
 from conftest import cooccurrence_records, mk_doc, N, V
 
@@ -175,6 +178,101 @@ def test_pair_graph_matches_merged_letters(docs, max_dist, verb_blocker):
             group, lambda d: extract_window_pairs(d, max_dist, verb_blocker)
         )
         got.validate()
+
+
+def _with_pronouns(drawn):
+    sentence = []
+    for lemma, pos, pronoun_first in drawn:
+        if pronoun_first:
+            sentence.append(("he", PosClass.PRON))
+        sentence.append((f"w{lemma}", pos))
+    return sentence
+
+
+# 60-70 content tokens, some with a pronoun before them, so that
+# sentences either side of 64 content tokens come up; over 3 lemmas
+# every node repeats, over 80 most content tokens are distinct nodes
+_LONG_SENTENCES = st.sampled_from([3, 80]).flatmap(
+    lambda n_lemmas: st.lists(
+        st.tuples(st.integers(0, n_lemmas - 1), st.sampled_from([N, V]), st.booleans()),
+        min_size=60,
+        max_size=70,
+    )
+).map(_with_pronouns)
+_SIXTY_FOUR = [("a", N)] * 64
+# 65 content tokens over nodes occurring 62, 2 and 1 times
+_FEW_NODES = [("a", N)] * 62 + [("b", V)] * 2 + [("c", N)]
+# 66 content tokens over 33 and over 32 nodes, either side of half distinct
+_HALF_DISTINCT = [(f"w{i % 33}", N) for i in range(66)]
+_UNDER_HALF_DISTINCT = [(f"w{i % 32}", N) for i in range(66)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_LONG_SENTENCES, min_size=1, max_size=2), st.sampled_from([None, 1, 3, 100, 200]))
+@example([_SIXTY_FOUR, _FEW_NODES], None)
+@example([_SIXTY_FOUR, _FEW_NODES], 3)
+@example([_HALF_DISTINCT, _UNDER_HALF_DISTINCT], None)
+@example([_HALF_DISTINCT, _UNDER_HALF_DISTINCT], 65)
+def test_long_sentences_match_the_record_oracle(sentences, window):
+    docs = [mk_doc(*sentences, letter_id="A"), mk_doc(sentences[0], [("d", N)], letter_id="B")]
+    for group in (docs[:1], docs):
+        got = cooccurrence_graph(group, window)
+        assert got == merged_letters(group, lambda d: cooccurrence_records(d, window))
+        got.validate()
+
+
+def test_a_long_sentence_of_few_words_takes_no_step_per_token_pair(monkeypatch):
+    # the pair list takes one step per token pair; a long sentence in
+    # which fewer than half of the content tokens are distinct nodes is
+    # counted by pairs of distinct nodes instead
+    listed = []
+
+    def pair_list(row, r):
+        listed.append(len(row))
+        return combinations(row, r)
+
+    monkeypatch.setattr(network, "combinations", pair_list)
+    repeats = mk_doc([(f"w{i % 300}", N) for i in range(6000)])
+    distinct = mk_doc([(f"w{i}", N) for i in range(200)])
+    halves = mk_doc(_HALF_DISTINCT, _UNDER_HALF_DISTINCT)
+    graph = cooccurrence_graph([repeats, distinct, halves])
+    assert listed == [200, 66]
+    assert graph.total_weight == 6000 * 5999 // 2 + 200 * 199 // 2 + 2 * 66 * 65 // 2
+
+
+def test_one_sentence_letter_is_counted_in_little_memory():
+    # 6,000 content tokens over 300 lemmas in one sentence: 18 million
+    # token pairs, 45,150 edges
+    lemmas = [f"w{i}" for i in range(300)]
+    doc = mk_doc([(lemmas[i % 300], N) for i in range(6000)])
+    tracemalloc.start()
+    try:
+        graph = cooccurrence_graph([doc])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert graph.n_edges == 300 * 301 // 2
+    assert graph.nodes[("w7", N)] == 20
+    assert graph.edges[(("w1", N), ("w2", N), C)] == 20 * 20
+    assert graph.edges[(("w1", N), ("w1", N), C)] == 20 * 19 // 2
+    assert graph.total_weight == 6000 * 5999 // 2
+
+
+def test_a_node_is_its_lemma_and_class_whatever_the_spelling():
+    loue = Token(surface="loue", normalized="love", lemma="love", pos=V)
+    love = Token(surface="love", normalized="love", lemma="love", pos=V)
+    child = Token(surface="child", normalized="child", lemma="child", pos=N)
+    doc = AnnotatedDoc(letter_id="A", sentences=((loue, child, love),))
+    sentence = cooccurrence_graph([doc])
+    assert sentence.nodes == {("love", V): 2, ("child", N): 1}
+    assert sentence.edges == {
+        (("child", N), ("love", V), C): 2,
+        (("love", V), ("love", V), C): 1,
+    }
+    windowed = cooccurrence_graph([doc], window=1)
+    assert windowed.nodes == {("love", V): 2, ("child", N): 1}
+    assert windowed.edges == {(("child", N), ("love", V), C): 2}
 
 
 def test_one_pass_graphs_reject_bad_settings():
