@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from letternet.corpus import load_manifest
 from letternet.export import (
@@ -52,6 +52,7 @@ from letternet.network import (
 from letternet.pipeline import (
     AnnotatedDoc,
     LetternetError,
+    Token,
     default_annotator,
     ingest_pretagged,
     parse_index,
@@ -214,7 +215,8 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
         paths = sorted(Path(cfg.pretagged_dir).glob("*.tsv"))
         if not paths:
             log.warning("no vertical files in %s", cfg.pretagged_dir)
-        docs = [ingest_pretagged(p) for p in paths]
+        memo: dict[str, Token] = {}  # one for all files: a row is one Token wherever it recurs
+        docs = [ingest_pretagged(p, memo=memo) for p in paths]
     else:
         annotator = default_annotator(
             colon_boundary=cfg.colon_boundary,
@@ -233,23 +235,26 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
     return docs
 
 
-def _build_graphs(cfg: RunConfig, docs: list[AnnotatedDoc]) -> list[tuple[str, LexicalGraph]]:
+def _build_graphs(
+    cfg: RunConfig, docs: list[AnnotatedDoc]
+) -> Iterator[tuple[str, LexicalGraph]]:
+    """Each (name, graph) to write, built only when the one before it is done with."""
     window = _parse_context(cfg.context)
+    pruning = cfg.prune_nodes or cfg.prune_edges
+    if pruning:
+        node_rule = parse_prune_rule(cfg.prune_nodes or "gt0")
+        edge_rule = parse_prune_rule(cfg.prune_edges or "gt0")
     groups = [("network", docs)]
     if cfg.scope == "per-letter":
         groups = [(doc.letter_id, [doc]) for doc in docs]
-    if cfg.mode == "pairs":
-        graphs = [(name, pair_graph(g, cfg.max_dist, cfg.verb_blocker)) for name, g in groups]
-    else:
-        graphs = [(name, cooccurrence_graph(g, window)) for name, g in groups]
-    if cfg.prune_nodes or cfg.prune_edges:
-        node_rule = parse_prune_rule(cfg.prune_nodes or "gt0")
-        edge_rule = parse_prune_rule(cfg.prune_edges or "gt0")
-        graphs = [
-            (name, prune(g, node_rule, edge_rule, drop_isolated=not cfg.keep_isolated))
-            for name, g in graphs
-        ]
-    return graphs
+    for name, group in groups:
+        if cfg.mode == "pairs":
+            graph = pair_graph(group, cfg.max_dist, cfg.verb_blocker)
+        else:
+            graph = cooccurrence_graph(group, window)
+        if pruning:
+            graph = prune(graph, node_rule, edge_rule, drop_isolated=not cfg.keep_isolated)
+        yield name, graph
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -326,7 +331,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     text = report.format()
     print(text)
     out = _out_dir(cfg)
-    write_atomic(out / "eval_report.txt", (text + "\n").encode("utf-8"))
+    write_atomic(out / "eval_report.txt", (text, "\n"))
 
 
 def cmd_stats(cfg: RunConfig) -> None:

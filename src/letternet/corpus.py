@@ -23,7 +23,6 @@ YEAR_MAX = 1900
 
 _TAG_RE = re.compile(r"<[^<>]*>")
 _HYPHEN_BREAK_RE = re.compile(r"(\w)-[ \t]*\n\s*(\w)")
-_WS_RE = re.compile(r"\s+")
 _BRACKET_RE = re.compile(r"[\[\]]")
 
 _MANIFEST_COLUMNS = (
@@ -161,7 +160,8 @@ def clean_text(text: str, cut_marker: str | None = None) -> str:
     text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
     text = _strip_markup(text)
     text = _drop_bracketed(text)
-    return _WS_RE.sub(" ", text).strip()
+    # str.split and re's \s agree on what is whitespace
+    return " ".join(text.split())
 
 
 def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = None) -> Letter:

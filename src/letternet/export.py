@@ -2,7 +2,10 @@
 
 All writers are deterministic (nodes and edges sorted, no timestamps),
 so the same graph always produces byte-identical files, and all writes
-are atomic: the target file appears complete or not at all.  The writers
+are atomic: the target file appears complete or not at all.  The GEXF,
+DOT, JSON and CSV writers, whose files grow with the graph, hand
+:func:`~letternet.pipeline.write_atomic` their text a line or an
+element at a time, so no file is ever held whole in memory.  The writers
 share one sorted view of a graph (:class:`SortedGraph`), which a caller
 that writes several files builds once with :func:`sorted_view`; given a
 plain :class:`~letternet.network.LexicalGraph`, a writer builds the view
@@ -16,14 +19,14 @@ word class and relation kind (``DEFAULT_*``), and node sizes from 10 to
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
 from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
 from letternet.network import (
@@ -147,13 +150,12 @@ def _xml_attr(value: str) -> str:
     )
 
 
-def gexf_bytes(graph: GraphLike) -> bytes:
-    """Serialise a graph as GEXF 1.2draft with viz colours and sizes."""
-    view = sorted_view(graph)
+def _gexf_lines(view: SortedGraph) -> Iterator[str]:
+    """The GEXF document in pieces, each one or more whole lines."""
     freq_min, freq_max = _freq_range(view)
     any_directed = any(directed for _, _, _, directed, _ in view.edges)
     default_type = "directed" if any_directed else "undirected"
-    out = [
+    header = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<gexf xmlns="{GEXF_NS}" xmlns:viz="{VIZ_NS}" version="1.2">',
         "  <meta>",
@@ -171,10 +173,11 @@ def gexf_bytes(graph: GraphLike) -> bytes:
         "    </attributes>",
         "    <nodes>",
     ]
+    yield "\n".join(header) + "\n"
     ids = [_xml_attr(node_id) for node_id, _, _, _ in view.nodes]
     for xml_id, (_, lemma, cls, freq) in zip(ids, view.nodes):
         size = _node_size(freq, freq_min, freq_max)
-        out.append(
+        yield (
             f'      <node id="{xml_id}" label="{_xml_attr(lemma)}">\n'
             "        <attvalues>\n"
             f'          <attvalue for="0" value="{cls}"/>\n'
@@ -182,29 +185,30 @@ def gexf_bytes(graph: GraphLike) -> bytes:
             "        </attvalues>\n"
             f"        <viz:color {_NODE_RGB[cls]}/>\n"
             f'        <viz:size value="{size:.3f}"/>\n'
-            "      </node>"
+            "      </node>\n"
         )
-    out.append("    </nodes>")
-    out.append("    <edges>")
+    yield "    </nodes>\n    <edges>\n"
     for edge_id, (src, dst, kind, directed, weight) in enumerate(view.edges):
         edge_type = "directed" if directed else "undirected"
-        out.append(
+        yield (
             f'      <edge id="{edge_id}" source="{ids[src]}" target="{ids[dst]}"'
             f' type="{edge_type}" weight="{weight}">\n'
             "        <attvalues>\n"
             f'          <attvalue for="0" value="{kind}"/>\n'
             "        </attvalues>\n"
             f"        <viz:color {_EDGE_RGB[kind]}/>\n"
-            "      </edge>"
+            "      </edge>\n"
         )
-    out.append("    </edges>")
-    out.append("  </graph>")
-    out.append("</gexf>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    yield "    </edges>\n  </graph>\n</gexf>\n"
+
+
+def gexf_bytes(graph: GraphLike) -> bytes:
+    """Serialise a graph as GEXF 1.2draft with viz colours and sizes."""
+    return "".join(_gexf_lines(sorted_view(graph))).encode("utf-8")
 
 
 def export_gexf(graph: GraphLike, path: str | Path) -> None:
-    write_atomic(path, gexf_bytes(graph))
+    write_atomic(path, _gexf_lines(sorted_view(graph)))
 
 
 def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
@@ -334,27 +338,20 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_text(graph: GraphLike) -> str:
-    """Serialise a graph in Graphviz DOT form.
-
-    Emitted as a digraph; co-occurrence edges carry ``dir="none"`` so
-    they render without arrowheads.  Node font size follows the same
-    frequency scaling as the GEXF size, edge pen width grows with the
-    logarithm of the weight.
-    """
-    view = sorted_view(graph)
+def _dot_lines(view: SortedGraph) -> Iterator[str]:
+    """The DOT document line by line."""
     freq_min, freq_max = _freq_range(view)
-    lines = [
-        "digraph lexical_network {",
-        '  graph [charset="UTF-8", outputorder="edgesfirst"];',
-        '  node [style="filled", fontcolor="#FFFFFF"];',
-    ]
+    yield (
+        "digraph lexical_network {\n"
+        '  graph [charset="UTF-8", outputorder="edgesfirst"];\n'
+        '  node [style="filled", fontcolor="#FFFFFF"];\n'
+    )
     ids = [_dot_quote(node_id) for node_id, _, _, _ in view.nodes]
     for dot_id, (_, lemma, cls, freq) in zip(ids, view.nodes):
         size = _node_size(freq, freq_min, freq_max)
-        lines.append(
+        yield (
             f"  {dot_id} [label={_dot_quote(lemma)},"
-            f' fillcolor="{_NODE_COLORS[cls]}", fontsize="{size:.1f}"];'
+            f' fillcolor="{_NODE_COLORS[cls]}", fontsize="{size:.1f}"];\n'
         )
     for src, dst, kind, directed, weight in view.edges:
         attrs = (
@@ -363,21 +360,62 @@ def dot_text(graph: GraphLike) -> str:
         )
         if not directed:
             attrs += ', dir="none"'
-        lines.append(f"  {ids[src]} -> {ids[dst]} [{attrs}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {ids[src]} -> {ids[dst]} [{attrs}];\n"
+    yield "}\n"
+
+
+def dot_text(graph: GraphLike) -> str:
+    """Serialise a graph in Graphviz DOT form.
+
+    Emitted as a digraph; co-occurrence edges carry ``dir="none"`` so
+    they render without arrowheads.  Node font size follows the same
+    frequency scaling as the GEXF size, edge pen width grows with the
+    logarithm of the weight.
+    """
+    return "".join(_dot_lines(sorted_view(graph)))
 
 
 def export_dot(graph: GraphLike, path: str | Path) -> None:
-    write_atomic(path, dot_text(graph).encode("utf-8"))
+    write_atomic(path, _dot_lines(sorted_view(graph)))
 
 
 # ---------------------------------------------------------------------------
 # JSON
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _json_list(items: Iterator[str]) -> Iterator[str]:
+    """A JSON array of indented items, as ``json.dumps(..., indent=2)`` lays it out."""
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n"
+    yield first
+    for item in items:
+        yield ",\n"
+        yield item
+    yield "\n  ]"
+
+
+def _json_lines(view: SortedGraph) -> Iterator[str]:
+    lemmas = [encode_basestring(lemma) for _, lemma, _, _ in view.nodes]
+    ends = [
+        f'[\n        {lemma},\n        "{cls}"\n      ]'
+        for lemma, (_, _, cls, _) in zip(lemmas, view.nodes)
+    ]
+    yield '{\n  "format": "lexical-network",\n  "version": 1,\n  "nodes": '
+    yield from _json_list(
+        f'    {{\n      "lemma": {lemma},\n      "pos": "{cls}",\n'
+        f'      "frequency": {freq}\n    }}'
+        for lemma, (_, _, cls, freq) in zip(lemmas, view.nodes)
+    )
+    yield ',\n  "edges": '
+    yield from _json_list(
+        f'    {{\n      "source": {ends[src]},\n      "target": {ends[dst]},\n'
+        f'      "kind": "{kind}",\n      "weight": {weight}\n    }}'
+        for src, dst, kind, _, weight in view.edges
+    )
+    yield "\n}\n"
 
 
 def export_json(graph: GraphLike, path: str | Path) -> None:
@@ -392,27 +430,7 @@ def export_json(graph: GraphLike, path: str | Path) -> None:
     to its pure-Python encoder; only the lemmas go through the encoder's
     string escaping.  :func:`import_json` reads it back.
     """
-    view = sorted_view(graph)
-    lemmas = [encode_basestring(lemma) for _, lemma, _, _ in view.nodes]
-    nodes = [
-        f'    {{\n      "lemma": {lemma},\n      "pos": "{cls}",\n'
-        f'      "frequency": {freq}\n    }}'
-        for lemma, (_, _, cls, freq) in zip(lemmas, view.nodes)
-    ]
-    ends = [
-        f'[\n        {lemma},\n        "{cls}"\n      ]'
-        for lemma, (_, _, cls, _) in zip(lemmas, view.nodes)
-    ]
-    edges = [
-        f'    {{\n      "source": {ends[src]},\n      "target": {ends[dst]},\n'
-        f'      "kind": "{kind}",\n      "weight": {weight}\n    }}'
-        for src, dst, kind, _, weight in view.edges
-    ]
-    text = (
-        '{\n  "format": "lexical-network",\n  "version": 1,\n'
-        f'  "nodes": {_json_list(nodes)},\n  "edges": {_json_list(edges)}\n}}\n'
-    )
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, _json_lines(sorted_view(graph)))
 
 
 def _node_key(pair) -> NodeKey:
@@ -481,20 +499,24 @@ def import_json(source: str | Path) -> LexicalGraph:
 # CSV
 
 
+class _Echo:
+    """A file whose ``write`` returns its text, so ``csv.writer(...).writerow`` returns the line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
 def export_csv_edges(graph: GraphLike, path: str | Path) -> None:
     """Write the edge list as CSV with a header row."""
     view = sorted_view(graph)
     nodes = view.nodes
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["source_lemma", "source_pos", "target_lemma", "target_pos", "kind", "weight"]
-    )
-    writer.writerows(
+    header = ("source_lemma", "source_pos", "target_lemma", "target_pos", "kind", "weight")
+    rows = (
         (nodes[src][1], nodes[src][2], nodes[dst][1], nodes[dst][2], kind, weight)
         for src, dst, kind, _, weight in view.edges
     )
-    write_atomic(path, buf.getvalue().encode("utf-8"))
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    write_atomic(path, map(writer.writerow, chain((header,), rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,4 +590,4 @@ def stats_report(graph: GraphLike, top_n: int = 10) -> str:
 
 
 def export_stats(graph: GraphLike, path: str | Path, top_n: int = 10) -> None:
-    write_atomic(path, stats_report(graph, top_n).encode("utf-8"))
+    write_atomic(path, (stats_report(graph, top_n),))

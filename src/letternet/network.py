@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from letternet.extraction import (
@@ -235,14 +235,18 @@ def pair_graph(
     Each letter's records are added straight into one shared edge table;
     only the endpoints gain the letter's :func:`token_frequencies`, as
     they would under merge_graphs over per-letter build_graph results.
+    Those counts take one C step per token and one Python step per
+    distinct token of the letter.
     """
     nodes: dict[NodeKey, int] = {}
     edges: Counter[EdgeKey] = Counter()
     for doc in docs:
         touched = _add_records(extract_window_pairs(doc, max_dist, verb_blocker), edges)
-        freqs = token_frequencies([doc]) if touched else {}
-        for key in touched:
-            nodes[key] = nodes.get(key, 0) + freqs[key]
+        if touched:
+            for token, n in Counter(chain.from_iterable(doc.sentences)).items():
+                key = (token.lemma, token.pos)
+                if key in touched:
+                    nodes[key] = nodes.get(key, 0) + n
     return LexicalGraph(nodes=nodes, edges=dict(edges))
 
 

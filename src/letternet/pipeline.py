@@ -8,7 +8,8 @@ annotation depends on its spelling alone, so the annotator resolves
 each distinct form once and reuses the result for every later token of
 that form.  Annotated documents can be written to and re-read from a
 simple one-token-per-line vertical format; that is also how the output
-of another tagger enters the toolchain (:func:`ingest_pretagged`).
+of another tagger enters the toolchain (:func:`ingest_pretagged`, which
+likewise makes each distinct row one token).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 import string
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -159,12 +160,18 @@ def parse_index(text: str) -> int | None:
     return int(text) if text.isascii() and text.isdigit() else None
 
 
-def write_atomic(path: str | Path, payload: bytes) -> None:
-    """Write a file so that it appears complete or not at all.
+def write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write text to a file so that it appears complete or not at all.
 
-    The file gets the mode that ``open(path, "wb")`` would give it,
-    0o666 less the umask.  An OSError becomes :class:`ExportError`;
-    whatever goes wrong, the temporary file is removed.
+    ``pieces`` are written in order, as they come, through a UTF-8
+    encoder into a temporary file beside the target, with no newline
+    translation; so a writer can yield a large document line by line
+    and never hold all of it.  Only once the last piece is written does
+    the file replace the target.  It gets the mode that ``open(path,
+    "w")`` would give it, 0o666 less the umask.  An OSError becomes
+    :class:`ExportError`; whatever goes wrong, the pieces' iterator
+    raising included, the temporary file is removed and an existing
+    target is left as it was.
     """
     target = Path(path)
     tmp_name = target.parent / f"{target.name}.{os.urandom(4).hex()}"
@@ -173,8 +180,8 @@ def write_atomic(path: str | Path, payload: bytes) -> None:
     except OSError as exc:
         raise ExportError(f"cannot write {target}: {exc}") from exc
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
         os.replace(tmp_name, target)
     except BaseException as exc:
         try:
@@ -749,10 +756,12 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
             lines.append(
                 f"{token.surface}\t{token.normalized}\t{token.lemma}\t{token.pos._name_}"
             )
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(lines), "\n"))
 
 
-def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> AnnotatedDoc:
+def ingest_pretagged(
+    path: str | Path, letter_id: str | None = None, memo: dict[str, Token] | None = None
+) -> AnnotatedDoc:
     """Read a vertical file produced here or by an external tagger.
 
     The file is read by :func:`read_input`, and blank lines separate
@@ -763,15 +772,30 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
     naming the line.  An unknown word class label
     degrades to OTHER with a warning.  The letter id defaults to the
     file's stem.
+
+    A row's token depends on its text alone, so each distinct row is
+    split once and every later occurrence is the same :class:`Token`
+    object.  ``memo`` maps row text to token; callers that read many
+    files pass one dict to every call, so that a row seen in any earlier
+    file costs one lookup and the tokens take memory in proportion to
+    the distinct rows, not to all of them.  Only rows with a known label
+    go in the memo, so a row with an unknown one warns, naming its line,
+    each time it occurs.
     """
     p = Path(path)
     if letter_id is None:
         letter_id = p.stem
     lines = read_input(p, "", VerticalFormatError).split("\n")
+    tokens = {} if memo is None else memo
+    known = tokens.get
     pos_named = _POS_BY_NAME.get
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
     for lineno, line in enumerate(lines, start=1):
+        token = known(line)
+        if token is not None:
+            current.append(token)
+            continue
         if not line or line.isspace():
             if current:
                 sentences.append(tuple(current))
@@ -788,8 +812,10 @@ def ingest_pretagged(path: str | Path, letter_id: str | None = None) -> Annotate
         pos = pos_named(label) or pos_named(label.strip())
         if pos is None:
             log.warning("%s:%d: unknown word class %r, using OTHER", p, lineno, label)
-            pos = PosClass.OTHER
-        current.append(Token(surface, normalized, lemma, pos))
+            token = Token(surface, normalized, lemma, PosClass.OTHER)
+        else:
+            token = tokens[line] = Token(surface, normalized, lemma, pos)
+        current.append(token)
     if current:
         sentences.append(tuple(current))
     if not sentences:

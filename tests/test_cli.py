@@ -357,6 +357,30 @@ def test_network_per_letter_scope(mini_corpus, tmp_path, capsys):
     assert "A1:" in stdout and "B1:" in stdout
 
 
+@pytest.mark.parametrize("mode, builder", [("cooccur", "cooccurrence_graph"), ("pairs", "pair_graph")])
+def test_per_letter_graphs_are_built_and_written_one_at_a_time(
+    mini_corpus, tmp_path, capsys, monkeypatch, mode, builder
+):
+    events = []
+    build, write = getattr(cli, builder), cli.export_gexf
+
+    def traced_build(docs, *args):
+        events.append(("build", docs[0].letter_id))
+        return build(docs, *args)
+
+    def traced_write(view, path):
+        events.append(("write", path.stem))
+        write(view, path)
+
+    monkeypatch.setattr(cli, builder, traced_build)
+    monkeypatch.setattr(cli, "export_gexf", traced_write)
+    args = ["network", "--manifest", str(mini_corpus), "--out", str(tmp_path), "--mode", mode,
+            "--scope", "per-letter", "--prune-edges", "gt0"]
+    code, _, _ = run_main(args, capsys)
+    assert code == 0
+    assert events == [("build", "A1"), ("write", "A1"), ("build", "B1"), ("write", "B1")]
+
+
 def test_network_colon_boundary_changes_cooccurrence(mini_corpus, tmp_path, capsys):
     def edges(extra):
         out = tmp_path / ("c" + str(len(extra)))
@@ -451,6 +475,17 @@ def test_network_from_pretagged_matches_direct(mini_corpus, tmp_path, capsys):
     )
     capsys.readouterr()
     assert (direct / "network.json").read_bytes() == (again / "network.json").read_bytes()
+
+
+def test_vertical_files_of_a_run_share_one_token_per_row(mini_corpus, tmp_path, capsys):
+    vertical = tmp_path / "vertical"
+    assert main(["preprocess", "--manifest", str(mini_corpus), "--out", str(vertical)]) == 0
+    capsys.readouterr()
+    a, b = cli._load_docs(RunConfig(pretagged_dir=str(vertical)))
+    first = {}
+    for token in [*a.tokens(), *b.tokens()]:
+        assert first.setdefault(token, token) is token
+    assert set(a.tokens()) & set(b.tokens())  # "doth", "see", "the", "truth"
 
 
 def test_byte_order_marks_change_no_output(mini_corpus, tmp_path, capsys):

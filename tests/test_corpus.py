@@ -2,6 +2,7 @@
 
 import codecs
 import logging
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -66,6 +67,23 @@ def test_cut_marker_truncates():
 
 def test_whitespace_collapsed():
     assert clean_text("a\n\n  b\tc") == "a b c"
+
+
+# Text that markup, notes and line-break hyphens leave alone (no "<>[]-"),
+# thick with whitespace: ASCII, the information separators, NEL, no-break
+# and other Unicode spaces, and the zero-width space, which is not one.
+_SPACES = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009\u2028\u2029\u202f\u3000\u200b")
+_SPACED_TEXT = st.text(
+    st.sampled_from([*_SPACES, "a", "é", ".", "ſ"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="<>[]-"),
+    max_size=60,
+)
+
+
+@given(_SPACED_TEXT)
+def test_whitespace_collapses_as_the_regex_did(text):
+    # the expression clean_text used before it split on str.isspace
+    assert clean_text(text) == re.sub(r"\s+", " ", text).strip()
 
 
 def ref_drop_bracketed(text: str) -> str:

@@ -643,6 +643,10 @@ def test_writers_match_reference(graph, top_n):
             export_stats(source, out / "g.txt", top_n)
             for name, payload in expected.items():
                 assert (out / name).read_bytes() == payload, name
+            # the streamed files are the documents built whole
+            assert (out / "g.gexf").read_bytes() == gexf_bytes(source)
+            assert (out / "g.dot").read_bytes() == dot_text(source).encode("utf-8")
+            assert (out / "g.txt").read_bytes() == stats_report(source, top_n).encode("utf-8")
         # a lemma with a character that XML cannot hold would make
         # the next GEXF file ill-formed, so reading it back is refused
         if any(_XML_CONTROL.search(lemma) for lemma, _ in graph.nodes):

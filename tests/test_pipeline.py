@@ -4,6 +4,7 @@ import codecs
 import logging
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from letternet.pipeline import (
     read_input,
     split_sentences,
     tokenize,
+    write_atomic,
     write_vertical,
 )
 
@@ -731,6 +733,106 @@ def test_ingest_matches_reference_reader(caplog, rows, final_newline):
         assert _read_outcome(ingest_pretagged, path, caplog) == _read_outcome(
             ref_ingest_pretagged, path, caplog
         )
+
+
+# Rows that recur across files: one with an unknown label, which must
+# warn at every occurrence, and a four-field row of the token "#".
+_RECURRING_ROWS = st.sampled_from(["w\tw\tw\tMYSTERY", "#\t#\t#\tPUNCT", "a\ta\ta\tNOUN"])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(_ROWS | _RECURRING_ROWS, max_size=10), min_size=1, max_size=4))
+@example(
+    [
+        ["w\tw\tw\tMYSTERY", "#\t#\t#\tPUNCT", "", "w\tw\tw\tMYSTERY"],
+        ["#\t#\t#\tPUNCT", "w\tw\tw\tMYSTERY", "# note"],
+        ["a\tb\tNOUN", "w\tw\tw\tMYSTERY"],
+        ["w\tw\tw\tMYSTERY"],
+    ]
+)
+def test_ingest_with_one_memo_for_many_files_matches_reference_reader(caplog, files):
+    # files read in turn with one memo, as a run reads its vertical files
+    caplog.set_level(logging.WARNING, logger="letternet.pipeline")
+    memo = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, rows in enumerate(files):
+            path = Path(tmp) / f"V{n}.tsv"
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            shared = _read_outcome(lambda p: ingest_pretagged(p, memo=memo), path, caplog)
+            assert shared == _read_outcome(ref_ingest_pretagged, path, caplog)
+
+
+def test_a_row_is_one_token_in_every_file_read_with_one_memo(tmp_path):
+    rows = "# letter\nvse\tuse\tuse\tVERB\n\nit\tit\tit\tPRON\nvse\tuse\tuse\tVERB\n"
+    for name in ("A", "B"):
+        (tmp_path / f"{name}.tsv").write_text(rows, encoding="utf-8")
+    memo = {}
+    a = ingest_pretagged(tmp_path / "A.tsv", memo=memo)
+    b = ingest_pretagged(tmp_path / "B.tsv", memo=memo)
+    assert a.sentences[0][0] is a.sentences[1][1] is b.sentences[0][0] is b.sentences[1][1]
+    assert a.sentences[1][0] is b.sentences[1][0]
+    # without a memo, rows still share within a file but not across files
+    c = ingest_pretagged(tmp_path / "A.tsv")
+    assert c.sentences[0][0] is c.sentences[1][1]
+    assert c.sentences[0][0] is not a.sentences[0][0]
+    assert c == a
+
+
+def test_many_files_read_with_one_memo_hold_their_rows_once(tmp_path):
+    # 20 sentences of 20 distinct rows, copied into 40 files
+    rows = [f"w{i}\tword{i}\tlemma{i}\t{('NOUN', 'VERB')[i % 2]}" for i in range(400)]
+    sentences = ["\n".join(rows[i : i + 20]) for i in range(0, 400, 20)]
+    text = "# letter\n" + "\n\n".join(sentences) + "\n"
+    paths = [tmp_path / f"C{n:02d}.tsv" for n in range(40)]
+    for path in paths:
+        path.write_text(text, encoding="utf-8")
+
+    def footprint(paths):
+        memo = {}
+        tracemalloc.start()
+        try:
+            docs = [ingest_pretagged(p, memo=memo) for p in paths]
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(doc) == 400 for doc in docs)
+        return size
+
+    one = footprint(paths[:1])
+    # a file's own share is its sentence tuples, 8 bytes a token; a
+    # reader that kept a Token and three strings per row would need
+    # about 25 times the footprint of one file here
+    assert footprint(paths) < 8 * one
+
+
+def _pieces_then_failure():
+    yield "<gexf>\n"
+    raise RuntimeError("writer failed")
+
+
+@pytest.mark.parametrize(
+    "pieces, error",
+    [(_pieces_then_failure, RuntimeError), (lambda: ["ok\n", "\ud800\n"], UnicodeEncodeError)],
+    ids=["iterator raises", "piece not encodable"],
+)
+@pytest.mark.parametrize("existing", [None, b"old contents\n"])
+def test_write_atomic_failing_midway_leaves_the_target_as_it_was(tmp_path, pieces, error, existing):
+    target = tmp_path / "g.gexf"
+    if existing is not None:
+        target.write_bytes(existing)
+    with pytest.raises(error):
+        write_atomic(target, pieces())
+    # no temporary file is left beside the target
+    assert sorted(tmp_path.iterdir()) == ([] if existing is None else [target])
+    if existing is not None:
+        assert target.read_bytes() == existing
+
+
+def test_write_atomic_writes_pieces_as_utf8_without_newline_translation(tmp_path):
+    pieces = ["ſaid café 中 \u2028\n", "", "a\r\nb\rc\n", "𝔤\n"]
+    target = tmp_path / "t.txt"
+    write_atomic(target, iter(pieces))
+    assert target.read_bytes() == "".join(pieces).encode("utf-8")
 
 
 def test_ingest_with_byte_order_mark(tmp_path, annotator):
