@@ -227,12 +227,18 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
         docs = [annotator.annotate(letter) for letter in corpus]
     if cfg.anaphora:
         amap = AnaphoraMap.from_file(cfg.anaphora)
-        unloaded = {lid for lid, _, _ in amap.entries} - {doc.letter_id for doc in docs}
-        if unloaded:
-            names = ", ".join(sorted(unloaded))
-            raise AnaphoraError(f"{cfg.anaphora}: rows for letters that were not loaded: {names}")
+        _refuse_unloaded(cfg.anaphora, "rows", {k[0] for k in amap.entries}, docs, AnaphoraError)
         docs = [apply_anaphora(doc, amap) for doc in docs]
     return docs
+
+
+def _refuse_unloaded(
+    path: str, what: str, ids: set[str], docs: list[AnnotatedDoc], error: type[Exception]
+) -> None:
+    """Raise ``error`` naming each of a side file's letter ``ids`` that no doc has."""
+    unloaded = sorted(ids.difference(doc.letter_id for doc in docs))
+    if unloaded:
+        raise error(f"{path}: {what} for letters that were not loaded: {', '.join(unloaded)}")
 
 
 def _build_graphs(
@@ -310,11 +316,8 @@ def cmd_eval(cfg: RunConfig) -> None:
         raise ConfigError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
     docs = _load_docs(cfg)
+    _refuse_unloaded(cfg.gold, "triples", gold_letters, docs, ConfigError)
     n_sentences = {doc.letter_id: len(doc.sentences) for doc in docs}
-    unloaded = gold_letters - n_sentences.keys()
-    if unloaded:
-        names = ", ".join(sorted(unloaded))
-        raise ConfigError(f"{cfg.gold}: triples for letters that were not loaded: {names}")
     for t in gold:
         if t.sent_idx >= n_sentences[t.letter_id]:
             raise ConfigError(
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--manifest", metavar="PATH", help="corpus manifest (TSV)")
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--mode", choices=MODES, help="extraction mode")
+    parser.add_argument("--mode", metavar="MODE", help="extraction mode: " + " or ".join(MODES))
     parser.add_argument(
         "--context",
         metavar="CTX",
@@ -423,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated output formats: " + ",".join(FORMATS),
     )
-    parser.add_argument("--scope", choices=SCOPES, help="one merged graph or one per letter")
+    parser.add_argument("--scope", metavar="SCOPE", help="graph scope: " + " or ".join(SCOPES))
     parser.add_argument("--gold", metavar="PATH", help="gold triples for eval")
     parser.add_argument("--anaphora", metavar="PATH", help="manual pronoun resolutions")
     parser.add_argument(

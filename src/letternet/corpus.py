@@ -245,18 +245,16 @@ def load_manifest(path: str | Path) -> Corpus:
     if missing:
         raise ManifestError(f"{p}: manifest misses columns {missing}")
     letters: list[Letter] = []
+    seen: set[str] = set()
     for where, values in rows[1:]:
         row = dict(zip(columns, values))
-        letter_id = row["letter_id"]
-        if not letter_id:
-            raise ManifestError(f"{where}: empty letter_id")
         year = parse_index(row["year"])
         if year is None:
             raise ManifestError(f"{where}: bad year {row['year']!r}")
         addressee = row["addressee"]
         try:
             meta = LetterMeta(
-                letter_id=letter_id,
+                letter_id=row["letter_id"],
                 sender=row["sender"],
                 addressee=None if addressee in ("", "-") else addressee,
                 year=year,
@@ -265,6 +263,9 @@ def load_manifest(path: str | Path) -> Corpus:
             )
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from None
+        if meta.letter_id in seen:
+            raise ManifestError(f"{where}: duplicate letter id {meta.letter_id!r}")
+        seen.add(meta.letter_id)
         marker = row.get("cut_marker", "")
         if not row["file"]:
             raise ManifestError(f"{where}: empty file column")

@@ -163,7 +163,8 @@ class AnaphoraMap(NamedTuple):
     def from_file(cls, path: str | Path) -> "AnaphoraMap":
         """Read a four-column file: letter_id, sent_idx, tok_idx, lemma.
 
-        The indices are ASCII digits, and a position has at most one row.
+        The indices are ASCII digits, the lemma is case-folded, and a
+        position has at most one row.
         """
         entries: dict[tuple[str, int, int], str] = {}
         for where, (letter_id, sent_s, tok_s, lemma) in read_table(
@@ -180,7 +181,7 @@ class AnaphoraMap(NamedTuple):
                     f"{where}: sentence {sent_idx}, token {tok_idx} of {letter_id}"
                     " repeats an earlier row"
                 )
-            entries[key] = lemma.lower()
+            entries[key] = lemma.casefold()
         return cls(entries=entries)
 
 
@@ -252,9 +253,9 @@ class GoldTriple(_GoldTripleFields):
 def load_gold(path: str | Path) -> list[GoldTriple]:
     """Read gold triples: letter_id, sent_idx, verb, subj-or-"-", obj-or-"-".
 
-    "#" lines are comments.  Rows with the wrong field count, bad
-    indices or neither argument raise :class:`GoldFormatError` naming
-    the line.
+    Lemmas are case-folded and "#" lines are comments.  Rows with the
+    wrong field count, bad indices or neither argument raise
+    :class:`GoldFormatError` naming the line.
     """
     triples: list[GoldTriple] = []
     for where, (letter_id, sent_s, verb, subj, obj) in read_table(
@@ -270,9 +271,9 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
                 GoldTriple(
                     letter_id=letter_id,
                     sent_idx=sent_idx,
-                    verb_lemma=verb.lower(),
-                    subj_lemma=None if subj in ("", "-") else subj.lower(),
-                    obj_lemma=None if obj in ("", "-") else obj.lower(),
+                    verb_lemma=verb.casefold(),
+                    subj_lemma=None if subj in ("", "-") else subj.casefold(),
+                    obj_lemma=None if obj in ("", "-") else obj.casefold(),
                 )
             )
         except ValueError as exc:

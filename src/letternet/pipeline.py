@@ -379,8 +379,8 @@ class VariantLexicon:
 
     Each entry gives the normalised spelling and may force a word class
     and lemma; where those are left open ("-") the tagger and
-    lemmatiser decide.  Keys are case-folded, so "Tutour" and "tutour"
-    hit the same entry.
+    lemmatiser decide.  Keys, normalized forms and lemmas are
+    case-folded, so "Tutour" and "tutour" hit the same entry.
     """
 
     def __init__(self, entries: dict[str, VariantEntry] | None = None) -> None:
@@ -407,9 +407,9 @@ class VariantLexicon:
             if key in entries:
                 raise LexiconFormatError(f"{where}: {historical!r} repeats an earlier row")
             entries[key] = VariantEntry(
-                normalized=normalized.lower(),
+                normalized=normalized.casefold(),
                 pos=None if label == "-" else _word_class(label, where),
-                lemma=None if lemma == "-" else lemma.lower(),
+                lemma=None if lemma == "-" else lemma.casefold(),
             )
         return cls(entries)
 
@@ -759,9 +759,7 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
     write_atomic(path, ("\n".join(lines), "\n"))
 
 
-def ingest_pretagged(
-    path: str | Path, letter_id: str | None = None, memo: dict[str, Token] | None = None
-) -> AnnotatedDoc:
+def ingest_pretagged(path: str | Path, *, memo: dict[str, Token] | None = None) -> AnnotatedDoc:
     """Read a vertical file produced here or by an external tagger.
 
     The file is read by :func:`read_input`, and blank lines separate
@@ -770,8 +768,7 @@ def ingest_pretagged(
     case it is a token row (say, of the token "#").  Any other row with
     the wrong number of fields raises :class:`VerticalFormatError`
     naming the line.  An unknown word class label
-    degrades to OTHER with a warning.  The letter id defaults to the
-    file's stem.
+    degrades to OTHER with a warning.  The letter id is the file's stem.
 
     A row's token depends on its text alone, so each distinct row is
     split once and every later occurrence is the same :class:`Token`
@@ -783,8 +780,6 @@ def ingest_pretagged(
     each time it occurs.
     """
     p = Path(path)
-    if letter_id is None:
-        letter_id = p.stem
     lines = read_input(p, "", VerticalFormatError).split("\n")
     tokens = {} if memo is None else memo
     known = tokens.get
@@ -820,4 +815,4 @@ def ingest_pretagged(
         sentences.append(tuple(current))
     if not sentences:
         log.warning("%s: no tokens found", p)
-    return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
+    return AnnotatedDoc(letter_id=p.stem, sentences=tuple(sentences))

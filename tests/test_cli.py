@@ -816,6 +816,21 @@ VERTICAL_WITH_CONTROL = (
             NETWORK + ["--variant-lexicon", "{bad}"],
             "letternet: error: {bad}:2: 'vse' repeats an earlier row\n",
         ),
+        (None, NETWORK + ["--mode", "bad"], "letternet: error: bad mode 'bad'; expected one of"),
+        (None, NETWORK + ["--scope", "bad"], "letternet: error: bad scope 'bad'; expected one of"),
+        (
+            MANIFEST_HEADER + b"A1\tDury\t-\t1630\tfalse\ten\tbad\n"
+            b"A1\tDury\t-\t1631\tfalse\ten\tmissing.txt\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:3: duplicate letter id 'A1'\n",
+        ),
+        (
+            # a row's outer fields are stripped away, so the empty id is an inner column
+            b"sender\tletter_id\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
+            b"Dury\t\t-\t1630\tfalse\ten\tbad\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:2: letter_id must be non-empty\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -852,6 +867,10 @@ VERTICAL_WITH_CONTROL = (
         "context-window-with-space",
         "anaphora-repeated-position",
         "lexicon-repeated-form",
+        "mode-flag-unknown",
+        "scope-flag-unknown",
+        "manifest-duplicate-id",
+        "manifest-empty-id",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):

@@ -1,4 +1,4 @@
-"""The demo scripts run end to end."""
+"""The demo scripts and the README's library example run end to end."""
 
 import os
 import subprocess
@@ -17,12 +17,16 @@ PACKAGE_ROOT = Path(letternet.__file__).resolve().parent.parent
 
 
 def run_demo(name, tmp_path, extra=()):
+    return run_script(DEMOS / name, tmp_path, extra)
+
+
+def run_script(path, tmp_path, extra=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(DEMOS / name), *extra],
+        [sys.executable, str(path), *extra],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -53,3 +57,14 @@ def test_pruning_comparison_demo(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "full graph: 278 nodes" in proc.stdout
     assert "mean2" in proc.stdout
+
+
+def test_readme_library_example(tmp_path):
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```\n", 1)[0]
+    assert "from letternet import" in code
+    script = tmp_path / "library_example.py"
+    script.write_text(code, encoding="utf-8")
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,9 @@ from letternet.extraction import (
     extract_window_pairs,
     load_gold,
 )
-from letternet.network import build_graph, extract_cooccurrences, merge_graphs, token_frequencies
+from letternet.network import (
+    build_graph, cooccurrence_graph, extract_cooccurrences, merge_graphs, token_frequencies,
+)
 from letternet.pipeline import PosClass, Token
 
 from conftest import cooccurrence_records, mk_doc, mk_sentence, N, V
@@ -348,6 +350,15 @@ def test_anaphora_map_file_errors(tmp_path):
         AnaphoraMap.from_file(p)
 
 
+def test_anaphora_replacement_casefolds_like_the_annotator(tmp_path, annotator):
+    # the annotator folds "Goſpel" to "gospel", so the replacement must too
+    p = tmp_path / "a.tsv"
+    p.write_text("A\t0\t0\tGoſpel\n", encoding="utf-8")
+    doc = apply_anaphora(annotator.annotate_text("A", "It is true."), AnaphoraMap.from_file(p))
+    assert doc.sentences[0][0] == Token("It", "gospel", "gospel", N)
+    assert ("gospel", N) in cooccurrence_graph([doc]).nodes
+
+
 # gold triples and scoring
 
 
@@ -366,6 +377,15 @@ def test_load_gold(tmp_path):
     assert triples[0].subj_lemma == "man"
     assert triples[1].subj_lemma is None
     assert triples[1].obj_lemma == "way"
+
+
+def test_gold_lemmas_casefold_like_the_annotator(tmp_path, annotator):
+    # str.lower would keep the long s of "Goſpel", and the object would never match
+    p = tmp_path / "g.tsv"
+    p.write_text("A\t0\tread\t-\tGoſpel\n", encoding="utf-8")
+    assert load_gold(p)[0].obj_lemma == "gospel"
+    doc = annotator.annotate_text("A", "Men read the Goſpel.")
+    assert evaluate_pairs(extract_window_pairs(doc), load_gold(p)).obj.true_positives == 1
 
 
 def test_load_gold_errors(tmp_path):
