@@ -31,7 +31,6 @@ from letternet.export import (
 )
 from letternet.extraction import (
     DEFAULT_MAX_DISTANCE,
-    AnaphoraError,
     AnaphoraMap,
     apply_anaphora,
     evaluate_pairs,
@@ -51,6 +50,7 @@ from letternet.network import (
 )
 from letternet.pipeline import (
     AnnotatedDoc,
+    InputError,
     LetternetError,
     Token,
     default_annotator,
@@ -77,10 +77,6 @@ _EXPORTERS = {
 FORMATS = tuple(_EXPORTERS)
 MODES = ("cooccur", "pairs")
 SCOPES = ("merged", "per-letter")
-
-
-class ConfigError(ValueError, LetternetError):
-    """Raised for unusable configuration files or option values."""
 
 
 class RunConfig(NamedTuple):
@@ -139,18 +135,18 @@ def load_config_file(path: str | Path) -> dict:
     """
     p = Path(path)
     try:
-        data = json.loads(read_input(p, "config", ConfigError))
+        data = json.loads(read_input(p, "config"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
+        raise InputError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
+        raise InputError(f"{p}: config must be a JSON object")
     unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
-        raise ConfigError(f"{p}: unknown config keys: {', '.join(unknown)}")
+        raise InputError(f"{p}: unknown config keys: {', '.join(unknown)}")
     for name, default in RunConfig._field_defaults.items():
         expected, check = _VALUE_TYPES[type(default)]
         if name in data and not check(data[name]):
-            raise ConfigError(f"{p}: {name} must be {expected}, got {data[name]!r}")
+            raise InputError(f"{p}: {name} must be {expected}, got {data[name]!r}")
     for key in _PATH_KEYS:
         value = data.get(key)
         if isinstance(value, str) and value and not Path(value).is_absolute():
@@ -167,43 +163,43 @@ def _parse_context(text: str) -> int | None:
     if text.startswith("window:"):
         k = parse_index(text[len("window:") :])
         if k is None:
-            raise ConfigError(f"bad context {text!r}")
+            raise InputError(f"bad context {text!r}")
         if k < 1:
-            raise ConfigError(f"window size must be >= 1, got {k}")
+            raise InputError(f"window size must be >= 1, got {k}")
         return k
-    raise ConfigError(f"bad context {text!r}; expected sentence or window:K")
+    raise InputError(f"bad context {text!r}; expected sentence or window:K")
 
 
 def validate_config(cfg: RunConfig) -> None:
     if cfg.mode not in MODES:
-        raise ConfigError(f"bad mode {cfg.mode!r}; expected one of {MODES}")
+        raise InputError(f"bad mode {cfg.mode!r}; expected one of {MODES}")
     if cfg.scope not in SCOPES:
-        raise ConfigError(f"bad scope {cfg.scope!r}; expected one of {SCOPES}")
+        raise InputError(f"bad scope {cfg.scope!r}; expected one of {SCOPES}")
     for fmt in cfg.formats:
         if fmt not in FORMATS:
-            raise ConfigError(f"bad format {fmt!r}; expected subset of {FORMATS}")
+            raise InputError(f"bad format {fmt!r}; expected subset of {FORMATS}")
     _parse_context(cfg.context)
     if cfg.max_dist < 0:
-        raise ConfigError(f"max_dist must be >= 0, got {cfg.max_dist}")
+        raise InputError(f"max_dist must be >= 0, got {cfg.max_dist}")
     if cfg.top < 0:
-        raise ConfigError(f"top must be >= 0, got {cfg.top}")
+        raise InputError(f"top must be >= 0, got {cfg.top}")
     for rule in (cfg.prune_nodes, cfg.prune_edges):
         if rule is not None:
             try:
                 parse_prune_rule(rule)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+                raise InputError(str(exc)) from None
     if not cfg.pretagged_dir:
         if not cfg.manifest:
-            raise ConfigError("no manifest configured (use --manifest or a config file)")
+            raise InputError("no manifest configured (use --manifest or a config file)")
         if not Path(cfg.manifest).is_file():
-            raise ConfigError(f"manifest not found: {cfg.manifest}")
+            raise InputError(f"manifest not found: {cfg.manifest}")
     for key in ("gold", "anaphora", "variant_lexicon", "abbreviations"):
         value = getattr(cfg, key)
         if value is not None and not Path(value).is_file():
-            raise ConfigError(f"{key.replace('_', ' ')} file not found: {value}")
+            raise InputError(f"{key.replace('_', ' ')} file not found: {value}")
     if cfg.pretagged_dir is not None and not Path(cfg.pretagged_dir).is_dir():
-        raise ConfigError(f"pretagged directory not found: {cfg.pretagged_dir}")
+        raise InputError(f"pretagged directory not found: {cfg.pretagged_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +223,18 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
         docs = [annotator.annotate(letter) for letter in corpus]
     if cfg.anaphora:
         amap = AnaphoraMap.from_file(cfg.anaphora)
-        _refuse_unloaded(cfg.anaphora, "rows", {k[0] for k in amap.entries}, docs, AnaphoraError)
+        _refuse_unloaded(cfg.anaphora, "rows", {k[0] for k in amap.entries}, docs)
         docs = [apply_anaphora(doc, amap) for doc in docs]
     return docs
 
 
-def _refuse_unloaded(
-    path: str, what: str, ids: set[str], docs: list[AnnotatedDoc], error: type[Exception]
-) -> None:
-    """Raise ``error`` naming each of a side file's letter ``ids`` that no doc has."""
+def _refuse_unloaded(path: str, what: str, ids: set[str], docs: list[AnnotatedDoc]) -> None:
+    """Raise :class:`InputError` naming each of a side file's letter ``ids`` that no doc has."""
     unloaded = sorted(ids.difference(doc.letter_id for doc in docs))
     if unloaded:
-        raise error(f"{path}: {what} for letters that were not loaded: {', '.join(unloaded)}")
+        raise InputError(
+            f"{path}: {what} for letters that were not loaded: {', '.join(unloaded)}"
+        )
 
 
 def _build_graphs(
@@ -268,7 +264,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise InputError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -310,17 +306,17 @@ def cmd_network(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig) -> None:
     if not cfg.gold:
-        raise ConfigError("eval needs a gold file (--gold or the gold config key)")
+        raise InputError("eval needs a gold file (--gold or the gold config key)")
     gold = load_gold(cfg.gold)
     if not gold:
-        raise ConfigError(f"{cfg.gold}: no gold triples")
+        raise InputError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
     docs = _load_docs(cfg)
-    _refuse_unloaded(cfg.gold, "triples", gold_letters, docs, ConfigError)
+    _refuse_unloaded(cfg.gold, "triples", gold_letters, docs)
     n_sentences = {doc.letter_id: len(doc.sentences) for doc in docs}
     for t in gold:
         if t.sent_idx >= n_sentences[t.letter_id]:
-            raise ConfigError(
+            raise InputError(
                 f"{cfg.gold}: letter {t.letter_id} has {n_sentences[t.letter_id]} sentences,"
                 f" so no sentence {t.sent_idx}"
             )

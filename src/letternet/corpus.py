@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from letternet.pipeline import LetternetError, _Record, parse_index, read_input, read_table
+from letternet.pipeline import InputError, _Record, parse_index, read_input, read_table
 
 log = logging.getLogger(__name__)
 
@@ -39,14 +39,6 @@ _FALSE_WORDS = frozenset({"0", "false", "no", "n", ""})
 # Letter ids become file names (vertical files, per-letter graphs), so
 # they may not name another directory.
 _UNSAFE_ID_CHARS = frozenset("/\\\0")
-
-
-class ManifestError(ValueError, LetternetError):
-    """Raised for unreadable or inconsistent corpus manifests."""
-
-
-class LetterLoadError(ValueError, LetternetError):
-    """Raised when a letter transcription cannot be read."""
 
 
 class _LetterMetaFields(NamedTuple):
@@ -171,11 +163,11 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     cleaned by :func:`clean_text` with ``cut_marker``.  A missing file,
     undecodable bytes and a control character that XML cannot hold
     (other than a vertical tab or form feed, which cleaning makes a
-    space) raise :class:`LetterLoadError` naming the file; an empty
-    file is only a warning and yields an empty-bodied letter.
+    space) raise :class:`InputError` naming the file; an empty file is
+    only a warning and yields an empty-bodied letter.
     """
     p = Path(path)
-    raw = read_input(p, f"letter {meta.letter_id!r}", LetterLoadError, letter=True)
+    raw = read_input(p, f"letter {meta.letter_id!r}", letter=True)
     cleaned = clean_text(raw, cut_marker)
     if not cleaned:
         log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)
@@ -192,7 +184,7 @@ class Corpus(_Record):
         seen: set[str] = set()
         for letter in self.letters:
             if letter.meta.letter_id in seen:
-                raise ManifestError(f"duplicate letter id {letter.meta.letter_id!r}")
+                raise InputError(f"duplicate letter id {letter.meta.letter_id!r}")
             seen.add(letter.meta.letter_id)
 
     def __iter__(self) -> Iterator[Letter]:
@@ -235,22 +227,22 @@ def load_manifest(path: str | Path) -> Corpus:
     """
     p = Path(path)
     if not p.is_file():
-        raise ManifestError(f"manifest not found: {p}")
-    rows = read_table(p, None, "manifest", ManifestError)
+        raise InputError(f"manifest not found: {p}")
+    rows = read_table(p, None, "manifest")
     columns = rows[0][1] if rows else []
     for i, name in enumerate(columns):
         if name in columns[:i]:
-            raise ManifestError(f"{rows[0][0]}: header names column {name!r} twice")
+            raise InputError(f"{rows[0][0]}: header names column {name!r} twice")
     missing = [c for c in _MANIFEST_COLUMNS if c not in columns]
     if missing:
-        raise ManifestError(f"{p}: manifest misses columns {missing}")
+        raise InputError(f"{p}: manifest misses columns {missing}")
     letters: list[Letter] = []
     seen: set[str] = set()
     for where, values in rows[1:]:
         row = dict(zip(columns, values))
         year = parse_index(row["year"])
         if year is None:
-            raise ManifestError(f"{where}: bad year {row['year']!r}")
+            raise InputError(f"{where}: bad year {row['year']!r}")
         addressee = row["addressee"]
         try:
             meta = LetterMeta(
@@ -262,13 +254,13 @@ def load_manifest(path: str | Path) -> Corpus:
                 language=row["language"] or "en",
             )
         except ValueError as exc:
-            raise ManifestError(f"{where}: {exc}") from None
+            raise InputError(f"{where}: {exc}") from None
         if meta.letter_id in seen:
-            raise ManifestError(f"{where}: duplicate letter id {meta.letter_id!r}")
+            raise InputError(f"{where}: duplicate letter id {meta.letter_id!r}")
         seen.add(meta.letter_id)
         marker = row.get("cut_marker", "")
         if not row["file"]:
-            raise ManifestError(f"{where}: empty file column")
+            raise InputError(f"{where}: empty file column")
         letters.append(
             load_letter(p.parent / row["file"], meta, None if marker == "-" else marker)
         )

@@ -42,6 +42,7 @@ from letternet.pipeline import (
     _POS_BY_NAME,
     _XML_UNWRITABLE,
     ExportError,
+    InputError,
     LetternetError,
     PosClass,
     read_input,
@@ -86,10 +87,6 @@ _UNWRITABLE_RE = re.compile(f"[\x0b\x0c\ud800-\udfff{_XML_UNWRITABLE}]")
 
 class GexfValidationError(ValueError, LetternetError):
     """Raised when a GEXF document violates the expected structure."""
-
-
-class GraphFormatError(ValueError, LetternetError):
-    """Raised when a JSON graph file cannot be decoded."""
 
 
 def _node_size(freq: int, lo: int, hi: int) -> float:
@@ -444,21 +441,21 @@ def _node_key(pair) -> NodeKey:
 
 
 def graph_from_dict(data: dict) -> LexicalGraph:
-    """The graph of a JSON document; :class:`GraphFormatError` names a bad entry.
+    """The graph of a JSON document; :class:`InputError` names a bad entry.
 
     The graph must pass :meth:`LexicalGraph.validate`.
     """
     if not isinstance(data, dict) or data.get("format") != "lexical-network":
-        raise GraphFormatError("not a lexical-network JSON document")
+        raise InputError("not a lexical-network JSON document")
     nodes: dict[NodeKey, int] = {}
     for item in data.get("nodes", []):
         try:
             key = _node_key([item["lemma"], item["pos"]])
             freq = item["frequency"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"bad node entry {item!r}") from exc
+            raise InputError(f"bad node entry {item!r}") from exc
         if key in nodes:
-            raise GraphFormatError(f"duplicate node {key}")
+            raise InputError(f"duplicate node {key}")
         nodes[key] = freq
     edges: dict[EdgeKey, int] = {}
     for item in data.get("edges", []):
@@ -467,16 +464,16 @@ def graph_from_dict(data: dict) -> LexicalGraph:
             kind = RelationKind[item["kind"]]
             weight = item["weight"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"bad edge entry {item!r}") from exc
+            raise InputError(f"bad edge entry {item!r}") from exc
         edge = (src, dst, kind)
         if edge in edges:
-            raise GraphFormatError(f"duplicate edge {edge}")
+            raise InputError(f"duplicate edge {edge}")
         edges[edge] = weight
     graph = LexicalGraph(nodes=nodes, edges=edges)
     try:
         graph.validate()
     except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+        raise InputError(str(exc)) from None
     return graph
 
 
@@ -484,14 +481,14 @@ def import_json(source: str | Path) -> LexicalGraph:
     """Read a graph written by :func:`export_json`.
 
     Round trip is exact: export then import reproduces the same nodes,
-    edges and weights.  Every error is a :class:`GraphFormatError`.
+    edges and weights.  Every error is an :class:`InputError`.
     """
     p = Path(source)
-    text = read_input(p, "", GraphFormatError)
+    text = read_input(p, "")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{p}: invalid JSON: {exc}") from exc
+        raise InputError(f"{p}: invalid JSON: {exc}") from exc
     return graph_from_dict(data)
 
 

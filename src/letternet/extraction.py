@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from letternet.pipeline import (
-    AnnotatedDoc, LetternetError, PosClass, Token, parse_index, read_table,
+    AnnotatedDoc, InputError, PosClass, Token, parse_index, read_table,
 )
 
 log = logging.getLogger(__name__)
@@ -45,14 +45,6 @@ DEFAULT_MAX_DISTANCE = 4
 
 # scan direction from the verb -> kind of the pair found on that side
 _SIDES = ((-1, RelationKind.SUBJ), (1, RelationKind.OBJ))
-
-
-class GoldFormatError(ValueError, LetternetError):
-    """Raised for malformed gold-standard triple files."""
-
-
-class AnaphoraError(ValueError, LetternetError):
-    """Raised for malformed anaphora files or non-pronoun targets."""
 
 
 class PairRecord(NamedTuple):
@@ -167,17 +159,15 @@ class AnaphoraMap(NamedTuple):
         position has at most one row.
         """
         entries: dict[tuple[str, int, int], str] = {}
-        for where, (letter_id, sent_s, tok_s, lemma) in read_table(
-            path, 4, "anaphora file", AnaphoraError
-        ):
+        for where, (letter_id, sent_s, tok_s, lemma) in read_table(path, 4, "anaphora file"):
             sent_idx, tok_idx = parse_index(sent_s), parse_index(tok_s)
             if sent_idx is None or tok_idx is None:
-                raise AnaphoraError(f"{where}: bad token position {sent_s!r}/{tok_s!r}")
+                raise InputError(f"{where}: bad token position {sent_s!r}/{tok_s!r}")
             if not lemma or lemma == "-":
-                raise AnaphoraError(f"{where}: empty replacement lemma")
+                raise InputError(f"{where}: empty replacement lemma")
             key = (letter_id, sent_idx, tok_idx)
             if key in entries:
-                raise AnaphoraError(
+                raise InputError(
                     f"{where}: sentence {sent_idx}, token {tok_idx} of {letter_id}"
                     " repeats an earlier row"
                 )
@@ -190,9 +180,9 @@ def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
 
     Every map entry for this letter must point at a PRON token;
     anything else (wrong class, position out of range) raises
-    :class:`AnaphoraError` naming the position.  The surface form stays
-    as transcribed, only normalized form, lemma and class change.  An
-    empty map returns the document unchanged.
+    :class:`InputError` naming the position.  The surface form stays as
+    transcribed, only normalized form, lemma and class change.  An empty
+    map returns the document unchanged.
     """
     targets = amap.for_letter(doc.letter_id)
     if not targets:
@@ -200,17 +190,17 @@ def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
     sentences = list(doc.sentences)
     for (sent_idx, tok_idx), lemma in targets.items():
         if sent_idx < 0 or sent_idx >= len(sentences):
-            raise AnaphoraError(
+            raise InputError(
                 f"{doc.letter_id}: no sentence {sent_idx} for anaphora target"
             )
         sentence = sentences[sent_idx]
         if tok_idx < 0 or tok_idx >= len(sentence):
-            raise AnaphoraError(
+            raise InputError(
                 f"{doc.letter_id}: no token {tok_idx} in sentence {sent_idx}"
             )
         token = sentence[tok_idx]
         if token.pos is not PosClass.PRON:
-            raise AnaphoraError(
+            raise InputError(
                 f"{doc.letter_id}: anaphora target at sentence {sent_idx}, "
                 f"token {tok_idx} is {token.pos.name}, not PRON"
             )
@@ -255,17 +245,15 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
 
     Lemmas are case-folded and "#" lines are comments.  Rows with the
     wrong field count, bad indices or neither argument raise
-    :class:`GoldFormatError` naming the line.
+    :class:`InputError` naming the line.
     """
     triples: list[GoldTriple] = []
-    for where, (letter_id, sent_s, verb, subj, obj) in read_table(
-        path, 5, "gold file", GoldFormatError
-    ):
+    for where, (letter_id, sent_s, verb, subj, obj) in read_table(path, 5, "gold file"):
         sent_idx = parse_index(sent_s)
         if sent_idx is None:
-            raise GoldFormatError(f"{where}: bad sentence index {sent_s!r}")
+            raise InputError(f"{where}: bad sentence index {sent_s!r}")
         if not verb or verb == "-":
-            raise GoldFormatError(f"{where}: empty verb lemma")
+            raise InputError(f"{where}: empty verb lemma")
         try:
             triples.append(
                 GoldTriple(
@@ -277,7 +265,7 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
                 )
             )
         except ValueError as exc:
-            raise GoldFormatError(f"{where}: {exc}") from None
+            raise InputError(f"{where}: {exc}") from None
     return triples
 
 

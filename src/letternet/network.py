@@ -30,13 +30,9 @@ from letternet.extraction import (
     extract_window_pairs,
     node_order,
 )
-from letternet.pipeline import AnnotatedDoc, LetternetError, _Frozen, _Record
+from letternet.pipeline import AnnotatedDoc, InputError, _Frozen, _Record
 
 log = logging.getLogger(__name__)
-
-
-class GraphBuildError(ValueError, LetternetError):
-    """Raised when an edge references a lemma without frequency data."""
 
 
 class LexicalGraph(_Record):
@@ -117,7 +113,7 @@ def build_graph(
     is not a node.  Node frequencies come from ``frequencies`` (typically
     :func:`token_frequencies` over the same documents the edges were
     extracted from); an endpoint without frequency data raises
-    :class:`GraphBuildError` naming the lemma.
+    :class:`InputError` naming the lemma.
     """
     weights = edges
     if not isinstance(edges, Mapping):
@@ -129,7 +125,7 @@ def build_graph(
             if key not in nodes:
                 freq = frequencies.get(key, 0)
                 if freq < 1:
-                    raise GraphBuildError(
+                    raise InputError(
                         f"no frequency for lemma {key[0]!r} ({key[1].name})"
                     )
                 nodes[key] = int(freq)

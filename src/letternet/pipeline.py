@@ -18,7 +18,6 @@ import enum
 import logging
 import os
 import re
-import string
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -68,34 +67,27 @@ _CONTROL_RE = re.compile(f"[\x0b\x0c{_XML_UNWRITABLE}]")
 _TOKEN = r"[^\W\d_{0}]+(?:['’][^\W\d_{0}]+)*|\d+|\.{{2,}}|\S"
 _TOKEN_RE = re.compile(_TOKEN.format(""))
 _NOT_WORD_RE = re.compile(r"[\W\d_]+")
-_ASCII_LETTERS = frozenset(string.ascii_letters)
 
 
 class LetternetError(Exception):
     """Base of the package's errors, which also derive from ValueError or OSError."""
 
 
-class LexiconFormatError(ValueError, LetternetError):
-    """Raised for malformed lexicon resource files."""
-
-
-class VerticalFormatError(ValueError, LetternetError):
-    """Raised for malformed vertical (one token per line) files."""
+class InputError(ValueError, LetternetError):
+    """Raised for an input file, option or config value that cannot be used."""
 
 
 class ExportError(OSError, LetternetError):
     """Raised when an output file cannot be written."""
 
 
-def read_input(
-    path: str | Path, what: str, error: type[Exception], *, letter: bool = False
-) -> str:
+def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
     """The text of an input file: UTF-8, a byte-order mark dropped, lines ending in "\\n".
 
     "\\r\\n" and "\\r" become "\\n".  An unreadable or undecodable file
-    (naming the byte offset) raises ``error`` with "cannot read {what}
-    {path}: ...", and a control character or noncharacter that XML
-    cannot hold with "{path}:{line}: ...".  With ``letter`` true,
+    (naming the byte offset) raises :class:`InputError` with "cannot
+    read {what} {path}: ...", and a control character or noncharacter
+    that XML cannot hold with "{path}:{line}: ...".  With ``letter`` true,
     vertical tabs and form feeds pass, and every message names the file
     "{what}: {path}".
     """
@@ -106,13 +98,13 @@ def read_input(
     try:
         data = p.read_bytes()
     except OSError as exc:
-        raise error(f"cannot read {name}: {exc}") from exc
+        raise InputError(f"cannot read {name}: {exc}") from exc
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.start counts from after a byte-order mark
         offset = exc.start + len(data) - len(exc.object)
-        raise error(f"cannot read {name}: not valid UTF-8 (byte offset {offset})") from exc
+        raise InputError(f"cannot read {name}: not valid UTF-8 (byte offset {offset})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
@@ -120,23 +112,21 @@ def read_input(
         lineno = text.count("\n", 0, bad.start()) + 1
         code = ord(bad.group())
         kind = "noncharacter" if code > 0xFFFD else "control character"
-        raise error(f"{where}:{lineno}: {kind} U+{code:04X}")
+        raise InputError(f"{where}:{lineno}: {kind} U+{code:04X}")
     return text
 
 
-def read_table(
-    path: str | Path, n_fields: int | None, what: str, error: type[Exception]
-) -> list[tuple[str, list[str]]]:
+def read_table(path: str | Path, n_fields: int | None, what: str) -> list[tuple[str, list[str]]]:
     """Rows of a tab-separated resource file as ("path:line", fields).
 
     The file is read by :func:`read_input`; blank and "#" lines are
     skipped, and each line and each field is stripped.  A row without
-    exactly ``n_fields`` fields raises ``error``; with ``n_fields`` None
-    the first row (a header) sets the count.
+    exactly ``n_fields`` fields raises :class:`InputError`; with
+    ``n_fields`` None the first row (a header) sets the count.
     """
     p = Path(path)
     rows = []
-    for lineno, line in enumerate(read_input(p, what, error).split("\n"), start=1):
+    for lineno, line in enumerate(read_input(p, what).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -144,7 +134,7 @@ def read_table(
         if n_fields is None:
             n_fields = len(parts)
         if len(parts) != n_fields:
-            raise error(
+            raise InputError(
                 f"{p}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
             )
         rows.append((f"{p}:{lineno}", [x.strip() for x in parts]))
@@ -283,7 +273,7 @@ class SplitConfig(NamedTuple):
 
     ``colon_boundary`` additionally breaks sentences at colons, which
     helps on period texts that chain clauses with ":" where a modern
-    writer would end the sentence.  ``abbreviations`` lists lower-cased
+    writer would end the sentence.  ``abbreviations`` lists case-folded
     words (without the trailing dot) whose following "." never ends a
     sentence.
     """
@@ -293,17 +283,18 @@ class SplitConfig(NamedTuple):
 
 
 def _is_abbreviation(text: str, dot_pos: int, config: SplitConfig) -> bool:
-    """Whether the ASCII word that ends at ``dot_pos`` is an abbreviation.
+    """Whether the word that ends at ``dot_pos`` is an abbreviation.
 
-    Like ``re.search(r"[A-Za-z]+$", text[:dot_pos])``, the word may also
-    end just before a newline at ``dot_pos - 1``.  Only the word itself
-    is scanned, so a text's dots cost time linear in its length.
+    The word is the run of letters (``str.isalpha``, as :func:`tokenize`
+    takes them) before the dot, or before a newline at ``dot_pos - 1``,
+    and it is case-folded.  Only the word itself is scanned, so a text's
+    dots cost time linear in its length.
     """
     end = dot_pos - 1 if dot_pos and text[dot_pos - 1] == "\n" else dot_pos
     start = end
-    while start and text[start - 1] in _ASCII_LETTERS:
+    while start and text[start - 1].isalpha():
         start -= 1
-    return start < end and text[start:end].lower() in config.abbreviations
+    return start < end and text[start:end].casefold() in config.abbreviations
 
 
 def split_sentences(text: str, config: SplitConfig = SplitConfig()) -> list[str]:
@@ -365,7 +356,7 @@ def _word_class(label: str, where: str) -> PosClass:
     try:
         return _POS_BY_NAME[label]
     except KeyError:
-        raise LexiconFormatError(f"{where}: unknown word class {label!r}") from None
+        raise InputError(f"{where}: unknown word class {label!r}") from None
 
 
 class VariantEntry(NamedTuple):
@@ -399,13 +390,13 @@ class VariantLexicon:
         rows for one historical form, ignoring case, are an error.
         """
         entries: dict[str, VariantEntry] = {}
-        rows = read_table(path, 4, "lexicon", LexiconFormatError)
+        rows = read_table(path, 4, "lexicon")
         for where, (historical, normalized, label, lemma) in rows:
             if not historical or not normalized:
-                raise LexiconFormatError(f"{where}: empty form")
+                raise InputError(f"{where}: empty form")
             key = historical.casefold()
             if key in entries:
-                raise LexiconFormatError(f"{where}: {historical!r} repeats an earlier row")
+                raise InputError(f"{where}: {historical!r} repeats an earlier row")
             entries[key] = VariantEntry(
                 normalized=normalized.casefold(),
                 pos=None if label == "-" else _word_class(label, where),
@@ -518,10 +509,10 @@ class RuleTagger:
     def from_file(cls, path: str | Path) -> "RuleTagger":
         """Read a two-column word class list (word, class), one row per word ignoring case."""
         lexicon: dict[str, PosClass] = {}
-        for where, (word, label) in read_table(path, 2, "word list", LexiconFormatError):
+        for where, (word, label) in read_table(path, 2, "word list"):
             key = word.casefold()
             if key in lexicon:
-                raise LexiconFormatError(f"{where}: {word!r} repeats an earlier row")
+                raise InputError(f"{where}: {word!r} repeats an earlier row")
             lexicon[key] = _word_class(label, where)
         return cls(lexicon)
 
@@ -620,14 +611,10 @@ class Lemmatizer:
         Two rows for one form, ignoring case, and class are an error.
         """
         exceptions: dict[tuple[str, PosClass | None], str] = {}
-        for where, (form, label, lemma) in read_table(
-            path, 3, "exceptions", LexiconFormatError
-        ):
+        for where, (form, label, lemma) in read_table(path, 3, "exceptions"):
             key = (form.casefold(), None if label == "-" else _word_class(label, where))
             if key in exceptions:
-                raise LexiconFormatError(
-                    f"{where}: {form!r} as {label} repeats an earlier row"
-                )
+                raise InputError(f"{where}: {form!r} as {label} repeats an earlier row")
             exceptions[key] = lemma.casefold()
         return cls(exceptions, known_as)
 
@@ -710,8 +697,14 @@ def data_path(name: str) -> Path:
 
 
 def _load_abbreviations(path: str | Path) -> frozenset[str]:
-    rows = read_table(path, 1, "abbreviations", LexiconFormatError)
-    return frozenset(word.rstrip(".").lower() for _, (word,) in rows)
+    """The words of an abbreviation list, case-folded; a row is letters, then at most one dot."""
+    words = set()
+    for where, (row,) in read_table(path, 1, "abbreviations"):
+        word = row.removesuffix(".")
+        if not word.isalpha():
+            raise InputError(f"{where}: abbreviation {row!r} is not one word of letters")
+        words.add(word.casefold())
+    return frozenset(words)
 
 
 def default_annotator(
@@ -766,9 +759,9 @@ def ingest_pretagged(path: str | Path, *, memo: dict[str, Token] | None = None) 
     sentences.  A line whose first non-blank character is "#" is a
     comment unless it has exactly four tab-separated fields, in which
     case it is a token row (say, of the token "#").  Any other row with
-    the wrong number of fields raises :class:`VerticalFormatError`
-    naming the line.  An unknown word class label
-    degrades to OTHER with a warning.  The letter id is the file's stem.
+    the wrong number of fields raises :class:`InputError` naming the
+    line.  An unknown word class label degrades to OTHER with a warning.
+    The letter id is the file's stem.
 
     A row's token depends on its text alone, so each distinct row is
     split once and every later occurrence is the same :class:`Token`
@@ -780,7 +773,7 @@ def ingest_pretagged(path: str | Path, *, memo: dict[str, Token] | None = None) 
     each time it occurs.
     """
     p = Path(path)
-    lines = read_input(p, "", VerticalFormatError).split("\n")
+    lines = read_input(p, "").split("\n")
     tokens = {} if memo is None else memo
     known = tokens.get
     pos_named = _POS_BY_NAME.get
@@ -800,7 +793,7 @@ def ingest_pretagged(path: str | Path, *, memo: dict[str, Token] | None = None) 
         if len(parts) != 4:
             if line.lstrip().startswith("#"):
                 continue
-            raise VerticalFormatError(
+            raise InputError(
                 f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         surface, normalized, lemma, label = parts

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -18,7 +19,6 @@ import letternet
 from letternet import cli, corpus, export, extraction, network, pipeline
 from letternet.cli import (
     CONFIG_ENV_VAR,
-    ConfigError,
     RunConfig,
     build_parser,
     load_config_file,
@@ -27,7 +27,7 @@ from letternet.cli import (
 )
 from letternet.export import import_json
 from letternet.extraction import RelationKind
-from letternet.pipeline import Annotator, LetternetError, data_path
+from letternet.pipeline import Annotator, InputError, LetternetError, data_path
 
 from conftest import MANIFEST, SAMPLE_DIR, N, V
 
@@ -95,26 +95,26 @@ def test_load_config_file_keeps_absolute_paths(tmp_path):
 def test_load_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"mode": "pairs", "windw": 3}), encoding="utf-8")
-    with pytest.raises(ConfigError, match="windw"):
+    with pytest.raises(InputError, match="windw"):
         load_config_file(path)
 
 
 def test_load_config_file_bad_json(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{oops", encoding="utf-8")
-    with pytest.raises(ConfigError, match="invalid JSON"):
+    with pytest.raises(InputError, match="invalid JSON"):
         load_config_file(path)
 
 
 def test_load_config_file_non_object(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("[1, 2]", encoding="utf-8")
-    with pytest.raises(ConfigError, match="JSON object"):
+    with pytest.raises(InputError, match="JSON object"):
         load_config_file(path)
 
 
 def test_load_config_file_missing():
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(InputError, match="cannot read"):
         load_config_file("/no/such/config.json")
 
 
@@ -257,7 +257,7 @@ def test_validate_config_accepts_sample():
 def test_validate_config_rejects(kwargs, fragment):
     base = {"manifest": str(MANIFEST)}
     base.update(kwargs)
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(InputError, match=fragment):
         validate_config(RunConfig(**base))
 
 
@@ -621,6 +621,24 @@ def test_stats_prints_summary(mini_corpus, capsys):
     assert "Nodes:" in stdout and "Top nouns by frequency:" in stdout
 
 
+def test_stats_per_letter_has_one_header_per_letter(mini_corpus, capsys):
+    code, stdout, _ = run_main(
+        ["stats", "--manifest", str(mini_corpus), "--scope", "per-letter"], capsys
+    )
+    assert code == 0
+    assert [line for line in stdout.splitlines() if line.startswith("==")] == [
+        "== A1 ==", "== B1 ==",
+    ]
+    assert stdout.count("Nodes:") == 2
+
+
+def test_empty_pretagged_dir_warns(tmp_path, capsys, caplog):
+    caplog.set_level(logging.WARNING, logger="letternet.cli")
+    code, _, _ = run_main(["stats", "--pretagged-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [f"no vertical files in {tmp_path}"]
+
+
 # error handling
 
 
@@ -831,6 +849,33 @@ VERTICAL_WITH_CONTROL = (
             ["network", "--manifest", "{bad}", "--out", "{out}"],
             "letternet: error: {bad}:2: letter_id must be non-empty\n",
         ),
+        (
+            # the empty file field is inner, so the row keeps its field count
+            MANIFEST_HEADER.replace(b"\n", b"\tcut_marker\n")
+            + b"A1\tDury\t-\t1630\tfalse\ten\t\t-\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:2: empty file column\n",
+        ),
+        (
+            b"A1\t0\t0\t-\n",
+            NETWORK + ["--mode", "pairs", "--anaphora", "{bad}"],
+            "letternet: error: {bad}:1: empty replacement lemma\n",
+        ),
+        (
+            b"A1\t0\t-\ttutor\tchild\n",
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}:1: empty verb lemma\n",
+        ),
+        (
+            b"vse\t\tVERB\t-\n",
+            NETWORK + ["--variant-lexicon", "{bad}"],
+            "letternet: error: {bad}:1: empty form\n",
+        ),
+        (
+            b"mr.\ne.g.\n",
+            NETWORK + ["--abbreviations", "{bad}"],
+            "letternet: error: {bad}:2: abbreviation 'e.g.' is not one word of letters\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -871,6 +916,11 @@ VERTICAL_WITH_CONTROL = (
         "scope-flag-unknown",
         "manifest-duplicate-id",
         "manifest-empty-id",
+        "manifest-empty-file",
+        "anaphora-empty-lemma",
+        "gold-empty-verb",
+        "lexicon-empty-normalized",
+        "abbreviations-not-a-word",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
@@ -960,7 +1010,10 @@ def test_every_error_class_is_a_letternet_error():
         and issubclass(obj, BaseException)
         and obj.__module__ == module.__name__
     ]
-    assert len(classes) == 12  # LetternetError and the eleven below it
+    # a new error class is a deliberate change to this set
+    assert sorted(c.__name__ for c in classes) == [
+        "ExportError", "GexfValidationError", "InputError", "LetternetError",
+    ]
     assert [c.__name__ for c in classes if not issubclass(c, LetternetError)] == []
 
 

@@ -10,14 +10,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from letternet.corpus import (
     Corpus,
     Letter,
-    LetterLoadError,
     LetterMeta,
-    ManifestError,
     _drop_bracketed,
     clean_text,
     load_letter,
     load_manifest,
 )
+from letternet.pipeline import InputError
 
 from conftest import MANIFEST
 
@@ -166,14 +165,14 @@ def test_empty_letter_id_rejected():
 
 
 def test_load_letter_missing_file(tmp_path):
-    with pytest.raises(LetterLoadError, match="X1"):
+    with pytest.raises(InputError, match="X1"):
         load_letter(tmp_path / "nope.txt", meta())
 
 
 def test_load_letter_bad_encoding(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"ok \xff\xfe bad")
-    with pytest.raises(LetterLoadError, match="byte"):
+    with pytest.raises(InputError, match="byte"):
         load_letter(p, meta())
 
 
@@ -197,7 +196,7 @@ def test_load_letter_with_byte_order_mark(tmp_path, annotator):
     assert annotator.annotate(letter) == annotator.annotate(load_letter(plain, meta()))
     # a decoding error still gives the offset in the file, mark included
     marked.write_bytes(codecs.BOM_UTF8 + b"ok \xff")
-    with pytest.raises(LetterLoadError, match="byte offset 6"):
+    with pytest.raises(InputError, match="byte offset 6"):
         load_letter(marked, meta())
 
 
@@ -206,7 +205,7 @@ def test_load_letter_rejects_control_characters(tmp_path, char):
     p = tmp_path / "l.txt"
     p.write_text(f"first line\nthe tu{char}tor\n", encoding="utf-8")
     code = f"U\\+{ord(char):04X}"
-    with pytest.raises(LetterLoadError, match=rf"'X1': .*l\.txt:2: control character {code}"):
+    with pytest.raises(InputError, match=rf"'X1': .*l\.txt:2: control character {code}"):
         load_letter(p, meta())
 
 
@@ -216,7 +215,7 @@ def test_load_letter_rejects_noncharacters(tmp_path, char):
     p = tmp_path / "l.txt"
     p.write_text(f"first line\nthe tu{char}tor\n", encoding="utf-8")
     code = f"U\\+{ord(char):04X}"
-    with pytest.raises(LetterLoadError, match=rf"'X1': .*l\.txt:2: noncharacter {code}"):
+    with pytest.raises(InputError, match=rf"'X1': .*l\.txt:2: noncharacter {code}"):
         load_letter(p, meta())
 
 
@@ -224,7 +223,7 @@ def test_load_letter_counts_lines_as_an_editor_does(tmp_path):
     # "\r\n" is one line break, U+2028 and U+0085 are none
     p = tmp_path / "l.txt"
     p.write_bytes("first\u2028line\r\nsecond\x85line\rthe tu\x01tor\n".encode("utf-8"))
-    with pytest.raises(LetterLoadError, match=r"l\.txt:3: control character U\+0001"):
+    with pytest.raises(InputError, match=r"l\.txt:3: control character U\+0001"):
         load_letter(p, meta())
 
 
@@ -248,7 +247,7 @@ def test_corpus_sorted_by_year_then_id():
 
 
 def test_corpus_duplicate_id_rejected():
-    with pytest.raises(ManifestError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         Corpus([_letter("A", 1600), _letter("A", 1601)])
 
 
@@ -279,7 +278,7 @@ def test_load_manifest_sample():
 def test_load_manifest_missing_columns(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("letter_id\tsender\nA\tDury\n", encoding="utf-8")
-    with pytest.raises(ManifestError, match="columns"):
+    with pytest.raises(InputError, match="columns"):
         load_manifest(p)
 
 
@@ -291,7 +290,7 @@ def test_load_manifest_bad_year(tmp_path):
         "A\tDury\t-\tnot_a_year\tfalse\ten\ta.txt\n",
         encoding="utf-8",
     )
-    with pytest.raises(ManifestError, match=":2"):
+    with pytest.raises(InputError, match=":2"):
         load_manifest(p)
 
 
@@ -303,7 +302,7 @@ def test_load_manifest_bad_bool(tmp_path):
         "A\tDury\t-\t1630\tmaybe\ten\ta.txt\n",
         encoding="utf-8",
     )
-    with pytest.raises(ManifestError, match="boolean"):
+    with pytest.raises(InputError, match="boolean"):
         load_manifest(p)
 
 
@@ -324,7 +323,7 @@ def test_load_manifest_skips_comments_and_blank_lines(tmp_path):
 
 
 def test_load_manifest_not_found(tmp_path):
-    with pytest.raises(ManifestError, match="not found"):
+    with pytest.raises(InputError, match="not found"):
         load_manifest(tmp_path / "absent.tsv")
 
 
@@ -343,5 +342,5 @@ def test_load_manifest_rejects_unsafe_letter_id(tmp_path, letter_id):
         reason = r"control character U\+0000"
     else:
         reason = r"letter_id .* not a plain file name"
-    with pytest.raises(ManifestError, match=r"m\.tsv:2: " + reason):
+    with pytest.raises(InputError, match=r"m\.tsv:2: " + reason):
         load_manifest(p)

@@ -19,7 +19,6 @@ from letternet.export import (
     DEFAULT_NODE_COLORS,
     ExportError,
     GexfValidationError,
-    GraphFormatError,
     _distribution_line,
     _node_size,
     dot_text,
@@ -37,7 +36,7 @@ from letternet.export import (
 )
 from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
 from letternet.network import Centrality, LexicalGraph, centrality, mean_sd
-from letternet.pipeline import PosClass
+from letternet.pipeline import InputError, PosClass
 
 from conftest import N, V
 
@@ -119,6 +118,50 @@ def test_gexf_validator_rejects_broken_documents(toy_graph):
     # a str is always a document, never a file name
     with pytest.raises(GexfValidationError, match="not well-formed XML"):
         validate_gexf("not xml at <all")
+
+
+# (id, (old, new) replacements, message): each breaks one check of the
+# validator on the toy graph's document; no replacements means a missing file
+_BROKEN_GEXF = [
+    ("no-graph", [("<graph ", "<grph "), ("</graph>", "</grph>")], "missing graph element"),
+    ("bad-defaultedgetype", [('"directed">', '"sideways">')], "missing or bad defaultedgetype"),
+    ("bad-attributes-class", [('class="edge"', 'class="link"')], "bad attributes class 'link'"),
+    ("attribute-without-id", [('<attribute id="0" title="pos"', '<attribute title="pos"')],
+     "attribute without id or title"),
+    ("attribute-without-title", [('title="kind" ', "")], "attribute without id or title"),
+    ("undeclared-attvalue", [('<attvalue for="1"', '<attvalue for="7"')],
+     "node god::NOUN: attvalue references undeclared attribute '7'"),
+    ("viz-colour-too-big", [('b="255"/>', 'b="256"/>')],
+     "node god::NOUN: bad viz colour channel '256'"),
+    ("viz-colour-negative", [('b="255"/>', 'b="-1"/>')],
+     "node god::NOUN: bad viz colour channel '-1'"),
+    ("bad-viz-size", [('value="60.000"', 'value="big"')], "node god::NOUN: bad viz size"),
+    ("zero-viz-size", [('value="60.000"', 'value="0"')], "node god::NOUN: non-positive viz size 0.0"),
+    ("no-nodes", [("<nodes>", "<nods>"), ("</nodes>", "</nods>")], "missing nodes element"),
+    ("node-without-id", [('id="god::NOUN" ', "")], "node without id"),
+    ("node-without-label", [('label="god"', "")], "node god::NOUN: missing label"),
+    ("duplicate-node-id", [('id="man::NOUN"', 'id="god::NOUN"')], "duplicate node id 'god::NOUN'"),
+    ("no-edges", [("<edges>", "<edgs>"), ("</edges>", "</edgs>")], "missing edges element"),
+    ("edge-without-id", [('<edge id="0" ', "<edge ")], "missing or duplicate edge id None"),
+    ("duplicate-edge-id", [('<edge id="1" ', '<edge id="0" ')], "missing or duplicate edge id '0'"),
+    ("bad-edge-type", [('type="undirected"', 'type="sideways"')], "edge 0: bad type 'sideways'"),
+    ("bad-edge-weight", [('weight="2"', 'weight="heavy"')], "edge 0: bad weight 'heavy'"),
+    ("negative-edge-weight", [('weight="2"', 'weight="-2"')], "edge 0: non-positive weight -2.0"),
+    ("unreadable-path", [], "cannot read "),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, message", [case[1:] for case in _BROKEN_GEXF], ids=[case[0] for case in _BROKEN_GEXF]
+)
+def test_gexf_validator_names_each_broken_check(toy_graph, tmp_path, edits, message):
+    document = gexf_bytes(toy_graph).decode()
+    for old, new in edits:
+        assert old in document
+        document = document.replace(old, new, 1)
+    source = document if edits else tmp_path / "missing.gexf"
+    with pytest.raises(GexfValidationError, match=re.escape(message)):
+        validate_gexf(source)
 
 
 def test_gexf_networkx_round_trip_undirected(tmp_path):
@@ -227,6 +270,8 @@ _BAD_GRAPH_DOCS = [
     (_doc(edges=[{**_EDGE, "source": ["a", "NOUN", "x"]}]), "bad edge entry"),
     (_doc(edges=[{**_EDGE, "source": {"a": 0, "NOUN": 1}}]), "bad edge entry"),
     (_doc([{**_NODE, "frequency": 0}]), "frequency 0 not a positive int"),
+    (_doc([_NODE, {**_NODE, "frequency": 2}]), "duplicate node ('a', <PosClass.NOUN: 'NOUN'>)"),
+    (_doc(edges=[_EDGE, {**_EDGE, "weight": 2}]), "duplicate edge (('a', <PosClass.NOUN"),
     # a co-occurrence edge is stored with its endpoints in canonical order
     (
         _doc(
@@ -243,14 +288,14 @@ def test_graph_from_dict_validates():
         (("a", N), ("a", N), RelationKind.COOCCUR): 1
     }
     for doc, fragment in _BAD_GRAPH_DOCS:
-        with pytest.raises(GraphFormatError, match=re.escape(fragment)):
+        with pytest.raises(InputError, match=re.escape(fragment)):
             graph_from_dict(doc)
 
 
 def test_import_json_bad_file(tmp_path):
     p = tmp_path / "g.json"
     p.write_text("{not json", encoding="utf-8")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(InputError):
         import_json(p)
 
 
@@ -264,7 +309,7 @@ def test_import_json_reads_a_byte_order_mark(toy_graph, tmp_path):
 def test_import_json_names_the_byte_offset(tmp_path):
     p = tmp_path / "g.json"
     p.write_bytes(b'{"format": "\xff"}')
-    with pytest.raises(GraphFormatError, match=r"not valid UTF-8 \(byte offset 12\)"):
+    with pytest.raises(InputError, match=r"not valid UTF-8 \(byte offset 12\)"):
         import_json(p)
 
 
@@ -650,7 +695,7 @@ def test_writers_match_reference(graph, top_n):
         # a lemma with a character that XML cannot hold would make
         # the next GEXF file ill-formed, so reading it back is refused
         if any(_XML_CONTROL.search(lemma) for lemma, _ in graph.nodes):
-            with pytest.raises(GraphFormatError, match="bad node entry"):
+            with pytest.raises(InputError, match="bad node entry"):
                 import_json(out / "g.json")
         else:
             assert import_json(out / "g.json") == graph

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from letternet.extraction import (
-    AnaphoraError,
     AnaphoraMap,
-    GoldFormatError,
     GoldTriple,
     PairRecord,
     RelationKind,
@@ -20,7 +18,7 @@ from letternet.extraction import (
 from letternet.network import (
     build_graph, cooccurrence_graph, extract_cooccurrences, merge_graphs, token_frequencies,
 )
-from letternet.pipeline import PosClass, Token
+from letternet.pipeline import InputError, PosClass, Token
 
 from conftest import cooccurrence_records, mk_doc, mk_sentence, N, V
 
@@ -317,15 +315,15 @@ def test_apply_anaphora_empty_map_is_noop():
 
 def test_apply_anaphora_rejects_non_pronoun():
     doc = mk_doc([("man", N), ("go", V)])
-    with pytest.raises(AnaphoraError, match="0"):
+    with pytest.raises(InputError, match="0"):
         apply_anaphora(doc, AnaphoraMap({("T1", 0, 0): "tutor"}))
 
 
 def test_apply_anaphora_rejects_bad_position():
     doc = mk_doc([("he", PRON)])
-    with pytest.raises(AnaphoraError):
+    with pytest.raises(InputError):
         apply_anaphora(doc, AnaphoraMap({("T1", 0, 9): "x"}))
-    with pytest.raises(AnaphoraError):
+    with pytest.raises(InputError):
         apply_anaphora(doc, AnaphoraMap({("T1", 5, 0): "x"}))
 
 
@@ -340,13 +338,13 @@ def test_anaphora_map_from_file(tmp_path):
 def test_anaphora_map_file_errors(tmp_path):
     p = tmp_path / "a.tsv"
     p.write_text("L01\t1\ttutor\n", encoding="utf-8")
-    with pytest.raises(AnaphoraError, match="4"):
+    with pytest.raises(InputError, match="4"):
         AnaphoraMap.from_file(p)
     p.write_text("L01\tx\t1\ttutor\n", encoding="utf-8")
-    with pytest.raises(AnaphoraError):
+    with pytest.raises(InputError):
         AnaphoraMap.from_file(p)
     p.write_text("L01\t1\t15\ttutor\nL02\t1\t15\tchild\nL01\t1\t15\tzzz\n", encoding="utf-8")
-    with pytest.raises(AnaphoraError, match=r"a\.tsv:3: sentence 1, token 15 of L01 repeats"):
+    with pytest.raises(InputError, match=r"a\.tsv:3: sentence 1, token 15 of L01 repeats"):
         AnaphoraMap.from_file(p)
 
 
@@ -391,13 +389,13 @@ def test_gold_lemmas_casefold_like_the_annotator(tmp_path, annotator):
 def test_load_gold_errors(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("L1\t0\tsee\tman\n", encoding="utf-8")
-    with pytest.raises(GoldFormatError, match="5"):
+    with pytest.raises(InputError, match="5"):
         load_gold(p)
     p.write_text("L1\tzero\tsee\tman\ttruth\n", encoding="utf-8")
-    with pytest.raises(GoldFormatError):
+    with pytest.raises(InputError):
         load_gold(p)
     p.write_text("L1\t0\tsee\t-\t-\n", encoding="utf-8")
-    with pytest.raises(GoldFormatError):
+    with pytest.raises(InputError):
         load_gold(p)
 
 

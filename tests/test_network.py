@@ -17,7 +17,6 @@ from letternet.extraction import (
 from letternet import network
 from letternet.network import (
     Centrality,
-    GraphBuildError,
     LexicalGraph,
     MeanSd,
     Threshold,
@@ -31,7 +30,7 @@ from letternet.network import (
     prune,
     token_frequencies,
 )
-from letternet.pipeline import AnnotatedDoc, PosClass, Token
+from letternet.pipeline import AnnotatedDoc, InputError, PosClass, Token
 
 from conftest import cooccurrence_records, mk_doc, N, V
 
@@ -90,7 +89,7 @@ def test_build_graph_only_endpoint_nodes():
 
 
 def test_build_graph_missing_frequency():
-    with pytest.raises(GraphBuildError, match="ghost"):
+    with pytest.raises(InputError, match="ghost"):
         build_graph([rec(("ghost", N), ("see", V), S)], FREQS)
 
 
@@ -108,7 +107,7 @@ def test_build_graph_from_edge_weights():
     g = build_graph(weights, FREQS)
     assert g.nodes == {("god", N): 7, ("man", N): 4, ("see", V): 3}
     assert g.edges == weights
-    with pytest.raises(GraphBuildError, match="ghost"):
+    with pytest.raises(InputError, match="ghost"):
         build_graph({(("ghost", N), ("man", N), C): 1}, FREQS)
 
 

@@ -14,15 +14,14 @@ from letternet.pipeline import (
     AnnotatedDoc,
     Annotator,
     ExportError,
+    InputError,
     Lemmatizer,
-    LexiconFormatError,
     PosClass,
     RuleTagger,
     SplitConfig,
     Token,
     VariantEntry,
     VariantLexicon,
-    VerticalFormatError,
     data_path,
     default_annotator,
     ingest_pretagged,
@@ -78,13 +77,15 @@ def test_split_empty():
 
 # The splitter as it was before it jumped between terminators and
 # scanned back over the word before a dot: a loop over every character,
-# and a regex search from the start of the text at every dot.
-_REF_WORD_BEFORE_RE = re.compile(r"[A-Za-z]+$")
+# and at every dot another over all the text before it.
 
 
 def ref_is_abbreviation(text, dot_pos, config):
-    match = _REF_WORD_BEFORE_RE.search(text, 0, dot_pos)
-    return bool(match) and match.group(0).lower() in config.abbreviations
+    # the word is the run of letters before the dot, or before a newline there
+    word = ""
+    for ch in text[:dot_pos].removesuffix("\n"):
+        word = word + ch if ch.isalpha() else ""
+    return bool(word) and word.casefold() in config.abbreviations
 
 
 def ref_split_sentences(text, config=SplitConfig()):
@@ -117,10 +118,11 @@ def ref_split_sentences(text, config=SplitConfig()):
     return sentences
 
 
-_SPLIT_ABBREVIATIONS = ["Mr", "mrs", "Dr", "St", "viz", "No", "cf", "Messrs"]
-# Each chunk is a word, maybe a newline, terminators or closers, and a gap.
+_SPLIT_ABBREVIATIONS = ["Mr", "mrs", "Dr", "St", "ſt", "viz", "No", "cf", "Messrs"]
+# Each chunk is a word, maybe a newline, terminators or closers, and a gap;
+# "Goſp" is an abbreviation only where a test adds "gosp".
 _SPLIT_CHUNKS = st.tuples(
-    st.sampled_from(_SPLIT_ABBREVIATIONS + ["word", "Hartlib", "é", "café", "x", ""]),
+    st.sampled_from(_SPLIT_ABBREVIATIONS + ["Goſp", "word", "Hartlib", "é", "café", "x", ""]),
     st.sampled_from(["", "", "\n", " "]),
     st.sampled_from([".", ".", ".", "...", "..", "?!", "!", "?", ":", ".)", ".'", "”", ""]),
     st.sampled_from([" ", " ", "\n", "\n\n", "\t", ""]),
@@ -130,22 +132,23 @@ _SPLIT_CHUNKS = st.tuples(
 @pytest.fixture(scope="module")
 def bundled_abbreviations():
     abbreviations = default_annotator().split.abbreviations
-    assert {a.lower() for a in _SPLIT_ABBREVIATIONS} <= abbreviations
+    assert {a.casefold() for a in _SPLIT_ABBREVIATIONS} <= abbreviations
     return abbreviations
 
 
 @given(st.lists(_SPLIT_CHUNKS, max_size=12).map("".join))
 def test_split_matches_reference(bundled_abbreviations, text):
     for colon in (False, True):
-        config = SplitConfig(colon_boundary=colon, abbreviations=bundled_abbreviations)
-        assert split_sentences(text, config) == ref_split_sentences(text, config)
+        for extra in (set(), {"gosp"}):
+            config = SplitConfig(colon_boundary=colon, abbreviations=bundled_abbreviations | extra)
+            assert split_sentences(text, config) == ref_split_sentences(text, config)
 
 
 def test_split_abbreviation_edges(bundled_abbreviations):
     config = SplitConfig(abbreviations=bundled_abbreviations)
-    # "$" also matches before a final newline, so "Mr\n." is still "Mr."
+    # the word may end just before a newline at the dot, so "Mr\n." is still "Mr."
     assert split_sentences("Mr\n. Hartlib wrote.", config) == ["Mr\n. Hartlib wrote."]
-    # the scan covers ASCII letters only: "é" ends the word before the dot
+    # the word before the dot is all of "Sté", which is no abbreviation
     assert split_sentences("Sté. Amand. No. 5.", config) == ["Sté.", "Amand.", "No. 5."]
     for text in ["\n. x", ". x", "Mr."]:
         assert split_sentences(text, config) == ref_split_sentences(text, config)
@@ -266,25 +269,25 @@ def test_variant_lookup_miss(variants):
 def test_variant_file_errors(tmp_path):
     p = tmp_path / "v.tsv"
     p.write_text("onlytwo\tcolumns\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=":1"):
+    with pytest.raises(InputError, match=":1"):
         VariantLexicon.from_file(p)
     p.write_text("word\tnorm\tNOTACLASS\t-\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match="NOTACLASS"):
+    with pytest.raises(InputError, match="NOTACLASS"):
         VariantLexicon.from_file(p)
     # a trailing tab leaves an empty lemma, not a fourth field
     p.write_text("vse\tuse\t-\t\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=":1: expected 4 tab-separated fields, got 3"):
+    with pytest.raises(InputError, match=":1: expected 4 tab-separated fields, got 3"):
         VariantLexicon.from_file(p)
     p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x02tor\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: control character U\+0002"):
+    with pytest.raises(InputError, match=r"v\.tsv:2: control character U\+0002"):
         VariantLexicon.from_file(p)
     # not a line break in a table, and XML cannot hold it
     p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x0ctor\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: control character U\+000C"):
+    with pytest.raises(InputError, match=r"v\.tsv:2: control character U\+000C"):
         VariantLexicon.from_file(p)
     # keys are case-folded, so the second row would silently win
     p.write_text("Vse\tuse\tVERB\t-\nvse\tvouch\tNOUN\t-\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r"v\.tsv:2: 'vse' repeats an earlier row"):
+    with pytest.raises(InputError, match=r"v\.tsv:2: 'vse' repeats an earlier row"):
         VariantLexicon.from_file(p)
 
 
@@ -324,21 +327,21 @@ def test_reject_control_chars_counts_editor_lines(tmp_path, before, lineno):
     p = tmp_path / "f"
     p.write_bytes((before + "x\x01").encode("utf-8"))
     where = re.escape(str(p))
-    with pytest.raises(ValueError, match=rf"^{where}:{lineno}: control character U\+0001$"):
-        read_input(p, "", ValueError)
+    with pytest.raises(InputError, match=rf"^{where}:{lineno}: control character U\+0001$"):
+        read_input(p, "")
 
 
 def test_reject_control_chars_in_letters_keeps_whitespace(tmp_path):
     p = tmp_path / "f"
     where = re.escape(str(p))
     p.write_bytes(b"a\x0bb\x0cc")
-    assert read_input(p, "letter 'L'", ValueError, letter=True) == "a\x0bb\x0cc"
+    assert read_input(p, "letter 'L'", letter=True) == "a\x0bb\x0cc"
     p.write_bytes(b"a b\nc\x0bd\x0ce")
-    with pytest.raises(ValueError, match=rf"^{where}:2: control character U\+000B$"):
-        read_input(p, "", ValueError)
+    with pytest.raises(InputError, match=rf"^{where}:2: control character U\+000B$"):
+        read_input(p, "")
     p.write_bytes(b"a\x0cb\nc\x1ed")
-    with pytest.raises(ValueError, match=rf"^letter 'L': {where}:2: control character U\+001E$"):
-        read_input(p, "letter 'L'", ValueError, letter=True)
+    with pytest.raises(InputError, match=rf"^letter 'L': {where}:2: control character U\+001E$"):
+        read_input(p, "letter 'L'", letter=True)
 
 
 def test_variant_lexicon_with_byte_order_mark(tmp_path):
@@ -404,10 +407,10 @@ def test_tagger_default_noun(tagger):
 def test_tagger_file_errors(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("word\tNOPE\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match="NOPE"):
+    with pytest.raises(InputError, match="NOPE"):
         RuleTagger.from_file(p)
     p.write_text("the\tDET\n# a note\nThe\tNOUN\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r"t\.tsv:3: 'The' repeats an earlier row"):
+    with pytest.raises(InputError, match=r"t\.tsv:3: 'The' repeats an earlier row"):
         RuleTagger.from_file(p)
 
 
@@ -432,13 +435,14 @@ def test_lemma_exception_file_errors(tmp_path, tagger):
     p.write_text("went\tVERB\tgo\nwent\t-\tgo\n", encoding="utf-8")
     assert len(Lemmatizer.from_file(p, known_as=tagger.known_as).exceptions) == 2
     p.write_text("went\tVERB\tgo\nWent\tVERB\twend\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r"e\.tsv:2: 'Went' as VERB repeats an earlier row"):
+    with pytest.raises(InputError, match=r"e\.tsv:2: 'Went' as VERB repeats an earlier row"):
         Lemmatizer.from_file(p, known_as=tagger.known_as)
 
 
 def test_lemma_verb_rules(lemmatizer):
     assert lemmatizer.lemmatize("eating", PosClass.VERB) == "eat"
     assert lemmatizer.lemmatize("carries", PosClass.VERB) == "carry"
+    assert lemmatizer.lemmatize("carried", PosClass.VERB) == "carry"
     assert lemmatizer.lemmatize("stirred", PosClass.VERB) == "stir"
     assert lemmatizer.lemmatize("moved", PosClass.VERB) == "move"
     assert lemmatizer.lemmatize("comes", PosClass.VERB) == "come"
@@ -666,7 +670,7 @@ def ref_ingest_pretagged(path, letter_id=None):
     p = Path(path)
     if letter_id is None:
         letter_id = p.stem
-    lines = read_input(p, "", VerticalFormatError).split("\n")
+    lines = read_input(p, "").split("\n")
     sentences = []
     current = []
 
@@ -684,7 +688,7 @@ def ref_ingest_pretagged(path, letter_id=None):
         if len(parts) != 4:
             if line.lstrip().startswith("#"):
                 continue
-            raise VerticalFormatError(
+            raise InputError(
                 f"{p}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         surface, normalized, lemma, label = parts
@@ -724,7 +728,7 @@ def _read_outcome(read, path, caplog):
     caplog.clear()
     try:
         result = read(path)
-    except VerticalFormatError as exc:
+    except InputError as exc:
         result = ("error", str(exc))
     return result, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
 
@@ -838,6 +842,18 @@ def test_write_atomic_failing_midway_leaves_the_target_as_it_was(tmp_path, piece
         assert target.read_bytes() == existing
 
 
+def test_write_atomic_onto_a_directory(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept.txt").write_bytes(b"kept\n")
+    with pytest.raises(ExportError, match="cannot write"):
+        write_atomic(target, ["text\n"])
+    # no temporary file is left, and the directory is as it was
+    assert sorted(tmp_path.iterdir()) == [target]
+    assert sorted(target.iterdir()) == [target / "kept.txt"]
+    assert (target / "kept.txt").read_bytes() == b"kept\n"
+
+
 def test_write_atomic_writes_pieces_as_utf8_without_newline_translation(tmp_path):
     pieces = ["ſaid café 中 \u2028\n", "", "a\r\nb\rc\n", "𝔤\n"]
     target = tmp_path / "t.txt"
@@ -857,7 +873,7 @@ def test_ingest_rejects_control_characters(tmp_path):
     p = tmp_path / "c.tsv"
     # lines are counted at "\n" only, as an editor counts them
     p.write_text("# letter C\na\ta\ta\tNOUN\n\nb\tb\tb\x1cc\tNOUN\n", encoding="utf-8")
-    with pytest.raises(VerticalFormatError, match=r"c\.tsv:4: control character U\+001C"):
+    with pytest.raises(InputError, match=r"c\.tsv:4: control character U\+001C"):
         ingest_pretagged(p)
 
 
@@ -876,7 +892,7 @@ def test_ingest_rows_end_only_at_line_breaks(tmp_path):
 def test_ingest_rejects_vertical_tab_and_form_feed(tmp_path, char):
     p = tmp_path / "c.tsv"
     p.write_text(f"# letter C\na\ta\ta{char}b\tNOUN\n", encoding="utf-8")
-    with pytest.raises(VerticalFormatError, match=rf"c\.tsv:2: control character U\+{ord(char):04X}"):
+    with pytest.raises(InputError, match=rf"c\.tsv:2: control character U\+{ord(char):04X}"):
         ingest_pretagged(p)
 
 
@@ -924,6 +940,24 @@ def test_ingest_blank_line_splits_sentences(tmp_path):
 def test_default_abbreviations_loaded():
     abbrevs = default_annotator().split.abbreviations
     assert "mr" in abbrevs and "viz" in abbrevs
+
+
+def test_abbreviation_with_non_ascii_letters(tmp_path):
+    p = tmp_path / "abbr.txt"
+    p.write_text("goſp.\nMr\n", encoding="utf-8")
+    annotator = default_annotator(abbreviations=p)
+    assert annotator.split.abbreviations == {"gosp", "mr"}
+    doc = annotator.annotate_text("A", "I read the Goſp. Christ is risen.")
+    assert len(doc.sentences) == 1
+
+
+@pytest.mark.parametrize("row", ["e.g.", "o'th", "no2", "mr..", "."])
+def test_abbreviation_row_is_one_word(tmp_path, row):
+    p = tmp_path / "abbr.txt"
+    p.write_text(f"mr.\nviz\n{row}\n", encoding="utf-8")
+    message = f"abbr.txt:3: abbreviation {row!r} is not one word of letters"
+    with pytest.raises(InputError, match=re.escape(message) + "$"):
+        default_annotator(abbreviations=p)
 
 
 def test_default_annotator_smoke():
