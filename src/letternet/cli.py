@@ -275,8 +275,9 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
     out = _out_dir(cfg)
     docs = _load_docs(cfg)
+    rows: dict[Token, str] = {}  # one for all files: a token's row is formatted once
     for doc in docs:
-        write_vertical(doc, out / f"{doc.letter_id}.tsv")
+        write_vertical(doc, out / f"{doc.letter_id}.tsv", memo=rows)
     print(f"preprocessed {len(docs)} letters -> {out}")
     return out, docs
 

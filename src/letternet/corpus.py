@@ -23,6 +23,9 @@ YEAR_MAX = 1900
 
 _TAG_RE = re.compile(r"<[^<>]*>")
 _HYPHEN_BREAK_RE = re.compile(r"(\w)-[ \t]*\n\s*(\w)")
+# What every match of _HYPHEN_BREAK_RE holds: a search for it is cheap,
+# where the full pattern tries a match at every word character.
+_HYPHEN_EOL_RE = re.compile(r"-[ \t]*\n")
 _BRACKET_RE = re.compile(r"[\[\]]")
 
 _MANIFEST_COLUMNS = (
@@ -149,7 +152,8 @@ def clean_text(text: str, cut_marker: str | None = None) -> str:
         pos = text.find(cut_marker)
         if pos >= 0:
             text = text[:pos]
-    text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
+    if _HYPHEN_EOL_RE.search(text):
+        text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
     text = _strip_markup(text)
     text = _drop_bracketed(text)
     # str.split and re's \s agree on what is whitespace

@@ -215,7 +215,8 @@ def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
     as ``str`` or ``bytes``.  Checks the 1.2draft skeleton: namespaces
     and version, unique node ids, labelled nodes, edges whose endpoints
     exist, attribute values that reference declared attributes, edge
-    types and positive weights, and sane viz colour/size values.  Returns (node count, edge count); raises
+    types and positive finite weights, and sane viz colour/size values
+    (a size positive and finite).  Returns (node count, edge count); raises
     :class:`GexfValidationError` on the first violation.
     """
     import xml.etree.ElementTree as ET  # here: no command validates, and pyexpat is slow to load
@@ -274,6 +275,8 @@ def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
                 value = float(size.get("value", ""))
             except ValueError:
                 raise GexfValidationError(f"{owner}: bad viz size") from None
+            if not math.isfinite(value):
+                raise GexfValidationError(f"{owner}: non-finite viz size {value}")
             if value <= 0:
                 raise GexfValidationError(f"{owner}: non-positive viz size {value}")
 
@@ -320,6 +323,8 @@ def validate_gexf(source: str | bytes | Path) -> tuple[int, int]:
                 raise GexfValidationError(
                     f"edge {edge_id}: bad weight {weight!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise GexfValidationError(f"edge {edge_id}: non-finite weight {value}")
             if value <= 0:
                 raise GexfValidationError(f"edge {edge_id}: non-positive weight {value}")
         check_attvalues(edge, "edge", f"edge {edge_id}")
@@ -440,6 +445,11 @@ def _node_key(pair) -> NodeKey:
     return lemma, _POS_BY_NAME[pos]
 
 
+def _pair_text(key: NodeKey) -> str:
+    """A node key as the JSON [lemma, class] pair that spells it in a file."""
+    return json.dumps([key[0], key[1]._name_], ensure_ascii=False)
+
+
 def graph_from_dict(data: dict) -> LexicalGraph:
     """The graph of a JSON document; :class:`InputError` names a bad entry.
 
@@ -455,7 +465,7 @@ def graph_from_dict(data: dict) -> LexicalGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad node entry {item!r}") from exc
         if key in nodes:
-            raise InputError(f"duplicate node {key}")
+            raise InputError(f"duplicate node {_pair_text(key)}")
         nodes[key] = freq
     edges: dict[EdgeKey, int] = {}
     for item in data.get("edges", []):
@@ -467,7 +477,9 @@ def graph_from_dict(data: dict) -> LexicalGraph:
             raise InputError(f"bad edge entry {item!r}") from exc
         edge = (src, dst, kind)
         if edge in edges:
-            raise InputError(f"duplicate edge {edge}")
+            raise InputError(
+                f"duplicate edge {_pair_text(src)} -> {_pair_text(dst)} ({kind._name_})"
+            )
         edges[edge] = weight
     graph = LexicalGraph(nodes=nodes, edges=edges)
     try:

@@ -20,7 +20,7 @@ import os
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +66,9 @@ _CONTROL_RE = re.compile(f"[\x0b\x0c{_XML_UNWRITABLE}]")
 # a decimal digit ("²", "½"); tokenize cuts the latter out of words.
 _TOKEN = r"[^\W\d_{0}]+(?:['’][^\W\d_{0}]+)*|\d+|\.{{2,}}|\S"
 _TOKEN_RE = re.compile(_TOKEN.format(""))
+# The same rule on ASCII text, where those classes are plain ranges; \S
+# keeps its Unicode meaning, which takes \x1c-\x1f for white space.
+_ASCII_TOKEN_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*|[0-9]+|\.{2,}|\S")
 _NOT_WORD_RE = re.compile(r"[\W\d_]+")
 
 
@@ -339,12 +342,13 @@ def tokenize(sentence: str) -> list[str]:
     form a single token, and every other character stands alone.  Every
     non-whitespace character of the input ends up in exactly one token.
     """
+    if sentence.isascii():
+        return _ASCII_TOKEN_RE.findall(sentence)
     token_re = _TOKEN_RE
-    if not sentence.isascii():
-        letters = _NOT_WORD_RE.sub("", sentence)
-        if letters and not letters.isalpha():
-            numerals = sorted({ch for ch in letters if not ch.isalpha()})
-            token_re = re.compile(_TOKEN.format(re.escape("".join(numerals))))
+    letters = _NOT_WORD_RE.sub("", sentence)
+    if letters and not letters.isalpha():
+        numerals = sorted({ch for ch in letters if not ch.isalpha()})
+        token_re = re.compile(_TOKEN.format(re.escape("".join(numerals))))
     return token_re.findall(sentence)
 
 
@@ -433,16 +437,34 @@ def _swap_variants(word: str) -> list[str]:
     return out
 
 
-def modernize_spelling(word: str, known: Callable[[str], bool]) -> str:
+def spelling_fold(word: str) -> str:
+    """``word`` case-folded, with "v" as "u" and "j" as "i".
+
+    A u/v or i/j swap keeps it, so every respelling that
+    :func:`modernize_spelling` tries has the fold of the word itself.
+    """
+    return word.casefold().replace("v", "u").replace("j", "i")
+
+
+def modernize_spelling(
+    word: str, known: Callable[[str], bool], *, folds: Container[str] | None = None
+) -> str:
     """Undo the u/v and i/j printing conventions of the period.
 
     Candidate respellings (vse - use, moue - move, ioy - joy) are only
     accepted when ``known`` validates them against a modern word list;
     up to two swaps are tried.  As a last resort an initial "v" before a
     consonant becomes "u", which is safe for this period even off-list.
+
+    ``folds``, when given, must hold the :func:`spelling_fold` of every
+    word that ``known`` accepts (:attr:`RuleTagger.folds`).  A word whose
+    fold is not in it has no known respelling, so the search is skipped
+    and ``known`` is asked about the word alone.
     """
     if len(word) < 2 or known(word):
         return word
+    if folds is not None and spelling_fold(word) not in folds:
+        return _initial_v(word)
     seen = {word}
     frontier = [word]
     for _ in range(2):
@@ -456,6 +478,10 @@ def modernize_spelling(word: str, known: Callable[[str], bool]) -> str:
                     return cand
                 nxt.append(cand)
         frontier = nxt
+    return _initial_v(word)
+
+
+def _initial_v(word: str) -> str:
     if word[0] == "v" and word[1] not in _VOWELS:
         return "u" + word[1:]
     return word
@@ -470,7 +496,9 @@ class RuleTagger:
 
     Looks the normalised form up in a word-to-class lexicon; unknown
     words get a class from suffix heuristics, and anything left,
-    capitalised proper nouns included, defaults to NOUN.
+    capitalised proper nouns included, defaults to NOUN.  ``folds`` is
+    the set of the lexicon words' :func:`spelling_fold`, built with the
+    tagger for :func:`modernize_spelling`.
     """
 
     _SUFFIX_RULES = (
@@ -486,6 +514,7 @@ class RuleTagger:
 
     def __init__(self, lexicon: dict[str, PosClass]) -> None:
         self.lexicon = {word.casefold(): pos for word, pos in lexicon.items()}
+        self.folds = frozenset(map(spelling_fold, self.lexicon))
 
     def known(self, word: str) -> bool:
         return word.casefold() in self.lexicon
@@ -661,7 +690,8 @@ class Annotator(_Frozen):
         key = surface.casefold()
         entry = self.lexicon.lookup(key)
         if entry is None:
-            normalized, pos, lemma = modernize_spelling(key, self.tagger.known), None, None
+            normalized = modernize_spelling(key, self.tagger.known, folds=self.tagger.folds)
+            pos = lemma = None
         else:
             normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
         if pos is None:
@@ -732,7 +762,9 @@ def default_annotator(
 # vertical format
 
 
-def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
+def write_vertical(
+    doc: AnnotatedDoc, path: str | Path, *, memo: dict[Token, str] | None = None
+) -> None:
     """Write a document in vertical form.
 
     One token per line (surface, normalized, lemma, class separated by
@@ -740,15 +772,25 @@ def write_vertical(doc: AnnotatedDoc, path: str | Path) -> None:
     line first.  A token row always has four fields, so a "#" token is
     not read back as a comment.  The write is atomic: the file appears
     complete or not at all.
+
+    A token's row depends on the token alone, so each distinct token is
+    formatted once.  ``memo`` maps token to row text; callers that write
+    many documents pass one dict to every call, so that a token written
+    in any earlier file costs one lookup.
     """
+    rows = {} if memo is None else memo
+    row_of = rows.get
     lines = [f"# letter {doc.letter_id}"]
     for i, sentence in enumerate(doc.sentences):
         if i:
             lines.append("")
         for token in sentence:
-            lines.append(
-                f"{token.surface}\t{token.normalized}\t{token.lemma}\t{token.pos._name_}"
-            )
+            row = row_of(token)
+            if row is None:
+                row = rows[token] = (
+                    f"{token.surface}\t{token.normalized}\t{token.lemma}\t{token.pos._name_}"
+                )
+            lines.append(row)
     write_atomic(path, ("\n".join(lines), "\n"))
 
 

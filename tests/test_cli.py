@@ -281,6 +281,23 @@ def test_preprocess_writes_vertical_files(mini_corpus, tmp_path, capsys):
     assert lines[1] == "The\tthe\tthe\tDET"
 
 
+def test_preprocess_writes_every_file_with_one_row_memo(mini_corpus, tmp_path, capsys, monkeypatch):
+    memos, docs = [], []
+    original = cli.write_vertical
+
+    def recording(doc, path, **kwargs):
+        memos.append(kwargs["memo"])
+        docs.append(doc)
+        return original(doc, path, **kwargs)
+
+    monkeypatch.setattr(cli, "write_vertical", recording)
+    out = tmp_path / "out"
+    code, _, _ = run_main(["preprocess", "--manifest", str(mini_corpus), "--out", str(out)], capsys)
+    assert code == 0
+    assert len(docs) == 2 and memos[0] is memos[1]
+    assert set(memos[0]) == {token for doc in docs for token in doc.tokens()}
+
+
 def test_network_default_gexf(mini_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run_main(

@@ -5,13 +5,15 @@ import logging
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from letternet.corpus import (
     Corpus,
     Letter,
     LetterMeta,
+    _HYPHEN_BREAK_RE,
     _drop_bracketed,
+    _strip_markup,
     clean_text,
     load_letter,
     load_manifest,
@@ -131,6 +133,33 @@ def test_drop_bracketed_matches_reference(caplog, text):
         return result, [record.getMessage() for record in caplog.records]
 
     assert run(_drop_bracketed) == run(ref_drop_bracketed)
+
+
+def ref_clean_text(text, cut_marker=None):
+    """clean_text's chain of steps with the hyphen join run on every text."""
+    if cut_marker:
+        pos = text.find(cut_marker)
+        if pos >= 0:
+            text = text[:pos]
+    text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
+    return " ".join(_drop_bracketed(_strip_markup(text)).split())
+
+
+# words, hyphens, the white space a line break may carry, and markup
+_HYPHEN_PIECES = st.sampled_from(
+    ["a", "b", "word", "ſ", "é", "7", "_", "-", "-", " ", "\t", "\n", "\n", "\r",
+     "-\n", "<", ">", "<g>", "[", "]", "[n]", "."]
+)
+
+
+@given(st.lists(_HYPHEN_PIECES, max_size=30).map("".join))
+@example("a-\nb-\nc")
+@example("-\t \n")
+@example("consi- \t\n  deracion")
+@example("a<g>-\nb")
+def test_clean_text_matches_unguarded_hyphen_join(text):
+    assert clean_text(text) == ref_clean_text(text)
+    assert clean_text(text, cut_marker="\n") == ref_clean_text(text, cut_marker="\n")
 
 
 @pytest.mark.parametrize("text", ["<<>>", "x <<g>> y"])

@@ -137,6 +137,8 @@ _BROKEN_GEXF = [
      "node god::NOUN: bad viz colour channel '-1'"),
     ("bad-viz-size", [('value="60.000"', 'value="big"')], "node god::NOUN: bad viz size"),
     ("zero-viz-size", [('value="60.000"', 'value="0"')], "node god::NOUN: non-positive viz size 0.0"),
+    ("infinite-viz-size", [('value="60.000"', 'value="inf"')],
+     "node god::NOUN: non-finite viz size inf"),
     ("no-nodes", [("<nodes>", "<nods>"), ("</nodes>", "</nods>")], "missing nodes element"),
     ("node-without-id", [('id="god::NOUN" ', "")], "node without id"),
     ("node-without-label", [('label="god"', "")], "node god::NOUN: missing label"),
@@ -147,6 +149,8 @@ _BROKEN_GEXF = [
     ("bad-edge-type", [('type="undirected"', 'type="sideways"')], "edge 0: bad type 'sideways'"),
     ("bad-edge-weight", [('weight="2"', 'weight="heavy"')], "edge 0: bad weight 'heavy'"),
     ("negative-edge-weight", [('weight="2"', 'weight="-2"')], "edge 0: non-positive weight -2.0"),
+    ("nan-edge-weight", [('weight="2"', 'weight="nan"')], "edge 0: non-finite weight nan"),
+    ("infinite-edge-weight", [('weight="2"', 'weight="inf"')], "edge 0: non-finite weight inf"),
     ("unreadable-path", [], "cannot read "),
 ]
 
@@ -270,8 +274,8 @@ _BAD_GRAPH_DOCS = [
     (_doc(edges=[{**_EDGE, "source": ["a", "NOUN", "x"]}]), "bad edge entry"),
     (_doc(edges=[{**_EDGE, "source": {"a": 0, "NOUN": 1}}]), "bad edge entry"),
     (_doc([{**_NODE, "frequency": 0}]), "frequency 0 not a positive int"),
-    (_doc([_NODE, {**_NODE, "frequency": 2}]), "duplicate node ('a', <PosClass.NOUN: 'NOUN'>)"),
-    (_doc(edges=[_EDGE, {**_EDGE, "weight": 2}]), "duplicate edge (('a', <PosClass.NOUN"),
+    (_doc([_NODE, {**_NODE, "frequency": 2}]), 'duplicate node ["a", "NOUN"]'),
+    (_doc(edges=[_EDGE, {**_EDGE, "weight": 2}]), 'duplicate edge ["a", "NOUN"] -> ["a", "NOUN"] (COOCCUR)'),
     # a co-occurrence edge is stored with its endpoints in canonical order
     (
         _doc(

@@ -2,6 +2,7 @@
 
 import codecs
 import logging
+import random
 import re
 import tempfile
 import tracemalloc
@@ -25,8 +26,10 @@ from letternet.pipeline import (
     data_path,
     default_annotator,
     ingest_pretagged,
+    _TOKEN_RE,
     modernize_spelling,
     read_input,
+    spelling_fold,
     split_sentences,
     tokenize,
     write_atomic,
@@ -221,6 +224,19 @@ def test_tokenize_matches_character_loop(sentence):
     assert tokenize(sentence) == ref_tokenize(sentence)
 
 
+# ASCII letters, digits, apostrophes, dots, other punctuation and every
+# ASCII white space, the separators \x1c-\x1f included
+_ASCII_TOKEN_CHARS = st.sampled_from(
+    list("aZqz09'.,;:!?-&_#\"()[] \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+) | st.characters(max_codepoint=127)
+
+
+@given(st.text(_ASCII_TOKEN_CHARS, max_size=30))
+@example("don't 'tis o'th' x'' a.. 1630s \x1cb\x1f")
+def test_ascii_tokenize_matches_unicode_rule(sentence):
+    assert tokenize(sentence) == _TOKEN_RE.findall(sentence)
+
+
 # variant lexicon and spelling modernization
 
 
@@ -375,6 +391,69 @@ def test_modernize_initial_v_fallback(tagger):
 def test_modernize_leaves_known_words(tagger):
     assert modernize_spelling("have", tagger.known) == "have"
     assert modernize_spelling("light", tagger.known) == "light"
+
+
+def test_tagger_folds_are_its_words_folds(tagger):
+    assert tagger.folds == {spelling_fold(word) for word in tagger.lexicon}
+    assert spelling_fold("VIVE") == spelling_fold("uiue") == "uiue"
+    assert spelling_fold("Ioyſ") == "ioys"
+
+
+def _both_searches(tagger, word):
+    guarded = modernize_spelling(word, tagger.known, folds=tagger.folds)
+    return guarded, modernize_spelling(word, tagger.known)
+
+
+@given(st.text(alphabet="aeiouvjbrstlnAV", max_size=8))
+@example("vnknowable")
+@example("vpon")
+@example("ioy")
+def test_fold_guard_matches_plain_search(tagger, word):
+    guarded, plain = _both_searches(tagger, word)
+    assert guarded == plain
+
+
+def test_fold_guard_matches_plain_search_on_respelled_lexicon_words(tagger):
+    rng = random.Random(20)
+    swap = {"u": "v", "v": "u", "i": "j", "j": "i", "U": "V", "V": "U"}
+    for word in sorted(tagger.lexicon):
+        for _ in range(3):
+            respelled = "".join(
+                swap[ch] if ch in swap and rng.random() < 0.5 else ch for ch in word
+            )
+            guarded, plain = _both_searches(tagger, respelled)
+            assert guarded == plain, respelled
+
+
+class _CountingTagger(RuleTagger):
+    def __init__(self, lexicon):
+        super().__init__(lexicon)
+        self.asked = []
+
+    def known(self, word):
+        self.asked.append(word)
+        return super().known(word)
+
+
+def test_no_spelling_search_when_no_known_word_shares_the_fold(tagger):
+    counting = _CountingTagger(tagger.lexicon)
+    word = "vnbrstl"
+    assert spelling_fold(word) not in counting.folds
+    assert modernize_spelling(word, counting.known, folds=counting.folds) == "unbrstl"
+    assert counting.asked == [word]
+    counting.asked.clear()
+    assert modernize_spelling(word, counting.known) == "unbrstl"
+    assert len(counting.asked) > 1
+    # the annotator passes the tagger's folds
+    annotator = Annotator(
+        lexicon=VariantLexicon(),
+        tagger=counting,
+        lemmatizer=Lemmatizer({}, known_as=counting.known_as),
+    )
+    counting.asked.clear()
+    assert annotator.annotate_text("F", "Vnbrstl").sentences[0][0].normalized == "unbrstl"
+    assert counting.asked == [word]
+    assert annotator.annotate_text("F", "vse").sentences[0][0].normalized == "use"
 
 
 # tagging
@@ -662,6 +741,35 @@ def test_vertical_round_trip_property(annotator, text):
         path = Path(tmp) / "P1.tsv"
         write_vertical(doc, path)
         assert ingest_pretagged(path) == doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(_TEXT_PIECES, max_size=30).map("".join), min_size=1, max_size=4))
+def test_write_vertical_with_one_memo_writes_the_same_bytes(shared_annotators, texts):
+    annotator = shared_annotators[0]
+    docs = [annotator.annotate_text(f"M{i}", text) for i, text in enumerate(texts)]
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc in docs:
+            plain, shared = Path(tmp) / "plain.tsv", Path(tmp) / "shared.tsv"
+            write_vertical(doc, plain)
+            write_vertical(doc, shared, memo=rows)
+            assert shared.read_bytes() == plain.read_bytes()
+
+
+def test_one_memo_holds_each_distinct_token_once(tmp_path):
+    annotator = default_annotator()
+    texts = ["Vse it, vse it. The Tutour doth vse it.", "I vse the Tutour, & it.", ""]
+    docs = [annotator.annotate_text(f"L{i}", text) for i, text in enumerate(texts)]
+    rows = {}
+    for doc in docs:
+        write_vertical(doc, tmp_path / f"{doc.letter_id}.tsv", memo=rows)
+    assert set(rows) == {token for doc in docs for token in doc.tokens()}
+    assert rows[docs[1].sentences[0][0]] == "I\ti\ti\tPRON"
+    # a token found in the memo is written as the memo has it, not formatted again
+    rows[docs[1].sentences[0][0]] = "Ego\tego\tego\tPRON"
+    write_vertical(docs[1], tmp_path / "again.tsv", memo=rows)
+    assert (tmp_path / "again.tsv").read_text(encoding="utf-8").split("\n")[1] == "Ego\tego\tego\tPRON"
 
 
 def ref_ingest_pretagged(path, letter_id=None):
