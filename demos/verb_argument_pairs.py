@@ -13,9 +13,10 @@ from letternet import (
     default_annotator,
     evaluate_pairs,
     extract_window_pairs,
+    load_anaphora,
     load_manifest,
 )
-from letternet.extraction import AnaphoraMap, RelationKind, load_gold
+from letternet.extraction import RelationKind, load_gold
 from letternet.pipeline import data_path
 
 SAMPLE = data_path("sample_corpus")
@@ -33,8 +34,8 @@ def show(records, label):
 
 
 def main():
-    corpus = load_manifest(SAMPLE / "manifest.tsv")
-    doc = default_annotator().annotate(corpus.get("L01"))
+    letters = {l.meta.letter_id: l for l in load_manifest(SAMPLE / "manifest.tsv")}
+    doc = default_annotator().annotate(letters["L01"])
 
     # plain extraction; the blocker stops a scan at an intervening verb
     plain = extract_window_pairs(doc, max_dist=4)
@@ -42,7 +43,7 @@ def main():
 
     # pronouns are never picked as arguments, so sentences led by
     # "hee" lose their subjects; a resolution table fills them in
-    amap = AnaphoraMap.from_file(SAMPLE / "anaphora_l01.tsv")
+    amap = load_anaphora(SAMPLE / "anaphora_l01.tsv")
     resolved_doc = apply_anaphora(doc, amap)
     resolved = extract_window_pairs(resolved_doc, max_dist=4, verb_blocker=False)
     show(resolved, "pronouns resolved, blocker off")

@@ -10,7 +10,6 @@ raises derives from :class:`LetternetError`.
 """
 
 from letternet.corpus import (
-    Corpus,
     Letter,
     LetterMeta,
     clean_text,
@@ -32,13 +31,13 @@ from letternet.pipeline import (
     write_vertical,
 )
 from letternet.extraction import (
-    AnaphoraMap,
     GoldTriple,
     PairRecord,
     RelationKind,
     apply_anaphora,
     evaluate_pairs,
     extract_window_pairs,
+    load_anaphora,
     load_gold,
 )
 from letternet.network import (

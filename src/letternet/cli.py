@@ -31,10 +31,10 @@ from letternet.export import (
 )
 from letternet.extraction import (
     DEFAULT_MAX_DISTANCE,
-    AnaphoraMap,
     apply_anaphora,
     evaluate_pairs,
     extract_window_pairs,
+    load_anaphora,
     load_gold,
 )
 from letternet.network import (
@@ -219,11 +219,10 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
             variant_lexicon=cfg.variant_lexicon,
             abbreviations=cfg.abbreviations,
         )
-        corpus = load_manifest(cfg.manifest)
-        docs = [annotator.annotate(letter) for letter in corpus]
+        docs = [annotator.annotate(letter) for letter in load_manifest(cfg.manifest)]
     if cfg.anaphora:
-        amap = AnaphoraMap.from_file(cfg.anaphora)
-        _refuse_unloaded(cfg.anaphora, "rows", {k[0] for k in amap.entries}, docs)
+        amap = load_anaphora(cfg.anaphora)
+        _refuse_unloaded(cfg.anaphora, "rows", set(amap), docs)
         docs = [apply_anaphora(doc, amap) for doc in docs]
     return docs
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
-from letternet.pipeline import InputError, _Record, parse_index, read_input, read_table
+from letternet.pipeline import InputError, parse_index, read_input, read_table
 
 log = logging.getLogger(__name__)
 
@@ -178,35 +178,6 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
 
 
-class Corpus(_Record):
-    """An ordered collection of letters with distinct identifiers."""
-
-    _fields = ("letters",)
-
-    def __init__(self, letters: Iterable[Letter] = ()) -> None:
-        self.letters = sorted(letters, key=lambda l: (l.meta.year, l.meta.letter_id))
-        seen: set[str] = set()
-        for letter in self.letters:
-            if letter.meta.letter_id in seen:
-                raise InputError(f"duplicate letter id {letter.meta.letter_id!r}")
-            seen.add(letter.meta.letter_id)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def ids(self) -> list[str]:
-        return [letter.meta.letter_id for letter in self.letters]
-
-    def get(self, letter_id: str) -> Letter:
-        for letter in self.letters:
-            if letter.meta.letter_id == letter_id:
-                return letter
-        raise KeyError(letter_id)
-
-
 def _parse_bool(value: str) -> bool:
     v = value.lower()
     if v in _TRUE_WORDS:
@@ -216,8 +187,8 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"bad boolean {value!r}")
 
 
-def load_manifest(path: str | Path) -> Corpus:
-    """Load a corpus from a tab-separated manifest.
+def load_manifest(path: str | Path) -> list[Letter]:
+    """Load the letters of a tab-separated manifest, sorted by year then id.
 
     Expected columns: letter_id, sender, addressee, year,
     year_uncertain, language, file and optional cut_marker.  "-" stands
@@ -270,4 +241,5 @@ def load_manifest(path: str | Path) -> Corpus:
         )
     if not letters:
         log.warning("manifest %s lists no letters", p)
-    return Corpus(letters)
+    letters.sort(key=lambda l: (l.meta.year, l.meta.letter_id))
+    return letters

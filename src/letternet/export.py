@@ -81,8 +81,9 @@ _NODE_RGB = {name: _viz_rgb(color) for name, color in _NODE_COLORS.items()}
 _EDGE_RGB = {name: _viz_rgb(color) for name, color in _EDGE_COLORS.items()}
 # kind -> (name, directed), as a sorted view's edge rows hold them
 _KIND_ROWS = {kind: (kind.name, kind in DIRECTED_KINDS) for kind in RelationKind}
-# what XML 1.0 cannot hold, vertical tab and form feed included, and lone surrogates
-_UNWRITABLE_RE = re.compile(f"[\x0b\x0c\ud800-\udfff{_XML_UNWRITABLE}]")
+# what XML 1.0 cannot hold, vertical tab and form feed included, lone surrogates,
+# and tab, LF and CR, which a GEXF attribute would read back as spaces
+_UNWRITABLE_RE = re.compile(f"[\t\n\r\x0b\x0c\ud800-\udfff{_XML_UNWRITABLE}]")
 
 
 class GexfValidationError(ValueError, LetternetError):

@@ -135,56 +135,44 @@ def extract_window_pairs(
 # anaphora
 
 
-class AnaphoraMap(NamedTuple):
-    """Manual pronoun resolutions keyed by token position.
+def load_anaphora(path: str | Path) -> dict[str, dict[tuple[int, int], str]]:
+    """Manual pronoun resolutions: letter id -> {(sent_idx, tok_idx): lemma}.
 
-    Maps (letter_id, sent_idx, tok_idx) to the noun lemma the pronoun
-    stands for.  Replacements always take the NOUN class.
+    The file has four columns: letter_id, sent_idx, tok_idx, lemma.
+    The indices are ASCII digits, the lemma is case-folded, and a
+    position has at most one row.  Each letter's positions keep file
+    order.  Replacements always take the NOUN class.
     """
-
-    entries: Mapping[tuple[str, int, int], str]
-
-    def for_letter(self, letter_id: str) -> dict[tuple[int, int], str]:
-        return {
-            (sent, tok): lemma
-            for (lid, sent, tok), lemma in self.entries.items()
-            if lid == letter_id
-        }
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "AnaphoraMap":
-        """Read a four-column file: letter_id, sent_idx, tok_idx, lemma.
-
-        The indices are ASCII digits, the lemma is case-folded, and a
-        position has at most one row.
-        """
-        entries: dict[tuple[str, int, int], str] = {}
-        for where, (letter_id, sent_s, tok_s, lemma) in read_table(path, 4, "anaphora file"):
-            sent_idx, tok_idx = parse_index(sent_s), parse_index(tok_s)
-            if sent_idx is None or tok_idx is None:
-                raise InputError(f"{where}: bad token position {sent_s!r}/{tok_s!r}")
-            if not lemma or lemma == "-":
-                raise InputError(f"{where}: empty replacement lemma")
-            key = (letter_id, sent_idx, tok_idx)
-            if key in entries:
-                raise InputError(
-                    f"{where}: sentence {sent_idx}, token {tok_idx} of {letter_id}"
-                    " repeats an earlier row"
-                )
-            entries[key] = lemma.casefold()
-        return cls(entries=entries)
+    amap: dict[str, dict[tuple[int, int], str]] = {}
+    for where, (letter_id, sent_s, tok_s, lemma) in read_table(path, 4, "anaphora file"):
+        sent_idx, tok_idx = parse_index(sent_s), parse_index(tok_s)
+        if sent_idx is None or tok_idx is None:
+            raise InputError(f"{where}: bad token position {sent_s!r}/{tok_s!r}")
+        if not lemma or lemma == "-":
+            raise InputError(f"{where}: empty replacement lemma")
+        targets = amap.setdefault(letter_id, {})
+        if (sent_idx, tok_idx) in targets:
+            raise InputError(
+                f"{where}: sentence {sent_idx}, token {tok_idx} of {letter_id}"
+                " repeats an earlier row"
+            )
+        targets[sent_idx, tok_idx] = lemma.casefold()
+    return amap
 
 
-def apply_anaphora(doc: AnnotatedDoc, amap: AnaphoraMap) -> AnnotatedDoc:
+def apply_anaphora(
+    doc: AnnotatedDoc, amap: Mapping[str, Mapping[tuple[int, int], str]]
+) -> AnnotatedDoc:
     """Replace mapped pronouns by their antecedent nouns.
 
-    Every map entry for this letter must point at a PRON token;
-    anything else (wrong class, position out of range) raises
-    :class:`InputError` naming the position.  The surface form stays as
-    transcribed, only normalized form, lemma and class change.  An empty
-    map returns the document unchanged.
+    ``amap`` is what :func:`load_anaphora` returns.  Every position it
+    maps for this letter must point at a PRON token; anything else
+    (wrong class, position out of range) raises :class:`InputError`
+    naming the position.  The surface form stays as transcribed, only
+    normalized form, lemma and class change.  A letter without
+    positions gets the same document back.
     """
-    targets = amap.for_letter(doc.letter_id)
+    targets = amap.get(doc.letter_id)
     if not targets:
         return doc
     sentences = list(doc.sentences)

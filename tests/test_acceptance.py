@@ -23,7 +23,7 @@ from letternet import (
 )
 from letternet.cli import main
 from letternet.export import export_json, gexf_bytes, import_json, validate_gexf
-from letternet.extraction import AnaphoraMap, RelationKind
+from letternet.extraction import RelationKind, load_anaphora
 from letternet.network import Centrality, MeanSd, Threshold, centrality, prune
 from letternet.pipeline import PosClass
 
@@ -112,10 +112,11 @@ def test_criterion_03_subject_found_across_a_relative_clause(criterion, annotato
 
 def test_criterion_04_anaphora_recovers_a_subject(criterion, annotator, sample_corpus):
     with criterion(4, "pronoun replacement recovers tutor/lead"):
-        doc = annotator.annotate(sample_corpus.get("L01"))
+        doc = annotator.annotate(sample_corpus[0])
+        assert doc.letter_id == "L01"
         before = shapes(extract_window_pairs(doc, max_dist=4, verb_blocker=False))
         assert ("tutor", N, "lead", V, S) not in before
-        amap = AnaphoraMap.from_file(SAMPLE_DIR / "anaphora_l01.tsv")
+        amap = load_anaphora(SAMPLE_DIR / "anaphora_l01.tsv")
         resolved = apply_anaphora(doc, amap)
         after = shapes(extract_window_pairs(resolved, max_dist=4, verb_blocker=False))
         assert ("tutor", N, "lead", V, S) in after

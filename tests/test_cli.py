@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -1032,6 +1033,27 @@ def test_every_error_class_is_a_letternet_error():
         "ExportError", "GexfValidationError", "InputError", "LetternetError",
     ]
     assert [c.__name__ for c in classes if not issubclass(c, LetternetError)] == []
+
+
+def test_public_names_of_the_package():
+    # a name added to or dropped from letternet's surface is a deliberate
+    # change to this list; submodules are left out, as they appear once imported
+    names = [
+        name
+        for name in dir(letternet)
+        if not name.startswith("_") and not isinstance(getattr(letternet, name), types.ModuleType)
+    ]
+    assert names == [
+        "AnnotatedDoc", "Annotator", "Centrality", "GoldTriple", "Letter", "LetterMeta",
+        "LetternetError", "LexicalGraph", "MeanSd", "PairRecord", "PosClass", "RelationKind",
+        "SplitConfig", "Threshold", "Token", "VariantLexicon", "apply_anaphora", "build_graph",
+        "centrality", "clean_text", "cooccurrence_graph", "default_annotator", "evaluate_pairs",
+        "export_csv_edges", "export_dot", "export_gexf", "export_json", "extract_cooccurrences",
+        "extract_window_pairs", "import_json", "ingest_pretagged", "load_anaphora", "load_gold",
+        "load_letter", "load_manifest", "merge_graphs", "pair_graph", "parse_prune_rule", "prune",
+        "split_sentences", "stats_report", "token_frequencies", "tokenize", "validate_gexf",
+        "write_vertical",
+    ]
 
 
 # Bytes for the input files: fields that the formats expect, broken

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from letternet.corpus import (
-    Corpus,
-    Letter,
     LetterMeta,
     _HYPHEN_BREAK_RE,
     _drop_bracketed,
@@ -262,46 +260,38 @@ def test_load_letter_keeps_whitespace_controls(tmp_path):
     assert load_letter(p, meta()).clean_text == "a b c d e"
 
 
-# corpus container
-
-
-def _letter(lid, year):
-    m = meta(letter_id=lid, year=year)
-    return Letter(meta=m, raw_text="t", clean_text="t")
-
-
-def test_corpus_sorted_by_year_then_id():
-    c = Corpus([_letter("B", 1650), _letter("A", 1650), _letter("C", 1600)])
-    assert c.ids() == ["C", "A", "B"]
-
-
-def test_corpus_duplicate_id_rejected():
-    with pytest.raises(InputError, match="duplicate"):
-        Corpus([_letter("A", 1600), _letter("A", 1601)])
-
-
-def test_corpus_get():
-    c = Corpus([_letter("A", 1600)])
-    assert c.get("A").meta.year == 1600
-    with pytest.raises(KeyError):
-        c.get("nope")
-
-
 # manifest files
 
 
 def test_load_manifest_sample():
-    corpus = load_manifest(MANIFEST)
-    assert len(corpus) == 13
-    assert corpus.ids()[0] == "L01"
-    l01 = corpus.get("L01")
+    letters = load_manifest(MANIFEST)
+    assert len(letters) == 13
+    l01 = letters[0]
+    assert l01.meta.letter_id == "L01"
     assert l01.meta.year == 1628
     assert l01.meta.year_uncertain
     # the German tail is cut before cleaning
     assert "Hierauff" not in l01.clean_text
     assert "folgen" not in l01.clean_text
-    l07 = corpus.get("L07")
+    (l07,) = [letter for letter in letters if letter.meta.letter_id == "L07"]
     assert l07.meta.addressee is None
+
+
+def test_corpus_sorted_by_year_then_id(tmp_path):
+    # rows out of order; C and D share a year, as do A and B
+    rows = [("B", 1650), ("D", 1600), ("A", 1650), ("C", 1600)]
+    lines = ["letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile"]
+    for lid, year in rows:
+        (tmp_path / f"{lid}.txt").write_text(f"text of {lid}", encoding="utf-8")
+        lines.append(f"{lid}\tDury\t-\t{year}\tfalse\ten\t{lid}.txt")
+    p = tmp_path / "m.tsv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    letters = load_manifest(p)
+    assert type(letters) is list
+    assert [(l.meta.letter_id, l.meta.year) for l in letters] == [
+        ("C", 1600), ("D", 1600), ("A", 1650), ("B", 1650)
+    ]
+    assert [l.clean_text for l in letters] == [f"text of {lid}" for lid in "CDAB"]
 
 
 def test_load_manifest_missing_columns(tmp_path):
@@ -346,9 +336,9 @@ def test_load_manifest_skips_comments_and_blank_lines(tmp_path):
         "A\tDury\t-\t1630\tyes\ten\ta.txt\n",
         encoding="utf-8",
     )
-    corpus = load_manifest(p)
-    assert corpus.ids() == ["A"]
-    assert corpus.get("A").meta.year_uncertain
+    (letter,) = load_manifest(p)
+    assert letter.meta.letter_id == "A"
+    assert letter.meta.year_uncertain
 
 
 def test_load_manifest_not_found(tmp_path):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from letternet.extraction import (
-    AnaphoraMap,
     GoldTriple,
     PairRecord,
     RelationKind,
     apply_anaphora,
     evaluate_pairs,
     extract_window_pairs,
+    load_anaphora,
     load_gold,
 )
 from letternet.network import (
@@ -287,7 +287,7 @@ def test_pairs_match_brute_force_on_random_sentences():
 
 def test_apply_anaphora_replaces_pronoun():
     doc = mk_doc([("he", PRON), ("lead", V), ("child", N)])
-    out = apply_anaphora(doc, AnaphoraMap({("T1", 0, 0): "tutor"}))
+    out = apply_anaphora(doc, {"T1": {(0, 0): "tutor"}})
     tok = out.sentences[0][0]
     assert tok.lemma == "tutor"
     assert tok.normalized == "tutor"
@@ -303,56 +303,72 @@ def test_apply_anaphora_changes_extraction():
     doc = mk_doc([("he", PRON), ("lead", V), ("child", N)])
     before = shapes(extract_window_pairs(doc))
     assert before == [("lead", V, "child", N, O)]
-    out = apply_anaphora(doc, AnaphoraMap({("T1", 0, 0): "tutor"}))
+    out = apply_anaphora(doc, {"T1": {(0, 0): "tutor"}})
     after = shapes(extract_window_pairs(out))
     assert ("tutor", N, "lead", V, S) in after
 
 
 def test_apply_anaphora_empty_map_is_noop():
     doc = mk_doc([("he", PRON), ("go", V)])
-    assert apply_anaphora(doc, AnaphoraMap({})) == doc
+    assert apply_anaphora(doc, {}) is doc
 
 
 def test_apply_anaphora_rejects_non_pronoun():
     doc = mk_doc([("man", N), ("go", V)])
     with pytest.raises(InputError, match="0"):
-        apply_anaphora(doc, AnaphoraMap({("T1", 0, 0): "tutor"}))
+        apply_anaphora(doc, {"T1": {(0, 0): "tutor"}})
 
 
 def test_apply_anaphora_rejects_bad_position():
     doc = mk_doc([("he", PRON)])
     with pytest.raises(InputError):
-        apply_anaphora(doc, AnaphoraMap({("T1", 0, 9): "x"}))
+        apply_anaphora(doc, {"T1": {(0, 9): "x"}})
     with pytest.raises(InputError):
-        apply_anaphora(doc, AnaphoraMap({("T1", 5, 0): "x"}))
+        apply_anaphora(doc, {"T1": {(5, 0): "x"}})
 
 
 def test_anaphora_map_from_file(tmp_path):
     p = tmp_path / "a.tsv"
     p.write_text("# comment\nL01\t1\t15\ttutor\n", encoding="utf-8")
-    amap = AnaphoraMap.from_file(p)
-    assert amap.for_letter("L01") == {(1, 15): "tutor"}
-    assert amap.for_letter("L02") == {}
+    assert load_anaphora(p) == {"L01": {(1, 15): "tutor"}}
+
+
+def test_load_anaphora_groups_interleaved_letters_in_file_order(tmp_path):
+    p = tmp_path / "a.tsv"
+    p.write_text(
+        "L02\t3\t1\tchild\nL01\t1\t15\ttutor\nL02\t0\t4\tGod\nL01\t0\t2\tman\n",
+        encoding="utf-8",
+    )
+    amap = load_anaphora(p)
+    assert list(amap) == ["L02", "L01"]
+    assert list(amap["L01"].items()) == [((1, 15), "tutor"), ((0, 2), "man")]
+    assert list(amap["L02"].items()) == [((3, 1), "child"), ((0, 4), "god")]
+    # a letter without rows gets its own document back
+    doc = mk_doc([("he", PRON), ("go", V)], letter_id="L03")
+    assert apply_anaphora(doc, amap) is doc
 
 
 def test_anaphora_map_file_errors(tmp_path):
     p = tmp_path / "a.tsv"
     p.write_text("L01\t1\ttutor\n", encoding="utf-8")
     with pytest.raises(InputError, match="4"):
-        AnaphoraMap.from_file(p)
+        load_anaphora(p)
     p.write_text("L01\tx\t1\ttutor\n", encoding="utf-8")
     with pytest.raises(InputError):
-        AnaphoraMap.from_file(p)
+        load_anaphora(p)
+    # the same position in another letter is no repeat; in the same letter it is
     p.write_text("L01\t1\t15\ttutor\nL02\t1\t15\tchild\nL01\t1\t15\tzzz\n", encoding="utf-8")
-    with pytest.raises(InputError, match=r"a\.tsv:3: sentence 1, token 15 of L01 repeats"):
-        AnaphoraMap.from_file(p)
+    with pytest.raises(
+        InputError, match=r"a\.tsv:3: sentence 1, token 15 of L01 repeats an earlier row"
+    ):
+        load_anaphora(p)
 
 
 def test_anaphora_replacement_casefolds_like_the_annotator(tmp_path, annotator):
     # the annotator folds "Goſpel" to "gospel", so the replacement must too
     p = tmp_path / "a.tsv"
     p.write_text("A\t0\t0\tGoſpel\n", encoding="utf-8")
-    doc = apply_anaphora(annotator.annotate_text("A", "It is true."), AnaphoraMap.from_file(p))
+    doc = apply_anaphora(annotator.annotate_text("A", "It is true."), load_anaphora(p))
     assert doc.sentences[0][0] == Token("It", "gospel", "gospel", N)
     assert ("gospel", N) in cooccurrence_graph([doc]).nodes
 
@@ -476,8 +492,9 @@ L01_EXPECTED = {
 def test_evaluate_bundled_gold_fixture(annotator, sample_corpus):
     from conftest import SAMPLE_DIR
 
-    doc = annotator.annotate(sample_corpus.get("L01"))
-    doc = apply_anaphora(doc, AnaphoraMap.from_file(SAMPLE_DIR / "anaphora_l01.tsv"))
+    doc = annotator.annotate(sample_corpus[0])
+    assert doc.letter_id == "L01"
+    doc = apply_anaphora(doc, load_anaphora(SAMPLE_DIR / "anaphora_l01.tsv"))
     records = extract_window_pairs(doc, max_dist=4, verb_blocker=True)
     gold = load_gold(SAMPLE_DIR / "gold_l01.tsv")
     rep = evaluate_pairs(records, gold)

@@ -12,15 +12,8 @@ import pickle
 import pytest
 
 from letternet.cli import RunConfig
-from letternet.corpus import Corpus, Letter, LetterMeta
-from letternet.extraction import (
-    AnaphoraMap,
-    EvalReport,
-    GoldTriple,
-    PairRecord,
-    RelationKind,
-    Scores,
-)
+from letternet.corpus import Letter, LetterMeta
+from letternet.extraction import EvalReport, GoldTriple, PairRecord, RelationKind, Scores
 from letternet.network import LexicalGraph, MeanSd, Threshold
 from letternet.pipeline import (
     AnnotatedDoc,
@@ -34,25 +27,21 @@ from letternet.pipeline import (
 
 N = PosClass.NOUN
 TYPE_NAMES = (
-    "RunConfig", "LetterMeta", "Letter", "Corpus", "PairRecord", "AnaphoraMap",
-    "GoldTriple", "Scores", "EvalReport", "LexicalGraph", "Threshold", "MeanSd",
-    "AnnotatedDoc", "SplitConfig", "VariantEntry", "Annotator",
+    "RunConfig", "LetterMeta", "Letter", "PairRecord", "GoldTriple", "Scores",
+    "EvalReport", "LexicalGraph", "Threshold", "MeanSd", "AnnotatedDoc",
+    "SplitConfig", "VariantEntry", "Annotator",
 )
-MUTABLE = {"Corpus", "LexicalGraph"}
-UNHASHABLE = MUTABLE | {"AnaphoraMap"}  # AnaphoraMap holds a dict
+MUTABLE = {"LexicalGraph"}
 
 
 def _instances(annotator):
     meta = LetterMeta("A", "Dury", None, 1630)
-    letter = Letter(meta, "raw", "clean")
     scores = Scores(0.5, 0.25, 1 / 3, 1, 2, 4)
     return {
         "RunConfig": RunConfig(manifest="m.tsv", formats=("gexf", "json")),
         "LetterMeta": meta,
-        "Letter": letter,
-        "Corpus": Corpus([letter]),
+        "Letter": Letter(meta, "raw", "clean"),
         "PairRecord": PairRecord("man", N, "see", PosClass.VERB, RelationKind.SUBJ, "A", 0),
-        "AnaphoraMap": AnaphoraMap({("A", 0, 0): "tutor"}),
         "GoldTriple": GoldTriple("A", 0, "see", "man", None),
         "Scores": scores,
         "EvalReport": EvalReport(scores, scores, scores),
@@ -76,8 +65,8 @@ def pairs():
     return {name: (first[name], second[name]) for name in first}
 
 
-def test_all_sixteen_types_covered(pairs):
-    assert len(TYPE_NAMES) == 16 and sorted(pairs) == sorted(TYPE_NAMES)
+def test_all_fourteen_types_covered(pairs):
+    assert len(TYPE_NAMES) == 14 and sorted(pairs) == sorted(TYPE_NAMES)
     assert all(type(obj).__name__ == name for name, (obj, _) in pairs.items())
 
 
@@ -86,7 +75,7 @@ def test_record_behaviour(pairs, name):
     obj, twin = pairs[name]
     assert obj == twin and not obj != twin
     assert repr(obj).startswith(f"{name}(")
-    if name in UNHASHABLE:
+    if name in MUTABLE:
         with pytest.raises(TypeError):
             hash(obj)
     else:
