@@ -14,7 +14,7 @@ from pathlib import Path
 
 from letternet import cooccurrence_graph, default_annotator, load_manifest
 from letternet.export import export_gexf, export_json, stats_report
-from letternet.network import MeanSd, prune
+from letternet.network import prune
 from letternet.pipeline import data_path
 
 if __name__ == "__main__":
@@ -35,7 +35,7 @@ if __name__ == "__main__":
 
     # keep only nodes and edges more than two standard deviations
     # above the mean; the survivors are the recurring themes
-    pruned = prune(merged, MeanSd(2.0), MeanSd(2.0))
+    pruned = prune(merged, "mean2", "mean2")
     print(f"pruned graph: {pruned.n_nodes} nodes, {pruned.n_edges} edges")
     print()
     print(stats_report(pruned, top_n=8), end="")

@@ -43,15 +43,12 @@ from letternet.extraction import (
 from letternet.network import (
     Centrality,
     LexicalGraph,
-    MeanSd,
-    Threshold,
     build_graph,
     centrality,
     cooccurrence_graph,
     extract_cooccurrences,
     merge_graphs,
     pair_graph,
-    parse_prune_rule,
     prune,
     token_frequencies,
 )

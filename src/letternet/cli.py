@@ -41,10 +41,10 @@ from letternet.network import (
     LexicalGraph,
     build_graph,  # noqa: F401  bound for the benchmark tracer
     cooccurrence_graph,
+    cutoff,
     extract_cooccurrences,  # noqa: F401  bound for the benchmark tracer
     merge_graphs,  # noqa: F401  bound for the benchmark tracer
     pair_graph,
-    parse_prune_rule,
     prune,
     token_frequencies,  # noqa: F401  bound for the benchmark tracer
 )
@@ -185,10 +185,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise InputError(f"top must be >= 0, got {cfg.top}")
     for rule in (cfg.prune_nodes, cfg.prune_edges):
         if rule is not None:
-            try:
-                parse_prune_rule(rule)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
+            cutoff(rule, [])
     if not cfg.pretagged_dir:
         if not cfg.manifest:
             raise InputError("no manifest configured (use --manifest or a config file)")
@@ -242,9 +239,6 @@ def _build_graphs(
     """Each (name, graph) to write, built only when the one before it is done with."""
     window = _parse_context(cfg.context)
     pruning = cfg.prune_nodes or cfg.prune_edges
-    if pruning:
-        node_rule = parse_prune_rule(cfg.prune_nodes or "gt0")
-        edge_rule = parse_prune_rule(cfg.prune_edges or "gt0")
     groups = [("network", docs)]
     if cfg.scope == "per-letter":
         groups = [(doc.letter_id, [doc]) for doc in docs]
@@ -254,7 +248,12 @@ def _build_graphs(
         else:
             graph = cooccurrence_graph(group, window)
         if pruning:
-            graph = prune(graph, node_rule, edge_rule, drop_isolated=not cfg.keep_isolated)
+            graph = prune(
+                graph,
+                cfg.prune_nodes or "gt0",
+                cfg.prune_edges or "gt0",
+                drop_isolated=not cfg.keep_isolated,
+            )
         yield name, graph
 
 

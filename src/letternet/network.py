@@ -17,7 +17,7 @@ import re
 import sys
 from collections import Counter
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from letternet.extraction import (
     DEFAULT_CONTENT_CLASSES,
@@ -30,7 +30,7 @@ from letternet.extraction import (
     extract_window_pairs,
     node_order,
 )
-from letternet.pipeline import AnnotatedDoc, InputError, _Frozen, _Record
+from letternet.pipeline import AnnotatedDoc, InputError, _Record
 
 log = logging.getLogger(__name__)
 
@@ -298,51 +298,32 @@ def mean_sd(values: Sequence[int]) -> tuple[float, float]:
     return math.fsum(values) / n, sd
 
 
-class Threshold(_Frozen):
-    """Keep values strictly greater than a fixed minimum."""
-
-    __slots__ = _fields = ("minimum",)
-
-    def __init__(self, minimum: float) -> None:
-        self._init(minimum=minimum)
-
-    def cutoff(self, values: Sequence[int]) -> float:
-        return float(self.minimum)
-
-
-class MeanSd(_Frozen):
-    """Keep values strictly above mean + k population standard deviations."""
-
-    __slots__ = _fields = ("k",)
-
-    def __init__(self, k: float) -> None:
-        self._init(k=k)
-
-    def cutoff(self, values: Sequence[int]) -> float:
-        if not values:
-            return 0.0
-        mean, sd = mean_sd(values)
-        return mean + self.k * sd
-
-
-PruneRule = Union[Threshold, MeanSd]
-
 _PRUNE_RULE_RE = re.compile(r"^(gt|mean)(\d+(?:\.\d+)?)$")
 
 
-def parse_prune_rule(text: str) -> PruneRule:
-    """Parse "gtN" into a threshold rule and "meanK" into a mean+k*sd rule."""
-    m = _PRUNE_RULE_RE.match(text.strip())
+def cutoff(rule: str, values: Sequence[int]) -> float:
+    """The cutoff a prune rule sets on ``values``.
+
+    "gtN" gives N whatever the values; "meanK" gives their mean plus K
+    population standard deviations, or 0.0 when there are none.  Other
+    text raises :class:`InputError`.
+    """
+    m = _PRUNE_RULE_RE.match(rule.strip())
     if not m:
-        raise ValueError(f"bad prune rule {text!r}; expected gtN or meanK")
-    rule = Threshold if m.group(1) == "gt" else MeanSd
-    return rule(float(m.group(2)))
+        raise InputError(f"bad prune rule {rule!r}; expected gtN or meanK")
+    n = float(m.group(2))
+    if m.group(1) == "gt":
+        return n
+    if not values:
+        return 0.0
+    mean, sd = mean_sd(values)
+    return mean + n * sd
 
 
 def prune(
     graph: LexicalGraph,
-    node_rule: PruneRule,
-    edge_rule: PruneRule,
+    node_rule: str,
+    edge_rule: str,
     drop_isolated: bool = True,
 ) -> LexicalGraph:
     """Cut a graph down to its statistically salient part.
@@ -354,8 +335,8 @@ def prune(
     survived.  With ``drop_isolated`` nodes left without any edge are
     removed as well.  The input graph is not modified.
     """
-    node_cut = node_rule.cutoff(list(graph.nodes.values()))
-    edge_cut = edge_rule.cutoff(list(graph.edges.values()))
+    node_cut = cutoff(node_rule, list(graph.nodes.values()))
+    edge_cut = cutoff(edge_rule, list(graph.edges.values()))
     kept_nodes = {key: f for key, f in graph.nodes.items() if f > node_cut}
     kept_edges = {
         (src, dst, kind): w

@@ -24,7 +24,7 @@ from letternet import (
 from letternet.cli import main
 from letternet.export import export_json, gexf_bytes, import_json, validate_gexf
 from letternet.extraction import RelationKind, load_anaphora
-from letternet.network import Centrality, MeanSd, Threshold, centrality, prune
+from letternet.network import Centrality, centrality, prune
 from letternet.pipeline import PosClass
 
 from conftest import MANIFEST, SAMPLE_DIR, mk_doc, N, V
@@ -126,16 +126,7 @@ def test_criterion_04_anaphora_recovers_a_subject(criterion, annotator, sample_c
 def test_criterion_05_pruning_matches_a_brute_force_oracle(criterion):
     with criterion(5, "200 random graphs pruned like the oracle"):
         rng = random.Random(5)
-        rules = [
-            Threshold(0),
-            Threshold(2),
-            Threshold(5),
-            Threshold(12),
-            MeanSd(0.0),
-            MeanSd(0.5),
-            MeanSd(1.0),
-            MeanSd(2.0),
-        ]
+        rules = ["gt0", "gt2", "gt5", "gt12", "mean0", "mean0.5", "mean1", "mean2"]
         t0 = time.perf_counter()
         for _ in range(200):
             g = random_graph(rng, max_nodes=50)
@@ -148,8 +139,8 @@ def test_criterion_05_pruning_matches_a_brute_force_oracle(criterion):
             assert set(got.nodes) <= set(g.nodes)
             assert set(got.edges) <= set(g.edges)
             # a stricter threshold can only shrink the result
-            loose = prune(g, Threshold(2), Threshold(2), drop_isolated=drop)
-            tight = prune(g, Threshold(5), Threshold(5), drop_isolated=drop)
+            loose = prune(g, "gt2", "gt2", drop_isolated=drop)
+            tight = prune(g, "gt5", "gt5", drop_isolated=drop)
             assert set(tight.nodes) <= set(loose.nodes)
             assert set(tight.edges) <= set(loose.edges)
         elapsed = time.perf_counter() - t0

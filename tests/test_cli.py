@@ -1045,12 +1045,12 @@ def test_public_names_of_the_package():
     ]
     assert names == [
         "AnnotatedDoc", "Annotator", "Centrality", "GoldTriple", "Letter", "LetterMeta",
-        "LetternetError", "LexicalGraph", "MeanSd", "PairRecord", "PosClass", "RelationKind",
-        "SplitConfig", "Threshold", "Token", "VariantLexicon", "apply_anaphora", "build_graph",
+        "LetternetError", "LexicalGraph", "PairRecord", "PosClass", "RelationKind",
+        "SplitConfig", "Token", "VariantLexicon", "apply_anaphora", "build_graph",
         "centrality", "clean_text", "cooccurrence_graph", "default_annotator", "evaluate_pairs",
         "export_csv_edges", "export_dot", "export_gexf", "export_json", "extract_cooccurrences",
         "extract_window_pairs", "import_json", "ingest_pretagged", "load_anaphora", "load_gold",
-        "load_letter", "load_manifest", "merge_graphs", "pair_graph", "parse_prune_rule", "prune",
+        "load_letter", "load_manifest", "merge_graphs", "pair_graph", "prune",
         "split_sentences", "stats_report", "token_frequencies", "tokenize", "validate_gexf",
         "write_vertical",
     ]

@@ -596,7 +596,7 @@ _INT_LISTS = st.lists(_INTS, min_size=1, max_size=60) | st.builds(
 @example([10**30, 10**30 - 1, 1])
 @example([7] * 13)
 def test_mean_sd_is_bitwise_statistics(values):
-    # the stats report and MeanSd cutoffs must not move by one ulp
+    # the stats report and meanK cutoffs must not move by one ulp
     mean, sd = mean_sd(values)
     assert mean.hex() == statistics.fmean(values).hex()
     assert sd.hex() == statistics.pstdev(values).hex()

@@ -18,15 +18,13 @@ from letternet import network
 from letternet.network import (
     Centrality,
     LexicalGraph,
-    MeanSd,
-    Threshold,
     build_graph,
     centrality,
     cooccurrence_graph,
+    cutoff,
     extract_cooccurrences,
     merge_graphs,
     pair_graph,
-    parse_prune_rule,
     prune,
     token_frequencies,
 )
@@ -313,24 +311,27 @@ def test_validate_rejects_bad_graphs():
 
 
 def test_threshold_cutoff_ignores_values():
-    assert Threshold(3).cutoff([1, 100]) == 3.0
-    assert Threshold(0).cutoff([]) == 0.0
+    assert cutoff("gt3", [1, 100]) == 3.0
+    assert cutoff("gt0", []) == 0.0
 
 
 def test_meansd_cutoff_matches_statistics_module():
     values = [10, 2, 2, 2]
     expected = statistics.mean(values) + 1.0 * statistics.pstdev(values)
-    assert MeanSd(1.0).cutoff(values) == expected
-    assert MeanSd(2.0).cutoff([]) == 0.0
+    assert cutoff("mean1", values) == expected
+    assert cutoff("mean2", []) == 0.0
 
 
 def test_parse_prune_rule():
-    assert parse_prune_rule("gt3") == Threshold(3)
-    assert parse_prune_rule("mean2") == MeanSd(2.0)
-    assert parse_prune_rule("mean1.5") == MeanSd(1.5)
+    values = [10, 2, 2, 2]
+    mean, sd = statistics.mean(values), statistics.pstdev(values)
+    assert cutoff("gt3", values) == 3.0
+    assert cutoff(" gt3\n", values) == 3.0
+    assert cutoff("mean2", values) == mean + 2.0 * sd
+    assert cutoff("mean1.5", values) == mean + 1.5 * sd
     for bad in ("gt-1", "gt", "meanx", "median2", ""):
-        with pytest.raises(ValueError):
-            parse_prune_rule(bad)
+        with pytest.raises(InputError, match=f"bad prune rule {bad!r}; expected gtN or meanK"):
+            cutoff(bad, values)
 
 
 # pruning semantics
@@ -346,33 +347,33 @@ def graph_abc():
 
 
 def test_prune_threshold_drops_nodes_and_orphan_edges():
-    g = prune(graph_abc(), Threshold(1), Threshold(2))
+    g = prune(graph_abc(), "gt1", "gt2")
     assert set(g.nodes) == {("a", N), ("b", N)}
     assert set(g.edges) == {(("a", N), ("b", N), C)}
     g.validate()
 
 
 def test_prune_cutoff_is_strict():
-    g = prune(graph_abc(), Threshold(5), Threshold(0))
+    g = prune(graph_abc(), "gt5", "gt0")
     assert g.nodes == {}
 
 
 def test_prune_drop_isolated_toggle():
-    g = prune(graph_abc(), Threshold(0), Threshold(4))
+    g = prune(graph_abc(), "gt0", "gt4")
     # only the a-c edge survives, so b is isolated and dropped
     assert set(g.nodes) == {("a", N), ("c", N)}
-    kept = prune(graph_abc(), Threshold(0), Threshold(4), drop_isolated=False)
+    kept = prune(graph_abc(), "gt0", "gt4", drop_isolated=False)
     assert set(kept.nodes) == {("a", N), ("b", N), ("c", N)}
 
 
 def test_prune_empty_graph():
     empty = LexicalGraph()
-    assert prune(empty, MeanSd(2.0), MeanSd(2.0)).n_nodes == 0
+    assert prune(empty, "mean2", "mean2").n_nodes == 0
 
 
 def test_prune_does_not_mutate_input():
     g = graph_abc()
-    prune(g, Threshold(1), Threshold(2))
+    prune(g, "gt1", "gt2")
     assert g.n_nodes == 3 and g.n_edges == 2
 
 
@@ -398,11 +399,11 @@ def random_graph(rng, max_nodes=50):
 
 def oracle_prune(graph, node_rule, edge_rule, drop_isolated=True):
     def cut(rule, values):
-        if isinstance(rule, Threshold):
-            return float(rule.minimum)
+        if rule.startswith("gt"):
+            return float(rule[2:])
         if not values:
             return 0.0
-        return statistics.mean(values) + rule.k * statistics.pstdev(values)
+        return statistics.mean(values) + float(rule[4:]) * statistics.pstdev(values)
 
     node_cut = cut(node_rule, list(graph.nodes.values()))
     edge_cut = cut(edge_rule, list(graph.edges.values()))
@@ -421,7 +422,7 @@ def oracle_prune(graph, node_rule, edge_rule, drop_isolated=True):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_prune_matches_oracle_on_random_graphs(seed):
     rng = random.Random(seed)
-    rules = [Threshold(0), Threshold(3), Threshold(10), MeanSd(0.0), MeanSd(1.0), MeanSd(2.0)]
+    rules = ["gt0", "gt3", "gt10", "mean0", "mean1", "mean2"]
     for _ in range(40):
         g = random_graph(rng)
         node_rule = rng.choice(rules)
@@ -441,8 +442,8 @@ def test_prune_monotone_in_threshold():
     rng = random.Random(99)
     for _ in range(20):
         g = random_graph(rng, max_nodes=20)
-        low = prune(g, Threshold(2), Threshold(2))
-        high = prune(g, Threshold(5), Threshold(5))
+        low = prune(g, "gt2", "gt2")
+        high = prune(g, "gt5", "gt5")
         assert set(high.nodes) <= set(low.nodes)
         assert set(high.edges) <= set(low.edges)
 

@@ -2,6 +2,7 @@
 
 import codecs
 import logging
+import os
 import random
 import re
 import tempfile
@@ -483,6 +484,15 @@ def test_tagger_default_noun(tagger):
     assert tagger.tag("qwxz") is PosClass.NOUN
 
 
+def test_tagger_tags_a_variant_spelt_in_digits_num(tmp_path):
+    # digit surfaces are NUM before tagging; only a variant respelling
+    # a word as digits brings digits to the tagger
+    lexicon = tmp_path / "variants.tsv"
+    lexicon.write_text("xii\t12\t-\t-\n", encoding="utf-8")
+    doc = default_annotator(variant_lexicon=lexicon).annotate_text("T", "He wrote xii letters.")
+    assert doc.sentences[0][2] == Token("xii", "12", "12", PosClass.NUM)
+
+
 def test_tagger_file_errors(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("word\tNOPE\n", encoding="utf-8")
@@ -948,6 +958,19 @@ def test_write_atomic_failing_midway_leaves_the_target_as_it_was(tmp_path, piece
     assert sorted(tmp_path.iterdir()) == ([] if existing is None else [target])
     if existing is not None:
         assert target.read_bytes() == existing
+
+
+def test_write_atomic_keeps_the_writers_error_when_cleanup_fails(tmp_path, monkeypatch):
+    target = tmp_path / "g.gexf"
+    target.write_bytes(b"old\n")
+
+    def refuse(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        write_atomic(target, _pieces_then_failure())
+    assert target.read_bytes() == b"old\n"
 
 
 def test_write_atomic_onto_a_directory(tmp_path):
