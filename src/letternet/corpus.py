@@ -93,21 +93,30 @@ class Letter(NamedTuple):
     clean_text: str
 
 
-def _strip_markup(text: str) -> str:
+def _strip_markup(text: str, where: str = "text") -> str:
     # Repeated until nothing matches, so nested markup such as "<<g>>"
     # goes whole and cleaning stays idempotent.
     removed = 1
     while removed:
         text, removed = _TAG_RE.subn(" ", text)
     if "<" in text or ">" in text:
-        log.warning("unbalanced angle markup left as literal text")
+        log.warning("%s: unbalanced angle markup left as literal text", where)
     return text
 
 
-def _drop_bracketed(text: str) -> str:
+def _drop_bracketed(text: str, where: str = "text") -> str:
     # Non-nested [...] spans are editorial notes and are removed whole;
     # nested or unbalanced brackets are reported and kept verbatim.
     # Only the bracket positions are visited; text[last:] is not copied yet.
+    if "[" not in text and "]" not in text:
+        return text
+
+    def warn(problem: str, offset: int) -> None:
+        log.warning(
+            "%s: %s (offset %d of the text with line-end hyphens joined and tags made spaces)",
+            where, problem, offset,
+        )
+
     out: list[str] = []
     last = depth = start = max_depth = 0
     for m in _BRACKET_RE.finditer(text):
@@ -122,21 +131,21 @@ def _drop_bracketed(text: str) -> str:
             if depth:
                 continue
             if max_depth > 1:
-                log.warning("nested brackets at offset %d left untouched", start)
+                warn("nested brackets left untouched", start)
             else:
                 out.append(text[last:start])
                 out.append(" ")
                 last = i + 1
             max_depth = 0
         else:
-            log.warning("stray ']' at offset %d left as literal text", i)
+            warn("stray ']' left as literal text", i)
     if depth:
-        log.warning("unbalanced '[' at offset %d left as literal text", start)
+        warn("unbalanced '[' left as literal text", start)
     out.append(text[last:])
     return "".join(out)
 
 
-def clean_text(text: str, cut_marker: str | None = None) -> str:
+def clean_text(text: str, cut_marker: str | None = None, *, where: str = "text") -> str:
     """Normalise a raw transcription to plain prose.
 
     With a ``cut_marker`` the text is first truncated where that literal
@@ -145,8 +154,8 @@ def clean_text(text: str, cut_marker: str | None = None) -> str:
     are dropped, hyphenation across line breaks is rejoined, and
     whitespace runs collapse to single spaces.  Unbalanced or nested
     markers are kept verbatim and reported as warnings rather than
-    guessed at.  The function is idempotent: cleaning cleaned text is a
-    no-op.
+    guessed at; each warning starts with ``where``.  The function is
+    idempotent: cleaning cleaned text is a no-op.
     """
     if cut_marker:
         pos = text.find(cut_marker)
@@ -154,8 +163,8 @@ def clean_text(text: str, cut_marker: str | None = None) -> str:
             text = text[:pos]
     if _HYPHEN_EOL_RE.search(text):
         text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
-    text = _strip_markup(text)
-    text = _drop_bracketed(text)
+    text = _strip_markup(text, where)
+    text = _drop_bracketed(text, where)
     # str.split and re's \s agree on what is whitespace
     return " ".join(text.split())
 
@@ -170,9 +179,9 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     space) raise :class:`InputError` naming the file; an empty file is
     only a warning and yields an empty-bodied letter.
     """
-    p = Path(path)
+    p = path if isinstance(path, Path) else Path(path)
     raw = read_input(p, f"letter {meta.letter_id!r}", letter=True)
-    cleaned = clean_text(raw, cut_marker)
+    cleaned = clean_text(raw, cut_marker, where=f"letter {meta.letter_id!r} ({p})")
     if not cleaned:
         log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)
     return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
@@ -211,6 +220,7 @@ def load_manifest(path: str | Path) -> list[Letter]:
     missing = [c for c in _MANIFEST_COLUMNS if c not in columns]
     if missing:
         raise InputError(f"{p}: manifest misses columns {missing}")
+    base = p.parent
     letters: list[Letter] = []
     seen: set[str] = set()
     for where, values in rows[1:]:
@@ -237,7 +247,7 @@ def load_manifest(path: str | Path) -> list[Letter]:
         if not row["file"]:
             raise InputError(f"{where}: empty file column")
         letters.append(
-            load_letter(p.parent / row["file"], meta, None if marker == "-" else marker)
+            load_letter(base / row["file"], meta, None if marker == "-" else marker)
         )
     if not letters:
         log.warning("manifest %s lists no letters", p)

@@ -145,7 +145,9 @@ def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) 
     (a node may pair with itself).  The counting runs on int node ids,
     and each distinct edge is put in canonical order once, at the end.
     A node's frequency sums its occurrences in the letters where it is
-    in a pair, counted from the same id lists as the edges.
+    in a pair: each letter adds the ids of its tokens that have a
+    partner in one step, and a token without one counts only when its
+    node also pairs elsewhere in that letter.
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -153,8 +155,8 @@ def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) 
     pairs: Counter[tuple[int, int]] = Counter()  # (smaller id, larger id) -> weight
     freqs: Counter[int] = Counter()
     for doc in docs:
-        seen: list[int] = []
-        touched: set[int] = set()
+        paired: list[int] = []  # ids of the letter's content tokens that have a partner
+        lone: list[int] = []  # and of those that have none
         for sentence in doc.sentences:
             if window is None or window >= len(sentence) - 1:
                 # every two content tokens of the sentence are in context
@@ -163,11 +165,12 @@ def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) 
                     for t in sentence
                     if t.pos in DEFAULT_CONTENT_CLASSES
                 ]
-                seen += row
                 if len(row) > 1:
+                    paired += row
                     row.sort()
-                    touched.update(row)
                     _count_sentence(row, pairs)
+                else:
+                    lone += row
             else:
                 row = [
                     (i, ids.setdefault((t.lemma, t.pos), len(ids)))
@@ -175,18 +178,22 @@ def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) 
                     if t.pos in DEFAULT_CONTENT_CLASSES
                 ]
                 for j, (i, a) in enumerate(row):
-                    seen.append(a)
                     # positions increase, so no partner lies past row[j + window]
                     for k, b in row[j + 1 : j + 1 + window]:
                         if k - i > window:
                             break
-                        key = (a, b) if a <= b else (b, a)
-                        pairs[key] += 1
-                        touched.update(key)
-        if touched:
-            counts = Counter(seen)
-            for a in touched:
-                freqs[a] += counts[a]
+                        pairs[(a, b) if a <= b else (b, a)] += 1
+                # a token has a partner when a neighbouring content token is in reach
+                near = [k - i <= window for (i, _), (k, _) in zip(row, row[1:])]
+                for (_, a), left, right in zip(row, [False, *near], [*near, False]):
+                    (paired if left or right else lone).append(a)
+        if paired:
+            freqs.update(paired)
+            if lone:
+                touched = set(paired)
+                for a in lone:
+                    if a in touched:
+                        freqs[a] += 1
     keys = list(ids)
     order = [node_order(key) for key in keys]
     cooccur = RelationKind.COOCCUR

@@ -62,14 +62,27 @@ _CLOSERS = "'’\"”)"
 _XML_UNWRITABLE = "\x00-\x08\x0e-\x1f\ufffe\uffff"
 _LETTER_CONTROL_RE = re.compile(f"[{_XML_UNWRITABLE}]")
 _CONTROL_RE = re.compile(f"[\x0b\x0c{_XML_UNWRITABLE}]")
-# [^\W\d_] is every letter (str.isalpha) and every numeral that is not
-# a decimal digit ("²", "½"); tokenize cuts the latter out of words.
-_TOKEN = r"[^\W\d_{0}]+(?:['’][^\W\d_{0}]+)*|\d+|\.{{2,}}|\S"
-_TOKEN_RE = re.compile(_TOKEN.format(""))
+# The same characters in UTF-8: each C0 control is its own byte, which
+# no other character's encoding holds, and U+FFFE and U+FFFF are
+# EF BF BE and EF BF BF.
+_LETTER_CONTROL_BYTES = bytes([*range(0x09), *range(0x0E, 0x20)])
+_CONTROL_BYTES = _LETTER_CONTROL_BYTES + b"\x0b\x0c"
+
+
+def _token_pattern(numerals: str = "", marks: str = "") -> str:
+    # [^\W\d_] is every letter (str.isalpha) and every numeral that is not
+    # a decimal digit ("²", "½"), so tokenize cuts the latter out of words.
+    # Combining marks are \W; those given here continue a word.
+    letter = f"[^\\W\\d_{re.escape(numerals)}]"
+    run = f"{letter}(?:{letter}|[{re.escape(marks)}])*" if marks else f"{letter}+"
+    return f"{run}(?:['’]{run})*|\\d+|\\.{{2,}}|\\S"
+
+
+_TOKEN_RE = re.compile(_token_pattern())
 # The same rule on ASCII text, where those classes are plain ranges; \S
 # keeps its Unicode meaning, which takes \x1c-\x1f for white space.
 _ASCII_TOKEN_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*|[0-9]+|\.{2,}|\S")
-_NOT_WORD_RE = re.compile(r"[\W\d_]+")
+_ASCII_CHARS = frozenset(map(chr, range(128)))
 
 
 class LetternetError(Exception):
@@ -94,12 +107,13 @@ def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
     vertical tabs and form feeds pass, and every message names the file
     "{what}: {path}".
     """
-    p = Path(path)
+    p = path if isinstance(path, Path) else Path(path)
     # a letter's file name need not say which letter it is
     where = f"{what}: {p}" if letter else str(p)
     name = where if letter or not what else f"{what} {p}"
     try:
-        data = p.read_bytes()
+        with open(p, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise InputError(f"cannot read {name}: {exc}") from exc
     try:
@@ -110,8 +124,12 @@ def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
         raise InputError(f"cannot read {name}: not valid UTF-8 (byte offset {offset})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
-    if bad:
+    # the regex only looks for the first one when the bytes hold one
+    controls = _LETTER_CONTROL_BYTES if letter else _CONTROL_BYTES
+    if len(data.translate(None, controls)) < len(data) or (
+        b"\xef" in data and (b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data)
+    ):
+        bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
         lineno = text.count("\n", 0, bad.start()) + 1
         code = ord(bad.group())
         kind = "noncharacter" if code > 0xFFFD else "control character"
@@ -338,18 +356,24 @@ def tokenize(sentence: str) -> list[str]:
     """Break a sentence into word, number and punctuation tokens.
 
     A word is a run of letters (``str.isalpha``: "ſaid", "Æneas") with
-    internal apostrophes, a number a run of decimal digits, runs of dots
-    form a single token, and every other character stands alone.  Every
-    non-whitespace character of the input ends up in exactly one token.
+    internal apostrophes, each letter followed by any combining marks
+    (so "café" is one word whether its accent is precomposed or not), a
+    number a run of decimal digits, runs of dots form a single token,
+    and every other character stands alone.  Every non-whitespace
+    character of the input ends up in exactly one token.
     """
     if sentence.isascii():
         return _ASCII_TOKEN_RE.findall(sentence)
-    token_re = _TOKEN_RE
-    letters = _NOT_WORD_RE.sub("", sentence)
-    if letters and not letters.isalpha():
-        numerals = sorted({ch for ch in letters if not ch.isalpha()})
-        token_re = re.compile(_TOKEN.format(re.escape("".join(numerals))))
-    return token_re.findall(sentence)
+    from unicodedata import category  # here, so that importing the package does not load it
+
+    # the characters that may change the rule: \w ones that are not
+    # letters, and combining marks
+    others = sorted(ch for ch in set(sentence).difference(_ASCII_CHARS) if not ch.isalpha())
+    numerals = "".join(ch for ch in others if ch.isalnum())
+    marks = "".join(ch for ch in others if category(ch)[0] == "M")
+    if numerals or marks:
+        return re.compile(_token_pattern(numerals, marks)).findall(sentence)
+    return _TOKEN_RE.findall(sentence)
 
 
 # ---------------------------------------------------------------------------

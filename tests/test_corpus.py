@@ -87,7 +87,14 @@ def test_whitespace_collapses_as_the_regex_did(text):
 
 def ref_drop_bracketed(text: str) -> str:
     """Reference for ``_drop_bracketed``: one step per character."""
-    log = logging.getLogger("letternet.corpus")
+    logger = logging.getLogger("letternet.corpus")
+
+    def warn(problem, offset):
+        logger.warning(
+            f"text: {problem} (offset {offset} of the text with line-end hyphens joined "
+            "and tags made spaces)"
+        )
+
     out: list[str] = []
     i, n = 0, len(text)
     while i < n:
@@ -102,17 +109,17 @@ def ref_drop_bracketed(text: str) -> str:
                     depth -= 1
                 j += 1
             if depth:
-                log.warning("unbalanced '[' at offset %d left as literal text", i)
+                warn("unbalanced '[' left as literal text", i)
                 out.append(text[i:])
                 break
             if max_depth > 1:
-                log.warning("nested brackets at offset %d left untouched", i)
+                warn("nested brackets left untouched", i)
                 out.append(text[i:j])
             else:
                 out.append(" ")
             i = j
         elif ch == "]":
-            log.warning("stray ']' at offset %d left as literal text", i)
+            warn("stray ']' left as literal text", i)
             out.append(ch)
             i += 1
         else:
@@ -258,6 +265,20 @@ def test_load_letter_keeps_whitespace_controls(tmp_path):
     p = tmp_path / "l.txt"
     p.write_text("a\tb\x0bc\x0cd\r\ne", encoding="utf-8")
     assert load_letter(p, meta()).clean_text == "a b c d e"
+
+
+def test_load_letter_warnings_name_the_letter(tmp_path, caplog):
+    p = tmp_path / "l.txt"
+    p.write_text("a <gap> b] c [x [y] z] d < e [f", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="letternet.corpus"):
+        assert load_letter(p, meta()).clean_text == "a b] c [x [y] z] d < e [f"
+    at = "of the text with line-end hyphens joined and tags made spaces"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"letter 'X1' ({p}): unbalanced angle markup left as literal text",
+        f"letter 'X1' ({p}): stray ']' left as literal text (offset 5 {at})",
+        f"letter 'X1' ({p}): nested brackets left untouched (offset 9 {at})",
+        f"letter 'X1' ({p}): unbalanced '[' left as literal text (offset 25 {at})",
+    ]
 
 
 # manifest files

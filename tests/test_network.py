@@ -152,8 +152,27 @@ _LETTERS = st.lists(st.lists(_TOKENS, max_size=10), min_size=1, max_size=4).map(
 )
 
 
+_P = PosClass.PUNCT
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_LETTERS, min_size=1, max_size=4), st.sampled_from([None, 1, 2, 3, 4]))
+# "a" pairs in one sentence and stands alone in another of the same letter
+@example([mk_doc([("a", N), ("b", N)], [("a", N)])], None)
+@example(
+    [mk_doc([("a", N), ("b", N), (".", _P), (".", _P), ("a", N)], [(".", _P), ("b", N), (".", _P)])],
+    1,
+)
+# "c" only ever stands alone, so it is no node
+@example([mk_doc([("a", N), ("b", N)], [("c", N)]), mk_doc([("c", N)])], None)
+# "a" stands alone in one letter and pairs in another, in either order
+@example([mk_doc([("a", N), ("b", V)]), mk_doc([("a", N)])], None)
+@example([mk_doc([("a", N)]), mk_doc([("a", N), ("b", V)])], None)
+# content gaps of exactly the window and wider than it, on the window path
+@example([mk_doc([("a", N), (".", _P), ("b", N), (".", _P), (".", _P), (".", _P), ("c", V)])], 2)
+@example(
+    [mk_doc([("a", N), ("b", N)]), mk_doc([("a", N), (".", _P), (".", _P), ("c", N), ("b", N)])], 1
+)
 def test_cooccurrence_graph_matches_merged_letters(docs, window):
     for group in (docs[:1], docs):
         got = cooccurrence_graph(group, window)

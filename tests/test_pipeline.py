@@ -7,6 +7,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -190,13 +191,18 @@ def test_non_ascii_word_is_one_token(annotator):
 
 
 def ref_tokenize(sentence):
-    """The tokenizer as a plain character loop over ``str`` predicates."""
+    """The tokenizer as a plain character loop over ``str`` predicates.
+
+    A word takes in the combining marks (Unicode category M) that follow
+    its letters.
+    """
     tokens, i, n = [], 0, len(sentence)
     while i < n:
         ch, j = sentence[i], i + 1
         if ch.isalpha():
             while j < n and (
                 sentence[j].isalpha()
+                or unicodedata.category(sentence[j]).startswith("M")
                 or (sentence[j] in "'’" and j + 1 < n and sentence[j + 1].isalpha())
             ):
                 j += 1
@@ -214,15 +220,25 @@ def ref_tokenize(sentence):
 
 # letters (ASCII, long s, accented, ligature, CJK, a letter that is also
 # a numeral), numerals that are not letters or digits, digits of two
-# scripts, a combining accent, apostrophes, dots and white space
+# scripts, combining marks (nonspacing, spacing, enclosing), apostrophes,
+# dots and white space
 _TOKEN_CHARS = st.sampled_from(
-    list("aZſéÆß中〇²½³Ⅻ٣7\u0301_&'’.,  \n\t\u2028\x85")
+    list("aZſéÆß中〇²½³Ⅻ٣7\u0301\u0303\u0304\u0903\u20dd_&'’.,  \n\t\u2028\x85")
 ) | st.characters()
 
 
 @given(st.text(_TOKEN_CHARS, max_size=30))
+@example("cafe\u0301 co\u0304mand q\u0303 7\u0303 '\u0303 \u0301a o'\u0301 ²\u0301x")
 def test_tokenize_matches_character_loop(sentence):
     assert tokenize(sentence) == ref_tokenize(sentence)
+
+
+def test_decomposed_and_precomposed_spellings_tokenize_alike():
+    text = "The café and cōmand, q̃ and ſ̃aid."
+    composed = tokenize(unicodedata.normalize("NFC", text))
+    decomposed = tokenize(unicodedata.normalize("NFD", text))
+    assert composed == ["The", "café", "and", "cōmand", ",", "q̃", "and", "ſ̃aid", "."]
+    assert decomposed == [unicodedata.normalize("NFD", t) for t in composed]
 
 
 # ASCII letters, digits, apostrophes, dots, other punctuation and every
@@ -359,6 +375,58 @@ def test_reject_control_chars_in_letters_keeps_whitespace(tmp_path):
     p.write_bytes(b"a\x0cb\nc\x1ed")
     with pytest.raises(InputError, match=rf"^letter 'L': {where}:2: control character U\+001E$"):
         read_input(p, "letter 'L'", letter=True)
+
+
+def ref_read_input(path, what, letter=False):
+    """read_input with its control-character regex run on every text."""
+    where = f"{what}: {path}" if letter else str(path)
+    name = where if letter or not what else f"{what} {path}"
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        offset = exc.start + len(data) - len(exc.object)
+        raise InputError(f"cannot read {name}: not valid UTF-8 (byte offset {offset})") from exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    vt_ff = "" if letter else "\x0b\x0c"
+    bad = re.search(f"[\x00-\x08{vt_ff}\x0e-\x1f\ufffe\uffff]", text)
+    if bad:
+        lineno = text.count("\n", 0, bad.start()) + 1
+        code = ord(bad.group())
+        kind = "noncharacter" if code > 0xFFFD else "control character"
+        raise InputError(f"{where}:{lineno}: {kind} U+{code:04X}")
+    return text
+
+
+# every C0 control, DEL, line ends, a byte-order mark, the noncharacters
+# and their neighbours, letters of two, three and four bytes, and bytes
+# that are not UTF-8 (a lone lead byte, a cut sequence, a lone
+# continuation byte, a byte no character starts with)
+_INPUT_PIECES = st.sampled_from(
+    [bytes([c]) for c in range(0x20)]
+    + [b"\x7f", b"\r", b"\r\n", b"\n", b"a", b" ", codecs.BOM_UTF8]
+    + [ch.encode("utf-8") for ch in "\ufffe\uffff\ufffd\ufeffé中𝔄ſ"]
+    + [b"\xc3", b"\xef\xbf", b"\x80", b"\xff"]
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_INPUT_PIECES, max_size=12).map(b"".join), st.booleans())
+@example(codecs.BOM_UTF8 + b"a\r\nb", False)
+@example(b"a\x0bb\x0cc", True)
+@example(b"\x00", True)
+@example("a\nb\uffff".encode("utf-8"), True)
+def test_read_input_matches_regex_reference(tmp_path, data, letter):
+    p = tmp_path / "f"
+    p.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return "text", read(p, "letter 'L'" if letter else "", letter=letter)
+        except InputError as exc:
+            return "error", str(exc)
+
+    assert outcome(read_input) == outcome(ref_read_input)
 
 
 def test_variant_lexicon_with_byte_order_mark(tmp_path):
