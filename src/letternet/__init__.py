@@ -21,9 +21,7 @@ from letternet.pipeline import (
     Annotator,
     LetternetError,
     PosClass,
-    SplitConfig,
     Token,
-    VariantLexicon,
     default_annotator,
     ingest_pretagged,
     split_sentences,

@@ -138,6 +138,8 @@ def load_config_file(path: str | Path) -> dict:
         data = json.loads(read_input(p, "config"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{p}: invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError(f"{p}: config must be a JSON object")
     unknown = sorted(set(data) - set(RunConfig._fields))

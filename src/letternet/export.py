@@ -458,6 +458,9 @@ def graph_from_dict(data: dict) -> LexicalGraph:
     """
     if not isinstance(data, dict) or data.get("format") != "lexical-network":
         raise InputError("not a lexical-network JSON document")
+    for name in ("nodes", "edges"):
+        if not isinstance(data.get(name, []), list):
+            raise InputError(f"{name} must be a list, got {data[name]!r}")
     nodes: dict[NodeKey, int] = {}
     for item in data.get("nodes", []):
         try:
@@ -502,6 +505,8 @@ def import_json(source: str | Path) -> LexicalGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{p}: invalid JSON: nested too deeply") from None
     return graph_from_dict(data)
 
 

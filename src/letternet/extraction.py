@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from letternet.pipeline import (
-    AnnotatedDoc, InputError, PosClass, Token, parse_index, read_table,
+    AnnotatedDoc, InputError, PosClass, Token, fold, parse_index, read_table,
 )
 
 log = logging.getLogger(__name__)
@@ -139,9 +139,9 @@ def load_anaphora(path: str | Path) -> dict[str, dict[tuple[int, int], str]]:
     """Manual pronoun resolutions: letter id -> {(sent_idx, tok_idx): lemma}.
 
     The file has four columns: letter_id, sent_idx, tok_idx, lemma.
-    The indices are ASCII digits, the lemma is case-folded, and a
-    position has at most one row.  Each letter's positions keep file
-    order.  Replacements always take the NOUN class.
+    The indices are ASCII digits, the lemma is folded as the annotator
+    folds words, and a position has at most one row.  Each letter's
+    positions keep file order.  Replacements always take the NOUN class.
     """
     amap: dict[str, dict[tuple[int, int], str]] = {}
     for where, (letter_id, sent_s, tok_s, lemma) in read_table(path, 4, "anaphora file"):
@@ -156,7 +156,7 @@ def load_anaphora(path: str | Path) -> dict[str, dict[tuple[int, int], str]]:
                 f"{where}: sentence {sent_idx}, token {tok_idx} of {letter_id}"
                 " repeats an earlier row"
             )
-        targets[sent_idx, tok_idx] = lemma.casefold()
+        targets[sent_idx, tok_idx] = fold(lemma)
     return amap
 
 
@@ -231,9 +231,9 @@ class GoldTriple(_GoldTripleFields):
 def load_gold(path: str | Path) -> list[GoldTriple]:
     """Read gold triples: letter_id, sent_idx, verb, subj-or-"-", obj-or-"-".
 
-    Lemmas are case-folded and "#" lines are comments.  Rows with the
-    wrong field count, bad indices or neither argument raise
-    :class:`InputError` naming the line.
+    Lemmas are folded as the annotator folds words, and "#" lines are
+    comments.  Rows with the wrong field count, bad indices or neither
+    argument raise :class:`InputError` naming the line.
     """
     triples: list[GoldTriple] = []
     for where, (letter_id, sent_s, verb, subj, obj) in read_table(path, 5, "gold file"):
@@ -247,9 +247,9 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
                 GoldTriple(
                     letter_id=letter_id,
                     sent_idx=sent_idx,
-                    verb_lemma=verb.casefold(),
-                    subj_lemma=None if subj in ("", "-") else subj.casefold(),
-                    obj_lemma=None if obj in ("", "-") else obj.casefold(),
+                    verb_lemma=fold(verb),
+                    subj_lemma=None if subj in ("", "-") else fold(subj),
+                    obj_lemma=None if obj in ("", "-") else fold(obj),
                 )
             )
         except ValueError as exc:

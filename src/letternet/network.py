@@ -305,7 +305,8 @@ def mean_sd(values: Sequence[int]) -> tuple[float, float]:
     return math.fsum(values) / n, sd
 
 
-_PRUNE_RULE_RE = re.compile(r"^(gt|mean)(\d+(?:\.\d+)?)$")
+# ASCII digits only, as every other number a user gives
+_PRUNE_RULE_RE = re.compile(r"^(gt|mean)(\d+(?:\.\d+)?)$", re.ASCII)
 
 
 def cutoff(rule: str, values: Sequence[int]) -> float:

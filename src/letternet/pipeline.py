@@ -3,13 +3,14 @@
 The pipeline takes cleaned letter text through sentence splitting,
 tokenisation, spelling normalisation (u/v and i/j conventions, a
 lexicon of period variants), rule-based part-of-speech tagging and
-suffix-stripping lemmatisation, done in :class:`Annotator`.  A word's
-annotation depends on its spelling alone, so the annotator resolves
-each distinct form once and reuses the result for every later token of
-that form.  Annotated documents can be written to and re-read from a
-simple one-token-per-line vertical format; that is also how the output
-of another tagger enters the toolchain (:func:`ingest_pretagged`, which
-likewise makes each distinct row one token).
+suffix-stripping lemmatisation, done in :class:`Annotator` from three
+plain tables.  A word's annotation depends on its spelling alone, so
+the annotator resolves each distinct form once and reuses the result
+for every later token of that form.  Annotated documents can be written
+to and re-read from a simple one-token-per-line vertical format; that is
+also how the output of another tagger enters the toolchain
+(:func:`ingest_pretagged`, which likewise makes each distinct row one
+token).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -289,45 +290,64 @@ class AnnotatedDoc(_Frozen):
 # sentence splitting
 
 
-class SplitConfig(NamedTuple):
-    """Sentence boundary options.
+def _is_mark(ch: str) -> bool:
+    """Whether ``ch`` is a combining mark (Unicode category M)."""
+    if ch.isascii():
+        return False
+    from unicodedata import category  # here, so that importing the package does not load it
 
-    ``colon_boundary`` additionally breaks sentences at colons, which
-    helps on period texts that chain clauses with ":" where a modern
-    writer would end the sentence.  ``abbreviations`` lists case-folded
-    words (without the trailing dot) whose following "." never ends a
-    sentence.
+    return category(ch)[0] == "M"
+
+
+def fold(text: str) -> str:
+    """``text`` case-folded and, unless it is ASCII, in Unicode form NFC.
+
+    Every word key, table value and lemma is folded this way, so "Tutour"
+    and "tutour", and "café" with a precomposed or a combining accent,
+    find the same entry and make the same node.
     """
+    if text.isascii():
+        return text.casefold()
+    from unicodedata import normalize  # as in _is_mark
 
-    colon_boundary: bool = False
-    abbreviations: frozenset[str] = frozenset()
+    return normalize("NFC", text.casefold())
 
 
-def _is_abbreviation(text: str, dot_pos: int, config: SplitConfig) -> bool:
+def _is_abbreviation(text: str, dot_pos: int, abbreviations: Container[str]) -> bool:
     """Whether the word that ends at ``dot_pos`` is an abbreviation.
 
-    The word is the run of letters (``str.isalpha``, as :func:`tokenize`
-    takes them) before the dot, or before a newline at ``dot_pos - 1``,
-    and it is case-folded.  Only the word itself is scanned, so a text's
-    dots cost time linear in its length.
+    The word is the run of letters (``str.isalpha``), each followed by
+    any combining marks, as :func:`tokenize` takes them, before the dot
+    or before a newline at ``dot_pos - 1``, and it is folded.  Only the
+    word itself is scanned, so a text's dots cost time linear in its
+    length.
     """
     end = dot_pos - 1 if dot_pos and text[dot_pos - 1] == "\n" else dot_pos
     start = end
-    while start and text[start - 1].isalpha():
+    while start and (text[start - 1].isalpha() or _is_mark(text[start - 1])):
         start -= 1
-    return start < end and text[start:end].casefold() in config.abbreviations
+    # a mark that follows no letter stands alone, as in tokenize
+    while start < end and not text[start].isalpha():
+        start += 1
+    return start < end and fold(text[start:end]) in abbreviations
 
 
-def split_sentences(text: str, config: SplitConfig = SplitConfig()) -> list[str]:
+def split_sentences(
+    text: str, abbreviations: Container[str] = frozenset(), colon_boundary: bool = False
+) -> list[str]:
     """Split cleaned text into sentences.
 
-    Boundaries fall after ".", "!" and "?" (plus ":" when configured)
-    followed by whitespace or end of text; runs like "..." or "?!" count
-    once, and closing quotes attach to the sentence they end.  Text
-    without a final terminator still yields its last sentence.  The
-    pieces cover every non-whitespace character of the input in order.
+    Boundaries fall after ".", "!" and "?" (plus ":" with
+    ``colon_boundary``, which helps on period texts that chain clauses
+    with ":" where a modern writer would end the sentence) followed by
+    whitespace or end of text; runs like "..." or "?!" count once, and
+    closing quotes attach to the sentence they end.  A "." right after
+    one of the :func:`fold`-ed words in ``abbreviations`` never ends a
+    sentence.  Text without a final terminator still yields its last
+    sentence.  The pieces cover every non-whitespace character of the
+    input in order.
     """
-    find = (_TERMINATORS_COLON_RE if config.colon_boundary else _TERMINATORS_RE).search
+    find = (_TERMINATORS_COLON_RE if colon_boundary else _TERMINATORS_RE).search
     sentences: list[str] = []
     start = 0
     n = len(text)
@@ -337,7 +357,7 @@ def split_sentences(text: str, config: SplitConfig = SplitConfig()) -> list[str]
         while j < n and text[j] in _CLOSERS:
             j += 1
         if (j >= n or text[j].isspace()) and not (
-            j == i + 1 and text[i] == "." and _is_abbreviation(text, i, config)
+            j == i + 1 and text[i] == "." and _is_abbreviation(text, i, abbreviations)
         ):
             piece = text[start:j].strip()
             if piece:
@@ -364,20 +384,18 @@ def tokenize(sentence: str) -> list[str]:
     """
     if sentence.isascii():
         return _ASCII_TOKEN_RE.findall(sentence)
-    from unicodedata import category  # here, so that importing the package does not load it
-
     # the characters that may change the rule: \w ones that are not
     # letters, and combining marks
     others = sorted(ch for ch in set(sentence).difference(_ASCII_CHARS) if not ch.isalpha())
     numerals = "".join(ch for ch in others if ch.isalnum())
-    marks = "".join(ch for ch in others if category(ch)[0] == "M")
+    marks = "".join(filter(_is_mark, others))
     if numerals or marks:
         return re.compile(_token_pattern(numerals, marks)).findall(sentence)
     return _TOKEN_RE.findall(sentence)
 
 
 # ---------------------------------------------------------------------------
-# variant lexicon
+# the tables: variant lexicon, word classes, lemma exceptions
 
 
 def _word_class(label: str, where: str) -> PosClass:
@@ -393,44 +411,54 @@ class VariantEntry(NamedTuple):
     lemma: str | None
 
 
-class VariantLexicon:
-    """Maps historical spellings to modern forms.
+def load_variants(path: str | Path) -> dict[str, VariantEntry]:
+    """Historical spelling -> modern form, from a four-column file.
 
-    Each entry gives the normalised spelling and may force a word class
-    and lemma; where those are left open ("-") the tagger and
-    lemmatiser decide.  Keys, normalized forms and lemmas are
-    case-folded, so "Tutour" and "tutour" hit the same entry.
+    The columns are historical, normalized, pos and lemma; "-" leaves pos
+    or lemma open for the tagger and lemmatiser to decide, and "#"
+    starts a comment line.  Keys, normalized forms and lemmas are
+    :func:`fold`-ed, and two rows for one folded historical form are an
+    error.
     """
+    entries: dict[str, VariantEntry] = {}
+    for where, (historical, normalized, label, lemma) in read_table(path, 4, "lexicon"):
+        if not historical or not normalized:
+            raise InputError(f"{where}: empty form")
+        key = fold(historical)
+        if key in entries:
+            raise InputError(f"{where}: {historical!r} repeats an earlier row")
+        entries[key] = VariantEntry(
+            normalized=fold(normalized),
+            pos=None if label == "-" else _word_class(label, where),
+            lemma=None if lemma == "-" else fold(lemma),
+        )
+    return entries
 
-    def __init__(self, entries: dict[str, VariantEntry] | None = None) -> None:
-        self._entries = {
-            key.casefold(): entry for key, entry in (entries or {}).items()
-        }
 
-    def lookup(self, surface: str) -> VariantEntry | None:
-        return self._entries.get(surface.casefold())
+def load_word_classes(path: str | Path) -> dict[str, PosClass]:
+    """Word -> class, from a two-column file (word, class); one row per folded word."""
+    words: dict[str, PosClass] = {}
+    for where, (word, label) in read_table(path, 2, "word list"):
+        key = fold(word)
+        if key in words:
+            raise InputError(f"{where}: {word!r} repeats an earlier row")
+        words[key] = _word_class(label, where)
+    return words
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "VariantLexicon":
-        """Read a four-column file: historical, normalized, pos, lemma.
 
-        "-" leaves pos or lemma open; "#" starts a comment line.  Two
-        rows for one historical form, ignoring case, are an error.
-        """
-        entries: dict[str, VariantEntry] = {}
-        rows = read_table(path, 4, "lexicon")
-        for where, (historical, normalized, label, lemma) in rows:
-            if not historical or not normalized:
-                raise InputError(f"{where}: empty form")
-            key = historical.casefold()
-            if key in entries:
-                raise InputError(f"{where}: {historical!r} repeats an earlier row")
-            entries[key] = VariantEntry(
-                normalized=normalized.casefold(),
-                pos=None if label == "-" else _word_class(label, where),
-                lemma=None if lemma == "-" else lemma.casefold(),
-            )
-        return cls(entries)
+def load_lemma_exceptions(path: str | Path) -> dict[tuple[str, PosClass | None], str]:
+    """(form, class or None) -> lemma, from a three-column file (form, class-or-"-", lemma).
+
+    Forms and lemmas are folded; two rows for one folded form and class
+    are an error.
+    """
+    exceptions: dict[tuple[str, PosClass | None], str] = {}
+    for where, (form, label, lemma) in read_table(path, 3, "exceptions"):
+        key = (fold(form), None if label == "-" else _word_class(label, where))
+        if key in exceptions:
+            raise InputError(f"{where}: {form!r} as {label} repeats an earlier row")
+        exceptions[key] = fold(lemma)
+    return exceptions
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +499,21 @@ def spelling_fold(word: str) -> str:
 
 
 def modernize_spelling(
-    word: str, known: Callable[[str], bool], *, folds: Container[str] | None = None
+    word: str, words: Container[str], *, folds: Container[str] | None = None
 ) -> str:
     """Undo the u/v and i/j printing conventions of the period.
 
     Candidate respellings (vse - use, moue - move, ioy - joy) are only
-    accepted when ``known`` validates them against a modern word list;
-    up to two swaps are tried.  As a last resort an initial "v" before a
-    consonant becomes "u", which is safe for this period even off-list.
+    accepted when they are in ``words``, a modern word list; up to two
+    swaps are tried.  As a last resort an initial "v" before a consonant
+    becomes "u", which is safe for this period even off-list.
 
     ``folds``, when given, must hold the :func:`spelling_fold` of every
-    word that ``known`` accepts (:attr:`RuleTagger.folds`).  A word whose
-    fold is not in it has no known respelling, so the search is skipped
-    and ``known`` is asked about the word alone.
+    word in ``words``.  A word whose fold is not in it has no known
+    respelling, so the search is skipped and only the word itself is
+    looked up.
     """
-    if len(word) < 2 or known(word):
+    if len(word) < 2 or word in words:
         return word
     if folds is not None and spelling_fold(word) not in folds:
         return _initial_v(word)
@@ -498,7 +526,7 @@ def modernize_spelling(
                 if cand in seen:
                     continue
                 seen.add(cand)
-                if known(cand):
+                if cand in words:
                     return cand
                 nxt.append(cand)
         frontier = nxt
@@ -512,164 +540,99 @@ def _initial_v(word: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tagging
+# tagging and lemmatisation: functions of a folded word and the tables
+
+# (suffixes, shortest word, class) in the order they are tried
+_SUFFIX_RULES = (
+    (("ly",), 4, PosClass.ADV),
+    (("ing", "ed"), 5, PosClass.VERB),
+    (
+        ("tion", "sion", "ment", "ness", "ity", "ship", "hood", "ancy", "ency", "cy", "dom", "ance", "ence"),
+        5,
+        PosClass.NOUN,
+    ),
+    (("ous", "ful", "ive", "able", "ible", "ish", "less", "al", "ic"), 5, PosClass.ADJ),
+)
 
 
-class RuleTagger:
-    """Dictionary-first tagger with suffix fallbacks.
+def tag(word: str, words: dict[str, PosClass]) -> PosClass:
+    """The class of a folded word: its entry in ``words``, else a suffix rule's, else NOUN."""
+    hit = words.get(word)
+    if hit is not None:
+        return hit
+    if word.isdigit():
+        return PosClass.NUM
+    for suffixes, min_len, pos in _SUFFIX_RULES:
+        if len(word) >= min_len and word.endswith(suffixes):
+            return pos
+    return PosClass.NOUN
 
-    Looks the normalised form up in a word-to-class lexicon; unknown
-    words get a class from suffix heuristics, and anything left,
-    capitalised proper nouns included, defaults to NOUN.  ``folds`` is
-    the set of the lexicon words' :func:`spelling_fold`, built with the
-    tagger for :func:`modernize_spelling`.
+
+def _strip_or_keep(word: str, stem: str, words: dict[str, PosClass]) -> str:
+    """Restore a stripped verb stem, but keep words that already are lemmas.
+
+    The stem as it is, then with an "e" ("moved" - "move"), is looked up
+    in ``words``; a doubled final consonant is undone ("fitted" - "fit").
+    "bring" must stay "bring": its stem "br" is nonsense, and the full
+    form is a known verb, so stripping loses.
     """
-
-    _SUFFIX_RULES = (
-        (("ly",), 4, PosClass.ADV),
-        (("ing", "ed"), 5, PosClass.VERB),
-        (
-            ("tion", "sion", "ment", "ness", "ity", "ship", "hood", "ancy", "ency", "cy", "dom", "ance", "ence"),
-            5,
-            PosClass.NOUN,
-        ),
-        (("ous", "ful", "ive", "able", "ible", "ish", "less", "al", "ic"), 5, PosClass.ADJ),
-    )
-
-    def __init__(self, lexicon: dict[str, PosClass]) -> None:
-        self.lexicon = {word.casefold(): pos for word, pos in lexicon.items()}
-        self.folds = frozenset(map(spelling_fold, self.lexicon))
-
-    def known(self, word: str) -> bool:
-        return word.casefold() in self.lexicon
-
-    def known_as(self, word: str, pos: PosClass) -> bool:
-        return self.lexicon.get(word.casefold()) is pos
-
-    def tag(self, normalized: str) -> PosClass:
-        word = normalized.casefold()
-        hit = self.lexicon.get(word)
-        if hit is not None:
-            return hit
-        if word.isdigit():
-            return PosClass.NUM
-        for suffixes, min_len, pos in self._SUFFIX_RULES:
-            if len(word) >= min_len and word.endswith(suffixes):
-                return pos
-        return PosClass.NOUN
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RuleTagger":
-        """Read a two-column word class list (word, class), one row per word ignoring case."""
-        lexicon: dict[str, PosClass] = {}
-        for where, (word, label) in read_table(path, 2, "word list"):
-            key = word.casefold()
-            if key in lexicon:
-                raise InputError(f"{where}: {word!r} repeats an earlier row")
-            lexicon[key] = _word_class(label, where)
-        return cls(lexicon)
+    for candidate in (stem, stem + "e"):
+        if words.get(candidate) is PosClass.VERB:
+            return candidate
+    if len(stem) > 2 and stem[-1] == stem[-2] and stem[-1] not in _VOWELS + "ls":
+        stem = stem[:-1]
+        if words.get(stem) is PosClass.VERB:
+            return stem
+    return word if words.get(word) is PosClass.VERB else stem
 
 
-# ---------------------------------------------------------------------------
-# lemmatisation
+def _strip_s(w: str, pos: PosClass, es_after: str, words: dict[str, PosClass]) -> str:
+    """Undo -ies, -es and -s: noun plurals and verbs' third person.
+
+    "-es" loses both letters after "ch", "sh" or one of ``es_after``.
+    """
+    if len(w) > 4 and w.endswith("ies"):
+        return w[:-3] + "y"
+    if len(w) > 3 and w.endswith("es"):
+        if words.get(w[:-1]) is pos:
+            return w[:-1]
+        if w[-4:-2] in ("ch", "sh") or w[-3] in es_after:
+            return w[:-2]
+    if len(w) > 3 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
+        return w[:-1]
+    return w
 
 
-class Lemmatizer:
-    """Suffix-stripping lemmatiser with an exception list.
+def lemmatize(
+    word: str,
+    pos: PosClass,
+    exceptions: dict[tuple[str, PosClass | None], str],
+    words: dict[str, PosClass],
+) -> str:
+    """The lemma of a folded word of class ``pos``.
 
-    Exceptions (irregular verbs, mutated plurals) are consulted first;
-    regular inflection is then undone by class-conditioned rules.  Stem
-    restoration ("moved" - "move", "fitted" - "fit") consults a known
-    word check so the right variant is picked; without a hit a
-    deterministic heuristic applies.  Only NOUN and VERB forms carry
+    ``exceptions`` (irregular verbs, mutated plurals) are consulted
+    first; regular inflection is then undone by class-conditioned rules,
+    which look stems up in ``words``.  Only NOUN and VERB forms carry
     rules, every other class maps to itself.  Lemmatising a lemma is a
     no-op.
     """
-
-    def __init__(
-        self,
-        exceptions: dict[tuple[str, PosClass | None], str],
-        known_as: Callable[[str, PosClass], bool],
-    ) -> None:
-        self.exceptions = dict(exceptions)
-        self._known_as = known_as
-
-    def _restore(self, stem: str, pos: PosClass) -> str:
-        if self._known_as(stem, pos):
-            return stem
-        if self._known_as(stem + "e", pos):
-            return stem + "e"
-        if len(stem) > 2 and stem[-1] == stem[-2] and stem[-1] not in _VOWELS + "ls":
-            return stem[:-1]
-        return stem
-
-    def _strip_or_keep(self, word: str, stem: str, pos: PosClass) -> str:
-        """Restore a stripped stem, but keep words that already are lemmas.
-
-        "bring" must stay "bring": its restored stem "br" is nonsense,
-        and the full form is a known verb, so stripping loses.
-        """
-        candidate = self._restore(stem, pos)
-        if self._known_as(candidate, pos):
-            return candidate
-        if self._known_as(word, pos):
-            return word
-        return candidate
-
-    def _strip_s(self, w: str, pos: PosClass, es_after: str) -> str:
-        """Undo -ies, -es and -s: noun plurals and verbs' third person.
-
-        "-es" loses both letters after "ch", "sh" or one of ``es_after``.
-        """
-        if len(w) > 4 and w.endswith("ies"):
-            return w[:-3] + "y"
-        if len(w) > 3 and w.endswith("es"):
-            if self._known_as(w[:-1], pos):
-                return w[:-1]
-            if w[-4:-2] in ("ch", "sh") or w[-3] in es_after:
-                return w[:-2]
-        if len(w) > 3 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
-            return w[:-1]
-        return w
-
-    def _verb(self, w: str) -> str:
-        pos = PosClass.VERB
-        if len(w) > 4 and w.endswith("ied"):
-            return w[:-3] + "y"
-        if len(w) > 4 and w.endswith("ing"):
-            return self._strip_or_keep(w, w[:-3], pos)
-        if len(w) > 4 and w.endswith("ed"):
-            return self._strip_or_keep(w, w[:-2], pos)
-        return self._strip_s(w, pos, "sxzo")
-
-    def lemmatize(self, normalized: str, pos: PosClass) -> str:
-        word = normalized.casefold()
-        hit = self.exceptions.get((word, pos))
-        if hit is None:
-            hit = self.exceptions.get((word, None))
-        if hit is not None:
-            return hit
-        if pos is PosClass.VERB:
-            return self._verb(word)
-        if pos is PosClass.NOUN:
-            return self._strip_s(word, pos, "sxz")
-        return word
-
-    @classmethod
-    def from_file(
-        cls, path: str | Path, known_as: Callable[[str, PosClass], bool]
-    ) -> "Lemmatizer":
-        """Read a three-column exception list (form, class-or-"-", lemma).
-
-        Two rows for one form, ignoring case, and class are an error.
-        """
-        exceptions: dict[tuple[str, PosClass | None], str] = {}
-        for where, (form, label, lemma) in read_table(path, 3, "exceptions"):
-            key = (form.casefold(), None if label == "-" else _word_class(label, where))
-            if key in exceptions:
-                raise InputError(f"{where}: {form!r} as {label} repeats an earlier row")
-            exceptions[key] = lemma.casefold()
-        return cls(exceptions, known_as)
+    hit = exceptions.get((word, pos))
+    if hit is None:
+        hit = exceptions.get((word, None))
+    if hit is not None:
+        return hit
+    if pos is PosClass.VERB:
+        if len(word) > 4 and word.endswith("ied"):
+            return word[:-3] + "y"
+        if len(word) > 4 and word.endswith("ing"):
+            return _strip_or_keep(word, word[:-3], words)
+        if len(word) > 4 and word.endswith("ed"):
+            return _strip_or_keep(word, word[:-2], words)
+        return _strip_s(word, pos, "sxzo", words)
+    if pos is PosClass.NOUN:
+        return _strip_s(word, pos, "sxz", words)
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -679,29 +642,43 @@ class Lemmatizer:
 class Annotator(_Frozen):
     """Annotates whole letters, resolving each distinct form once.
 
-    Punctuation, numbers and "&" are classed directly.  For a word the
-    variant lexicon wins where it has an entry (and may force class and
-    lemma); everything else goes through spelling modernisation against
-    the tagger's word list, the tagger and the lemmatiser.  None of this
-    looks at a token's neighbours, so the :class:`Token` of each surface
-    form, as transcribed, is memoized on the annotator and lives as long
-    as it does: every occurrence of a form is the same object.  The
-    annotator is frozen, so its lexicons cannot change under the memo,
-    and a new annotator starts with an empty one.  The memo takes no
-    part in equality, hashing, ``repr`` or pickling.
+    The annotator is its tables, keyed by :func:`fold`-ed words as
+    :func:`load_variants`, :func:`load_word_classes` and
+    :func:`load_lemma_exceptions` return them, and the
+    :func:`split_sentences` options.  Punctuation, numbers and "&" are classed directly.  For a
+    word the variant lexicon wins where it has an entry (and may force
+    class and lemma); everything else goes through spelling
+    modernisation against ``words``, :func:`tag` and :func:`lemmatize`.
+    None of this looks at a token's neighbours, so the :class:`Token` of
+    each surface form, as transcribed, is memoized on the annotator and
+    lives as long as it does: every occurrence of a form is the same
+    object.  The annotator is frozen and its tables must not be changed
+    once it is made, so nothing changes under the memo; a new annotator
+    starts with an empty one.  The memo and the spelling folds of
+    ``words`` take no part in equality, ``repr`` or pickling; the tables
+    are dicts, so an annotator cannot be hashed.
     """
 
-    _fields = ("lexicon", "tagger", "lemmatizer", "split")
-    __slots__ = (*_fields, "_forms")
+    _fields = ("variants", "words", "exceptions", "abbreviations", "colon_boundary")
+    __slots__ = (*_fields, "_folds", "_forms")
 
     def __init__(
         self,
-        lexicon: VariantLexicon,
-        tagger: RuleTagger,
-        lemmatizer: Lemmatizer,
-        split: SplitConfig = SplitConfig(),
+        variants: dict[str, VariantEntry],
+        words: dict[str, PosClass],
+        exceptions: dict[tuple[str, PosClass | None], str],
+        abbreviations: frozenset[str] = frozenset(),
+        colon_boundary: bool = False,
     ) -> None:
-        self._init(lexicon=lexicon, tagger=tagger, lemmatizer=lemmatizer, split=split, _forms={})
+        self._init(
+            variants=variants,
+            words=words,
+            exceptions=exceptions,
+            abbreviations=abbreviations,
+            colon_boundary=colon_boundary,
+            _folds=frozenset(map(spelling_fold, words)),
+            _forms={},
+        )
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""
@@ -711,23 +688,23 @@ class Annotator(_Frozen):
             return surface, surface, PosClass.NUM
         if not any(ch.isalpha() for ch in surface):
             return surface, surface, PosClass.PUNCT
-        key = surface.casefold()
-        entry = self.lexicon.lookup(key)
+        key = fold(surface)
+        entry = self.variants.get(key)
         if entry is None:
-            normalized = modernize_spelling(key, self.tagger.known, folds=self.tagger.folds)
+            normalized = modernize_spelling(key, self.words, folds=self._folds)
             pos = lemma = None
         else:
-            normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
+            normalized, pos, lemma = entry
         if pos is None:
-            pos = self.tagger.tag(normalized)
+            pos = tag(normalized, self.words)
         if lemma is None:
-            lemma = self.lemmatizer.lemmatize(normalized, pos)
+            lemma = lemmatize(normalized, pos, self.exceptions, self.words)
         return normalized, lemma, pos
 
     def annotate_text(self, letter_id: str, text: str) -> AnnotatedDoc:
         forms, resolve = self._forms, self._resolve
         sentences = []
-        for sentence in split_sentences(text, self.split):
+        for sentence in split_sentences(text, self.abbreviations, self.colon_boundary):
             tokens = []
             for surface in tokenize(sentence):
                 token = forms.get(surface)
@@ -751,13 +728,14 @@ def data_path(name: str) -> Path:
 
 
 def _load_abbreviations(path: str | Path) -> frozenset[str]:
-    """The words of an abbreviation list, case-folded; a row is letters, then at most one dot."""
+    """The words of an abbreviation list, folded; a row is letters, then at most one dot."""
     words = set()
     for where, (row,) in read_table(path, 1, "abbreviations"):
-        word = row.removesuffix(".")
+        # folded first, so that a decomposed accent joins its letter
+        word = fold(row.removesuffix("."))
         if not word.isalpha():
             raise InputError(f"{where}: abbreviation {row!r} is not one word of letters")
-        words.add(word.casefold())
+        words.add(word)
     return frozenset(words)
 
 
@@ -767,19 +745,16 @@ def default_annotator(
     variant_lexicon: str | Path | None = None,
     abbreviations: str | Path | None = None,
 ) -> Annotator:
-    """Annotator wired with the bundled lexicons.
+    """Annotator wired with the bundled tables.
 
     ``variant_lexicon`` and ``abbreviations`` replace the bundled files
     when given.
     """
-    tagger = RuleTagger.from_file(data_path("tagger_lexicon.tsv"))
-    lemmatizer = Lemmatizer.from_file(
-        data_path("lemma_exceptions.tsv"), known_as=tagger.known_as
-    )
-    lexicon = VariantLexicon.from_file(variant_lexicon or data_path("variant_lexicon.tsv"))
+    words = load_word_classes(data_path("tagger_lexicon.tsv"))
+    exceptions = load_lemma_exceptions(data_path("lemma_exceptions.tsv"))
+    variants = load_variants(variant_lexicon or data_path("variant_lexicon.tsv"))
     abbrevs = _load_abbreviations(abbreviations or data_path("abbreviations.txt"))
-    split = SplitConfig(colon_boundary=colon_boundary, abbreviations=abbrevs)
-    return Annotator(lexicon=lexicon, tagger=tagger, lemmatizer=lemmatizer, split=split)
+    return Annotator(variants, words, exceptions, abbrevs, colon_boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -894,6 +894,17 @@ VERTICAL_WITH_CONTROL = (
             NETWORK + ["--abbreviations", "{bad}"],
             "letternet: error: {bad}:2: abbreviation 'e.g.' is not one word of letters\n",
         ),
+        (
+            # deeper than the JSON parser's recursion can go
+            b"[" * 200_000,
+            NETWORK + ["--config", "{bad}"],
+            "letternet: error: {bad}: invalid JSON: nested too deeply\n",
+        ),
+        (
+            None,
+            NETWORK + ["--prune-nodes", "gt\u0661"],
+            "letternet: error: bad prune rule 'gt\u0661'; expected gtN or meanK\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -939,6 +950,8 @@ VERTICAL_WITH_CONTROL = (
         "gold-empty-verb",
         "lexicon-empty-normalized",
         "abbreviations-not-a-word",
+        "config-nested-too-deeply",
+        "prune-rule-not-ascii-digits",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
@@ -1045,15 +1058,15 @@ def test_public_names_of_the_package():
     ]
     assert names == [
         "AnnotatedDoc", "Annotator", "Centrality", "GoldTriple", "Letter", "LetterMeta",
-        "LetternetError", "LexicalGraph", "PairRecord", "PosClass", "RelationKind",
-        "SplitConfig", "Token", "VariantLexicon", "apply_anaphora", "build_graph",
-        "centrality", "clean_text", "cooccurrence_graph", "default_annotator", "evaluate_pairs",
-        "export_csv_edges", "export_dot", "export_gexf", "export_json", "extract_cooccurrences",
-        "extract_window_pairs", "import_json", "ingest_pretagged", "load_anaphora", "load_gold",
-        "load_letter", "load_manifest", "merge_graphs", "pair_graph", "prune",
-        "split_sentences", "stats_report", "token_frequencies", "tokenize", "validate_gexf",
-        "write_vertical",
+        "LetternetError", "LexicalGraph", "PairRecord", "PosClass", "RelationKind", "Token",
+        "apply_anaphora", "build_graph", "centrality", "clean_text", "cooccurrence_graph",
+        "default_annotator", "evaluate_pairs", "export_csv_edges", "export_dot", "export_gexf",
+        "export_json", "extract_cooccurrences", "extract_window_pairs", "import_json",
+        "ingest_pretagged", "load_anaphora", "load_gold", "load_letter", "load_manifest",
+        "merge_graphs", "pair_graph", "prune", "split_sentences", "stats_report",
+        "token_frequencies", "tokenize", "validate_gexf", "write_vertical",
     ]
+    assert len(names) == 40
 
 
 # Bytes for the input files: fields that the formats expect, broken
@@ -1151,33 +1164,26 @@ def test_trace_sees_every_annotation(monkeypatch, tmp_path):
     assert tracer.counts[0]["pipeline.tokens"] == 2192
 
 
-def test_cli_import_does_not_load_numpy(tmp_path):
-    # Started in tmp_path with the absolute directory letternet came from,
-    # since a relative PYTHONPATH entry would not resolve there.
+def test_cli_cold_start_skips_slow_modules(tmp_path):
+    # No command uses these, and a cold start would pay for each: numpy;
+    # dataclasses, which pulls in inspect, statistics, fractions and
+    # decimal; ElementTree, which pulls in pyexpat; and unicodedata, which
+    # ASCII text never needs.  One child imports the CLI and annotates.
+    # It starts in tmp_path with the absolute directory letternet came
+    # from, since a relative PYTHONPATH entry would not resolve there.
     env = dict(os.environ)
     package_root = Path(letternet.__file__).resolve().parent.parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
-    code = "import sys, letternet.cli; print('numpy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    modules = [
+        "numpy", "dataclasses", "inspect", "statistics", "xml.etree.ElementTree", "unicodedata"
+    ]
+    code = (
+        "import sys, letternet.cli\n"
+        "from letternet.pipeline import default_annotator\n"
+        "doc = default_annotator().annotate_text('A', 'The Tutour doth vse it. Mr. Dury came.')\n"
+        "assert (len(doc.sentences), len(doc)) == (2, 11), doc\n"
+        f"print([m for m in {modules!r} if m in sys.modules])"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
-
-
-def test_cli_import_skips_slow_standard_modules(tmp_path):
-    # dataclasses pulls in inspect, statistics fractions and decimal, and
-    # ElementTree pyexpat: a cold start paid for all of them, and no command uses them
-    env = dict(os.environ)
-    package_root = Path(letternet.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
-    modules = ["dataclasses", "inspect", "statistics", "xml.etree.ElementTree"]
-    code = f"import sys, letternet.cli; print([m for m in {modules!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code],
         cwd=tmp_path,

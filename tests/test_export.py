@@ -289,6 +289,10 @@ _BAD_GRAPH_DOCS = [
         ),
         "not canonical",
     ),
+    # iterating these would fail, or find nothing, rather than refuse them
+    ({**_doc(), "nodes": 5}, "nodes must be a list, got 5"),
+    ({**_doc(), "edges": None}, "edges must be a list, got None"),
+    ({**_doc(), "nodes": {"a": _NODE}}, "nodes must be a list, got {'a': "),
 ]
 
 
@@ -305,6 +309,9 @@ def test_import_json_bad_file(tmp_path):
     p = tmp_path / "g.json"
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(InputError):
+        import_json(p)
+    p.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(InputError, match=r"g\.json: invalid JSON: nested too deeply$"):
         import_json(p)
 
 

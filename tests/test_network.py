@@ -348,7 +348,8 @@ def test_parse_prune_rule():
     assert cutoff(" gt3\n", values) == 3.0
     assert cutoff("mean2", values) == mean + 2.0 * sd
     assert cutoff("mean1.5", values) == mean + 1.5 * sd
-    for bad in ("gt-1", "gt", "meanx", "median2", ""):
+    # digits of other scripts are refused, as in every other number a user gives
+    for bad in ("gt-1", "gt", "meanx", "median2", "", "gt\u0661", "mean1.\u0665", "gt\uff13"):
         with pytest.raises(InputError, match=f"bad prune rule {bad!r}; expected gtN or meanK"):
             cutoff(bad, values)
 

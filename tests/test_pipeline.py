@@ -18,21 +18,23 @@ from letternet.pipeline import (
     Annotator,
     ExportError,
     InputError,
-    Lemmatizer,
     PosClass,
-    RuleTagger,
-    SplitConfig,
     Token,
     VariantEntry,
-    VariantLexicon,
     data_path,
     default_annotator,
+    fold,
     ingest_pretagged,
     _TOKEN_RE,
+    lemmatize,
+    load_lemma_exceptions,
+    load_variants,
+    load_word_classes,
     modernize_spelling,
     read_input,
     spelling_fold,
     split_sentences,
+    tag,
     tokenize,
     write_atomic,
     write_vertical,
@@ -60,16 +62,14 @@ def test_split_closers_attach():
 
 
 def test_split_abbreviations_not_boundaries():
-    cfg = SplitConfig(abbreviations=frozenset({"mr", "st"}))
-    got = split_sentences("Mr. Hartlib wrote. St. Amand read.", cfg)
+    got = split_sentences("Mr. Hartlib wrote. St. Amand read.", frozenset({"mr", "st"}))
     assert got == ["Mr. Hartlib wrote.", "St. Amand read."]
 
 
 def test_split_colon_toggle():
     text = "First this: and then that."
     assert split_sentences(text) == [text]
-    cfg = SplitConfig(colon_boundary=True)
-    assert split_sentences(text, cfg) == ["First this:", "and then that."]
+    assert split_sentences(text, colon_boundary=True) == ["First this:", "and then that."]
 
 
 def test_split_tail_without_terminator_kept():
@@ -85,16 +85,20 @@ def test_split_empty():
 # and at every dot another over all the text before it.
 
 
-def ref_is_abbreviation(text, dot_pos, config):
-    # the word is the run of letters before the dot, or before a newline there
+def ref_is_abbreviation(text, dot_pos, abbreviations):
+    # the word is the run of letters, each followed by any combining marks,
+    # before the dot, or before a newline there
     word = ""
     for ch in text[:dot_pos].removesuffix("\n"):
-        word = word + ch if ch.isalpha() else ""
-    return bool(word) and word.casefold() in config.abbreviations
+        if ch.isalpha() or (word and unicodedata.category(ch).startswith("M")):
+            word += ch
+        else:
+            word = ""
+    return bool(word) and unicodedata.normalize("NFC", word.casefold()) in abbreviations
 
 
-def ref_split_sentences(text, config=SplitConfig()):
-    terminators = ".!?" + (":" if config.colon_boundary else "")
+def ref_split_sentences(text, abbreviations=frozenset(), colon_boundary=False):
+    terminators = ".!?" + (":" if colon_boundary else "")
     closers = "'’\"”)"
     sentences = []
     start = 0
@@ -106,7 +110,7 @@ def ref_split_sentences(text, config=SplitConfig()):
                 j += 1
             while j < n and text[j] in closers:
                 j += 1
-            if text[i] == "." and j == i + 1 and ref_is_abbreviation(text, i, config):
+            if text[i] == "." and j == i + 1 and ref_is_abbreviation(text, i, abbreviations):
                 i += 1
                 continue
             if j >= n or text[j].isspace():
@@ -125,9 +129,13 @@ def ref_split_sentences(text, config=SplitConfig()):
 
 _SPLIT_ABBREVIATIONS = ["Mr", "mrs", "Dr", "St", "ſt", "viz", "No", "cf", "Messrs"]
 # Each chunk is a word, maybe a newline, terminators or closers, and a gap;
-# "Goſp" is an abbreviation only where a test adds "gosp".
+# "Goſp" and "Sté" (in either normal form) are abbreviations only where a
+# test adds "gosp" and "sté", and a lone combining mark belongs to no word.
 _SPLIT_CHUNKS = st.tuples(
-    st.sampled_from(_SPLIT_ABBREVIATIONS + ["Goſp", "word", "Hartlib", "é", "café", "x", ""]),
+    st.sampled_from(
+        _SPLIT_ABBREVIATIONS
+        + ["Goſp", "word", "Hartlib", "é", "café", "x", "", "Sté", "Ste\u0301", "\u0301", "1\u0301"]
+    ),
     st.sampled_from(["", "", "\n", " "]),
     st.sampled_from([".", ".", ".", "...", "..", "?!", "!", "?", ":", ".)", ".'", "”", ""]),
     st.sampled_from([" ", " ", "\n", "\n\n", "\t", ""]),
@@ -136,7 +144,7 @@ _SPLIT_CHUNKS = st.tuples(
 
 @pytest.fixture(scope="module")
 def bundled_abbreviations():
-    abbreviations = default_annotator().split.abbreviations
+    abbreviations = default_annotator().abbreviations
     assert {a.casefold() for a in _SPLIT_ABBREVIATIONS} <= abbreviations
     return abbreviations
 
@@ -144,19 +152,23 @@ def bundled_abbreviations():
 @given(st.lists(_SPLIT_CHUNKS, max_size=12).map("".join))
 def test_split_matches_reference(bundled_abbreviations, text):
     for colon in (False, True):
-        for extra in (set(), {"gosp"}):
-            config = SplitConfig(colon_boundary=colon, abbreviations=bundled_abbreviations | extra)
-            assert split_sentences(text, config) == ref_split_sentences(text, config)
+        for extra in (set(), {"gosp", "sté"}):
+            abbreviations = bundled_abbreviations | extra
+            got = split_sentences(text, abbreviations, colon)
+            assert got == ref_split_sentences(text, abbreviations, colon)
 
 
 def test_split_abbreviation_edges(bundled_abbreviations):
-    config = SplitConfig(abbreviations=bundled_abbreviations)
+    abbreviations = bundled_abbreviations
     # the word may end just before a newline at the dot, so "Mr\n." is still "Mr."
-    assert split_sentences("Mr\n. Hartlib wrote.", config) == ["Mr\n. Hartlib wrote."]
+    assert split_sentences("Mr\n. Hartlib wrote.", abbreviations) == ["Mr\n. Hartlib wrote."]
     # the word before the dot is all of "Sté", which is no abbreviation
-    assert split_sentences("Sté. Amand. No. 5.", config) == ["Sté.", "Amand.", "No. 5."]
-    for text in ["\n. x", ". x", "Mr."]:
-        assert split_sentences(text, config) == ref_split_sentences(text, config)
+    assert split_sentences("Sté. Amand. No. 5.", abbreviations) == ["Sté.", "Amand.", "No. 5."]
+    # a mark that follows no letter is a token of its own, not part of "Mr"
+    text = "\u0301Mr. Hartlib wrote."
+    assert split_sentences(text, abbreviations) == [text]
+    for text in ["\n. x", ". x", "Mr.", "1\u0301Mr. x", "\u0301\u0301. x"]:
+        assert split_sentences(text, abbreviations) == ref_split_sentences(text, abbreviations)
 
 
 # tokenization
@@ -241,6 +253,25 @@ def test_decomposed_and_precomposed_spellings_tokenize_alike():
     assert decomposed == [unicodedata.normalize("NFD", t) for t in composed]
 
 
+def test_decomposed_and_precomposed_spellings_annotate_alike(tmp_path):
+    # a word is folded to NFC, so both spellings of it make one node
+    text = "The café was cõmanded. Goſpel & Café."
+    nfc, nfd = (unicodedata.normalize(form, text) for form in ("NFC", "NFD"))
+    assert nfc != nfd
+    annotator = default_annotator()
+    composed = annotator.annotate_text("C", nfc)
+    keys = [(t.lemma, t.pos) for t in composed.tokens()]
+    assert keys == [(t.lemma, t.pos) for t in annotator.annotate_text("D", nfd).tokens()]
+    assert keys[1] == keys[-2] == ("café", N) and keys[3] == ("cõmand", V)
+    assert all(unicodedata.is_normalized("NFC", lemma) for lemma, _ in keys)
+    # an NFD row of the variant lexicon matches NFC text
+    lexicon = tmp_path / "variants.tsv"
+    row = unicodedata.normalize("NFD", "Cõmanded\tcommanded\tVERB\tcommand\n")
+    lexicon.write_text(row, encoding="utf-8")
+    doc = default_annotator(variant_lexicon=lexicon).annotate_text("V", nfc)
+    assert doc.sentences[0][3] == Token("cõmanded", "commanded", "command", PosClass.VERB)
+
+
 # ASCII letters, digits, apostrophes, dots, other punctuation and every
 # ASCII white space, the separators \x1c-\x1f included
 _ASCII_TOKEN_CHARS = st.sampled_from(
@@ -259,12 +290,17 @@ def test_ascii_tokenize_matches_unicode_rule(sentence):
 
 @pytest.fixture(scope="module")
 def variants():
-    return VariantLexicon.from_file(data_path("variant_lexicon.tsv"))
+    return load_variants(data_path("variant_lexicon.tsv"))
 
 
 @pytest.fixture(scope="module")
-def tagger():
-    return RuleTagger.from_file(data_path("tagger_lexicon.tsv"))
+def words():
+    return load_word_classes(data_path("tagger_lexicon.tsv"))
+
+
+@pytest.fixture(scope="module")
+def folds(words):
+    return frozenset(map(spelling_fold, words))
 
 
 def test_required_variant_entries(variants):
@@ -282,65 +318,73 @@ def test_required_variant_entries(variants):
         "leade": ("lead", PosClass.VERB),
     }
     for surface, (normalized, pos) in wanted.items():
-        entry = variants.lookup(surface)
+        entry = variants.get(surface)
         assert entry is not None, surface
         assert entry.normalized == normalized
         assert entry.pos is pos
-    seene = variants.lookup("seene")
+    seene = variants["seene"]
     assert seene.normalized == "seen" and seene.lemma == "see"
 
 
 def test_variant_lookup_casefolds(variants):
-    assert variants.lookup("Tutour") is not None
-    assert variants.lookup("TUTOUR") is not None
+    # the keys are folded once, at load, so a folded surface finds its entry
+    assert all(fold(key) == key for key in variants)
+    assert variants[fold("Tutour")] is variants[fold("TUTOUR")] is variants["tutour"]
 
 
 def test_variant_lookup_miss(variants):
-    assert variants.lookup("modern") is None
+    assert variants.get("modern") is None
 
 
 def test_variant_file_errors(tmp_path):
     p = tmp_path / "v.tsv"
     p.write_text("onlytwo\tcolumns\n", encoding="utf-8")
     with pytest.raises(InputError, match=":1"):
-        VariantLexicon.from_file(p)
+        load_variants(p)
     p.write_text("word\tnorm\tNOTACLASS\t-\n", encoding="utf-8")
     with pytest.raises(InputError, match="NOTACLASS"):
-        VariantLexicon.from_file(p)
+        load_variants(p)
     # a trailing tab leaves an empty lemma, not a fourth field
     p.write_text("vse\tuse\t-\t\n", encoding="utf-8")
     with pytest.raises(InputError, match=":1: expected 4 tab-separated fields, got 3"):
-        VariantLexicon.from_file(p)
+        load_variants(p)
     p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x02tor\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"v\.tsv:2: control character U\+0002"):
-        VariantLexicon.from_file(p)
+        load_variants(p)
     # not a line break in a table, and XML cannot hold it
     p.write_text("# lexicon\ntutour\ttutor\tNOUN\ttu\x0ctor\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"v\.tsv:2: control character U\+000C"):
-        VariantLexicon.from_file(p)
+        load_variants(p)
     # keys are case-folded, so the second row would silently win
     p.write_text("Vse\tuse\tVERB\t-\nvse\tvouch\tNOUN\t-\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"v\.tsv:2: 'vse' repeats an earlier row"):
-        VariantLexicon.from_file(p)
+        load_variants(p)
+    # so are NFD and NFC spellings of one form
+    p.write_text("cafe\u0301\tcafe\t-\t-\ncaf\u00e9\tcafe\t-\t-\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"v\.tsv:2: 'café' repeats an earlier row"):
+        load_variants(p)
 
 
 def test_variant_lexicon_casefolds_forms_and_lemmas(tmp_path):
-    # as the tagger and lemmatizer fold the words they look up; str.lower
+    # as the annotator folds the words it looks up; str.lower
     # would keep "ſ" and "ß"
     p = tmp_path / "v.tsv"
     p.write_text("Goſpell\tGoſpel\tNOUN\tGOſPEL\nStrasze\tStraße\t-\tStraße\n", encoding="utf-8")
-    lexicon = VariantLexicon.from_file(p)
-    assert lexicon.lookup("goſpell") == VariantEntry("gospel", PosClass.NOUN, "gospel")
-    assert lexicon.lookup("STRASZE") == VariantEntry("strasse", None, "strasse")
+    lexicon = load_variants(p)
+    assert lexicon == {
+        "gospell": VariantEntry("gospel", PosClass.NOUN, "gospel"),
+        "strasze": VariantEntry("strasse", None, "strasse"),
+    }
 
 
 def test_variant_lexicon_rows_end_only_at_line_breaks(tmp_path):
     # str.splitlines would also break this row at U+2028
     p = tmp_path / "v.tsv"
     p.write_text("# lexicon\r\nvse\tu\u2028se\tVERB\t-\r\nmoue\tmove\tVERB\t-\n", encoding="utf-8")
-    lexicon = VariantLexicon.from_file(p)
-    assert lexicon.lookup("vse") == VariantEntry("u\u2028se", PosClass.VERB, None)
-    assert lexicon.lookup("moue") == VariantEntry("move", PosClass.VERB, None)
+    assert load_variants(p) == {
+        "vse": VariantEntry("u\u2028se", PosClass.VERB, None),
+        "moue": VariantEntry("move", PosClass.VERB, None),
+    }
 
 
 @pytest.mark.parametrize(
@@ -432,93 +476,92 @@ def test_read_input_matches_regex_reference(tmp_path, data, letter):
 def test_variant_lexicon_with_byte_order_mark(tmp_path):
     p = tmp_path / "v.tsv"
     p.write_bytes(codecs.BOM_UTF8 + b"vse\tuse\tVERB\t-\ntutour\ttutor\tNOUN\t-\n")
-    lexicon = VariantLexicon.from_file(p)
-    assert lexicon.lookup("vse") == VariantEntry("use", PosClass.VERB, None)
-    assert lexicon.lookup("tutour") == VariantEntry("tutor", PosClass.NOUN, None)
+    assert load_variants(p) == {
+        "vse": VariantEntry("use", PosClass.VERB, None),
+        "tutour": VariantEntry("tutor", PosClass.NOUN, None),
+    }
 
 
-def test_modernize_uv_swap(tagger):
-    assert modernize_spelling("vpon", tagger.known) == "upon"
-    assert modernize_spelling("euery", tagger.known) == "every"
-    assert modernize_spelling("haue", tagger.known) == "have"
+def test_modernize_uv_swap(words):
+    assert modernize_spelling("vpon", words) == "upon"
+    assert modernize_spelling("euery", words) == "every"
+    assert modernize_spelling("haue", words) == "have"
 
 
-def test_modernize_ij_swap(tagger):
-    assert modernize_spelling("ioy", tagger.known) == "joy"
+def test_modernize_ij_swap(words):
+    assert modernize_spelling("ioy", words) == "joy"
 
 
-def test_modernize_two_swaps(tagger):
+def test_modernize_two_swaps():
     # one u->v and one v->u in the same word
-    assert modernize_spelling("vnmoued", lambda w: w == "unmoved") == "unmoved"
+    assert modernize_spelling("vnmoued", {"unmoved"}) == "unmoved"
 
 
-def test_modernize_initial_v_fallback(tagger):
+def test_modernize_initial_v_fallback(words):
     # not validated by the lexicon, still normalized by the initial-v rule
-    assert modernize_spelling("vnknowable", tagger.known) == "unknowable"
+    assert modernize_spelling("vnknowable", words) == "unknowable"
 
 
-def test_modernize_leaves_known_words(tagger):
-    assert modernize_spelling("have", tagger.known) == "have"
-    assert modernize_spelling("light", tagger.known) == "light"
+def test_modernize_leaves_known_words(words):
+    assert modernize_spelling("have", words) == "have"
+    assert modernize_spelling("light", words) == "light"
 
 
-def test_tagger_folds_are_its_words_folds(tagger):
-    assert tagger.folds == {spelling_fold(word) for word in tagger.lexicon}
+def test_tagger_folds_are_its_words_folds(annotator, words):
+    assert annotator._folds == {spelling_fold(word) for word in words}
     assert spelling_fold("VIVE") == spelling_fold("uiue") == "uiue"
     assert spelling_fold("Ioyſ") == "ioys"
 
 
-def _both_searches(tagger, word):
-    guarded = modernize_spelling(word, tagger.known, folds=tagger.folds)
-    return guarded, modernize_spelling(word, tagger.known)
+def _both_searches(words, folds, word):
+    guarded = modernize_spelling(word, words, folds=folds)
+    return guarded, modernize_spelling(word, words)
 
 
 @given(st.text(alphabet="aeiouvjbrstlnAV", max_size=8))
 @example("vnknowable")
 @example("vpon")
 @example("ioy")
-def test_fold_guard_matches_plain_search(tagger, word):
-    guarded, plain = _both_searches(tagger, word)
+def test_fold_guard_matches_plain_search(words, folds, word):
+    guarded, plain = _both_searches(words, folds, word)
     assert guarded == plain
 
 
-def test_fold_guard_matches_plain_search_on_respelled_lexicon_words(tagger):
+def test_fold_guard_matches_plain_search_on_respelled_lexicon_words(words, folds):
     rng = random.Random(20)
     swap = {"u": "v", "v": "u", "i": "j", "j": "i", "U": "V", "V": "U"}
-    for word in sorted(tagger.lexicon):
+    for word in sorted(words):
         for _ in range(3):
             respelled = "".join(
                 swap[ch] if ch in swap and rng.random() < 0.5 else ch for ch in word
             )
-            guarded, plain = _both_searches(tagger, respelled)
+            guarded, plain = _both_searches(words, folds, respelled)
             assert guarded == plain, respelled
 
 
-class _CountingTagger(RuleTagger):
-    def __init__(self, lexicon):
-        super().__init__(lexicon)
+class _CountingWords(dict):
+    """A word table that records every word tested with ``in``."""
+
+    def __init__(self, words):
+        super().__init__(words)
         self.asked = []
 
-    def known(self, word):
+    def __contains__(self, word):
         self.asked.append(word)
-        return super().known(word)
+        return super().__contains__(word)
 
 
-def test_no_spelling_search_when_no_known_word_shares_the_fold(tagger):
-    counting = _CountingTagger(tagger.lexicon)
+def test_no_spelling_search_when_no_known_word_shares_the_fold(words, folds):
+    counting = _CountingWords(words)
     word = "vnbrstl"
-    assert spelling_fold(word) not in counting.folds
-    assert modernize_spelling(word, counting.known, folds=counting.folds) == "unbrstl"
+    assert spelling_fold(word) not in folds
+    assert modernize_spelling(word, counting, folds=folds) == "unbrstl"
     assert counting.asked == [word]
     counting.asked.clear()
-    assert modernize_spelling(word, counting.known) == "unbrstl"
+    assert modernize_spelling(word, counting) == "unbrstl"
     assert len(counting.asked) > 1
-    # the annotator passes the tagger's folds
-    annotator = Annotator(
-        lexicon=VariantLexicon(),
-        tagger=counting,
-        lemmatizer=Lemmatizer({}, known_as=counting.known_as),
-    )
+    # the annotator passes the folds of its words
+    annotator = Annotator({}, counting, {})
     counting.asked.clear()
     assert annotator.annotate_text("F", "Vnbrstl").sentences[0][0].normalized == "unbrstl"
     assert counting.asked == [word]
@@ -528,18 +571,18 @@ def test_no_spelling_search_when_no_known_word_shares_the_fold(tagger):
 # tagging
 
 
-def test_tagger_lexicon_first(tagger):
-    assert tagger.tag("church") is PosClass.NOUN
-    assert tagger.tag("move") is PosClass.VERB
-    assert tagger.tag("must") is PosClass.MODAL
-    assert tagger.tag("he") is PosClass.PRON
+def test_tagger_lexicon_first(words):
+    assert tag("church", words) is PosClass.NOUN
+    assert tag("move", words) is PosClass.VERB
+    assert tag("must", words) is PosClass.MODAL
+    assert tag("he", words) is PosClass.PRON
 
 
-def test_tagger_suffixes(tagger):
-    assert tagger.tag("newly") is PosClass.ADV
-    assert tagger.tag("seeking") is PosClass.VERB
-    assert tagger.tag("pacification") is PosClass.NOUN
-    assert tagger.tag("prudency") is PosClass.NOUN
+def test_tagger_suffixes(words):
+    assert tag("newly", words) is PosClass.ADV
+    assert tag("seeking", words) is PosClass.VERB
+    assert tag("pacification", words) is PosClass.NOUN
+    assert tag("prudency", words) is PosClass.NOUN
 
 
 def test_tagger_capitalized_unknown_is_noun(annotator):
@@ -548,8 +591,8 @@ def test_tagger_capitalized_unknown_is_noun(annotator):
     assert (tok.normalized, tok.pos) == ("comenius", PosClass.NOUN)
 
 
-def test_tagger_default_noun(tagger):
-    assert tagger.tag("qwxz") is PosClass.NOUN
+def test_tagger_default_noun(words):
+    assert tag("qwxz", words) is PosClass.NOUN
 
 
 def test_tagger_tags_a_variant_spelt_in_digits_num(tmp_path):
@@ -565,69 +608,74 @@ def test_tagger_file_errors(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("word\tNOPE\n", encoding="utf-8")
     with pytest.raises(InputError, match="NOPE"):
-        RuleTagger.from_file(p)
+        load_word_classes(p)
     p.write_text("the\tDET\n# a note\nThe\tNOUN\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"t\.tsv:3: 'The' repeats an earlier row"):
-        RuleTagger.from_file(p)
+        load_word_classes(p)
 
 
 # lemmatization
 
 
 @pytest.fixture(scope="module")
-def lemmatizer(tagger):
-    return Lemmatizer.from_file(data_path("lemma_exceptions.tsv"), known_as=tagger.known_as)
+def exceptions():
+    return load_lemma_exceptions(data_path("lemma_exceptions.tsv"))
 
 
-def test_lemma_exceptions(lemmatizer):
-    assert lemmatizer.lemmatize("is", PosClass.VERB) == "be"
-    assert lemmatizer.lemmatize("went", PosClass.VERB) == "go"
-    assert lemmatizer.lemmatize("children", PosClass.NOUN) == "child"
-    assert lemmatizer.lemmatize("men", PosClass.NOUN) == "man"
+@pytest.fixture(scope="module")
+def lemma_of(exceptions, words):
+    return lambda word, pos: lemmatize(word, pos, exceptions, words)
 
 
-def test_lemma_exception_file_errors(tmp_path, tagger):
+def test_lemma_exceptions(lemma_of):
+    assert lemma_of("is", PosClass.VERB) == "be"
+    assert lemma_of("went", PosClass.VERB) == "go"
+    assert lemma_of("children", PosClass.NOUN) == "child"
+    assert lemma_of("men", PosClass.NOUN) == "man"
+
+
+def test_lemma_exception_file_errors(tmp_path):
     p = tmp_path / "e.tsv"
     # one row per form and class: "-" is a class of its own
     p.write_text("went\tVERB\tgo\nwent\t-\tgo\n", encoding="utf-8")
-    assert len(Lemmatizer.from_file(p, known_as=tagger.known_as).exceptions) == 2
+    assert len(load_lemma_exceptions(p)) == 2
     p.write_text("went\tVERB\tgo\nWent\tVERB\twend\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"e\.tsv:2: 'Went' as VERB repeats an earlier row"):
-        Lemmatizer.from_file(p, known_as=tagger.known_as)
+        load_lemma_exceptions(p)
 
 
-def test_lemma_verb_rules(lemmatizer):
-    assert lemmatizer.lemmatize("eating", PosClass.VERB) == "eat"
-    assert lemmatizer.lemmatize("carries", PosClass.VERB) == "carry"
-    assert lemmatizer.lemmatize("carried", PosClass.VERB) == "carry"
-    assert lemmatizer.lemmatize("stirred", PosClass.VERB) == "stir"
-    assert lemmatizer.lemmatize("moved", PosClass.VERB) == "move"
-    assert lemmatizer.lemmatize("comes", PosClass.VERB) == "come"
+def test_lemma_verb_rules(lemma_of):
+    assert lemma_of("eating", PosClass.VERB) == "eat"
+    assert lemma_of("carries", PosClass.VERB) == "carry"
+    assert lemma_of("carried", PosClass.VERB) == "carry"
+    assert lemma_of("stirred", PosClass.VERB) == "stir"
+    assert lemma_of("moved", PosClass.VERB) == "move"
+    assert lemma_of("comes", PosClass.VERB) == "come"
     # -es after a known stem must not overshoot to "us"
-    assert lemmatizer.lemmatize("uses", PosClass.VERB) == "use"
-    assert lemmatizer.lemmatize("used", PosClass.VERB) == "use"
+    assert lemma_of("uses", PosClass.VERB) == "use"
+    assert lemma_of("used", PosClass.VERB) == "use"
 
 
-def test_lemma_noun_rules(lemmatizer):
-    assert lemmatizer.lemmatize("churches", PosClass.NOUN) == "church"
-    assert lemmatizer.lemmatize("cities", PosClass.NOUN) == "city"
-    assert lemmatizer.lemmatize("things", PosClass.NOUN) == "thing"
+def test_lemma_noun_rules(lemma_of):
+    assert lemma_of("churches", PosClass.NOUN) == "church"
+    assert lemma_of("cities", PosClass.NOUN) == "city"
+    assert lemma_of("things", PosClass.NOUN) == "thing"
     # guards: -ss, -us, -is endings are singular already
-    assert lemmatizer.lemmatize("business", PosClass.NOUN) == "business"
+    assert lemma_of("business", PosClass.NOUN) == "business"
 
 
-def test_lemma_other_classes_identity(lemmatizer):
-    assert lemmatizer.lemmatize("quickly", PosClass.ADV) == "quickly"
-    assert lemmatizer.lemmatize("under", PosClass.PREP) == "under"
+def test_lemma_other_classes_identity(lemma_of):
+    assert lemma_of("quickly", PosClass.ADV) == "quickly"
+    assert lemma_of("under", PosClass.PREP) == "under"
 
 
 def test_lemma_idempotent_on_corpus(annotator, sample_corpus):
-    lem = annotator.lemmatizer
     for letter in sample_corpus:
         doc = annotator.annotate(letter)
         for sent in doc.sentences:
             for tok in sent:
-                assert lem.lemmatize(tok.lemma, tok.pos) == tok.lemma
+                lemma = lemmatize(tok.lemma, tok.pos, annotator.exceptions, annotator.words)
+                assert lemma == tok.lemma
 
 
 # token annotation
@@ -682,10 +730,9 @@ def test_token_is_an_immutable_named_tuple():
 
 def ref_annotate_text(annotator, letter_id, text):
     """The annotator's loop without its memo: every token resolved anew."""
-    lookup, known = annotator.lexicon.lookup, annotator.tagger.known
-    tag, lemmatize = annotator.tagger.tag, annotator.lemmatizer.lemmatize
+    variants, words, exceptions = annotator.variants, annotator.words, annotator.exceptions
     sentences = []
-    for sentence in ref_split_sentences(text, annotator.split):
+    for sentence in ref_split_sentences(text, annotator.abbreviations, annotator.colon_boundary):
         tokens = []
         for surface in tokenize(sentence):
             if surface == "&":
@@ -695,16 +742,16 @@ def ref_annotate_text(annotator, letter_id, text):
             elif not any(ch.isalpha() for ch in surface):
                 normalized, pos, lemma = surface, PosClass.PUNCT, surface
             else:
-                key = surface.casefold()
-                entry = lookup(key)
+                key = fold(surface)
+                entry = variants.get(key)
                 if entry is None:
-                    normalized, pos, lemma = modernize_spelling(key, known), None, None
+                    normalized, pos, lemma = modernize_spelling(key, words), None, None
                 else:
                     normalized, pos, lemma = entry.normalized, entry.pos, entry.lemma
                 if pos is None:
-                    pos = tag(normalized)
+                    pos = tag(normalized, words)
                 if lemma is None:
-                    lemma = lemmatize(normalized, pos)
+                    lemma = lemmatize(normalized, pos, exceptions, words)
             tokens.append(Token(surface, normalized, lemma, pos))
         sentences.append(tuple(tokens))
     return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
@@ -764,7 +811,7 @@ def test_one_token_per_form():
 
 def test_annotator_is_frozen(annotator):
     with pytest.raises(AttributeError):
-        annotator.lexicon = VariantLexicon()
+        annotator.variants = {}
 
 
 # vertical files
@@ -1137,17 +1184,21 @@ def test_ingest_blank_line_splits_sentences(tmp_path):
 
 
 def test_default_abbreviations_loaded():
-    abbrevs = default_annotator().split.abbreviations
+    abbrevs = default_annotator().abbreviations
     assert "mr" in abbrevs and "viz" in abbrevs
 
 
 def test_abbreviation_with_non_ascii_letters(tmp_path):
     p = tmp_path / "abbr.txt"
-    p.write_text("goſp.\nMr\n", encoding="utf-8")
+    # the last row spells its accent as a combining mark
+    p.write_text("goſp.\nMr\nste\u0301.\n", encoding="utf-8")
     annotator = default_annotator(abbreviations=p)
-    assert annotator.split.abbreviations == {"gosp", "mr"}
+    assert annotator.abbreviations == {"gosp", "mr", "sté"}
     doc = annotator.annotate_text("A", "I read the Goſp. Christ is risen.")
     assert len(doc.sentences) == 1
+    for form in ("NFC", "NFD"):
+        text = unicodedata.normalize(form, "I met the Sté. Amand came.")
+        assert len(annotator.annotate_text("A", text).sentences) == 1
 
 
 @pytest.mark.parametrize("row", ["e.g.", "o'th", "no2", "mr..", "."])
@@ -1168,8 +1219,7 @@ def test_default_annotator_smoke():
 
 @given(st.text(alphabet="abcdefghiuv", min_size=1, max_size=8))
 def test_modernize_deterministic_and_closed(word):
-    known = lambda w: False
-    out1 = modernize_spelling(word, known)
-    out2 = modernize_spelling(word, known)
+    out1 = modernize_spelling(word, ())
+    out2 = modernize_spelling(word, ())
     assert out1 == out2
     assert len(out1) == len(word)
