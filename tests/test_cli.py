@@ -1164,13 +1164,13 @@ def test_trace_sees_every_annotation(monkeypatch, tmp_path):
     assert tracer.counts[0]["pipeline.tokens"] == 2192
 
 
-def test_cli_cold_start_skips_slow_modules(tmp_path):
-    # No command uses these, and a cold start would pay for each: numpy;
-    # dataclasses, which pulls in inspect, statistics, fractions and
-    # decimal; ElementTree, which pulls in pyexpat; and unicodedata, which
-    # ASCII text never needs.  One child imports the CLI and annotates.
-    # It starts in tmp_path with the absolute directory letternet came
-    # from, since a relative PYTHONPATH entry would not resolve there.
+@pytest.fixture(scope="module")
+def cold_start_modules(tmp_path_factory):
+    # One child imports the CLI, annotates an ASCII text and prints which of
+    # the modules no command needs got loaded, so both guards below pay for
+    # a single interpreter start.  It starts in a temporary directory with
+    # the absolute directory letternet came from, since a relative
+    # PYTHONPATH entry would not resolve there.
     env = dict(os.environ)
     package_root = Path(letternet.__file__).resolve().parent.parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
@@ -1178,19 +1178,30 @@ def test_cli_cold_start_skips_slow_modules(tmp_path):
         "numpy", "dataclasses", "inspect", "statistics", "xml.etree.ElementTree", "unicodedata"
     ]
     code = (
-        "import sys, letternet.cli\n"
+        "import json, sys, letternet.cli\n"
         "from letternet.pipeline import default_annotator\n"
         "doc = default_annotator().annotate_text('A', 'The Tutour doth vse it. Mr. Dury came.')\n"
         "assert (len(doc.sentences), len(doc)) == (2, 11), doc\n"
-        f"print([m for m in {modules!r} if m in sys.modules])"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
-        cwd=tmp_path,
+        cwd=tmp_path_factory.mktemp("cold-start"),
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_cli_import_does_not_load_numpy(cold_start_modules):
+    assert "numpy" not in cold_start_modules
+
+
+def test_cli_import_skips_slow_standard_modules(cold_start_modules):
+    # dataclasses pulls in inspect, statistics, fractions and decimal;
+    # ElementTree pulls in pyexpat; and ASCII text never needs unicodedata.
+    # A cold start would pay for each, and no command uses them.
+    assert [m for m in cold_start_modules if m != "numpy"] == []
