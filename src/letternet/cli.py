@@ -12,7 +12,6 @@ variable), then command line flags, in that order of precedence.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -56,7 +55,7 @@ from letternet.pipeline import (
     default_annotator,
     ingest_pretagged,
     parse_index,
-    read_input,
+    read_json,
     write_atomic,
     write_vertical,
 )
@@ -126,7 +125,7 @@ _VALUE_TYPES = {
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read a JSON config file with :func:`~letternet.pipeline.read_input`.
+    """Read a JSON config file with :func:`~letternet.pipeline.read_json`.
 
     Unknown keys and values of the wrong type are rejected by name.
     Relative input paths are resolved against the config file's
@@ -134,12 +133,7 @@ def load_config_file(path: str | Path) -> dict:
     directory stays relative to the working directory.
     """
     p = Path(path)
-    try:
-        data = json.loads(read_input(p, "config"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{p}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise InputError(f"{p}: invalid JSON: nested too deeply") from None
+    data = read_json(p, "config")
     if not isinstance(data, dict):
         raise InputError(f"{p}: config must be a JSON object")
     unknown = sorted(set(data) - set(RunConfig._fields))

@@ -44,40 +44,15 @@ _FALSE_WORDS = frozenset({"0", "false", "no", "n", ""})
 _UNSAFE_ID_CHARS = frozenset("/\\\0")
 
 
-class _LetterMetaFields(NamedTuple):
+class LetterMeta(NamedTuple):
+    """A manifest row's metadata; :func:`load_manifest` checks its letter id and year."""
+
     letter_id: str
     sender: str
     addressee: str | None
     year: int
     year_uncertain: bool = False
     language: str = "en"
-
-
-class LetterMeta(_LetterMetaFields):
-    """A manifest row's metadata; a bad letter id or year raises ValueError."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "LetterMeta":
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.letter_id:
-            raise ValueError("letter_id must be non-empty")
-        if self.letter_id in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(self.letter_id):
-            raise ValueError(
-                f"letter_id {self.letter_id!r} is not a plain file name "
-                "(no '/', '\\', NUL, '.' or '..')"
-            )
-        if not (YEAR_MIN <= self.year <= YEAR_MAX):
-            raise ValueError(
-                f"letter {self.letter_id!r}: year {self.year} outside "
-                f"plausible range {YEAR_MIN}..{YEAR_MAX}"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "LetterMeta":
-        # NamedTuple's _make, and so _replace, would skip the checks
-        return cls(*iterable)
 
 
 class Letter(NamedTuple):
@@ -111,11 +86,10 @@ def _drop_bracketed(text: str, where: str = "text") -> str:
     if "[" not in text and "]" not in text:
         return text
 
-    def warn(problem: str, offset: int) -> None:
-        log.warning(
-            "%s: %s (offset %d of the text with line-end hyphens joined and tags made spaces)",
-            where, problem, offset,
-        )
+    def warn(problem: str, i: int) -> None:
+        # the text around the bracket, each whitespace run one space
+        near = " ".join(text[max(0, i - 10) : i + 11].split())
+        log.warning("%s: %s near %r", where, problem, near)
 
     out: list[str] = []
     last = depth = start = max_depth = 0
@@ -187,13 +161,13 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
 
 
-def _parse_bool(value: str) -> bool:
+def _parse_bool(value: str, where: str) -> bool:
     v = value.lower()
     if v in _TRUE_WORDS:
         return True
     if v in _FALSE_WORDS:
         return False
-    raise ValueError(f"bad boolean {value!r}")
+    raise InputError(f"{where}: bad boolean {value!r}")
 
 
 def load_manifest(path: str | Path) -> list[Letter]:
@@ -206,8 +180,9 @@ def load_manifest(path: str | Path) -> list[Letter]:
     :func:`load_letter` with its row's cut marker.  Blank and "#" lines are skipped.  A
     manifest without letters is a warning, not an error; an undecodable
     file, a row whose field count differs from the header's, other
-    malformed rows, letter ids that are not plain file names and
-    duplicate identifiers are errors naming the offending line.
+    malformed rows, years outside 1400..1900, letter ids that are empty
+    or not plain file names and duplicate identifiers are errors naming
+    the offending line.
     """
     p = Path(path)
     if not p.is_file():
@@ -228,21 +203,28 @@ def load_manifest(path: str | Path) -> list[Letter]:
         year = parse_index(row["year"])
         if year is None:
             raise InputError(f"{where}: bad year {row['year']!r}")
-        addressee = row["addressee"]
-        try:
-            meta = LetterMeta(
-                letter_id=row["letter_id"],
-                sender=row["sender"],
-                addressee=None if addressee in ("", "-") else addressee,
-                year=year,
-                year_uncertain=_parse_bool(row["year_uncertain"]),
-                language=row["language"] or "en",
+        year_uncertain = _parse_bool(row["year_uncertain"], where)
+        letter_id = row["letter_id"]
+        if not letter_id:
+            raise InputError(f"{where}: letter_id must be non-empty")
+        if letter_id in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(letter_id):
+            raise InputError(
+                f"{where}: letter_id {letter_id!r} is not a plain file name "
+                "(no '/', '\\', NUL, '.' or '..')"
             )
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from None
-        if meta.letter_id in seen:
-            raise InputError(f"{where}: duplicate letter id {meta.letter_id!r}")
-        seen.add(meta.letter_id)
+        if not YEAR_MIN <= year <= YEAR_MAX:
+            raise InputError(
+                f"{where}: letter {letter_id!r}: year {year} outside "
+                f"plausible range {YEAR_MIN}..{YEAR_MAX}"
+            )
+        if letter_id in seen:
+            raise InputError(f"{where}: duplicate letter id {letter_id!r}")
+        seen.add(letter_id)
+        addressee = row["addressee"]
+        meta = LetterMeta(
+            letter_id, row["sender"], None if addressee in ("", "-") else addressee,
+            year, year_uncertain, row["language"] or "en",
+        )
         marker = row.get("cut_marker", "")
         if not row["file"]:
             raise InputError(f"{where}: empty file column")

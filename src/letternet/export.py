@@ -45,7 +45,7 @@ from letternet.pipeline import (
     InputError,
     LetternetError,
     PosClass,
-    read_input,
+    read_json,
     write_atomic,
 )
 
@@ -499,15 +499,7 @@ def import_json(source: str | Path) -> LexicalGraph:
     Round trip is exact: export then import reproduces the same nodes,
     edges and weights.  Every error is an :class:`InputError`.
     """
-    p = Path(source)
-    text = read_input(p, "")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{p}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise InputError(f"{p}: invalid JSON: nested too deeply") from None
-    return graph_from_dict(data)
+    return graph_from_dict(read_json(source, ""))
 
 
 # ---------------------------------------------------------------------------

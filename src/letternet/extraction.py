@@ -201,31 +201,14 @@ def apply_anaphora(
 # gold triples and evaluation
 
 
-class _GoldTripleFields(NamedTuple):
+class GoldTriple(NamedTuple):
+    """A manually judged verb with its subject and/or object lemma; :func:`load_gold` checks it."""
+
     letter_id: str
     sent_idx: int
     verb_lemma: str
     subj_lemma: str | None
     obj_lemma: str | None
-
-
-class GoldTriple(_GoldTripleFields):
-    """A manually judged verb with its subject and/or object lemma."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "GoldTriple":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.subj_lemma is None and self.obj_lemma is None:
-            raise ValueError(
-                f"gold triple for {self.verb_lemma!r} needs a subject or an object"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "GoldTriple":
-        # NamedTuple's _make, and so _replace, would skip the checks
-        return cls(*iterable)
 
 
 def load_gold(path: str | Path) -> list[GoldTriple]:
@@ -242,18 +225,12 @@ def load_gold(path: str | Path) -> list[GoldTriple]:
             raise InputError(f"{where}: bad sentence index {sent_s!r}")
         if not verb or verb == "-":
             raise InputError(f"{where}: empty verb lemma")
-        try:
-            triples.append(
-                GoldTriple(
-                    letter_id=letter_id,
-                    sent_idx=sent_idx,
-                    verb_lemma=fold(verb),
-                    subj_lemma=None if subj in ("", "-") else fold(subj),
-                    obj_lemma=None if obj in ("", "-") else fold(obj),
-                )
-            )
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from None
+        verb = fold(verb)
+        subj = None if subj in ("", "-") else fold(subj)
+        obj = None if obj in ("", "-") else fold(obj)
+        if subj is None and obj is None:
+            raise InputError(f"{where}: gold triple for {verb!r} needs a subject or an object")
+        triples.append(GoldTriple(letter_id, sent_idx, verb, subj, obj))
     return triples
 
 

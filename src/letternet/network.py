@@ -17,7 +17,7 @@ import re
 import sys
 from collections import Counter
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from letternet.extraction import (
     DEFAULT_CONTENT_CLASSES,
@@ -30,12 +30,12 @@ from letternet.extraction import (
     extract_window_pairs,
     node_order,
 )
-from letternet.pipeline import AnnotatedDoc, InputError, _Record
+from letternet.pipeline import AnnotatedDoc, InputError
 
 log = logging.getLogger(__name__)
 
 
-class LexicalGraph(_Record):
+class LexicalGraph(NamedTuple):
     """A typed, weighted lexical network.
 
     ``nodes`` maps (lemma, class) to its frequency, ``edges`` maps
@@ -44,13 +44,8 @@ class LexicalGraph(_Record):
     exactly one entry.
     """
 
-    _fields = ("nodes", "edges")
-
-    def __init__(
-        self, nodes: dict[NodeKey, int] | None = None, edges: dict[EdgeKey, int] | None = None
-    ) -> None:
-        self.nodes = {} if nodes is None else nodes
-        self.edges = {} if edges is None else edges
+    nodes: dict[NodeKey, int]
+    edges: dict[EdgeKey, int]
 
     @property
     def n_nodes(self) -> int:

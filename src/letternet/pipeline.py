@@ -16,6 +16,7 @@ token).
 from __future__ import annotations
 
 import enum
+import json
 import logging
 import os
 import re
@@ -163,6 +164,21 @@ def read_table(path: str | Path, n_fields: int | None, what: str) -> list[tuple[
     return rows
 
 
+def read_json(path: str | Path, what: str):
+    """The value of a JSON file read by :func:`read_input`.
+
+    Invalid JSON, and JSON nested deeper than the parser can go, raise
+    :class:`InputError` naming the file.
+    """
+    p = Path(path)
+    try:
+        return json.loads(read_input(p, what))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{p}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{p}: invalid JSON: nested too deeply") from None
+
+
 def parse_index(text: str) -> int | None:
     """The number a field of ASCII digits spells, or None for any other text.
 
@@ -221,62 +237,39 @@ class Token(NamedTuple):
     pos: PosClass
 
 
-class _Record:
-    """Base of small classes whose fields are named in ``_fields``.
+class AnnotatedDoc:
+    """All sentences of one letter, fully annotated; its length is its token count.
 
-    Equality (within one class) and ``repr`` go by the field values.
+    Its two fields are set once, by ``__init__``, and equality, hash,
+    ``repr`` and pickling go by ``(letter_id, sentences)``.  It is not a
+    NamedTuple, whose length would be its field count.
     """
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class _Frozen(_Record):
-    """A :class:`_Record` whose fields are set once, by ``__init__``.
-
-    Assigning or deleting an attribute raises AttributeError, the hash
-    goes by the field values, and pickling and copying call the class
-    with the field values again.
-    """
-
-    __slots__ = ()
-
-    def _init(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class AnnotatedDoc(_Frozen):
-    """All sentences of one letter, fully annotated; its length is its token count."""
-
-    __slots__ = _fields = ("letter_id", "sentences")
+    __slots__ = ("letter_id", "sentences")
 
     def __init__(self, letter_id: str, sentences: tuple[tuple[Token, ...], ...]) -> None:
-        self._init(letter_id=letter_id, sentences=sentences)
+        object.__setattr__(self, "letter_id", letter_id)
+        object.__setattr__(self, "sentences", sentences)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of AnnotatedDoc")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of AnnotatedDoc")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AnnotatedDoc:
+            return NotImplemented
+        return self.letter_id == other.letter_id and self.sentences == other.sentences
+
+    def __hash__(self) -> int:
+        return hash((self.letter_id, self.sentences))
+
+    def __repr__(self) -> str:
+        return f"AnnotatedDoc(letter_id={self.letter_id!r}, sentences={self.sentences!r})"
+
+    def __reduce__(self):
+        return AnnotatedDoc, (self.letter_id, self.sentences)
 
     def tokens(self) -> Iterator[Token]:
         for sentence in self.sentences:
@@ -639,7 +632,7 @@ def lemmatize(
 # token annotation
 
 
-class Annotator(_Frozen):
+class Annotator:
     """Annotates whole letters, resolving each distinct form once.
 
     The annotator is its tables, keyed by :func:`fold`-ed words as
@@ -652,15 +645,15 @@ class Annotator(_Frozen):
     None of this looks at a token's neighbours, so the :class:`Token` of
     each surface form, as transcribed, is memoized on the annotator and
     lives as long as it does: every occurrence of a form is the same
-    object.  The annotator is frozen and its tables must not be changed
-    once it is made, so nothing changes under the memo; a new annotator
-    starts with an empty one.  The memo and the spelling folds of
-    ``words`` take no part in equality, ``repr`` or pickling; the tables
-    are dicts, so an annotator cannot be hashed.
+    object.  Its tables must not be changed once it is made, so nothing
+    changes under the memo or the spelling folds of ``words``; a new
+    annotator starts with an empty memo.  An annotator compares by
+    identity, and pickling or copying one carries its memo along.
     """
 
-    _fields = ("variants", "words", "exceptions", "abbreviations", "colon_boundary")
-    __slots__ = (*_fields, "_folds", "_forms")
+    __slots__ = (
+        "variants", "words", "exceptions", "abbreviations", "colon_boundary", "_folds", "_forms",
+    )
 
     def __init__(
         self,
@@ -670,15 +663,13 @@ class Annotator(_Frozen):
         abbreviations: frozenset[str] = frozenset(),
         colon_boundary: bool = False,
     ) -> None:
-        self._init(
-            variants=variants,
-            words=words,
-            exceptions=exceptions,
-            abbreviations=abbreviations,
-            colon_boundary=colon_boundary,
-            _folds=frozenset(map(spelling_fold, words)),
-            _forms={},
-        )
+        self.variants = variants
+        self.words = words
+        self.exceptions = exceptions
+        self.abbreviations = abbreviations
+        self.colon_boundary = colon_boundary
+        self._folds = frozenset(map(spelling_fold, words))
+        self._forms: dict[str, Token] = {}
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""

@@ -13,6 +13,18 @@ MANIFEST = SAMPLE_DIR / "manifest.tsv"
 N = PosClass.NOUN
 V = PosClass.VERB
 
+def one_row_manifest(tmp_path, letter_id, year):
+    """Write a manifest m.tsv of one letter, whose file a.txt exists; return its path."""
+    (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+    p = tmp_path / "m.tsv"
+    # letter_id is an inner column, so that an empty id survives the row's strip
+    p.write_text(
+        "sender\tletter_id\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n"
+        f"Dury\t{letter_id}\t-\t{year}\tfalse\ten\ta.txt\n",
+        encoding="utf-8",
+    )
+    return p
+
 
 def mk_sentence(spec):
     """Build a token tuple from (lemma, PosClass) pairs.

@@ -206,7 +206,7 @@ def test_criterion_08_exports_are_lossless_and_reproducible(
         docs = [annotator.annotate(letter) for letter in sample_corpus]
         l01 = docs[0]
         fixtures = [
-            LexicalGraph(),
+            LexicalGraph({}, {}),
             build_graph(extract_window_pairs(l01), token_frequencies([l01])),
             build_graph(extract_cooccurrences(l01), token_frequencies([l01])),
             merge_graphs(

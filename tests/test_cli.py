@@ -905,6 +905,16 @@ VERTICAL_WITH_CONTROL = (
             NETWORK + ["--prune-nodes", "gt\u0661"],
             "letternet: error: bad prune rule 'gt\u0661'; expected gtN or meanK\n",
         ),
+        (
+            MANIFEST_HEADER + b"A1\tDury\t-\t1300\tfalse\ten\ta.txt\n",
+            ["network", "--manifest", "{bad}", "--out", "{out}"],
+            "letternet: error: {bad}:2: letter 'A1': year 1300 outside plausible range 1400..1900\n",
+        ),
+        (
+            b"A1\t0\tloue\ttutor\tchild\nA1\t0\tsee\t-\t-\n",
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
+            "letternet: error: {bad}:2: gold triple for 'see' needs a subject or an object\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -952,6 +962,8 @@ VERTICAL_WITH_CONTROL = (
         "abbreviations-not-a-word",
         "config-nested-too-deeply",
         "prune-rule-not-ascii-digits",
+        "manifest-year-out-of-range",
+        "gold-row-without-argument",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):

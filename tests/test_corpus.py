@@ -18,7 +18,7 @@ from letternet.corpus import (
 )
 from letternet.pipeline import InputError
 
-from conftest import MANIFEST
+from conftest import MANIFEST, one_row_manifest
 
 
 def meta(letter_id="X1", year=1630, **kw):
@@ -89,11 +89,9 @@ def ref_drop_bracketed(text: str) -> str:
     """Reference for ``_drop_bracketed``: one step per character."""
     logger = logging.getLogger("letternet.corpus")
 
-    def warn(problem, offset):
-        logger.warning(
-            f"text: {problem} (offset {offset} of the text with line-end hyphens joined "
-            "and tags made spaces)"
-        )
+    def warn(problem, i):
+        near = re.sub(r"\s+", " ", text[max(0, i - 10) : i + 11]).strip()
+        logger.warning(f"text: {problem} near {near!r}")
 
     out: list[str] = []
     i, n = 0, len(text)
@@ -183,16 +181,19 @@ def test_cleaning_idempotent(text):
 # metadata
 
 
-def test_year_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        meta(year=1300)
-    with pytest.raises(ValueError):
-        meta(year=2001)
+def test_year_out_of_range_rejected(tmp_path):
+    for year in (1300, 2001):
+        p = one_row_manifest(tmp_path, "A", year)
+        with pytest.raises(InputError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}:2: letter 'A': year {year} outside plausible range 1400..1900"
 
 
-def test_empty_letter_id_rejected():
-    with pytest.raises(ValueError):
-        meta(letter_id="")
+def test_empty_letter_id_rejected(tmp_path):
+    p = one_row_manifest(tmp_path, "", 1630)
+    with pytest.raises(InputError) as info:
+        load_manifest(p)
+    assert str(info.value) == f"{p}:2: letter_id must be non-empty"
 
 
 # letters from disk
@@ -272,12 +273,12 @@ def test_load_letter_warnings_name_the_letter(tmp_path, caplog):
     p.write_text("a <gap> b] c [x [y] z] d < e [f", encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="letternet.corpus"):
         assert load_letter(p, meta()).clean_text == "a b] c [x [y] z] d < e [f"
-    at = "of the text with line-end hyphens joined and tags made spaces"
+    # each names the text up to 10 characters either side of its bracket
     assert [r.getMessage() for r in caplog.records] == [
         f"letter 'X1' ({p}): unbalanced angle markup left as literal text",
-        f"letter 'X1' ({p}): stray ']' left as literal text (offset 5 {at})",
-        f"letter 'X1' ({p}): nested brackets left untouched (offset 9 {at})",
-        f"letter 'X1' ({p}): unbalanced '[' left as literal text (offset 25 {at})",
+        f"letter 'X1' ({p}): stray ']' left as literal text near 'a b] c [x [y]'",
+        f"letter 'X1' ({p}): nested brackets left untouched near 'a b] c [x [y] z] d'",
+        f"letter 'X1' ({p}): unbalanced '[' left as literal text near 'z] d < e [f'",
     ]
 
 

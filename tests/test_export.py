@@ -361,7 +361,7 @@ def test_stats_report_sections(toy_graph):
 
 
 def test_stats_report_empty_graph():
-    text = stats_report(LexicalGraph())
+    text = stats_report(LexicalGraph({}, {}))
     assert "Nodes: 0" in text
     assert "n/a (empty)" in text
 
@@ -679,7 +679,7 @@ def _graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_graphs(), st.integers(0, 4))
-@example(LexicalGraph(), 10)
+@example(LexicalGraph({}, {}), 10)
 def test_writers_match_reference(graph, top_n):
     expected = {
         "g.gexf": ref_gexf_bytes(graph),

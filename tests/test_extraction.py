@@ -376,9 +376,12 @@ def test_anaphora_replacement_casefolds_like_the_annotator(tmp_path, annotator):
 # gold triples and scoring
 
 
-def test_gold_triple_needs_argument():
-    with pytest.raises(ValueError):
-        GoldTriple("L1", 0, "see", None, None)
+def test_gold_triple_needs_argument(tmp_path):
+    p = tmp_path / "g.tsv"
+    p.write_text("L1\t0\tsee\tman\t-\nL1\t1\tSee\t-\t-\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load_gold(p)
+    assert str(info.value) == f"{p}:2: gold triple for 'see' needs a subject or an object"
 
 
 def test_load_gold(tmp_path):

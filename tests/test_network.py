@@ -297,7 +297,7 @@ def test_one_pass_graphs_reject_bad_settings():
         cooccurrence_graph([doc], window=0)
     with pytest.raises(ValueError, match="max_dist"):
         pair_graph([doc], max_dist=-1)
-    assert cooccurrence_graph([]) == pair_graph([]) == LexicalGraph()
+    assert cooccurrence_graph([]) == pair_graph([]) == LexicalGraph({}, {})
 
 
 def test_validate_rejects_bad_graphs():
@@ -310,7 +310,7 @@ def test_validate_rejects_bad_graphs():
         bad_weight.validate()
     # True is an int to isinstance, but no count
     with pytest.raises(ValueError, match="frequency True"):
-        LexicalGraph(nodes={("a", N): True}).validate()
+        LexicalGraph(nodes={("a", N): True}, edges={}).validate()
     with pytest.raises(ValueError, match="weight True"):
         LexicalGraph(nodes={("a", N): 1}, edges={(("a", N), ("a", N), C): True}).validate()
     loose_end = LexicalGraph(
@@ -387,7 +387,7 @@ def test_prune_drop_isolated_toggle():
 
 
 def test_prune_empty_graph():
-    empty = LexicalGraph()
+    empty = LexicalGraph({}, {})
     assert prune(empty, "mean2", "mean2").n_nodes == 0
 
 

@@ -809,9 +809,13 @@ def test_one_token_per_form():
     assert all(a is not b for a, b in zip(fresh.tokens(), docs[0].tokens()))
 
 
-def test_annotator_is_frozen(annotator):
-    with pytest.raises(AttributeError):
-        annotator.variants = {}
+def test_annotator_compares_by_identity(annotator):
+    twin = Annotator(
+        annotator.variants, annotator.words, annotator.exceptions, annotator.abbreviations
+    )
+    assert annotator == annotator and annotator != twin
+    # the default repr, not every row of the three tables
+    assert repr(twin).startswith("<letternet.pipeline.Annotator object at ")
 
 
 # vertical files
