@@ -11,9 +11,11 @@ that writes several files builds once with :func:`sorted_view`; given a
 plain :class:`~letternet.network.LexicalGraph`, a writer builds the view
 itself.  JSON is written directly in ``json.dumps(..., indent=2)``
 layout, with only the lemma strings passed through the ``json``
-encoder.  The GEXF and DOT writers share one fixed style: colours by
-word class and relation kind (``DEFAULT_*``), and node sizes from 10 to
-60 growing linearly with frequency.
+encoder.  The GEXF and DOT writers share one fixed style: red verbs,
+blue nouns, green adjectives and grey for every other class; red subject,
+blue object and grey co-occurrence edges; and node sizes from 10 to 60
+growing linearly with frequency.  Each format has one writer, and JSON
+one reader, :func:`import_json`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
 from letternet.network import (
@@ -41,7 +43,6 @@ from letternet.network import (
 from letternet.pipeline import (
     _POS_BY_NAME,
     _XML_UNWRITABLE,
-    ExportError,
     InputError,
     LetternetError,
     PosClass,
@@ -51,18 +52,6 @@ from letternet.pipeline import (
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 VIZ_NS = "http://www.gexf.net/1.2draft/viz"
-
-DEFAULT_NODE_COLORS: Mapping[PosClass, str] = {
-    PosClass.VERB: "#FF0000",
-    PosClass.NOUN: "#0000FF",
-    PosClass.ADJ: "#00FF00",
-}
-DEFAULT_FALLBACK_COLOR = "#999999"
-DEFAULT_EDGE_COLORS: Mapping[RelationKind, str] = {
-    RelationKind.SUBJ: "#FF0000",
-    RelationKind.OBJ: "#0000FF",
-    RelationKind.COOCCUR: "#888888",
-}
 
 
 def _viz_rgb(color: str) -> str:
@@ -74,9 +63,10 @@ def _viz_rgb(color: str) -> str:
 # class and kind name -> "#RRGGBB", as the writers look colours up, and
 # the same colours as viz:color attributes for GEXF
 _NODE_COLORS = {
-    pos.name: DEFAULT_NODE_COLORS.get(pos, DEFAULT_FALLBACK_COLOR) for pos in PosClass
+    pos.name: {"VERB": "#FF0000", "NOUN": "#0000FF", "ADJ": "#00FF00"}.get(pos.name, "#999999")
+    for pos in PosClass
 }
-_EDGE_COLORS = {kind.name: DEFAULT_EDGE_COLORS[kind] for kind in RelationKind}
+_EDGE_COLORS = {"SUBJ": "#FF0000", "OBJ": "#0000FF", "COOCCUR": "#888888"}
 _NODE_RGB = {name: _viz_rgb(color) for name, color in _NODE_COLORS.items()}
 _EDGE_RGB = {name: _viz_rgb(color) for name, color in _EDGE_COLORS.items()}
 # kind -> (name, directed), as a sorted view's edge rows hold them
@@ -200,12 +190,8 @@ def _gexf_lines(view: SortedGraph) -> Iterator[str]:
     yield "    </edges>\n  </graph>\n</gexf>\n"
 
 
-def gexf_bytes(graph: GraphLike) -> bytes:
-    """Serialise a graph as GEXF 1.2draft with viz colours and sizes."""
-    return "".join(_gexf_lines(sorted_view(graph))).encode("utf-8")
-
-
 def export_gexf(graph: GraphLike, path: str | Path) -> None:
+    """Write a graph as GEXF 1.2draft with viz colours and sizes."""
     write_atomic(path, _gexf_lines(sorted_view(graph)))
 
 
@@ -367,18 +353,14 @@ def _dot_lines(view: SortedGraph) -> Iterator[str]:
     yield "}\n"
 
 
-def dot_text(graph: GraphLike) -> str:
-    """Serialise a graph in Graphviz DOT form.
+def export_dot(graph: GraphLike, path: str | Path) -> None:
+    """Write a graph in Graphviz DOT form.
 
     Emitted as a digraph; co-occurrence edges carry ``dir="none"`` so
     they render without arrowheads.  Node font size follows the same
     frequency scaling as the GEXF size, edge pen width grows with the
     logarithm of the weight.
     """
-    return "".join(_dot_lines(sorted_view(graph)))
-
-
-def export_dot(graph: GraphLike, path: str | Path) -> None:
     write_atomic(path, _dot_lines(sorted_view(graph)))
 
 
@@ -451,25 +433,30 @@ def _pair_text(key: NodeKey) -> str:
     return json.dumps([key[0], key[1]._name_], ensure_ascii=False)
 
 
-def graph_from_dict(data: dict) -> LexicalGraph:
-    """The graph of a JSON document; :class:`InputError` names a bad entry.
+def import_json(source: str | Path) -> LexicalGraph:
+    """Read a graph written by :func:`export_json`.
 
-    The graph must pass :meth:`LexicalGraph.validate`.
+    Round trip is exact: export then import reproduces the same nodes,
+    edges and weights.  Every error is an :class:`InputError` that names
+    the file; once the file is read, its message starts with the file
+    name.  The graph must pass :meth:`LexicalGraph.validate`.
     """
+    data = read_json(source, "")
+    where = Path(source)
     if not isinstance(data, dict) or data.get("format") != "lexical-network":
-        raise InputError("not a lexical-network JSON document")
+        raise InputError(f"{where}: not a lexical-network JSON document")
     for name in ("nodes", "edges"):
         if not isinstance(data.get(name, []), list):
-            raise InputError(f"{name} must be a list, got {data[name]!r}")
+            raise InputError(f"{where}: {name} must be a list, got {data[name]!r}")
     nodes: dict[NodeKey, int] = {}
     for item in data.get("nodes", []):
         try:
             key = _node_key([item["lemma"], item["pos"]])
             freq = item["frequency"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad node entry {item!r}") from exc
+            raise InputError(f"{where}: bad node entry {item!r}") from exc
         if key in nodes:
-            raise InputError(f"duplicate node {_pair_text(key)}")
+            raise InputError(f"{where}: duplicate node {_pair_text(key)}")
         nodes[key] = freq
     edges: dict[EdgeKey, int] = {}
     for item in data.get("edges", []):
@@ -478,28 +465,19 @@ def graph_from_dict(data: dict) -> LexicalGraph:
             kind = RelationKind[item["kind"]]
             weight = item["weight"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad edge entry {item!r}") from exc
+            raise InputError(f"{where}: bad edge entry {item!r}") from exc
         edge = (src, dst, kind)
         if edge in edges:
             raise InputError(
-                f"duplicate edge {_pair_text(src)} -> {_pair_text(dst)} ({kind._name_})"
+                f"{where}: duplicate edge {_pair_text(src)} -> {_pair_text(dst)} ({kind._name_})"
             )
         edges[edge] = weight
     graph = LexicalGraph(nodes=nodes, edges=edges)
     try:
         graph.validate()
     except ValueError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(f"{where}: {exc}") from None
     return graph
-
-
-def import_json(source: str | Path) -> LexicalGraph:
-    """Read a graph written by :func:`export_json`.
-
-    Round trip is exact: export then import reproduces the same nodes,
-    edges and weights.  Every error is an :class:`InputError`.
-    """
-    return graph_from_dict(read_json(source, ""))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ modern parsers, while noun-verb adjacency survives the spelling.
 from __future__ import annotations
 
 import enum
-import logging
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -20,8 +19,6 @@ from typing import Iterable, Mapping, NamedTuple
 from letternet.pipeline import (
     AnnotatedDoc, InputError, PosClass, Token, fold, parse_index, read_table,
 )
-
-log = logging.getLogger(__name__)
 
 
 class RelationKind(enum.Enum):

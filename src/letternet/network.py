@@ -11,7 +11,6 @@ deviations) cut them down to a readable core.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import re
 import sys
@@ -31,8 +30,6 @@ from letternet.extraction import (
     node_order,
 )
 from letternet.pipeline import AnnotatedDoc, InputError
-
-log = logging.getLogger(__name__)
 
 
 class LexicalGraph(NamedTuple):

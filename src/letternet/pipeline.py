@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import re
-from importlib import resources
 from pathlib import Path
 from typing import Container, Iterable, Iterator, NamedTuple
 
@@ -715,7 +714,7 @@ class Annotator:
 
 def data_path(name: str) -> Path:
     """Path of a bundled resource file."""
-    return Path(resources.files("letternet.data") / name)
+    return Path(__file__).with_name("data") / name
 
 
 def _load_abbreviations(path: str | Path) -> frozenset[str]:

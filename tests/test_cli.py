@@ -1182,12 +1182,17 @@ def cold_start_modules(tmp_path_factory):
     # the modules no command needs got loaded, so both guards below pay for
     # a single interpreter start.  It starts in a temporary directory with
     # the absolute directory letternet came from, since a relative
-    # PYTHONPATH entry would not resolve there.
+    # PYTHONPATH entry would not resolve there.  It runs with -S, as a plain
+    # interpreter would: a .pth file in site-packages can preload modules
+    # (importlib.resources and tempfile among them), and the guards would
+    # then test the host instead of letternet.  -I would also drop
+    # PYTHONPATH.  Without site-packages, an import of numpy fails the child.
     env = dict(os.environ)
     package_root = Path(letternet.__file__).resolve().parent.parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
     modules = [
-        "numpy", "dataclasses", "inspect", "statistics", "xml.etree.ElementTree", "unicodedata"
+        "numpy", "dataclasses", "inspect", "statistics", "xml.etree.ElementTree", "unicodedata",
+        "importlib.resources", "tempfile",
     ]
     code = (
         "import json, sys, letternet.cli\n"
@@ -1197,7 +1202,7 @@ def cold_start_modules(tmp_path_factory):
         f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         cwd=tmp_path_factory.mktemp("cold-start"),
         env=env,
         capture_output=True,
@@ -1214,6 +1219,7 @@ def test_cli_import_does_not_load_numpy(cold_start_modules):
 
 def test_cli_import_skips_slow_standard_modules(cold_start_modules):
     # dataclasses pulls in inspect, statistics, fractions and decimal;
-    # ElementTree pulls in pyexpat; and ASCII text never needs unicodedata.
-    # A cold start would pay for each, and no command uses them.
+    # ElementTree pulls in pyexpat; ASCII text never needs unicodedata; and
+    # importlib.resources pulls in tempfile, shutil, random and bz2.  A cold
+    # start would pay for each, and no command uses them.
     assert [m for m in cold_start_modules if m != "numpy"] == []

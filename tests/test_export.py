@@ -14,21 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from letternet.export import (
-    DEFAULT_EDGE_COLORS,
-    DEFAULT_FALLBACK_COLOR,
-    DEFAULT_NODE_COLORS,
-    ExportError,
     GexfValidationError,
     _distribution_line,
     _node_size,
-    dot_text,
     export_csv_edges,
     export_dot,
     export_gexf,
     export_json,
     export_stats,
-    gexf_bytes,
-    graph_from_dict,
     import_json,
     sorted_view,
     stats_report,
@@ -36,7 +29,7 @@ from letternet.export import (
 )
 from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
 from letternet.network import Centrality, LexicalGraph, centrality, mean_sd
-from letternet.pipeline import InputError, PosClass
+from letternet.pipeline import ExportError, InputError, PosClass
 
 from conftest import N, V
 
@@ -59,18 +52,41 @@ def directed_graph():
     )
 
 
+def written(writer, graph, path):
+    """The bytes that ``writer`` puts in a file at ``path``."""
+    writer(graph, path)
+    return path.read_bytes()
+
+
 # style
 
 
-def test_style_defaults_cover_content_classes():
-    assert DEFAULT_NODE_COLORS[N] == "#0000FF"
-    assert DEFAULT_NODE_COLORS[V] == "#FF0000"
-    assert DEFAULT_NODE_COLORS[PosClass.ADJ] == "#00FF00"
-    assert PosClass.ADV not in DEFAULT_NODE_COLORS
-    assert set(DEFAULT_EDGE_COLORS) == set(RelationKind)
-    # a class without a colour of its own gets the fallback
-    adverb = LexicalGraph(nodes={("well", PosClass.ADV): 1}, edges={})
-    assert f'fillcolor="{DEFAULT_FALLBACK_COLOR}"' in dot_text(adverb)
+def test_style_defaults_cover_content_classes(tmp_path):
+    # red verbs, blue nouns, green adjectives and grey for every other class,
+    # and one colour for each kind of edge, in both styled formats
+    red, blue = ("#FF0000", 'r="255" g="0" b="0"'), ("#0000FF", 'r="0" g="0" b="255"')
+    node_colors = dict.fromkeys(PosClass, ("#999999", 'r="153" g="153" b="153"'))
+    node_colors.update({V: red, N: blue, PosClass.ADJ: ("#00FF00", 'r="0" g="255" b="0"')})
+    edge_colors = {
+        (("noun", N), ("verb", V), S): red,
+        (("verb", V), ("noun", N), O): blue,
+        (("adj", PosClass.ADJ), ("noun", N), C): ("#888888", 'r="136" g="136" b="136"'),
+    }
+    assert {kind for _, _, kind in edge_colors} == set(RelationKind)
+    graph = LexicalGraph(
+        nodes={(pos.name.lower(), pos): 1 for pos in PosClass},
+        edges=dict.fromkeys(edge_colors, 1),
+    )
+    dot = written(export_dot, graph, tmp_path / "g.dot").decode("utf-8")
+    gexf = written(export_gexf, graph, tmp_path / "g.gexf").decode("utf-8")
+    for pos, (color, rgb) in node_colors.items():
+        node_id = f'"{pos.name.lower()}::{pos.name}"'
+        assert f'{node_id} [label="{pos.name.lower()}", fillcolor="{color}",' in dot
+        assert f"<viz:color {rgb}/>" in gexf.split(f"<node id={node_id} ")[1].split("</node>")[0]
+    for ((src, _), (dst, _), kind), (color, rgb) in edge_colors.items():
+        assert f'"{src}::{src.upper()}" -> "{dst}::{dst.upper()}" [color="{color}",' in dot
+        edge = gexf.split(f'value="{kind.name}"/>')[1].split("</edge>")[0]
+        assert f"<viz:color {rgb}/>" in edge
 
 
 def test_node_size_interpolates():
@@ -84,18 +100,20 @@ def test_node_size_interpolates():
 # gexf
 
 
-def test_gexf_bytes_deterministic(toy_graph):
-    assert gexf_bytes(toy_graph) == gexf_bytes(toy_graph)
+def test_gexf_bytes_deterministic(toy_graph, tmp_path):
+    first = written(export_gexf, toy_graph, tmp_path / "a.gexf")
+    assert written(export_gexf, toy_graph, tmp_path / "b.gexf") == first
 
 
-def test_gexf_undirected_default_for_cooccur_only():
-    data = gexf_bytes(cooccur_graph())
+def test_gexf_undirected_default_for_cooccur_only(tmp_path):
+    data = written(export_gexf, cooccur_graph(), tmp_path / "g.gexf")
     assert b'defaultedgetype="undirected"' in data
     assert b"<viz:color" in data
 
 
-def test_gexf_directed_default_with_directed_edges():
-    assert b'defaultedgetype="directed"' in gexf_bytes(directed_graph())
+def test_gexf_directed_default_with_directed_edges(tmp_path):
+    data = written(export_gexf, directed_graph(), tmp_path / "g.gexf")
+    assert b'defaultedgetype="directed"' in data
 
 
 def test_gexf_validator_accepts_own_output(toy_graph, tmp_path):
@@ -103,11 +121,11 @@ def test_gexf_validator_accepts_own_output(toy_graph, tmp_path):
     export_gexf(toy_graph, path)
     assert validate_gexf(path) == (toy_graph.n_nodes, toy_graph.n_edges)
     # also directly from bytes
-    assert validate_gexf(gexf_bytes(toy_graph)) == (4, 4)
+    assert validate_gexf(path.read_bytes()) == (4, 4)
 
 
-def test_gexf_validator_rejects_broken_documents(toy_graph):
-    good = gexf_bytes(toy_graph).decode()
+def test_gexf_validator_rejects_broken_documents(toy_graph, tmp_path):
+    good = written(export_gexf, toy_graph, tmp_path / "g.gexf").decode()
     with pytest.raises(GexfValidationError):
         validate_gexf("<gexf></gexf>")
     with pytest.raises(GexfValidationError):
@@ -159,7 +177,7 @@ _BROKEN_GEXF = [
     "edits, message", [case[1:] for case in _BROKEN_GEXF], ids=[case[0] for case in _BROKEN_GEXF]
 )
 def test_gexf_validator_names_each_broken_check(toy_graph, tmp_path, edits, message):
-    document = gexf_bytes(toy_graph).decode()
+    document = written(export_gexf, toy_graph, tmp_path / "g.gexf").decode()
     for old, new in edits:
         assert old in document
         document = document.replace(old, new, 1)
@@ -199,8 +217,8 @@ def test_export_gexf_unwritable_path(toy_graph, tmp_path):
 # dot
 
 
-def test_dot_undirected_edges_use_dir_none(toy_graph):
-    text = dot_text(toy_graph)
+def test_dot_undirected_edges_use_dir_none(toy_graph, tmp_path):
+    text = written(export_dot, toy_graph, tmp_path / "g.dot").decode("utf-8")
     assert text.startswith("digraph")
     cooccur_line = [l for l in text.splitlines() if '"god::NOUN" -> "truth::NOUN"' in l]
     assert cooccur_line and 'dir="none"' in cooccur_line[0]
@@ -208,8 +226,8 @@ def test_dot_undirected_edges_use_dir_none(toy_graph):
     assert subj_line and "dir=" not in subj_line[0]
 
 
-def test_dot_penwidth_grows_with_weight(toy_graph):
-    text = dot_text(toy_graph)
+def test_dot_penwidth_grows_with_weight(toy_graph, tmp_path):
+    text = written(export_dot, toy_graph, tmp_path / "g.dot").decode("utf-8")
     assert 'penwidth="1.00", label="1"' in text
     assert 'penwidth="2.10", label="3"' in text
 
@@ -219,11 +237,8 @@ def test_dot_quotes_odd_labels(tmp_path):
         nodes={('sa"y', N): 1, ("do", V): 1},
         edges={(('sa"y', N), ("do", V), S): 1},
     )
-    text = dot_text(g)
-    assert '\\"' in text
-    path = tmp_path / "q.dot"
-    export_dot(g, path)
-    assert path.read_text(encoding="utf-8") == text
+    text = written(export_dot, g, tmp_path / "q.dot").decode("utf-8")
+    assert '"sa\\"y::NOUN" [label="sa\\"y",' in text
 
 
 # json round trip
@@ -296,13 +311,18 @@ _BAD_GRAPH_DOCS = [
 ]
 
 
-def test_graph_from_dict_validates():
-    assert graph_from_dict(_doc(edges=[_EDGE])).edges == {
-        (("a", N), ("a", N), RelationKind.COOCCUR): 1
-    }
+def test_import_json_validates(tmp_path):
+    # json.dumps escapes every non-ASCII character, so a lone surrogate or
+    # a noncharacter reaches the reader as written
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_doc(edges=[_EDGE])), encoding="utf-8")
+    assert import_json(path).edges == {(("a", N), ("a", N), RelationKind.COOCCUR): 1}
     for doc, fragment in _BAD_GRAPH_DOCS:
-        with pytest.raises(InputError, match=re.escape(fragment)):
-            graph_from_dict(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            import_json(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and fragment in message, (fragment, message)
 
 
 def test_import_json_bad_file(tmp_path):
@@ -704,9 +724,6 @@ def test_writers_match_reference(graph, top_n):
             export_stats(source, out / "g.txt", top_n)
             for name, payload in expected.items():
                 assert (out / name).read_bytes() == payload, name
-            # the streamed files are the documents built whole
-            assert (out / "g.gexf").read_bytes() == gexf_bytes(source)
-            assert (out / "g.dot").read_bytes() == dot_text(source).encode("utf-8")
             assert (out / "g.txt").read_bytes() == stats_report(source, top_n).encode("utf-8")
         # a lemma with a character that XML cannot hold would make the
         # next GEXF file ill-formed, and a tab or line break would come
