@@ -12,6 +12,7 @@ variable), then command line flags, in that order of precedence.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -49,6 +50,7 @@ from letternet.network import (
 )
 from letternet.pipeline import (
     AnnotatedDoc,
+    ExportError,
     InputError,
     LetternetError,
     Token,
@@ -266,13 +268,27 @@ def _out_dir(cfg: RunConfig) -> Path:
 # commands: each prints its results and returns nothing
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Print ``text`` to standard output, flushed so that a failed write fails here.
+
+    A failed write raises :class:`ExportError`, except a closed pipe,
+    whose :class:`BrokenPipeError` goes through to :func:`console`.
+    """
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise ExportError(f"cannot write standard output: {exc}") from exc
+
+
 def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
     out = _out_dir(cfg)
     docs = _load_docs(cfg)
     rows: dict[Token, str] = {}  # one for all files: a token's row is formatted once
     for doc in docs:
         write_vertical(doc, out / f"{doc.letter_id}.tsv", memo=rows)
-    print(f"preprocessed {len(docs)} letters -> {out}")
+    _print(f"preprocessed {len(docs)} letters -> {out}")
     return out, docs
 
 
@@ -288,7 +304,7 @@ def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None
         stats_path = out / f"{name}_stats.txt"
         export_stats(view, stats_path, cfg.top)
         written.append(stats_path.name)
-        print(
+        _print(
             f"{name}: {graph.n_nodes} nodes, {graph.n_edges} edges "
             f"(total weight {graph.total_weight}) -> {', '.join(written)}"
         )
@@ -323,7 +339,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         )
     report = evaluate_pairs(records, gold)
     text = report.format()
-    print(text)
+    _print(text)
     out = _out_dir(cfg)
     write_atomic(out / "eval_report.txt", (text, "\n"))
 
@@ -332,8 +348,8 @@ def cmd_stats(cfg: RunConfig) -> None:
     docs = _load_docs(cfg)
     for name, graph in _build_graphs(cfg, docs):
         if cfg.scope == "per-letter":
-            print(f"== {name} ==")
-        print(stats_report(graph, cfg.top), end="")
+            _print(f"== {name} ==")
+        _print(stats_report(graph, cfg.top), end="")
 
 
 def cmd_run(cfg: RunConfig) -> None:
@@ -460,5 +476,24 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console() -> None:
+    """Run :func:`main` as the ``letternet`` process and exit with its status."""
+    try:
+        code = main()
+    except BrokenPipeError:  # the reader has gone, as with ``| head``: end quietly
+        code = 1
+    finally:  # also when argparse exits, as after printing the help
+        if sys.stdout is not None:  # None when the process started without one
+            try:
+                sys.stdout.flush()
+            except OSError:
+                # A failed write left its text in the buffer, where the
+                # interpreter's last flush would fail on it again: point standard
+                # output at devnull (the note on SIGPIPE in the signal module's docs).
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()  # the process is ending: its shutdown collections need not walk every live object
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -1,7 +1,11 @@
+import os
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import letternet
+from letternet.cli import CONFIG_ENV_VAR
 from letternet.network import LexicalGraph
 from letternet.pipeline import AnnotatedDoc, PosClass, Token, data_path
 from letternet.extraction import DEFAULT_CONTENT_CLASSES, PairRecord, RelationKind
@@ -12,6 +16,31 @@ MANIFEST = SAMPLE_DIR / "manifest.tsv"
 
 N = PosClass.NOUN
 V = PosClass.VERB
+
+
+def child_env(**extra):
+    """The environment of a child interpreter that imports this letternet.
+
+    The directory letternet was imported from goes first on PYTHONPATH,
+    made absolute, since a relative entry such as ``src`` would not resolve
+    once the child starts in another directory.  No config file is named,
+    and standard output is buffered as in a plain interpreter:
+    ``PYTHONUNBUFFERED`` would make every print a write of its own.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in (CONFIG_ENV_VAR, "PYTHONUNBUFFERED")}
+    package_root = Path(letternet.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def tree_bytes(root):
+    """Every file under ``root``, by its path relative to ``root``, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
 
 def one_row_manifest(tmp_path, letter_id, year):
     """Write a manifest m.tsv of one letter, whose file a.txt exists; return its path."""

@@ -30,7 +30,7 @@ from letternet.export import import_json
 from letternet.extraction import RelationKind
 from letternet.pipeline import Annotator, InputError, LetternetError, data_path
 
-from conftest import MANIFEST, SAMPLE_DIR, N, V
+from conftest import MANIFEST, SAMPLE_DIR, N, V, child_env
 
 
 @pytest.fixture(scope="module")
@@ -1179,32 +1179,30 @@ def test_trace_sees_every_annotation(monkeypatch, tmp_path):
 @pytest.fixture(scope="module")
 def cold_start_modules(tmp_path_factory):
     # One child imports the CLI, annotates an ASCII text and prints which of
-    # the modules no command needs got loaded, so both guards below pay for
-    # a single interpreter start.  It starts in a temporary directory with
-    # the absolute directory letternet came from, since a relative
-    # PYTHONPATH entry would not resolve there.  It runs with -S, as a plain
+    # the modules no command needs got loaded, and how many objects the
+    # collector holds frozen, so the guards below pay for a single
+    # interpreter start.  It starts in a temporary directory with
+    # conftest.child_env's PYTHONPATH.  It runs with -S, as a plain
     # interpreter would: a .pth file in site-packages can preload modules
     # (importlib.resources and tempfile among them), and the guards would
     # then test the host instead of letternet.  -I would also drop
     # PYTHONPATH.  Without site-packages, an import of numpy fails the child.
-    env = dict(os.environ)
-    package_root = Path(letternet.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
     modules = [
         "numpy", "dataclasses", "inspect", "statistics", "xml.etree.ElementTree", "unicodedata",
         "importlib.resources", "tempfile",
     ]
     code = (
-        "import json, sys, letternet.cli\n"
+        "import gc, json, sys, letternet.cli\n"
         "from letternet.pipeline import default_annotator\n"
         "doc = default_annotator().annotate_text('A', 'The Tutour doth vse it. Mr. Dury came.')\n"
         "assert (len(doc.sentences), len(doc)) == (2, 11), doc\n"
-        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+        f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
+        "print(json.dumps({'loaded': loaded, 'frozen': gc.get_freeze_count()}))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
         cwd=tmp_path_factory.mktemp("cold-start"),
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -1214,7 +1212,7 @@ def cold_start_modules(tmp_path_factory):
 
 
 def test_cli_import_does_not_load_numpy(cold_start_modules):
-    assert "numpy" not in cold_start_modules
+    assert "numpy" not in cold_start_modules["loaded"]
 
 
 def test_cli_import_skips_slow_standard_modules(cold_start_modules):
@@ -1222,4 +1220,9 @@ def test_cli_import_skips_slow_standard_modules(cold_start_modules):
     # ElementTree pulls in pyexpat; ASCII text never needs unicodedata; and
     # importlib.resources pulls in tempfile, shutil, random and bz2.  A cold
     # start would pay for each, and no command uses them.
-    assert [m for m in cold_start_modules if m != "numpy"] == []
+    assert [m for m in cold_start_modules["loaded"] if m != "numpy"] == []
+
+
+def test_cli_import_freezes_nothing(cold_start_modules):
+    # only the process entry, console(), freezes the collector's objects
+    assert cold_start_modules["frozen"] == 0

@@ -1,19 +1,14 @@
 """The demo scripts and the README's library example run end to end."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import letternet
+from conftest import child_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-# The directory this process imported letternet from.  A relative entry on
-# PYTHONPATH (such as ``src``) no longer resolves once the child starts in
-# tmp_path, so the child gets this absolute one first.
-PACKAGE_ROOT = Path(letternet.__file__).resolve().parent.parent
 
 
 def run_demo(name, tmp_path, extra=()):
@@ -21,14 +16,10 @@ def run_demo(name, tmp_path, extra=()):
 
 
 def run_script(path, tmp_path, extra=()):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
-    )
     return subprocess.run(
         [sys.executable, str(path), *extra],
         cwd=tmp_path,
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -6,17 +6,14 @@ Python-level call on every dict and set operation of the graph code.
 """
 
 import copy
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
-import letternet
 from letternet.extraction import RelationKind
 from letternet.pipeline import PosClass
 
-from conftest import MANIFEST
+from conftest import MANIFEST, child_env, tree_bytes
 
 _COMMANDS = [
     ["network", "--mode", "cooccur", "--scope", "merged", "--format", "gexf,dot,json,csv"],
@@ -36,31 +33,20 @@ for i, argv in enumerate({_COMMANDS!r}):
 """
 
 
-def _files(root: Path) -> dict[str, bytes]:
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
-
-
 def test_outputs_identical_across_hash_seeds(tmp_path):
-    package_root = Path(letternet.__file__).resolve().parent.parent
     outputs = []
     for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
         out = tmp_path / f"seed{seed}"
         result = subprocess.run(
             [sys.executable, "-c", _CHILD, str(out)],
             cwd=tmp_path,
-            env=env,
+            env=child_env(PYTHONHASHSEED=seed),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        outputs.append(_files(out))
+        outputs.append(tree_bytes(out))
     assert len(outputs[0]) > 10
     assert outputs[0] == outputs[1]
 
