@@ -26,7 +26,6 @@ from letternet.export import (
     export_gexf,
     export_json,
     export_stats,
-    sorted_view,
     stats_report,
 )
 from letternet.extraction import (
@@ -46,6 +45,7 @@ from letternet.network import (
     merge_graphs,  # noqa: F401  bound for the benchmark tracer
     pair_graph,
     prune,
+    sorted_view,
     token_frequencies,  # noqa: F401  bound for the benchmark tracer
 )
 from letternet.pipeline import (
@@ -282,9 +282,24 @@ def _print(text: str, end: str = "\n") -> None:
         raise ExportError(f"cannot write standard output: {exc}") from exc
 
 
+def _refuse_overwrite(cfg: RunConfig, out: Path, docs: list[AnnotatedDoc]) -> None:
+    """Raise :class:`InputError` naming an input file that an ``out/<id>.tsv`` would replace."""
+    out_dir = out.resolve()
+    if docs and cfg.pretagged_dir and Path(cfg.pretagged_dir).resolve() == out_dir:
+        clashes = [out / f"{docs[0].letter_id}.tsv"]  # each letter was read from its own target
+    else:
+        names = {f"{doc.letter_id}.tsv" for doc in docs}
+        files = (cfg.manifest, cfg.gold, cfg.anaphora, cfg.variant_lexicon, cfg.abbreviations)
+        resolved = {file: Path(file).resolve() for file in files if file}
+        clashes = [f for f, p in resolved.items() if p.parent == out_dir and p.name in names]
+    if clashes:
+        raise InputError(f"{clashes[0]}: would be overwritten; choose another output directory")
+
+
 def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
     out = _out_dir(cfg)
     docs = _load_docs(cfg)
+    _refuse_overwrite(cfg, out, docs)
     rows: dict[Token, str] = {}  # one for all files: a token's row is formatted once
     for doc in docs:
         write_vertical(doc, out / f"{doc.letter_id}.tsv", memo=rows)

@@ -1,21 +1,20 @@
-"""Graph serialisation: GEXF, DOT, JSON and CSV, plus a text report.
+"""The file formats of a graph (GEXF, DOT, JSON and CSV) and its text report.
 
-All writers are deterministic (nodes and edges sorted, no timestamps),
-so the same graph always produces byte-identical files, and all writes
-are atomic: the target file appears complete or not at all.  The GEXF,
-DOT, JSON and CSV writers, whose files grow with the graph, hand
-:func:`~letternet.pipeline.write_atomic` their text a line or an
-element at a time, so no file is ever held whole in memory.  The writers
-share one sorted view of a graph (:class:`SortedGraph`), which a caller
-that writes several files builds once with :func:`sorted_view`; given a
-plain :class:`~letternet.network.LexicalGraph`, a writer builds the view
-itself.  JSON is written directly in ``json.dumps(..., indent=2)``
-layout, with only the lemma strings passed through the ``json``
-encoder.  The GEXF and DOT writers share one fixed style: red verbs,
-blue nouns, green adjectives and grey for every other class; red subject,
-blue object and grey co-occurrence edges; and node sizes from 10 to 60
-growing linearly with frequency.  Each format has one writer, and JSON
-one reader, :func:`import_json`.
+Every writer formats the rows of one sorted view
+(:func:`~letternet.network.sorted_view`), which fixes the order of every
+file; a caller that writes several files builds the view once, and a
+writer given a plain graph builds it itself.  So the same graph always
+gives byte-identical files, and all writes are atomic: the target file
+appears complete or not at all.  The GEXF, DOT, JSON and CSV writers
+hand :func:`~letternet.pipeline.write_atomic` their text a line or an
+element at a time, so no file is ever held whole in memory.  JSON is
+written directly in ``json.dumps(..., indent=2)`` layout, with only the
+lemma strings passed through the ``json`` encoder.  The GEXF and DOT
+writers share one fixed style: red verbs, blue nouns, green adjectives
+and grey for every other class; red subject, blue object and grey
+co-occurrence edges; and node sizes from 10 to 60 growing linearly with
+frequency.  Each format has one writer, and JSON one reader,
+:func:`import_json`.
 """
 
 from __future__ import annotations
@@ -28,17 +27,19 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator
 
-from letternet.extraction import DIRECTED_KINDS, RelationKind, node_order
+from letternet.extraction import RelationKind
 from letternet.network import (
-    Centrality,
     EdgeKey,
+    GraphLike,
     LexicalGraph,
     NodeKey,
+    SortedGraph,
     degree_scores,
     mean_sd,
     rank,
+    sorted_view,
 )
 from letternet.pipeline import (
     _POS_BY_NAME,
@@ -69,8 +70,6 @@ _NODE_COLORS = {
 _EDGE_COLORS = {"SUBJ": "#FF0000", "OBJ": "#0000FF", "COOCCUR": "#888888"}
 _NODE_RGB = {name: _viz_rgb(color) for name, color in _NODE_COLORS.items()}
 _EDGE_RGB = {name: _viz_rgb(color) for name, color in _EDGE_COLORS.items()}
-# kind -> (name, directed), as a sorted view's edge rows hold them
-_KIND_ROWS = {kind: (kind.name, kind in DIRECTED_KINDS) for kind in RelationKind}
 # what XML 1.0 cannot hold, vertical tab and form feed included, lone surrogates,
 # and tab, LF and CR, which a GEXF attribute would read back as spaces
 _UNWRITABLE_RE = re.compile(f"[\t\n\r\x0b\x0c\ud800-\udfff{_XML_UNWRITABLE}]")
@@ -85,39 +84,6 @@ def _node_size(freq: int, lo: int, hi: int) -> float:
     if hi <= lo:
         return 10.0
     return 10.0 + 50.0 * (freq - lo) / (hi - lo)
-
-
-class SortedGraph(NamedTuple):
-    """A graph's nodes and edges in file order, names as plain strings.
-
-    ``nodes`` holds (node id, lemma, class name, frequency) rows sorted
-    by lemma, then class name; the node id is "lemma::CLASS".  ``edges``
-    holds (source, target, kind name, directed, weight) rows whose
-    endpoints are positions in ``nodes``, sorted by source, target and
-    kind name, which orders them by source lemma and class, target lemma
-    and class, then kind.
-    """
-
-    nodes: list[tuple[str, str, str, int]]
-    edges: list[tuple[int, int, str, bool, int]]
-
-
-GraphLike = Union[LexicalGraph, SortedGraph]
-
-
-def sorted_view(graph: GraphLike) -> SortedGraph:
-    """Sort a graph once for every writer; a view is returned as it is."""
-    if isinstance(graph, SortedGraph):
-        return graph
-    # (lemma, class name) is unique, so the sort never compares further
-    rows = sorted((*node_order(key), freq, key) for key, freq in graph.nodes.items())
-    number = {key: i for i, (_, _, _, key) in enumerate(rows)}
-    nodes = [(f"{lemma}::{cls}", lemma, cls, freq) for lemma, cls, freq, _ in rows]
-    edges = sorted(
-        (number[src], number[dst], *_KIND_ROWS[kind], weight)
-        for (src, dst, kind), weight in graph.edges.items()
-    )
-    return SortedGraph(nodes=nodes, edges=edges)
 
 
 def _freq_range(view: SortedGraph) -> tuple[int, int]:
@@ -561,12 +527,7 @@ def stats_report(graph: GraphLike, top_n: int = 10) -> str:
         lines.append(title)
         for i in subset[:top_n]:
             lines.append(f"  {nodes[i][1]}  {nodes[i][3]}")
-    scores = degree_scores(
-        len(nodes),
-        ((src, dst, directed, weight) for src, dst, _, directed, weight in edges),
-    )
-    for measure in Centrality:
-        score = scores[measure]
+    for measure, score in degree_scores(view).items():
         lines.append(f"Top nodes by {measure.name}:")
         for i in rank(score)[:top_n]:
             _, lemma, cls, _ = nodes[i]

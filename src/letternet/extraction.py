@@ -1,10 +1,9 @@
 """Relation extraction over annotated letters.
 
 The co-occurrence rule lives with the graph that counts it
-(``network.cooccurrence_graph``); this module holds the node and edge
-keys and their canonical order, and the records of a shallow
-verb-argument heuristic that reads the nearest noun to the left of a
-verb as its subject and the nearest noun to the right as its object.
+(``network.cooccurrence_graph``); this module holds the records of a
+shallow verb-argument heuristic that reads the nearest noun to the left
+of a verb as its subject and the nearest noun to the right as its object.
 The heuristic trades parsing for robustness: early modern prose defeats
 modern parsers, while noun-verb adjacency survives the spelling.
 """
@@ -30,10 +29,6 @@ class RelationKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-NodeKey = tuple[str, PosClass]
-EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
-
-
 DIRECTED_KINDS = frozenset({RelationKind.SUBJ, RelationKind.OBJ})
 
 DEFAULT_CONTENT_CLASSES = frozenset({PosClass.NOUN, PosClass.VERB, PosClass.ADJ})
@@ -50,7 +45,7 @@ class PairRecord(NamedTuple):
     For SUBJ the source is the noun and the target the verb; for OBJ
     the source is the verb and the target the noun.  A COOCCUR record
     is unordered; graph building puts its endpoints in canonical
-    :func:`node_order`.  ``letter_id`` and ``sent_idx`` say where the
+    ``network.node_order``.  ``letter_id`` and ``sent_idx`` say where the
     instance was found.
     """
 
@@ -61,11 +56,6 @@ class PairRecord(NamedTuple):
     kind: RelationKind
     letter_id: str
     sent_idx: int
-
-
-def node_order(key: NodeKey) -> tuple[str, str]:
-    """Sort key that puts the endpoints of an undirected edge in canonical order."""
-    return (key[0], key[1]._name_)
 
 
 def _scan(

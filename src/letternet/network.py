@@ -1,11 +1,13 @@
-"""Weighted lexical graphs built from extraction output.
+"""Weighted lexical graphs built from extraction output, and their one order.
 
 Nodes are (lemma, word class) pairs weighted by corpus frequency;
 edges carry a relation kind and the number of supporting relation
 instances.  SUBJ and OBJ edges are directed, co-occurrence edges are
 not.  Graphs from single letters merge by summing weights, and two
 pruning rule families (absolute threshold, mean plus k standard
-deviations) cut them down to a readable core.
+deviations) cut them down to a readable core.  :func:`node_order`,
+lemma then class name, is the one order of nodes, and
+:func:`sorted_view` numbers a graph by it for every file and ranking.
 """
 
 from __future__ import annotations
@@ -16,20 +18,25 @@ import re
 import sys
 from collections import Counter
 from itertools import chain, combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from letternet.extraction import (
     DEFAULT_CONTENT_CLASSES,
     DEFAULT_MAX_DISTANCE,
     DIRECTED_KINDS,
-    EdgeKey,
-    NodeKey,
     PairRecord,
     RelationKind,
     extract_window_pairs,
-    node_order,
 )
-from letternet.pipeline import AnnotatedDoc, InputError
+from letternet.pipeline import _POS_BY_NAME, AnnotatedDoc, InputError, PosClass
+
+NodeKey = tuple[str, PosClass]
+EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
+
+
+def node_order(key: NodeKey) -> tuple[str, str]:
+    """Sort key of a node: lemma, then class name; unique per node."""
+    return (key[0], key[1]._name_)
 
 
 class LexicalGraph(NamedTuple):
@@ -353,6 +360,45 @@ def prune(
 
 
 # ---------------------------------------------------------------------------
+# the sorted view
+
+
+class SortedGraph(NamedTuple):
+    """A graph's nodes and edges in the order of every file and ranking.
+
+    ``nodes`` holds (node id, lemma, class name, frequency) rows in
+    :func:`node_order`; the node id is "lemma::CLASS".  ``edges`` holds
+    (source, target, kind name, directed, weight) rows whose endpoints
+    are positions in ``nodes``, sorted by source, target and kind name,
+    which orders them by source node, target node, then kind.
+    """
+
+    nodes: list[tuple[str, str, str, int]]
+    edges: list[tuple[int, int, str, bool, int]]
+
+
+GraphLike = Union[LexicalGraph, SortedGraph]
+
+# kind -> (name, directed), as a sorted view's edge rows hold them
+_KIND_ROWS = {kind: (kind.name, kind in DIRECTED_KINDS) for kind in RelationKind}
+
+
+def sorted_view(graph: GraphLike) -> SortedGraph:
+    """Sort and number a graph once for every writer and ranking; a view is kept as it is."""
+    if isinstance(graph, SortedGraph):
+        return graph
+    # (lemma, class name) is unique, so the sort never compares further
+    rows = sorted((*node_order(key), freq, key) for key, freq in graph.nodes.items())
+    number = {key: i for i, (_, _, _, key) in enumerate(rows)}
+    nodes = [(f"{lemma}::{cls}", lemma, cls, freq) for lemma, cls, freq, _ in rows]
+    edges = sorted(
+        (number[src], number[dst], *_KIND_ROWS[kind], weight)
+        for (src, dst, kind), weight in graph.edges.items()
+    )
+    return SortedGraph(nodes=nodes, edges=edges)
+
+
+# ---------------------------------------------------------------------------
 # centrality
 
 
@@ -363,21 +409,15 @@ class Centrality(enum.Enum):
     WEIGHTED_DEGREE = "WEIGHTED_DEGREE"
 
 
-def degree_scores(
-    n_nodes: int, edges: Iterable[tuple[int, int, bool, int]]
-) -> dict[Centrality, list[int]]:
-    """All four degree measures from one pass over the edges.
+def degree_scores(view: SortedGraph) -> dict[Centrality, list[int]]:
+    """All four degree measures from one pass over a sorted view's edges.
 
-    Nodes are numbered ``0 .. n_nodes - 1`` and each edge is a
-    (source, target, directed, weight) row of node numbers.  Returns one
-    score list per measure, indexed by node number, with the semantics
+    Returns one score list per measure, in :class:`Centrality` order, each
+    indexed by node position in ``view.nodes``, with the semantics
     :func:`centrality` documents.
     """
-    degree = [0] * n_nodes
-    weighted = [0] * n_nodes
-    in_degree = [0] * n_nodes
-    out_degree = [0] * n_nodes
-    for src, dst, directed, weight in edges:
+    degree, weighted, in_degree, out_degree = ([0] * len(view.nodes) for _ in range(4))
+    for src, dst, _kind, directed, weight in view.edges:
         degree[src] += 1
         degree[dst] += 1
         weighted[src] += weight
@@ -398,26 +438,16 @@ def rank(scores: Sequence[int]) -> list[int]:
     return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
 
-def centrality(
-    graph: LexicalGraph, measure: Centrality
-) -> list[tuple[NodeKey, int]]:
+def centrality(graph: GraphLike, measure: Centrality) -> list[tuple[NodeKey, int]]:
     """Rank all nodes by a degree-style measure.
 
     DEGREE counts incident edges of any kind and WEIGHTED_DEGREE sums
     their weights; both count a self-loop twice, so weighted degrees
     over the graph sum to twice the total edge weight.  IN_DEGREE and
-    OUT_DEGREE only look at directed (SUBJ, OBJ) edges.  Ties are broken
-    lexicographically by lemma, then class name, so rankings are stable.
-    The scores come from :func:`degree_scores`, the pass the stats
-    report uses as well, over the nodes numbered in that tie-break order.
+    OUT_DEGREE only look at directed (SUBJ, OBJ) edges.  Ties keep the
+    :func:`sorted_view` order, lemma then class name, so rankings are
+    stable and match the stats report's.
     """
-    keys = sorted(graph.nodes, key=node_order)
-    number = {key: i for i, key in enumerate(keys)}
-    scores = degree_scores(
-        len(keys),
-        (
-            (number[src], number[dst], kind in DIRECTED_KINDS, weight)
-            for (src, dst, kind), weight in graph.edges.items()
-        ),
-    )[measure]
-    return [(keys[i], scores[i]) for i in rank(scores)]
+    view = sorted_view(graph)
+    scores = degree_scores(view)[measure]
+    return [((view.nodes[i][1], _POS_BY_NAME[view.nodes[i][2]]), scores[i]) for i in rank(scores)]

@@ -30,7 +30,7 @@ from letternet.export import import_json
 from letternet.extraction import RelationKind
 from letternet.pipeline import Annotator, InputError, LetternetError, data_path
 
-from conftest import MANIFEST, SAMPLE_DIR, N, V, child_env
+from conftest import MANIFEST, SAMPLE_DIR, N, V, child_env, tree_bytes
 
 
 @pytest.fixture(scope="module")
@@ -988,6 +988,32 @@ def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv,
     assert fragment.format(**values) in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "escaped.tsv").exists()
+
+
+def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys):
+    # the output directory is the pretagged one, whose A.tsv holds a
+    # tagger's comment and a class that reading turns into OTHER
+    vertical = tmp_path / "vertical"
+    vertical.mkdir()
+    (vertical / "A.tsv").write_bytes(b"# tagged by hand\ntutor\ttutor\ttutor\tFOO\n")
+    # a letter whose id is "manifest" would replace the manifest listing it
+    listed = tmp_path / "listed"
+    listed.mkdir()
+    (listed / "a.txt").write_bytes((mini_corpus.parent / "a.txt").read_bytes())
+    (listed / "manifest.tsv").write_bytes(
+        MANIFEST_HEADER + b"manifest\tDury\t-\t1630\tfalse\ten\ta.txt\n"
+    )
+    for argv, root, clash in (
+        (["--pretagged-dir", str(vertical)], vertical, vertical / "A.tsv"),
+        (["--manifest", str(listed / "manifest.tsv")], listed, listed / "manifest.tsv"),
+    ):
+        before = tree_bytes(root)
+        for command in ("preprocess", "run"):
+            code, _, stderr = run_main([command, *argv, "--out", str(root)], capsys)
+            assert code == 1
+            assert f"letternet: error: {clash}: would be overwritten;" in stderr
+            assert "Traceback" not in stderr
+            assert tree_bytes(root) == before
 
 
 # Config items: a RunConfig key with a value of its own type or of any
