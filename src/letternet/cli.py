@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from letternet.corpus import load_manifest
 from letternet.export import (
@@ -67,7 +67,7 @@ log = logging.getLogger(__name__)
 CONFIG_ENV_VAR = "LETTERNET_CONFIG"
 
 # Output format -> (file name suffix, name of the exporter in this module).
-# Exporters are looked up by name when called, so a wrapper set on this
+# Exporters are looked up by name for each graph, so a wrapper set on this
 # module sees every export; files are written in this order.
 _EXPORTERS = {
     "gexf": (".gexf", "export_gexf"),
@@ -76,6 +76,7 @@ _EXPORTERS = {
     "csv": ("_edges.csv", "export_csv_edges"),
 }
 FORMATS = tuple(_EXPORTERS)
+_EVAL_REPORT = "eval_report.txt"
 MODES = ("cooccur", "pairs")
 SCOPES = ("merged", "per-letter")
 
@@ -201,7 +202,8 @@ def validate_config(cfg: RunConfig) -> None:
 # shared pipeline steps
 
 
-def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
+def _load_docs(cfg: RunConfig) -> tuple[list[AnnotatedDoc], list[Path]]:
+    """The documents to work on, and the vertical or letter files they were read from."""
     if cfg.pretagged_dir:
         paths = sorted(Path(cfg.pretagged_dir).glob("*.tsv"))
         if not paths:
@@ -214,12 +216,14 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
             variant_lexicon=cfg.variant_lexicon,
             abbreviations=cfg.abbreviations,
         )
-        docs = [annotator.annotate(letter) for letter in load_manifest(cfg.manifest)]
+        letters = load_manifest(cfg.manifest)
+        paths = [letter.path for letter in letters]
+        docs = [annotator.annotate(letter) for letter in letters]
     if cfg.anaphora:
         amap = load_anaphora(cfg.anaphora)
         _refuse_unloaded(cfg.anaphora, "rows", set(amap), docs)
         docs = [apply_anaphora(doc, amap) for doc in docs]
-    return docs
+    return docs, paths
 
 
 def _refuse_unloaded(path: str, what: str, ids: set[str], docs: list[AnnotatedDoc]) -> None:
@@ -231,16 +235,31 @@ def _refuse_unloaded(path: str, what: str, ids: set[str], docs: list[AnnotatedDo
         )
 
 
+def _groups(cfg: RunConfig, docs: list[AnnotatedDoc]) -> list[tuple[str, list[AnnotatedDoc]]]:
+    """(name, documents) of each graph: one of all documents, or one per letter."""
+    if cfg.scope == "per-letter":
+        return [(doc.letter_id, [doc]) for doc in docs]
+    return [("network", docs)]
+
+
+def _graph_files(cfg: RunConfig, name: str) -> dict[str, Callable]:
+    """File name -> writer ``(view, path)`` of each file for the graph ``name``, in order."""
+    files = {
+        name + suffix: globals()[exporter]
+        for fmt, (suffix, exporter) in _EXPORTERS.items()
+        if fmt in cfg.formats
+    }
+    files[f"{name}_stats.txt"] = lambda view, path: export_stats(view, path, cfg.top)
+    return files
+
+
 def _build_graphs(
     cfg: RunConfig, docs: list[AnnotatedDoc]
 ) -> Iterator[tuple[str, LexicalGraph]]:
     """Each (name, graph) to write, built only when the one before it is done with."""
     window = _parse_context(cfg.context)
     pruning = cfg.prune_nodes or cfg.prune_edges
-    groups = [("network", docs)]
-    if cfg.scope == "per-letter":
-        groups = [(doc.letter_id, [doc]) for doc in docs]
-    for name, group in groups:
+    for name, group in _groups(cfg, docs):
         if cfg.mode == "pairs":
             graph = pair_graph(group, cfg.max_dist, cfg.verb_blocker)
         else:
@@ -282,62 +301,83 @@ def _print(text: str, end: str = "\n") -> None:
         raise ExportError(f"cannot write standard output: {exc}") from exc
 
 
-def _refuse_overwrite(cfg: RunConfig, out: Path, docs: list[AnnotatedDoc]) -> None:
-    """Raise :class:`InputError` naming an input file that an ``out/<id>.tsv`` would replace."""
+def _refuse_overwrite(
+    cfg: RunConfig, config: str | None, read: list[Path], out: Path, names: set[str]
+) -> None:
+    """Raise :class:`InputError` naming the first input that writing ``names`` in ``out`` replaces.
+
+    The inputs are the config file, the manifest, the letter or vertical
+    files ``read`` and the side files.  Only a name that ``out`` already
+    holds can replace a file, and only an input of that name or a
+    symbolic link can be that file; so in a new output directory no
+    input is looked at.
+    """
+    try:
+        present = names.intersection(os.listdir(out))
+    except OSError:  # a directory that cannot be listed may hold any of them
+        present = names
+    if not present:
+        return
     out_dir = out.resolve()
-    if docs and cfg.pretagged_dir and Path(cfg.pretagged_dir).resolve() == out_dir:
-        clashes = [out / f"{docs[0].letter_id}.tsv"]  # each letter was read from its own target
-    else:
-        names = {f"{doc.letter_id}.tsv" for doc in docs}
-        files = (cfg.manifest, cfg.gold, cfg.anaphora, cfg.variant_lexicon, cfg.abbreviations)
-        resolved = {file: Path(file).resolve() for file in files if file}
-        clashes = [f for f, p in resolved.items() if p.parent == out_dir and p.name in names]
-    if clashes:
-        raise InputError(f"{clashes[0]}: would be overwritten; choose another output directory")
+    side_files = (cfg.gold, cfg.anaphora, cfg.variant_lexicon, cfg.abbreviations)
+    for file in (config, cfg.manifest, *read, *side_files):
+        if file and (os.path.basename(file) in present or os.path.islink(file)):
+            real = Path(file).resolve()
+            if real.parent == out_dir and real.name in present:
+                raise InputError(f"{file}: would be overwritten; choose another output directory")
 
 
-def _preprocess(cfg: RunConfig) -> tuple[Path, list[AnnotatedDoc]]:
+def _load_for_writing(
+    cfg: RunConfig, config: str | None, *, vertical: bool = False, graphs: bool = False
+) -> tuple[Path, list[AnnotatedDoc]]:
+    """The output directory and the documents, once writing the vertical
+    files (with ``vertical``) and the graphs (with ``graphs``) there is
+    sure to replace none of the files the command reads."""
     out = _out_dir(cfg)
-    docs = _load_docs(cfg)
-    _refuse_overwrite(cfg, out, docs)
+    docs, read = _load_docs(cfg)
+    names = {f"{doc.letter_id}.tsv" for doc in docs} if vertical else set()
+    if graphs:
+        names.update(file for name, _ in _groups(cfg, docs) for file in _graph_files(cfg, name))
+    _refuse_overwrite(cfg, config, read, out, names)
+    return out, docs
+
+
+def _write_vertical_files(out: Path, docs: list[AnnotatedDoc]) -> None:
     rows: dict[Token, str] = {}  # one for all files: a token's row is formatted once
     for doc in docs:
         write_vertical(doc, out / f"{doc.letter_id}.tsv", memo=rows)
     _print(f"preprocessed {len(docs)} letters -> {out}")
-    return out, docs
 
 
 def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None:
     for name, graph in _build_graphs(cfg, docs):
         view = sorted_view(graph)
-        written = []
-        for fmt, (suffix, exporter) in _EXPORTERS.items():
-            if fmt in cfg.formats:
-                path = out / f"{name}{suffix}"
-                globals()[exporter](view, path)
-                written.append(path.name)
-        stats_path = out / f"{name}_stats.txt"
-        export_stats(view, stats_path, cfg.top)
-        written.append(stats_path.name)
+        files = _graph_files(cfg, name)
+        for file, write in files.items():
+            write(view, out / file)
         _print(
             f"{name}: {graph.n_nodes} nodes, {graph.n_edges} edges "
-            f"(total weight {graph.total_weight}) -> {', '.join(written)}"
+            f"(total weight {graph.total_weight}) -> {', '.join(files)}"
         )
 
 
-def cmd_network(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    _export_network(cfg, _load_docs(cfg), out)
+def cmd_preprocess(cfg: RunConfig, config: str | None) -> None:
+    _write_vertical_files(*_load_for_writing(cfg, config, vertical=True))
 
 
-def cmd_eval(cfg: RunConfig) -> None:
+def cmd_network(cfg: RunConfig, config: str | None) -> None:
+    out, docs = _load_for_writing(cfg, config, graphs=True)
+    _export_network(cfg, docs, out)
+
+
+def cmd_eval(cfg: RunConfig, config: str | None) -> None:
     if not cfg.gold:
         raise InputError("eval needs a gold file (--gold or the gold config key)")
     gold = load_gold(cfg.gold)
     if not gold:
         raise InputError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
-    docs = _load_docs(cfg)
+    docs, read = _load_docs(cfg)
     _refuse_unloaded(cfg.gold, "triples", gold_letters, docs)
     n_sentences = {doc.letter_id: len(doc.sentences) for doc in docs}
     for t in gold:
@@ -354,28 +394,31 @@ def cmd_eval(cfg: RunConfig) -> None:
         )
     report = evaluate_pairs(records, gold)
     text = report.format()
-    _print(text)
     out = _out_dir(cfg)
-    write_atomic(out / "eval_report.txt", (text, "\n"))
+    _refuse_overwrite(cfg, config, read, out, {_EVAL_REPORT})
+    _print(text)
+    write_atomic(out / _EVAL_REPORT, (text, "\n"))
 
 
-def cmd_stats(cfg: RunConfig) -> None:
-    docs = _load_docs(cfg)
+def cmd_stats(cfg: RunConfig, config: str | None) -> None:
+    docs, _ = _load_docs(cfg)
     for name, graph in _build_graphs(cfg, docs):
         if cfg.scope == "per-letter":
             _print(f"== {name} ==")
         _print(stats_report(graph, cfg.top), end="")
 
 
-def cmd_run(cfg: RunConfig) -> None:
-    out, docs = _preprocess(cfg)
+def cmd_run(cfg: RunConfig, config: str | None) -> None:
+    out, docs = _load_for_writing(cfg, config, vertical=True, graphs=True)
+    _write_vertical_files(out, docs)
     _export_network(cfg, docs, out)
 
 
 # command -> (one-line help, handler); the one list of commands, which
-# the parser's choices, its help text and main's dispatch all read
+# the parser's choices, its help text and main's dispatch all read.  A
+# handler takes the settings and the config file they came from, if any.
 COMMANDS = {
-    "preprocess": ("annotate letters and write vertical files", _preprocess),
+    "preprocess": ("annotate letters and write vertical files", cmd_preprocess),
     "network": ("build, prune and export graphs", cmd_network),
     "eval": ("score the pair heuristic against gold triples", cmd_eval),
     "stats": ("print a graph summary", cmd_stats),
@@ -464,9 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(args: argparse.Namespace) -> str | None:
+    return args.config or os.environ.get(CONFIG_ENV_VAR)
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    config_path = _config_path(args)
     if config_path:
         cfg = cfg._replace(**load_config_file(config_path))
     overrides = {
@@ -484,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         validate_config(cfg)
-        COMMANDS[args.command][1](cfg)
+        COMMANDS[args.command][1](cfg, _config_path(args))
     except LetternetError as exc:
         print(f"letternet: error: {exc}", file=sys.stderr)
         return 1

@@ -314,6 +314,13 @@ def _is_abbreviation(text: str, dot_pos: int, abbreviations: Container[str]) -> 
     word itself is scanned, so a text's dots cost time linear in its
     length.
     """
+    # the common case, without the scan: a word of letters after a space
+    # or at the start, looked for near the dot so that dots stay linear
+    lo = max(dot_pos - 32, 0)
+    start = text.rfind(" ", lo, dot_pos) + 1 or lo
+    word = text[start:dot_pos]
+    if word.isalpha() and (not start or text[start - 1] == " "):
+        return fold(word) in abbreviations
     end = dot_pos - 1 if dot_pos and text[dot_pos - 1] == "\n" else dot_pos
     start = end
     while start and (text[start - 1].isalpha() or _is_mark(text[start - 1])):
@@ -644,14 +651,19 @@ class Annotator:
     None of this looks at a token's neighbours, so the :class:`Token` of
     each surface form, as transcribed, is memoized on the annotator and
     lives as long as it does: every occurrence of a form is the same
-    object.  Its tables must not be changed once it is made, so nothing
-    changes under the memo or the spelling folds of ``words``; a new
-    annotator starts with an empty memo.  An annotator compares by
-    identity, and pickling or copying one carries its memo along.
+    object.  No token spans white space, and a white-space chunk of a
+    sentence tokenizes alone as it does within the sentence, so the
+    tokens of each distinct chunk ("vse,", "(Mr.") are memoized too, and
+    :func:`tokenize` runs once per chunk.  Its tables must not be changed
+    once it is made, so nothing changes under the memos or the spelling
+    folds of ``words``; a new annotator starts with empty memos.  An
+    annotator compares by identity, and pickling or copying one carries
+    its memos along.
     """
 
     __slots__ = (
         "variants", "words", "exceptions", "abbreviations", "colon_boundary", "_folds", "_forms",
+        "_chunks",
     )
 
     def __init__(
@@ -669,6 +681,7 @@ class Annotator:
         self.colon_boundary = colon_boundary
         self._folds = frozenset(map(spelling_fold, words))
         self._forms: dict[str, Token] = {}
+        self._chunks: dict[str, tuple[Token, ...]] = {}
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""
@@ -691,16 +704,23 @@ class Annotator:
             lemma = lemmatize(normalized, pos, self.exceptions, self.words)
         return normalized, lemma, pos
 
+    def _token(self, surface: str) -> Token:
+        """The one :class:`Token` of a surface form."""
+        token = self._forms.get(surface)
+        if token is None:
+            token = self._forms[surface] = Token(surface, *self._resolve(surface))
+        return token
+
     def annotate_text(self, letter_id: str, text: str) -> AnnotatedDoc:
-        forms, resolve = self._forms, self._resolve
+        chunks = self._chunks
         sentences = []
         for sentence in split_sentences(text, self.abbreviations, self.colon_boundary):
             tokens = []
-            for surface in tokenize(sentence):
-                token = forms.get(surface)
-                if token is None:
-                    token = forms[surface] = Token(surface, *resolve(surface))
-                tokens.append(token)
+            for chunk in sentence.split():
+                hit = chunks.get(chunk)
+                if hit is None:
+                    hit = chunks[chunk] = tuple(map(self._token, tokenize(chunk)))
+                tokens += hit
             sentences.append(tuple(tokens))
         return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
 

@@ -26,7 +26,7 @@ from letternet.cli import (
     main,
     validate_config,
 )
-from letternet.export import import_json
+from letternet.export import import_json, validate_gexf
 from letternet.extraction import RelationKind
 from letternet.pipeline import Annotator, InputError, LetternetError, data_path
 
@@ -499,7 +499,7 @@ def test_vertical_files_of_a_run_share_one_token_per_row(mini_corpus, tmp_path, 
     vertical = tmp_path / "vertical"
     assert main(["preprocess", "--manifest", str(mini_corpus), "--out", str(vertical)]) == 0
     capsys.readouterr()
-    a, b = cli._load_docs(RunConfig(pretagged_dir=str(vertical)))
+    (a, b), _ = cli._load_docs(RunConfig(pretagged_dir=str(vertical)))
     first = {}
     for token in [*a.tokens(), *b.tokens()]:
         assert first.setdefault(token, token) is token
@@ -655,6 +655,24 @@ def test_empty_pretagged_dir_warns(tmp_path, capsys, caplog):
     code, _, _ = run_main(["stats", "--pretagged-dir", str(tmp_path)], capsys)
     assert code == 0
     assert [r.getMessage() for r in caplog.records] == [f"no vertical files in {tmp_path}"]
+
+
+def test_network_of_a_manifest_without_letters(tmp_path, capsys, caplog):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(MANIFEST_HEADER)
+    out = tmp_path / "out"
+    code, stdout, _ = run_main(["network", "--manifest", str(manifest), "--out", str(out)], capsys)
+    # a warning, then an empty graph and its report
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [f"manifest {manifest} lists no letters"]
+    assert stdout == (
+        "network: 0 nodes, 0 edges (total weight 0) -> network.gexf, network_stats.txt\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["network.gexf", "network_stats.txt"]
+    assert validate_gexf(out / "network.gexf") == (0, 0)
+    assert (out / "network_stats.txt").read_text(encoding="utf-8").startswith(
+        "Nodes: 0\nEdges: 0 (total weight 0)\n"
+    )
 
 
 # error handling
@@ -990,7 +1008,7 @@ def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv,
     assert not (tmp_path / "escaped.tsv").exists()
 
 
-def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys):
+def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys, monkeypatch):
     # the output directory is the pretagged one, whose A.tsv holds a
     # tagger's comment and a class that reading turns into OTHER
     vertical = tmp_path / "vertical"
@@ -1003,17 +1021,60 @@ def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys):
     (listed / "manifest.tsv").write_bytes(
         MANIFEST_HEADER + b"manifest\tDury\t-\t1630\tfalse\ten\ta.txt\n"
     )
-    for argv, root, clash in (
-        (["--pretagged-dir", str(vertical)], vertical, vertical / "A.tsv"),
-        (["--manifest", str(listed / "manifest.tsv")], listed, listed / "manifest.tsv"),
+    # letter L1's vertical file would replace its own transcription
+    own = tmp_path / "own"
+    own.mkdir()
+    (own / "L1.tsv").write_bytes((mini_corpus.parent / "a.txt").read_bytes())
+    (own / "m.tsv").write_bytes(MANIFEST_HEADER + b"L1\tDury\t-\t1630\tfalse\ten\tL1.tsv\n")
+    # the merged graph's JSON would replace the config file that asked for it
+    configured = tmp_path / "configured"
+    configured.mkdir()
+    (configured / "network.json").write_bytes(b'{"formats": ["json"]}')
+    config = ["--config", str(configured / "network.json"), "--manifest", str(mini_corpus)]
+    # eval's report would replace the gold file it scores against
+    graded = tmp_path / "graded"
+    graded.mkdir()
+    (graded / "eval_report.txt").write_bytes(b"A1\t0\tlove\ttutor\tchild\n")
+    gold = ["--gold", str(graded / "eval_report.txt"), "--manifest", str(mini_corpus)]
+    for argv, root, clash, commands in (
+        (["--pretagged-dir", str(vertical)], vertical, vertical / "A.tsv", ("preprocess", "run")),
+        (["--manifest", str(listed / "manifest.tsv")], listed, listed / "manifest.tsv",
+         ("preprocess", "run")),
+        (["--manifest", str(own / "m.tsv")], own, own / "L1.tsv", ("preprocess", "run")),
+        (config, configured, configured / "network.json", ("network", "run")),
+        (gold, graded, graded / "eval_report.txt", ("eval",)),
     ):
         before = tree_bytes(root)
-        for command in ("preprocess", "run"):
+        for command in commands:
             code, _, stderr = run_main([command, *argv, "--out", str(root)], capsys)
             assert code == 1
             assert f"letternet: error: {clash}: would be overwritten;" in stderr
             assert "Traceback" not in stderr
             assert tree_bytes(root) == before
+    # the same config file, named by the environment, and a letter file
+    # reached through a symbolic link
+    linked = tmp_path / "linked"
+    linked.mkdir()
+    (linked / "a.txt").symlink_to(own / "L1.tsv")
+    (linked / "m.tsv").write_bytes(MANIFEST_HEADER + b"L1\tDury\t-\t1630\tfalse\ten\ta.txt\n")
+    before = tree_bytes(own), tree_bytes(configured)
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(configured / "network.json"))
+    for argv, clash in (
+        (["network", "--manifest", str(mini_corpus), "--out", str(configured)],
+         configured / "network.json"),
+        (["preprocess", "--manifest", str(linked / "m.tsv"), "--out", str(own)], linked / "a.txt"),
+    ):
+        code, _, stderr = run_main(argv, capsys)
+        assert code == 1 and f"error: {clash}: would be overwritten;" in stderr
+    assert (tree_bytes(own), tree_bytes(configured)) == before
+
+    def unlistable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # an output directory that cannot be listed is checked name by name
+    monkeypatch.setattr(os, "listdir", unlistable)
+    code, _, stderr = run_main(argv, capsys)
+    assert code == 1 and f"error: {clash}: would be overwritten;" in stderr
 
 
 # Config items: a RunConfig key with a value of its own type or of any

@@ -225,7 +225,7 @@ def test_load_letter_with_byte_order_mark(tmp_path, annotator):
     plain.write_text(text, encoding="utf-8")
     marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
     letter = load_letter(marked, meta())
-    assert letter == load_letter(plain, meta())
+    assert letter._replace(path=plain) == load_letter(plain, meta())
     assert letter.raw_text == text
     # no U+FEFF token at index 0 to shift the positions anaphora tables use
     assert annotator.annotate(letter) == annotator.annotate(load_letter(plain, meta()))
@@ -361,6 +361,16 @@ def test_load_manifest_skips_comments_and_blank_lines(tmp_path):
     (letter,) = load_manifest(p)
     assert letter.meta.letter_id == "A"
     assert letter.meta.year_uncertain
+
+
+def test_load_manifest_without_letters_warns(tmp_path, caplog):
+    p = tmp_path / "m.tsv"
+    p.write_text(
+        "letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\n", encoding="utf-8"
+    )
+    with caplog.at_level(logging.WARNING, logger="letternet.corpus"):
+        assert load_manifest(p) == []
+    assert [r.getMessage() for r in caplog.records] == [f"manifest {p} lists no letters"]
 
 
 def test_load_manifest_not_found(tmp_path):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from letternet import pipeline
 from letternet.pipeline import (
     AnnotatedDoc,
     Annotator,
@@ -131,10 +132,12 @@ _SPLIT_ABBREVIATIONS = ["Mr", "mrs", "Dr", "St", "ſt", "viz", "No", "cf", "Mess
 # Each chunk is a word, maybe a newline, terminators or closers, and a gap;
 # "Goſp" and "Sté" (in either normal form) are abbreviations only where a
 # test adds "gosp" and "sté", and a lone combining mark belongs to no word.
+# A bracket, no-break space or tab right before a word is no plain space.
 _SPLIT_CHUNKS = st.tuples(
     st.sampled_from(
         _SPLIT_ABBREVIATIONS
         + ["Goſp", "word", "Hartlib", "é", "café", "x", "", "Sté", "Ste\u0301", "\u0301", "1\u0301"]
+        + ["(Mr", "(word", "\u00a0Dr", "\tviz", "(\u00a0St"]
     ),
     st.sampled_from(["", "", "\n", " "]),
     st.sampled_from([".", ".", ".", "...", "..", "?!", "!", "?", ":", ".)", ".'", "”", ""]),
@@ -167,8 +170,19 @@ def test_split_abbreviation_edges(bundled_abbreviations):
     # a mark that follows no letter is a token of its own, not part of "Mr"
     text = "\u0301Mr. Hartlib wrote."
     assert split_sentences(text, abbreviations) == [text]
-    for text in ["\n. x", ". x", "Mr.", "1\u0301Mr. x", "\u0301\u0301. x"]:
+    edges = ["\n. x", ". x", "Mr.", "1\u0301Mr. x", "\u0301\u0301. x", "(Mr. x", "y\u00a0Dr. x"]
+    for text in edges:
         assert split_sentences(text, abbreviations) == ref_split_sentences(text, abbreviations)
+    assert split_sentences("(Mr. Hartlib wrote.\tviz. he came.", abbreviations) == [
+        "(Mr. Hartlib wrote.", "viz. he came."
+    ]
+    # only a word after a space or at the start is read without the scan,
+    # which finds a word longer than the stretch before the dot looked at
+    long_word = "a" * 40
+    for text in [f"b{long_word}. x", f"{long_word}. x", f"x {long_word}. x", f"\n{long_word}. x"]:
+        for extra in (long_word, long_word[:32], long_word[:31]):
+            got = split_sentences(text, {extra})
+            assert got == ref_split_sentences(text, {extra})
 
 
 # tokenization
@@ -283,6 +297,24 @@ _ASCII_TOKEN_CHARS = st.sampled_from(
 @example("don't 'tis o'th' x'' a.. 1630s \x1cb\x1f")
 def test_ascii_tokenize_matches_unicode_rule(sentence):
     assert tokenize(sentence) == _TOKEN_RE.findall(sentence)
+
+
+# characters that change the rule (a combining mark, numerals that are
+# not digits, a digit of another script, the curly apostrophe) and white
+# space that is not " " (no-break, thin and ideographic spaces, the
+# separators \x1c-\x1f, tab and newline)
+_CHUNK_PIECES = st.sampled_from(
+    ["\u0301", "²", "½", "٣", "’", "\u00a0", "\u2009", "\u3000",
+     "\x1c", "\x1d", "\x1e", "\x1f", "\t", "\n", " ", "a", "é", "'", ".."]
+)
+
+
+@given(st.lists(_CHUNK_PIECES | st.text(max_size=4), max_size=20).map("".join))
+@example("x² ½a cafe\u0301\u00a0do’t\x1c٣4 ..\u3000.")
+def test_white_space_chunks_tokenize_as_the_whole(text):
+    # what the annotator's chunk memo rests on: no token spans white
+    # space, and a chunk tokenizes alone as it does within its sentence
+    assert [t for chunk in text.split() for t in tokenize(chunk)] == tokenize(text)
 
 
 # variant lexicon and spelling modernization
@@ -768,6 +800,8 @@ _ANNOTATION_PIECES = st.one_of(
         ["vse", "Vse", "moue", "ioy", "loue", "Tutour", "tutour", "TUTOUR", "doth", "the",
          "&", "&c", "5", "1630", ".", ".", "..", "...", "'", "'s", "don't", "Mr.", "viz.",
          "é", ",", ":", "?", "!", " ", " ", " ", "\n"]
+        + ["vse,", "(Mr.", "café.", "ſaid;", "\u0301", "²", "½", "٣", "’", "\u00a0",
+           "\u2009", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\t"]
     ),
     st.text(alphabet="aeiouvjbrstlnAV", min_size=1, max_size=8),
 )
@@ -782,6 +816,24 @@ def test_memo_matches_uncached_annotation(shared_annotators, texts):
                 letter_id = f"L{i}"
                 expected = ref_annotate_text(annotator, letter_id, text)
                 assert annotator.annotate_text(letter_id, text) == expected
+
+
+def test_each_chunk_is_tokenized_once_per_annotator(monkeypatch):
+    calls = []
+
+    def counting(chunk):
+        calls.append(chunk)
+        return tokenize(chunk)
+
+    monkeypatch.setattr(pipeline, "tokenize", counting)
+    annotator = default_annotator()
+    # chunks apart by a tab, a newline and two spaces, some of them twice
+    text = "I vse it,\tvse it.\nVse it;  the Tutour doth vse it."
+    first = annotator.annotate_text("T", text)
+    assert sorted(calls) == sorted(set(text.split()))
+    calls.clear()
+    assert annotator.annotate_text("T", text) == first
+    assert calls == []
 
 
 def test_annotators_keep_their_own_memo(tmp_path):

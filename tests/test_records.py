@@ -10,6 +10,7 @@ record: it compares by identity.
 import copy
 import pickle
 import re
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,7 @@ def _instances():
     return {
         "RunConfig": RunConfig(manifest="m.tsv", formats=("gexf", "json")),
         "LetterMeta": meta,
-        "Letter": Letter(meta, "raw", "clean"),
+        "Letter": Letter(meta, "raw", "clean", Path("a.txt")),
         "PairRecord": PairRecord("man", N, "see", PosClass.VERB, RelationKind.SUBJ, "A", 0),
         "GoldTriple": GoldTriple("A", 0, "see", "man", None),
         "Scores": scores,
@@ -103,6 +104,7 @@ def test_annotator_clone_annotates_alike():
     for clone in (pickle.loads(pickle.dumps(annotator)), copy.deepcopy(annotator)):
         assert clone.annotate_text("T", text) == before
         assert clone._forms.keys() == annotator._forms.keys()
+        assert clone._chunks.keys() == annotator._chunks.keys()
 
 
 def test_annotated_doc_length_counts_tokens():
