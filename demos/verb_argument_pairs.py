@@ -14,9 +14,10 @@ from letternet import (
     evaluate_pairs,
     extract_window_pairs,
     load_anaphora,
+    load_gold,
     load_manifest,
 )
-from letternet.extraction import RelationKind, load_gold
+from letternet.extraction import RelationKind
 from letternet.pipeline import data_path
 
 SAMPLE = data_path("sample_corpus")

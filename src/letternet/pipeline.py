@@ -16,7 +16,6 @@ token).
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import os
 import re
@@ -61,8 +60,6 @@ _CLOSERS = "'’\"”)"
 # GEXF file that is not well-formed.  A letter may hold vertical tabs and
 # form feeds, which cleaning turns into spaces; other inputs may not.
 _XML_UNWRITABLE = "\x00-\x08\x0e-\x1f\ufffe\uffff"
-_LETTER_CONTROL_RE = re.compile(f"[{_XML_UNWRITABLE}]")
-_CONTROL_RE = re.compile(f"[\x0b\x0c{_XML_UNWRITABLE}]")
 # The same characters in UTF-8: each C0 control is its own byte, which
 # no other character's encoding holds, and U+FFFE and U+FFFF are
 # EF BF BE and EF BF BF.
@@ -125,12 +122,13 @@ def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
         raise InputError(f"cannot read {name}: not valid UTF-8 (byte offset {offset})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # the regex only looks for the first one when the bytes hold one
+    # the regex, compiled only then, looks for the first one when the bytes hold one
     controls = _LETTER_CONTROL_BYTES if letter else _CONTROL_BYTES
     if len(data.translate(None, controls)) < len(data) or (
         b"\xef" in data and (b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data)
     ):
-        bad = (_LETTER_CONTROL_RE if letter else _CONTROL_RE).search(text)
+        feeds = "" if letter else "\x0b\x0c"
+        bad = re.search(f"[{feeds}{_XML_UNWRITABLE}]", text)
         lineno = text.count("\n", 0, bad.start()) + 1
         code = ord(bad.group())
         kind = "noncharacter" if code > 0xFFFD else "control character"
@@ -169,6 +167,8 @@ def read_json(path: str | Path, what: str):
     Invalid JSON, and JSON nested deeper than the parser can go, raise
     :class:`InputError` naming the file.
     """
+    import json
+
     p = Path(path)
     try:
         return json.loads(read_input(p, what))

@@ -22,10 +22,12 @@ from letternet import (
     token_frequencies,
 )
 from letternet.cli import main
-from letternet.export import export_gexf, export_json, import_json, validate_gexf
-from letternet.extraction import RelationKind, load_anaphora
+from letternet.evaluation import load_anaphora
+from letternet.export import export_gexf, export_json
+from letternet.extraction import RelationKind
 from letternet.network import Centrality, centrality, prune
 from letternet.pipeline import PosClass, lemmatize
+from letternet.readback import import_json, validate_gexf
 
 from conftest import MANIFEST, SAMPLE_DIR, mk_doc, N, V
 from test_extraction import brute_force_pairs

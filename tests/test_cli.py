@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import letternet
-from letternet import cli, corpus, export, extraction, network, pipeline
+from letternet import cli, corpus, evaluation, export, extraction, network, pipeline, readback
 from letternet.cli import (
     CONFIG_ENV_VAR,
     RunConfig,
@@ -26,9 +26,9 @@ from letternet.cli import (
     main,
     validate_config,
 )
-from letternet.export import import_json, validate_gexf
 from letternet.extraction import RelationKind
 from letternet.pipeline import Annotator, InputError, LetternetError, data_path
+from letternet.readback import import_json, validate_gexf
 
 from conftest import MANIFEST, SAMPLE_DIR, N, V, child_env, tree_bytes
 
@@ -1131,7 +1131,7 @@ def test_random_config_never_raises(mini_corpus, command, config):
 def test_every_error_class_is_a_letternet_error():
     # cli.main reports exactly the LetternetErrors, so an error class
     # outside that family would end in a traceback
-    modules = [pipeline, corpus, extraction, network, export, cli]
+    modules = [pipeline, corpus, extraction, evaluation, network, export, readback, cli]
     classes = [
         obj
         for module in modules
@@ -1165,6 +1165,37 @@ def test_public_names_of_the_package():
         "merge_graphs", "pair_graph", "prune", "split_sentences", "stats_report",
         "token_frequencies", "tokenize", "validate_gexf", "write_vertical",
     ]
+    assert len(names) == 40
+
+
+def test_public_names_import_in_a_fresh_interpreter(tmp_path):
+    # The package resolves its names on first use, so every name must import
+    # in an interpreter that starts with none of letternet's modules loaded.
+    # perfbench's output check (perfbench/gate.py) imports GEXF validation
+    # from letternet.export, which answers for letternet.readback.
+    names = [name for name in dir(letternet) if not name.startswith("_")]
+    code = (
+        f"for name in {names!r}:\n"
+        "    exec(f'from letternet import {name}', {})\n"
+        "from letternet.export import validate_gexf, GexfValidationError\n"
+        "from letternet import readback\n"
+        "assert validate_gexf is readback.validate_gexf\n"
+        "assert GexfValidationError is readback.GexfValidationError\n"
+        "try:\n"
+        "    from letternet import no_such_name\n"
+        "except ImportError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "letternet\n"
     assert len(names) == 40
 
 
@@ -1274,16 +1305,19 @@ def cold_start_modules(tmp_path_factory):
     # (importlib.resources and tempfile among them), and the guards would
     # then test the host instead of letternet.  -I would also drop
     # PYTHONPATH.  Without site-packages, an import of numpy fails the child.
+    # The child takes its list before it imports json itself, to print.
     modules = [
         "numpy", "dataclasses", "inspect", "statistics", "xml.etree.ElementTree", "unicodedata",
-        "importlib.resources", "tempfile",
+        "importlib.resources", "tempfile", "csv", "json", "letternet.evaluation",
+        "letternet.readback",
     ]
     code = (
-        "import gc, json, sys, letternet.cli\n"
+        "import gc, sys, letternet.cli\n"
         "from letternet.pipeline import default_annotator\n"
         "doc = default_annotator().annotate_text('A', 'The Tutour doth vse it. Mr. Dury came.')\n"
         "assert (len(doc.sentences), len(doc)) == (2, 11), doc\n"
         f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
+        "import json\n"
         "print(json.dumps({'loaded': loaded, 'frozen': gc.get_freeze_count()}))"
     )
     result = subprocess.run(
@@ -1306,8 +1340,26 @@ def test_cli_import_skips_slow_standard_modules(cold_start_modules):
     # dataclasses pulls in inspect, statistics, fractions and decimal;
     # ElementTree pulls in pyexpat; ASCII text never needs unicodedata; and
     # importlib.resources pulls in tempfile, shutil, random and bz2.  A cold
-    # start would pay for each, and no command uses them.
+    # start would pay for each, and no command uses them.  csv and json load
+    # only to write or read their format, and the gold, anaphora and
+    # read-back code only for eval, --anaphora and library callers.
     assert [m for m in cold_start_modules["loaded"] if m != "numpy"] == []
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    # letternet's names resolve on first use, so importing the package
+    # compiles none of its modules
+    code = "import sys, letternet\nprint(sorted(m for m in sys.modules if m.startswith('letternet.')))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_cli_import_freezes_nothing(cold_start_modules):

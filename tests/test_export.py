@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from letternet.export import (
-    GexfValidationError,
     _distribution_line,
     _node_size,
     export_csv_edges,
@@ -22,15 +21,14 @@ from letternet.export import (
     export_gexf,
     export_json,
     export_stats,
-    import_json,
     stats_report,
-    validate_gexf,
 )
 from letternet.extraction import DIRECTED_KINDS, RelationKind
 from letternet.network import (
     Centrality, LexicalGraph, centrality, mean_sd, node_order, sorted_view,
 )
 from letternet.pipeline import ExportError, InputError, PosClass
+from letternet.readback import GexfValidationError, import_json, validate_gexf
 
 from conftest import N, V
 

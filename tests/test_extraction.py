@@ -5,16 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from letternet.extraction import (
+from letternet.evaluation import (
     GoldTriple,
-    PairRecord,
-    RelationKind,
     apply_anaphora,
     evaluate_pairs,
-    extract_window_pairs,
     load_anaphora,
     load_gold,
 )
+from letternet.extraction import PairRecord, RelationKind, extract_window_pairs
 from letternet.network import (
     build_graph, cooccurrence_graph, extract_cooccurrences, merge_graphs, token_frequencies,
 )

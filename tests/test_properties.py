@@ -19,8 +19,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from letternet.cli import main
-from letternet.export import import_json
 from letternet.network import LexicalGraph, merge_graphs
+from letternet.readback import import_json
 
 from conftest import MANIFEST, SAMPLE_DIR
 

@@ -16,9 +16,8 @@ import pytest
 
 from letternet.cli import RunConfig
 from letternet.corpus import Letter, LetterMeta, load_manifest
-from letternet.extraction import (
-    EvalReport, GoldTriple, PairRecord, RelationKind, Scores, load_gold,
-)
+from letternet.evaluation import EvalReport, GoldTriple, Scores, load_gold
+from letternet.extraction import PairRecord, RelationKind
 from letternet.network import LexicalGraph
 from letternet.pipeline import (
     AnnotatedDoc,

@@ -18,6 +18,8 @@ def dead_bindings(source: str) -> list[str]:
     Checked are imports, except one whose line carries ``noqa``, and
     ``_``-private or ``log`` bindings.  A read is a loaded name, or a
     string equal to the name, as for a function looked up by its name.
+    A ``__dunder__`` binding, such as a module's ``__getattr__``, is read
+    by the interpreter and never checked.
     """
     tree = ast.parse(source)
     lines = source.splitlines()
@@ -44,7 +46,12 @@ def dead_bindings(source: str) -> list[str]:
             names = [node.target.id]
         else:
             continue
-        bound += [(name, node.lineno) for name in names if name.startswith("_") or name == "log"]
+        bound += [
+            (name, node.lineno)
+            for name in names
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            or name == "log"
+        ]
     return [f"line {line}: {name}" for name, line in bound if name not in reads]
 
 
@@ -64,6 +71,8 @@ def test_dead_bindings_finds_each_kind():
         "def _helper():\n"
         "    return dumps\n"
         "PUBLIC = 1\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
     )
     assert dead_bindings(source) == [
         "line 2: os", "line 5: log", "line 6: _TABLE", "line 7: _helper"
