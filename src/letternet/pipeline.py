@@ -49,9 +49,6 @@ class PosClass(enum.Enum):
 _POS_BY_NAME = {pos.name: pos for pos in PosClass}
 
 _VOWELS = "aeiou"
-# Runs of sentence terminators, without and with the colon.
-_TERMINATORS_RE = re.compile(r"[.!?]+")
-_TERMINATORS_COLON_RE = re.compile(r"[.!?:]+")
 _CLOSERS = "'’\"”)"
 
 # What XML 1.0 cannot hold, as a regex class body, less the vertical tab
@@ -305,30 +302,23 @@ def fold(text: str) -> str:
     return normalize("NFC", text.casefold())
 
 
-def _is_abbreviation(text: str, dot_pos: int, abbreviations: Container[str]) -> bool:
-    """Whether the word that ends at ``dot_pos`` is an abbreviation.
-
-    The word is the run of letters (``str.isalpha``), each followed by
-    any combining marks, as :func:`tokenize` takes them, before the dot
-    or before a newline at ``dot_pos - 1``, and it is folded.  Only the
-    word itself is scanned, so a text's dots cost time linear in its
-    length.
-    """
-    # the common case, without the scan: a word of letters after a space
-    # or at the start, looked for near the dot so that dots stay linear
-    lo = max(dot_pos - 32, 0)
-    start = text.rfind(" ", lo, dot_pos) + 1 or lo
-    word = text[start:dot_pos]
-    if word.isalpha() and (not start or text[start - 1] == " "):
-        return fold(word) in abbreviations
-    end = dot_pos - 1 if dot_pos and text[dot_pos - 1] == "\n" else dot_pos
-    start = end
-    while start and (text[start - 1].isalpha() or _is_mark(text[start - 1])):
+def _ends_sentence(chunk: str, abbreviations: Container[str], colon_boundary: bool) -> bool:
+    """Whether a white-space chunk ends a sentence, as :func:`split_sentences` says."""
+    body = chunk.rstrip(_CLOSERS)
+    terminators = ".!?:" if colon_boundary else ".!?"
+    if not body or body[-1] not in terminators:
+        return False
+    # a "." with no closer after it may close an abbreviation; in a run of
+    # terminators no letter stands right before the last one
+    if body[-1] != "." or len(chunk) > len(body):
+        return True
+    start = end = len(body) - 1
+    while start and (body[start - 1].isalpha() or _is_mark(body[start - 1])):
         start -= 1
     # a mark that follows no letter stands alone, as in tokenize
-    while start < end and not text[start].isalpha():
+    while start < end and not body[start].isalpha():
         start += 1
-    return start < end and fold(text[start:end]) in abbreviations
+    return start == end or fold(body[start:end]) not in abbreviations
 
 
 def split_sentences(
@@ -336,38 +326,31 @@ def split_sentences(
 ) -> list[str]:
     """Split cleaned text into sentences.
 
-    Boundaries fall after ".", "!" and "?" (plus ":" with
-    ``colon_boundary``, which helps on period texts that chain clauses
-    with ":" where a modern writer would end the sentence) followed by
-    whitespace or end of text; runs like "..." or "?!" count once, and
-    closing quotes attach to the sentence they end.  A "." right after
-    one of the :func:`fold`-ed words in ``abbreviations`` never ends a
-    sentence.  Text without a final terminator still yields its last
-    sentence.  The pieces cover every non-whitespace character of the
-    input in order.
+    A sentence ends only where a white-space chunk (a run of characters
+    that are not white space, as ``str.split`` gives them) ends, and it
+    ends there when the chunk, less its trailing closing quotes and ")",
+    ends in ".", "!" or "?" (plus ":" with ``colon_boundary``, which
+    helps on period texts that chain clauses with ":" where a modern
+    writer would end the sentence).  So a run like "..." or "?!" counts
+    once, and closers attach to the sentence they end.  The one exception
+    is a lone "." (a run of one "." with no closer after it) after
+    letters of its chunk, each with the combining marks that follow it,
+    that :func:`fold` to one of ``abbreviations``: "Mr." ends no
+    sentence, but "Mr.)" and "Mr.." do.  Text without a final terminator
+    still yields its last sentence.  A sentence runs from its first chunk
+    to its last, so the pieces cover every non-white-space character of
+    the input in order.
     """
-    find = (_TERMINATORS_COLON_RE if colon_boundary else _TERMINATORS_RE).search
     sentences: list[str] = []
-    start = 0
-    n = len(text)
-    run = find(text)
-    while run:
-        i, j = run.span()
-        while j < n and text[j] in _CLOSERS:
-            j += 1
-        if (j >= n or text[j].isspace()) and not (
-            j == i + 1 and text[i] == "." and _is_abbreviation(text, i, abbreviations)
-        ):
-            piece = text[start:j].strip()
-            if piece:
-                sentences.append(piece)
-            start = j
-            run = find(text, j)
-        else:
-            run = find(text, i + 1)
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
+    start = None
+    for chunk in re.finditer(r"\S+", text):
+        if start is None:
+            start = chunk.start()
+        if _ends_sentence(chunk.group(), abbreviations, colon_boundary):
+            sentences.append(text[start:chunk.end()])
+            start = None
+    if start is not None:
+        sentences.append(text[start:].rstrip())
     return sentences
 
 
@@ -644,21 +627,23 @@ class Annotator:
     The annotator is its tables, keyed by :func:`fold`-ed words as
     :func:`load_variants`, :func:`load_word_classes` and
     :func:`load_lemma_exceptions` return them, and the
-    :func:`split_sentences` options.  Punctuation, numbers and "&" are classed directly.  For a
-    word the variant lexicon wins where it has an entry (and may force
-    class and lemma); everything else goes through spelling
-    modernisation against ``words``, :func:`tag` and :func:`lemmatize`.
-    None of this looks at a token's neighbours, so the :class:`Token` of
-    each surface form, as transcribed, is memoized on the annotator and
-    lives as long as it does: every occurrence of a form is the same
-    object.  No token spans white space, and a white-space chunk of a
-    sentence tokenizes alone as it does within the sentence, so the
-    tokens of each distinct chunk ("vse,", "(Mr.") are memoized too, and
-    :func:`tokenize` runs once per chunk.  Its tables must not be changed
-    once it is made, so nothing changes under the memos or the spelling
-    folds of ``words``; a new annotator starts with empty memos.  An
-    annotator compares by identity, and pickling or copying one carries
-    its memos along.
+    :func:`split_sentences` options.  Punctuation, numbers and "&" are
+    classed directly.  For a word the variant lexicon wins where it has
+    an entry (and may force class and lemma); everything else goes
+    through spelling modernisation against ``words``, :func:`tag` and
+    :func:`lemmatize`.  None of this looks at a token's neighbours, so
+    the :class:`Token` of each surface form, as transcribed, is memoized
+    on the annotator and lives as long as it does: every occurrence of a
+    form is the same object.  No token spans white space, a white-space
+    chunk tokenizes alone as it does within its text, and whether a
+    sentence ends at a chunk depends on the chunk alone; so each distinct
+    chunk ("vse,", "(Mr.") is memoized too, with its tokens and whether
+    it ends a sentence, and :func:`tokenize` and that rule run once per
+    chunk.  The memos and the spelling folds of ``words`` depend on all
+    five fields, so these are fixed once the annotator is made: to change
+    a table or an option, make a new annotator, which starts with empty
+    memos.  An annotator compares by identity, and pickling or copying
+    one carries its memos along.
     """
 
     __slots__ = (
@@ -681,7 +666,7 @@ class Annotator:
         self.colon_boundary = colon_boundary
         self._folds = frozenset(map(spelling_fold, words))
         self._forms: dict[str, Token] = {}
-        self._chunks: dict[str, tuple[Token, ...]] = {}
+        self._chunks: dict[str, tuple[tuple[Token, ...], bool]] = {}
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""
@@ -712,15 +697,26 @@ class Annotator:
         return token
 
     def annotate_text(self, letter_id: str, text: str) -> AnnotatedDoc:
+        """The annotated sentences of ``text``, in one pass over its white-space chunks.
+
+        Sentences end as :func:`split_sentences` ends them, with the
+        annotator's ``abbreviations`` and ``colon_boundary``.
+        """
         chunks = self._chunks
         sentences = []
-        for sentence in split_sentences(text, self.abbreviations, self.colon_boundary):
-            tokens = []
-            for chunk in sentence.split():
-                hit = chunks.get(chunk)
-                if hit is None:
-                    hit = chunks[chunk] = tuple(map(self._token, tokenize(chunk)))
-                tokens += hit
+        tokens: list[Token] = []
+        for chunk in text.split():
+            hit = chunks.get(chunk)
+            if hit is None:
+                hit = chunks[chunk] = (
+                    tuple(map(self._token, tokenize(chunk))),
+                    _ends_sentence(chunk, self.abbreviations, self.colon_boundary),
+                )
+            tokens += hit[0]
+            if hit[1]:
+                sentences.append(tuple(tokens))
+                tokens = []
+        if tokens:
             sentences.append(tuple(tokens))
         return AnnotatedDoc(letter_id=letter_id, sentences=tuple(sentences))
 

@@ -88,9 +88,9 @@ def test_split_empty():
 
 def ref_is_abbreviation(text, dot_pos, abbreviations):
     # the word is the run of letters, each followed by any combining marks,
-    # before the dot, or before a newline there
+    # right before the dot
     word = ""
-    for ch in text[:dot_pos].removesuffix("\n"):
+    for ch in text[:dot_pos]:
         if ch.isalpha() or (word and unicodedata.category(ch).startswith("M")):
             word += ch
         else:
@@ -152,6 +152,7 @@ def bundled_abbreviations():
     return abbreviations
 
 
+@settings(max_examples=500, deadline=None)
 @given(st.lists(_SPLIT_CHUNKS, max_size=12).map("".join))
 def test_split_matches_reference(bundled_abbreviations, text):
     for colon in (False, True):
@@ -163,8 +164,8 @@ def test_split_matches_reference(bundled_abbreviations, text):
 
 def test_split_abbreviation_edges(bundled_abbreviations):
     abbreviations = bundled_abbreviations
-    # the word may end just before a newline at the dot, so "Mr\n." is still "Mr."
-    assert split_sentences("Mr\n. Hartlib wrote.", abbreviations) == ["Mr\n. Hartlib wrote."]
+    # white space between the word and the dot makes the dot a chunk of its own
+    assert split_sentences("Mr\n. Hartlib wrote.", abbreviations) == ["Mr\n.", "Hartlib wrote."]
     # the word before the dot is all of "Sté", which is no abbreviation
     assert split_sentences("Sté. Amand. No. 5.", abbreviations) == ["Sté.", "Amand.", "No. 5."]
     # a mark that follows no letter is a token of its own, not part of "Mr"
@@ -176,8 +177,7 @@ def test_split_abbreviation_edges(bundled_abbreviations):
     assert split_sentences("(Mr. Hartlib wrote.\tviz. he came.", abbreviations) == [
         "(Mr. Hartlib wrote.", "viz. he came."
     ]
-    # only a word after a space or at the start is read without the scan,
-    # which finds a word longer than the stretch before the dot looked at
+    # a long word before the dot, whole or after a letter, a space or a newline
     long_word = "a" * 40
     for text in [f"b{long_word}. x", f"{long_word}. x", f"x {long_word}. x", f"\n{long_word}. x"]:
         for extra in (long_word, long_word[:32], long_word[:31]):
@@ -809,6 +809,10 @@ _ANNOTATION_TEXTS = st.lists(_ANNOTATION_PIECES, max_size=30).map("".join)
 
 
 @given(st.lists(_ANNOTATION_TEXTS, min_size=1, max_size=4))
+@example(["First this: and then: that."])
+@example(["He came (Mr.) then. Mr. Dury (Mr. came."])
+@example(["The st\n. Amand st. came."])
+@example([("vse," * 50)[:-1] + ". Mr." + ("vse," * 50)[:-1] + "."])
 def test_memo_matches_uncached_annotation(shared_annotators, texts):
     for annotator in shared_annotators:
         for _ in range(2):
@@ -819,21 +823,29 @@ def test_memo_matches_uncached_annotation(shared_annotators, texts):
 
 
 def test_each_chunk_is_tokenized_once_per_annotator(monkeypatch):
-    calls = []
+    calls = {"tokenize": [], "_ends_sentence": []}
 
-    def counting(chunk):
-        calls.append(chunk)
-        return tokenize(chunk)
+    def counting(name):
+        rule = getattr(pipeline, name)
 
-    monkeypatch.setattr(pipeline, "tokenize", counting)
+        def counted(chunk, *args):
+            calls[name].append(chunk)
+            return rule(chunk, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
     annotator = default_annotator()
     # chunks apart by a tab, a newline and two spaces, some of them twice
     text = "I vse it,\tvse it.\nVse it;  the Tutour doth vse it."
     first = annotator.annotate_text("T", text)
-    assert sorted(calls) == sorted(set(text.split()))
-    calls.clear()
+    assert len(first.sentences) == 2
+    for chunks in calls.values():
+        assert sorted(chunks) == sorted(set(text.split()))
+        chunks.clear()
     assert annotator.annotate_text("T", text) == first
-    assert calls == []
+    assert calls == {"tokenize": [], "_ends_sentence": []}
 
 
 def test_annotators_keep_their_own_memo(tmp_path):
@@ -846,6 +858,19 @@ def test_annotators_keep_their_own_memo(tmp_path):
     assert other == ref_annotate_text(b, "T", text)
     assert [t.lemma for t in first.tokens() if t.surface.lower() == "vse"] == ["use", "use"]
     assert [t.lemma for t in other.tokens() if t.surface.lower() == "vse"] == ["vouch", "vouch"]
+    # a chunk's memo entry also holds whether it ends a sentence, which the
+    # options decide; one pair differs in colon_boundary, one in abbreviations
+    text = "Mr. Dury came: he wrote. St. Amand read: Mr. Hartlib came."
+    tables = a.variants, a.words, a.exceptions
+    pairs = [
+        (default_annotator(), default_annotator(colon_boundary=True)),
+        (Annotator(*tables, a.abbreviations), Annotator(*tables, a.abbreviations - {"mr"})),
+    ]
+    for pair in pairs:
+        docs = [(ann, ann.annotate_text("T", text)) for ann in pair + pair]
+        for ann, doc in docs:
+            assert doc == ref_annotate_text(ann, "T", text)
+        assert docs[0][1] != docs[1][1]
 
 
 def test_one_token_per_form():
