@@ -36,6 +36,7 @@ from letternet.network import (
     sorted_view,
     token_frequencies,  # noqa: F401  bound for the benchmark tracer
 )
+from letternet import pipeline
 from letternet.pipeline import (
     AnnotatedDoc,
     ExportError,
@@ -198,8 +199,8 @@ def validate_config(cfg: RunConfig) -> None:
 # shared pipeline steps
 
 
-def _load_docs(cfg: RunConfig) -> tuple[list[AnnotatedDoc], list[Path]]:
-    """The documents to work on, and the vertical or letter files they were read from."""
+def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
+    """The documents to work on: the vertical files, or the manifest's letters annotated."""
     if cfg.pretagged_dir:
         paths = sorted(Path(cfg.pretagged_dir).glob("*.tsv"))
         if not paths:
@@ -213,7 +214,6 @@ def _load_docs(cfg: RunConfig) -> tuple[list[AnnotatedDoc], list[Path]]:
             abbreviations=cfg.abbreviations,
         )
         letters = load_manifest(cfg.manifest)
-        paths = [letter.path for letter in letters]
         docs = [annotator.annotate(letter) for letter in letters]
     if cfg.anaphora:
         from letternet.evaluation import apply_anaphora, load_anaphora
@@ -221,7 +221,7 @@ def _load_docs(cfg: RunConfig) -> tuple[list[AnnotatedDoc], list[Path]]:
         amap = load_anaphora(cfg.anaphora)
         _refuse_unloaded(cfg.anaphora, "rows", set(amap), docs)
         docs = [apply_anaphora(doc, amap) for doc in docs]
-    return docs, paths
+    return docs
 
 
 def _refuse_unloaded(path: str, what: str, ids: set[str], docs: list[AnnotatedDoc]) -> None:
@@ -299,16 +299,14 @@ def _print(text: str, end: str = "\n") -> None:
         raise ExportError(f"cannot write standard output: {exc}") from exc
 
 
-def _refuse_overwrite(
-    cfg: RunConfig, config: str | None, read: list[Path], out: Path, names: set[str]
-) -> None:
+def _refuse_overwrite(out: Path, names: set[str]) -> None:
     """Raise :class:`InputError` naming the first input that writing ``names`` in ``out`` replaces.
 
-    The inputs are the config file, the manifest, the letter or vertical
-    files ``read`` and the side files.  Only a name that ``out`` already
-    holds can replace a file, and only an input of that name or a
-    symbolic link can be that file; so in a new output directory no
-    input is looked at.
+    The inputs are the files the command has read so far, as
+    :func:`~letternet.pipeline.read_input` recorded them.  Only a name
+    that ``out`` already holds can replace a file, and only an input of
+    that name or a symbolic link can be that file; so in a new output
+    directory no input is looked at.
     """
     try:
         present = names.intersection(os.listdir(out))
@@ -317,26 +315,25 @@ def _refuse_overwrite(
     if not present:
         return
     out_dir = out.resolve()
-    side_files = (cfg.gold, cfg.anaphora, cfg.variant_lexicon, cfg.abbreviations)
-    for file in (config, cfg.manifest, *read, *side_files):
-        if file and (os.path.basename(file) in present or os.path.islink(file)):
-            real = Path(file).resolve()
+    for file in pipeline._reads:
+        if file.name in present or file.is_symlink():
+            real = file.resolve()
             if real.parent == out_dir and real.name in present:
                 raise InputError(f"{file}: would be overwritten; choose another output directory")
 
 
 def _load_for_writing(
-    cfg: RunConfig, config: str | None, *, vertical: bool = False, graphs: bool = False
+    cfg: RunConfig, *, vertical: bool = False, graphs: bool = False
 ) -> tuple[Path, list[AnnotatedDoc]]:
     """The output directory and the documents, once writing the vertical
     files (with ``vertical``) and the graphs (with ``graphs``) there is
     sure to replace none of the files the command reads."""
     out = _out_dir(cfg)
-    docs, read = _load_docs(cfg)
+    docs = _load_docs(cfg)
     names = {f"{doc.letter_id}.tsv" for doc in docs} if vertical else set()
     if graphs:
         names.update(file for name, _ in _groups(cfg, docs) for file in _graph_files(cfg, name))
-    _refuse_overwrite(cfg, config, read, out, names)
+    _refuse_overwrite(out, names)
     return out, docs
 
 
@@ -359,16 +356,16 @@ def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None
         )
 
 
-def cmd_preprocess(cfg: RunConfig, config: str | None) -> None:
-    _write_vertical_files(*_load_for_writing(cfg, config, vertical=True))
+def cmd_preprocess(cfg: RunConfig) -> None:
+    _write_vertical_files(*_load_for_writing(cfg, vertical=True))
 
 
-def cmd_network(cfg: RunConfig, config: str | None) -> None:
-    out, docs = _load_for_writing(cfg, config, graphs=True)
+def cmd_network(cfg: RunConfig) -> None:
+    out, docs = _load_for_writing(cfg, graphs=True)
     _export_network(cfg, docs, out)
 
 
-def cmd_eval(cfg: RunConfig, config: str | None) -> None:
+def cmd_eval(cfg: RunConfig) -> None:
     from letternet.evaluation import evaluate_pairs, load_gold
 
     if not cfg.gold:
@@ -377,7 +374,7 @@ def cmd_eval(cfg: RunConfig, config: str | None) -> None:
     if not gold:
         raise InputError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
-    docs, read = _load_docs(cfg)
+    docs = _load_docs(cfg)
     _refuse_unloaded(cfg.gold, "triples", gold_letters, docs)
     n_sentences = {doc.letter_id: len(doc.sentences) for doc in docs}
     for t in gold:
@@ -395,28 +392,27 @@ def cmd_eval(cfg: RunConfig, config: str | None) -> None:
     report = evaluate_pairs(records, gold)
     text = report.format()
     out = _out_dir(cfg)
-    _refuse_overwrite(cfg, config, read, out, {_EVAL_REPORT})
+    _refuse_overwrite(out, {_EVAL_REPORT})
     _print(text)
     write_atomic(out / _EVAL_REPORT, (text, "\n"))
 
 
-def cmd_stats(cfg: RunConfig, config: str | None) -> None:
-    docs, _ = _load_docs(cfg)
+def cmd_stats(cfg: RunConfig) -> None:
+    docs = _load_docs(cfg)
     for name, graph in _build_graphs(cfg, docs):
         if cfg.scope == "per-letter":
             _print(f"== {name} ==")
         _print(stats_report(graph, cfg.top), end="")
 
 
-def cmd_run(cfg: RunConfig, config: str | None) -> None:
-    out, docs = _load_for_writing(cfg, config, vertical=True, graphs=True)
+def cmd_run(cfg: RunConfig) -> None:
+    out, docs = _load_for_writing(cfg, vertical=True, graphs=True)
     _write_vertical_files(out, docs)
     _export_network(cfg, docs, out)
 
 
 # command -> (one-line help, handler); the one list of commands, which
-# the parser's choices, its help text and main's dispatch all read.  A
-# handler takes the settings and the config file they came from, if any.
+# the parser's choices, its help text and main's dispatch all read.
 COMMANDS = {
     "preprocess": ("annotate letters and write vertical files", cmd_preprocess),
     "network": ("build, prune and export graphs", cmd_network),
@@ -507,13 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_path(args: argparse.Namespace) -> str | None:
-    return args.config or os.environ.get(CONFIG_ENV_VAR)
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    config_path = _config_path(args)
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         cfg = cfg._replace(**load_config_file(config_path))
     overrides = {
@@ -528,13 +520,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    pipeline._reads = []  # what the command reads, which its outputs may not replace
     try:
         cfg = _resolve_config(args)
         validate_config(cfg)
-        COMMANDS[args.command][1](cfg, _config_path(args))
+        COMMANDS[args.command][1](cfg)
     except LetternetError as exc:
         print(f"letternet: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        pipeline._reads = None
     return 0
 
 

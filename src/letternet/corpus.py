@@ -58,16 +58,14 @@ class LetterMeta(NamedTuple):
 class Letter(NamedTuple):
     """A transcription together with its metadata.
 
-    ``raw_text`` is the text of the file at ``path`` as ``read_input``
-    returns it, and ``clean_text`` is derived from it by
-    :func:`clean_text`, with the cut marker of the letter's manifest row
-    if it has one.
+    ``raw_text`` is the transcription as ``read_input`` returns it, and
+    ``clean_text`` is derived from it by :func:`clean_text`, with the cut
+    marker of the letter's manifest row if it has one.
     """
 
     meta: LetterMeta
     raw_text: str
     clean_text: str
-    path: Path
 
 
 def _strip_markup(text: str, where: str = "text") -> str:
@@ -160,7 +158,7 @@ def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = Non
     cleaned = clean_text(raw, cut_marker, where=f"letter {meta.letter_id!r} ({p})")
     if not cleaned:
         log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)
-    return Letter(meta=meta, raw_text=raw, clean_text=cleaned, path=p)
+    return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
 
 
 def _parse_bool(value: str, where: str) -> bool:

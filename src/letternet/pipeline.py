@@ -92,6 +92,9 @@ class ExportError(OSError, LetternetError):
     """Raised when an output file cannot be written."""
 
 
+_reads: list[Path] | None = None  # what read_input reads, in order, while cli.main sets a list
+
+
 def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
     """The text of an input file: UTF-8, a byte-order mark dropped, lines ending in "\\n".
 
@@ -100,9 +103,12 @@ def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
     read {what} {path}: ...", and a control character or noncharacter
     that XML cannot hold with "{path}:{line}: ...".  With ``letter`` true,
     vertical tabs and form feeds pass, and every message names the file
-    "{what}: {path}".
+    "{what}: {path}".  While a command runs, the path is also appended to
+    ``_reads``: the inputs that the command's outputs may not replace.
     """
     p = path if isinstance(path, Path) else Path(path)
+    if _reads is not None:
+        _reads.append(p)
     # a letter's file name need not say which letter it is
     where = f"{what}: {p}" if letter else str(p)
     name = where if letter or not what else f"{what} {p}"

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -499,7 +500,7 @@ def test_vertical_files_of_a_run_share_one_token_per_row(mini_corpus, tmp_path, 
     vertical = tmp_path / "vertical"
     assert main(["preprocess", "--manifest", str(mini_corpus), "--out", str(vertical)]) == 0
     capsys.readouterr()
-    (a, b), _ = cli._load_docs(RunConfig(pretagged_dir=str(vertical)))
+    a, b = cli._load_docs(RunConfig(pretagged_dir=str(vertical)))
     first = {}
     for token in [*a.tokens(), *b.tokens()]:
         assert first.setdefault(token, token) is token
@@ -1036,6 +1037,17 @@ def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys, 
     graded.mkdir()
     (graded / "eval_report.txt").write_bytes(b"A1\t0\tlove\ttutor\tchild\n")
     gold = ["--gold", str(graded / "eval_report.txt"), "--manifest", str(mini_corpus)]
+    # a letter whose id is "tagger_lexicon" would replace the bundled word
+    # class table that tagged it
+    tables = tmp_path / "data"
+    shutil.copytree(data_path("tagger_lexicon.tsv").parent, tables)
+    monkeypatch.setattr(pipeline, "data_path", lambda name: tables / name)
+    tabled = tmp_path / "tabled"
+    tabled.mkdir()
+    (tabled / "a.txt").write_bytes((mini_corpus.parent / "a.txt").read_bytes())
+    (tabled / "m.tsv").write_bytes(
+        MANIFEST_HEADER + b"tagger_lexicon\tDury\t-\t1630\tfalse\ten\ta.txt\n"
+    )
     for argv, root, clash, commands in (
         (["--pretagged-dir", str(vertical)], vertical, vertical / "A.tsv", ("preprocess", "run")),
         (["--manifest", str(listed / "manifest.tsv")], listed, listed / "manifest.tsv",
@@ -1043,6 +1055,8 @@ def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys, 
         (["--manifest", str(own / "m.tsv")], own, own / "L1.tsv", ("preprocess", "run")),
         (config, configured, configured / "network.json", ("network", "run")),
         (gold, graded, graded / "eval_report.txt", ("eval",)),
+        (["--manifest", str(tabled / "m.tsv")], tables, tables / "tagger_lexicon.tsv",
+         ("preprocess", "run")),
     ):
         before = tree_bytes(root)
         for command in commands:
@@ -1075,6 +1089,26 @@ def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys, 
     monkeypatch.setattr(os, "listdir", unlistable)
     code, _, stderr = run_main(argv, capsys)
     assert code == 1 and f"error: {clash}: would be overwritten;" in stderr
+
+
+def test_inputs_are_recorded_for_one_command_at_a_time(mini_corpus, tmp_path, capsys):
+    # outside main, read_input records nothing
+    pipeline.read_input(mini_corpus, "manifest")
+    assert pipeline._reads is None
+    # the first run reads a config file in the directory the second writes to
+    configured = tmp_path / "configured"
+    configured.mkdir()
+    (configured / "network.json").write_bytes(b'{"formats": ["json"]}')
+    first = ["--config", str(configured / "network.json"), "--manifest", str(mini_corpus)]
+    assert run_main(["network", *first, "--out", str(tmp_path / "out")], capsys)[0] == 0
+    assert pipeline._reads is None
+    assert run_main(["network", *first, "--out", str(configured)], capsys)[0] == 1
+    assert pipeline._reads is None
+    # the second run has not read that file, so it may replace it
+    second = ["network", "--manifest", str(mini_corpus), "--format", "json"]
+    assert run_main([*second, "--out", str(configured)], capsys)[0] == 0
+    replaced = (configured / "network.json").read_bytes()
+    assert replaced == (tmp_path / "out" / "network.json").read_bytes()
 
 
 # Config items: a RunConfig key with a value of its own type or of any

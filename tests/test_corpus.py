@@ -225,7 +225,7 @@ def test_load_letter_with_byte_order_mark(tmp_path, annotator):
     plain.write_text(text, encoding="utf-8")
     marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
     letter = load_letter(marked, meta())
-    assert letter._replace(path=plain) == load_letter(plain, meta())
+    assert letter == load_letter(plain, meta())
     assert letter.raw_text == text
     # no U+FEFF token at index 0 to shift the positions anaphora tables use
     assert annotator.annotate(letter) == annotator.annotate(load_letter(plain, meta()))

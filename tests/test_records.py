@@ -10,7 +10,6 @@ record: it compares by identity.
 import copy
 import pickle
 import re
-from pathlib import Path
 
 import pytest
 
@@ -45,7 +44,7 @@ def _instances():
     return {
         "RunConfig": RunConfig(manifest="m.tsv", formats=("gexf", "json")),
         "LetterMeta": meta,
-        "Letter": Letter(meta, "raw", "clean", Path("a.txt")),
+        "Letter": Letter(meta, "raw", "clean"),
         "PairRecord": PairRecord("man", N, "see", PosClass.VERB, RelationKind.SUBJ, "A", 0),
         "GoldTriple": GoldTriple("A", 0, "see", "man", None),
         "Scores": scores,

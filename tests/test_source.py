@@ -77,3 +77,90 @@ def test_dead_bindings_finds_each_kind():
     assert dead_bindings(source) == [
         "line 2: os", "line 5: log", "line 6: _TABLE", "line 7: _helper"
     ]
+
+
+# os.open, io.open, codecs.open and os.fdopen take a path or descriptor
+# first and the mode or flags second; Path.open takes the mode first.
+_OPENER_MODULES = {"os", "io", "codecs"}
+
+
+def file_readers(source: str) -> list[str]:
+    """Each call in ``source`` that can read a file, as "function: call".
+
+    A reader is a ``read_text`` or ``read_bytes`` method, or a call of
+    ``open`` or ``fdopen`` (as a name or a method) unless its mode holds
+    "w", "a" or "x" without "+", or its flags name ``O_WRONLY``.  The
+    function is the innermost one around the call, or "<module>".
+    """
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _reads_a_file(child):
+                found.append(f"{where}: {ast.unparse(child)}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+        return True
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name not in ("open", "fdopen"):
+        return False
+    method = isinstance(func, ast.Attribute) and not (
+        isinstance(func.value, ast.Name) and func.value.id in _OPENER_MODULES
+    )
+    i = 0 if method else 1
+    mode = call.args[i] if len(call.args) > i else next(
+        (k.value for k in call.keywords if k.arg in ("mode", "flags")), None
+    )
+    if mode is None:
+        return True
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return "+" in mode.value or set(mode.value).isdisjoint("wax")
+    return "O_WRONLY" not in ast.unparse(mode)
+
+
+def test_only_read_input_reads_a_file_for_a_command():
+    # every input goes through pipeline.read_input, which records it for
+    # the overwrite check; validate_gexf is for library callers only
+    readers = {
+        path.stem: file_readers(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(letternet.__file__).parent.glob("*.py"))
+    }
+    assert {stem: calls for stem, calls in readers.items() if calls} == {
+        "pipeline": ["read_input: open(p, 'rb')"],
+        "readback": ["validate_gexf: source.read_bytes()"],
+    }
+
+
+def test_file_readers_finds_each_kind():
+    source = (
+        "import codecs, io, os\n"
+        "TEXT = open('a')\n"
+        "def f(p, fd):\n"
+        "    open(p, 'w'), open(p, mode='xb'), open(p, 'r+')\n"
+        "    p.read_text(encoding='utf-8'), p.read_bytes()\n"
+        "    p.open(), p.open('a'), io.open(p, 'rt'), codecs.open(p, mode='w')\n"
+        "    os.open(p, os.O_WRONLY | os.O_CREAT), os.open(p, os.O_RDONLY)\n"
+        "    os.fdopen(fd, 'wb'), os.fdopen(fd)\n"
+        "    def g():\n"
+        "        return p.read_bytes\n"
+    )
+    assert file_readers(source) == [
+        "<module>: open('a')",
+        "f: open(p, 'r+')",
+        "f: p.read_text(encoding='utf-8')",
+        "f: p.read_bytes()",
+        "f: p.open()",
+        "f: io.open(p, 'rt')",
+        "f: os.open(p, os.O_RDONLY)",
+        "f: os.fdopen(fd)",
+    ]
