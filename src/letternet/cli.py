@@ -256,19 +256,17 @@ def _build_graphs(
 ) -> Iterator[tuple[str, LexicalGraph]]:
     """Each (name, graph) to write, built only when the one before it is done with."""
     window = _parse_context(cfg.context)
-    pruning = cfg.prune_nodes or cfg.prune_edges
+    pruning = None
+    if cfg.prune_nodes or cfg.prune_edges:
+        pruning = (cfg.prune_nodes or "gt0", cfg.prune_edges or "gt0", not cfg.keep_isolated)
     for name, group in _groups(cfg, docs):
         if cfg.mode == "pairs":
             graph = pair_graph(group, cfg.max_dist, cfg.verb_blocker)
+            if pruning:
+                graph = prune(graph, *pruning)
         else:
-            graph = cooccurrence_graph(group, window)
-        if pruning:
-            graph = prune(
-                graph,
-                cfg.prune_nodes or "gt0",
-                cfg.prune_edges or "gt0",
-                drop_isolated=not cfg.keep_isolated,
-            )
+            # cut on the graph's id tables, before its edges are keyed
+            graph = cooccurrence_graph(group, window, pruning=pruning)
         yield name, graph
 
 

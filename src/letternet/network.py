@@ -32,6 +32,7 @@ from letternet.pipeline import _POS_BY_NAME, AnnotatedDoc, InputError, PosClass
 
 NodeKey = tuple[str, PosClass]
 EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
+Pruning = tuple[str, str, bool]  # node rule, edge rule, drop_isolated, as prune() takes them
 
 
 def node_order(key: NodeKey) -> tuple[str, str]:
@@ -131,7 +132,9 @@ def build_graph(
     return LexicalGraph(nodes=nodes, edges=dict(weights))
 
 
-def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) -> LexicalGraph:
+def cooccurrence_graph(
+    docs: Iterable[AnnotatedDoc], window: int | None = None, *, pruning: Pruning | None = None
+) -> LexicalGraph:
     """:func:`merge_graphs` of each letter's co-occurrence graph, counted in one pass.
 
     With ``window=None`` the context is the whole sentence; otherwise
@@ -147,6 +150,10 @@ def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) 
     in a pair: each letter adds the ids of its tokens that have a
     partner in one step, and a token without one counts only when its
     node also pairs elsewhere in that letter.
+
+    ``pruning``, a ``(node_rule, edge_rule, drop_isolated)`` tuple, cuts
+    the graph as :func:`prune` would, with the same result and edge order,
+    but on the id tables: only the surviving edges are keyed.
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -193,6 +200,8 @@ def cooccurrence_graph(docs: Iterable[AnnotatedDoc], window: int | None = None) 
                 for a in lone:
                     if a in touched:
                         freqs[a] += 1
+    if pruning is not None:
+        freqs, pairs = _keep(freqs, pairs, *pruning)
     keys = list(ids)
     order = [node_order(key) for key in keys]
     cooccur = RelationKind.COOCCUR
@@ -327,6 +336,24 @@ def cutoff(rule: str, values: Sequence[int]) -> float:
     return mean + n * sd
 
 
+def _keep(
+    nodes: Mapping, edges: Mapping, node_rule: str, edge_rule: str, drop_isolated: bool
+) -> tuple[dict, dict]:
+    """The nodes and edges :func:`prune` keeps; an edge key's endpoints are key[0] and key[1]."""
+    node_cut = cutoff(node_rule, list(nodes.values()))
+    edge_cut = cutoff(edge_rule, list(edges.values()))
+    kept_nodes = {key: f for key, f in nodes.items() if f > node_cut}
+    kept_edges = {
+        key: w
+        for key, w in edges.items()
+        if w > edge_cut and key[0] in kept_nodes and key[1] in kept_nodes
+    }
+    if drop_isolated:
+        touched = {end for key in kept_edges for end in (key[0], key[1])}
+        kept_nodes = {key: f for key, f in kept_nodes.items() if key in touched}
+    return kept_nodes, kept_edges
+
+
 def prune(
     graph: LexicalGraph,
     node_rule: str,
@@ -340,23 +367,12 @@ def prune(
     A node survives when its frequency exceeds the node cutoff; an edge
     survives when its weight exceeds the edge cutoff and both endpoints
     survived.  With ``drop_isolated`` nodes left without any edge are
-    removed as well.  The input graph is not modified.
+    removed as well.  The input graph is not modified, and the kept
+    nodes and edges keep its order.  ``cooccurrence_graph(docs, window,
+    pruning=(node_rule, edge_rule, drop_isolated))`` gives the same graph
+    without keying the edges it drops.
     """
-    node_cut = cutoff(node_rule, list(graph.nodes.values()))
-    edge_cut = cutoff(edge_rule, list(graph.edges.values()))
-    kept_nodes = {key: f for key, f in graph.nodes.items() if f > node_cut}
-    kept_edges = {
-        (src, dst, kind): w
-        for (src, dst, kind), w in graph.edges.items()
-        if w > edge_cut and src in kept_nodes and dst in kept_nodes
-    }
-    if drop_isolated:
-        touched = set()
-        for src, dst, _kind in kept_edges:
-            touched.add(src)
-            touched.add(dst)
-        kept_nodes = {key: f for key, f in kept_nodes.items() if key in touched}
-    return LexicalGraph(nodes=kept_nodes, edges=kept_edges)
+    return LexicalGraph(*_keep(graph.nodes, graph.edges, node_rule, edge_rule, drop_isolated))
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_criterion_04_anaphora_recovers_a_subject(criterion, annotator, sample_c
 def test_criterion_05_pruning_matches_a_brute_force_oracle(criterion):
     with criterion(5, "200 random graphs pruned like the oracle"):
         rng = random.Random(5)
-        rules = ["gt0", "gt2", "gt5", "gt12", "mean0", "mean0.5", "mean1", "mean2"]
+        rules = ["gt0", "gt2", "gt5", "gt12", "gt2.5", "mean0", "mean0.5", "mean1", "mean2", " mean1 "]
         t0 = time.perf_counter()
         for _ in range(200):
             g = random_graph(rng, max_nodes=50)

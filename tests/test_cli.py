@@ -381,23 +381,32 @@ def test_per_letter_graphs_are_built_and_written_one_at_a_time(
     mini_corpus, tmp_path, capsys, monkeypatch, mode, builder
 ):
     events = []
-    build, write = getattr(cli, builder), cli.export_gexf
+    build, write, prune = getattr(cli, builder), cli.export_gexf, cli.prune
 
-    def traced_build(docs, *args):
+    def traced_build(docs, *args, **kwargs):
         events.append(("build", docs[0].letter_id))
-        return build(docs, *args)
+        return build(docs, *args, **kwargs)
 
     def traced_write(view, path):
         events.append(("write", path.stem))
         write(view, path)
 
+    def traced_prune(graph, *args, **kwargs):
+        events.append(("prune",))
+        return prune(graph, *args, **kwargs)
+
     monkeypatch.setattr(cli, builder, traced_build)
     monkeypatch.setattr(cli, "export_gexf", traced_write)
+    monkeypatch.setattr(cli, "prune", traced_prune)
     args = ["network", "--manifest", str(mini_corpus), "--out", str(tmp_path), "--mode", mode,
             "--scope", "per-letter", "--prune-edges", "gt0"]
     code, _, _ = run_main(args, capsys)
     assert code == 0
-    assert events == [("build", "A1"), ("write", "A1"), ("build", "B1"), ("write", "B1")]
+    # a co-occurrence graph is cut inside the graph call; only a pair graph is pruned after it
+    pruned = [("prune",)] if mode == "pairs" else []
+    assert events == [
+        ("build", "A1"), *pruned, ("write", "A1"), ("build", "B1"), *pruned, ("write", "B1")
+    ]
 
 
 def test_network_colon_boundary_changes_cooccurrence(mini_corpus, tmp_path, capsys):

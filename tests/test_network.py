@@ -4,7 +4,7 @@ import random
 import statistics
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -419,6 +419,7 @@ def random_graph(rng, max_nodes=50):
 
 def oracle_prune(graph, node_rule, edge_rule, drop_isolated=True):
     def cut(rule, values):
+        rule = rule.strip()
         if rule.startswith("gt"):
             return float(rule[2:])
         if not values:
@@ -442,7 +443,7 @@ def oracle_prune(graph, node_rule, edge_rule, drop_isolated=True):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_prune_matches_oracle_on_random_graphs(seed):
     rng = random.Random(seed)
-    rules = ["gt0", "gt3", "gt10", "mean0", "mean1", "mean2"]
+    rules = ["gt0", "gt3", "gt10", "gt2.5", "mean0", "mean1", "mean2", "mean0.5", " mean1 "]
     for _ in range(40):
         g = random_graph(rng)
         node_rule = rng.choice(rules)
@@ -466,6 +467,81 @@ def test_prune_monotone_in_threshold():
         high = prune(g, "gt5", "gt5")
         assert set(high.nodes) <= set(low.nodes)
         assert set(high.edges) <= set(low.edges)
+
+
+# every rule family, fractional numbers, and padding that cutoff strips
+_RULES = ["gt0", "gt3", "gt2.5", "mean0", "mean2", "mean0.5", " mean1 "]
+_DRAWN_RULES = st.sampled_from(_RULES + ["gt1", "gt2", "mean1"])
+
+
+def assert_cut_like_prune(docs, window, node_rule, edge_rule, drop):
+    """The graph pruned in the graph call is prune()'s, in order, and the oracle's."""
+    whole = cooccurrence_graph(docs, window)
+    got = cooccurrence_graph(docs, window, pruning=(node_rule, edge_rule, drop))
+    want = prune(whole, node_rule, edge_rule, drop)
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert list(got.edges.items()) == list(want.edges.items())
+    assert (got.nodes, got.edges) == oracle_prune(whole, node_rule, edge_rule, drop)
+    got.validate()
+    return whole, got
+
+
+@pytest.mark.parametrize("window", [None, 3])
+def test_cooccurrence_graph_cut_on_ids_matches_prune_on_the_sample_corpus(
+    annotator, sample_corpus, window
+):
+    docs = [annotator.annotate(letter) for letter in sample_corpus]
+    cut_some = set()
+    for node_rule, edge_rule, drop in product(_RULES, _RULES, (True, False)):
+        whole, got = assert_cut_like_prune(docs, window, node_rule, edge_rule, drop)
+        if 0 < got.n_edges < whole.n_edges and 0 < got.n_nodes < whole.n_nodes:
+            cut_some.add((node_rule, edge_rule))
+    # most pairs of rules keep part of the graph, so the comparisons are not of empty graphs
+    assert len(cut_some) > len(_RULES) ** 2 // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_LETTERS, min_size=1, max_size=4),
+    st.sampled_from([None, 1, 2, 3]),
+    _DRAWN_RULES,
+    _DRAWN_RULES,
+    st.booleans(),
+)
+def test_cooccurrence_graph_cut_on_ids_matches_prune(docs, window, node_rule, edge_rule, drop):
+    assert_cut_like_prune(docs, window, node_rule, edge_rule, drop)
+
+
+def test_a_pruned_cooccurrence_graph_peaks_under_the_whole_one(annotator, sample_corpus):
+    # ten copies of the sample letters, each with its own lemmas, so that
+    # the vocabulary grows with the corpus as it does in real text
+    docs = [
+        AnnotatedDoc(
+            letter_id=f"{doc.letter_id}_{i}",
+            sentences=tuple(
+                tuple(token._replace(lemma=f"{token.lemma}{i}") for token in sentence)
+                for sentence in doc.sentences
+            ),
+        )
+        for doc in (annotator.annotate(letter) for letter in sample_corpus)
+        for i in range(10)
+    ]
+
+    def peak(**kwargs):
+        tracemalloc.start()
+        try:
+            graph = cooccurrence_graph(docs, **kwargs)
+            return tracemalloc.get_traced_memory()[1], graph
+        finally:
+            tracemalloc.stop()
+
+    cooccurrence_graph(docs)  # allocator warm-up, so that neither peak pays for it
+    whole_peak, whole = peak()
+    cut_peak, cut = peak(pruning=("mean2", "mean2", True))
+    assert cut == prune(whole, "mean2", "mean2")
+    assert 0 < cut.n_edges < whole.n_edges // 20
+    # the kept edges are keyed, the rest never are
+    assert cut_peak < 0.7 * whole_peak
 
 
 # centrality
