@@ -57,7 +57,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -167,6 +167,8 @@ def _parse_context(text: str) -> int | None:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Check each setting's value.  A path may be unset (None) but not empty;
+    a file is checked when, and only if, the command reads it."""
     if cfg.mode not in MODES:
         raise InputError(f"bad mode {cfg.mode!r}; expected one of {MODES}")
     if cfg.scope not in SCOPES:
@@ -182,17 +184,11 @@ def validate_config(cfg: RunConfig) -> None:
     for rule in (cfg.prune_nodes, cfg.prune_edges):
         if rule is not None:
             cutoff(rule, [])
-    if not cfg.pretagged_dir:
-        if not cfg.manifest:
-            raise InputError("no manifest configured (use --manifest or a config file)")
-        if not Path(cfg.manifest).is_file():
-            raise InputError(f"manifest not found: {cfg.manifest}")
-    for key in ("gold", "anaphora", "variant_lexicon", "abbreviations"):
-        value = getattr(cfg, key)
-        if value is not None and not Path(value).is_file():
-            raise InputError(f"{key.replace('_', ' ')} file not found: {value}")
-    if cfg.pretagged_dir is not None and not Path(cfg.pretagged_dir).is_dir():
-        raise InputError(f"pretagged directory not found: {cfg.pretagged_dir}")
+    for key in ("out", *_PATH_KEYS):
+        if getattr(cfg, key) == "":
+            raise InputError(f"{key} must not be empty")
+    if cfg.pretagged_dir is None and cfg.manifest is None:
+        raise InputError("no manifest configured (use --manifest or a config file)")
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +196,21 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
-    """The documents to work on: the vertical files, or the manifest's letters annotated."""
+    """The documents to work on: the vertical files, or the manifest's letters annotated,
+    once the side files are read and the anaphora rows' letter ids checked."""
+    amap = {}
+    if cfg.anaphora:
+        from letternet.evaluation import apply_anaphora, load_anaphora
+
+        amap = load_anaphora(cfg.anaphora)
     if cfg.pretagged_dir:
-        paths = sorted(Path(cfg.pretagged_dir).glob("*.tsv"))
+        directory = Path(cfg.pretagged_dir)
+        if not directory.is_dir():  # a glob over a missing directory finds no files
+            raise InputError(f"pretagged directory not found: {directory}")
+        paths = sorted(directory.glob("*.tsv"))
         if not paths:
-            log.warning("no vertical files in %s", cfg.pretagged_dir)
+            log.warning("no vertical files in %s", directory)
+        _refuse_unloaded(cfg.anaphora, "rows", set(amap), [p.stem for p in paths])
         memo: dict[str, Token] = {}  # one for all files: a row is one Token wherever it recurs
         docs = [ingest_pretagged(p, memo=memo) for p in paths]
     else:
@@ -214,19 +220,17 @@ def _load_docs(cfg: RunConfig) -> list[AnnotatedDoc]:
             abbreviations=cfg.abbreviations,
         )
         letters = load_manifest(cfg.manifest)
+        ids = [letter.meta.letter_id for letter in letters]
+        _refuse_unloaded(cfg.anaphora, "rows", set(amap), ids)
         docs = [annotator.annotate(letter) for letter in letters]
-    if cfg.anaphora:
-        from letternet.evaluation import apply_anaphora, load_anaphora
-
-        amap = load_anaphora(cfg.anaphora)
-        _refuse_unloaded(cfg.anaphora, "rows", set(amap), docs)
+    if amap:
         docs = [apply_anaphora(doc, amap) for doc in docs]
     return docs
 
 
-def _refuse_unloaded(path: str, what: str, ids: set[str], docs: list[AnnotatedDoc]) -> None:
-    """Raise :class:`InputError` naming each of a side file's letter ``ids`` that no doc has."""
-    unloaded = sorted(ids.difference(doc.letter_id for doc in docs))
+def _refuse_unloaded(path: str | None, what: str, ids: set[str], loaded: Iterable[str]) -> None:
+    """Raise :class:`InputError` naming each of a side file's letter ``ids`` not ``loaded``."""
+    unloaded = sorted(ids.difference(loaded))
     if unloaded:
         raise InputError(
             f"{path}: {what} for letters that were not loaded: {', '.join(unloaded)}"
@@ -270,15 +274,6 @@ def _build_graphs(
         yield name, graph
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # commands: each prints its results and returns nothing
 
@@ -295,6 +290,19 @@ def _print(text: str, end: str = "\n") -> None:
         raise
     except OSError as exc:
         raise ExportError(f"cannot write standard output: {exc}") from exc
+
+
+def _out_dir(cfg: RunConfig, names: set[str]) -> Path:
+    """The output directory, made if need be, once writing ``names`` there is sure
+    to replace no input.  Called after the inputs are read, so a command that
+    fails on them makes no directory; a refused one held an input already."""
+    out = Path(cfg.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise InputError(f"cannot create output directory {out}: {exc}") from exc
+    _refuse_overwrite(out, names)
+    return out
 
 
 def _refuse_overwrite(out: Path, names: set[str]) -> None:
@@ -320,19 +328,8 @@ def _refuse_overwrite(out: Path, names: set[str]) -> None:
                 raise InputError(f"{file}: would be overwritten; choose another output directory")
 
 
-def _load_for_writing(
-    cfg: RunConfig, *, vertical: bool = False, graphs: bool = False
-) -> tuple[Path, list[AnnotatedDoc]]:
-    """The output directory and the documents, once writing the vertical
-    files (with ``vertical``) and the graphs (with ``graphs``) there is
-    sure to replace none of the files the command reads."""
-    out = _out_dir(cfg)
-    docs = _load_docs(cfg)
-    names = {f"{doc.letter_id}.tsv" for doc in docs} if vertical else set()
-    if graphs:
-        names.update(file for name, _ in _groups(cfg, docs) for file in _graph_files(cfg, name))
-    _refuse_overwrite(out, names)
-    return out, docs
+def _graph_names(cfg: RunConfig, docs: list[AnnotatedDoc]) -> set[str]:
+    return {file for name, _ in _groups(cfg, docs) for file in _graph_files(cfg, name)}
 
 
 def _write_vertical_files(out: Path, docs: list[AnnotatedDoc]) -> None:
@@ -355,12 +352,13 @@ def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:
-    _write_vertical_files(*_load_for_writing(cfg, vertical=True))
+    docs = _load_docs(cfg)
+    _write_vertical_files(_out_dir(cfg, {f"{doc.letter_id}.tsv" for doc in docs}), docs)
 
 
 def cmd_network(cfg: RunConfig) -> None:
-    out, docs = _load_for_writing(cfg, graphs=True)
-    _export_network(cfg, docs, out)
+    docs = _load_docs(cfg)
+    _export_network(cfg, docs, _out_dir(cfg, _graph_names(cfg, docs)))
 
 
 def cmd_eval(cfg: RunConfig) -> None:
@@ -373,8 +371,8 @@ def cmd_eval(cfg: RunConfig) -> None:
         raise InputError(f"{cfg.gold}: no gold triples")
     gold_letters = {t.letter_id for t in gold}
     docs = _load_docs(cfg)
-    _refuse_unloaded(cfg.gold, "triples", gold_letters, docs)
     n_sentences = {doc.letter_id: len(doc.sentences) for doc in docs}
+    _refuse_unloaded(cfg.gold, "triples", gold_letters, n_sentences)
     for t in gold:
         if t.sent_idx >= n_sentences[t.letter_id]:
             raise InputError(
@@ -389,8 +387,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         )
     report = evaluate_pairs(records, gold)
     text = report.format()
-    out = _out_dir(cfg)
-    _refuse_overwrite(out, {_EVAL_REPORT})
+    out = _out_dir(cfg, {_EVAL_REPORT})
     _print(text)
     write_atomic(out / _EVAL_REPORT, (text, "\n"))
 
@@ -404,7 +401,8 @@ def cmd_stats(cfg: RunConfig) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> None:
-    out, docs = _load_for_writing(cfg, vertical=True, graphs=True)
+    docs = _load_docs(cfg)
+    out = _out_dir(cfg, {f"{doc.letter_id}.tsv" for doc in docs} | _graph_names(cfg, docs))
     _write_vertical_files(out, docs)
     _export_network(cfg, docs, out)
 

@@ -177,16 +177,15 @@ def load_manifest(path: str | Path) -> list[Letter]:
     year_uncertain, language, file and optional cut_marker.  "-" stands
     for an absent addressee or cut marker.  Paths are resolved relative
     to the manifest's directory, and each letter is read by
-    :func:`load_letter` with its row's cut marker.  Blank and "#" lines are skipped.  A
-    manifest without letters is a warning, not an error; an undecodable
-    file, a row whose field count differs from the header's, other
-    malformed rows, years outside 1400..1900, letter ids that are empty
-    or not plain file names and duplicate identifiers are errors naming
-    the offending line.
+    :func:`load_letter` with its row's cut marker.  Blank and "#" lines
+    are skipped.  A manifest without letters is a warning, not an error.
+    A missing or undecodable file is an error from :func:`read_input`;
+    a row whose field count differs from the header's, other malformed
+    rows, years outside 1400..1900, letter ids that are empty or not
+    plain file names and duplicate identifiers are errors naming the
+    offending line.
     """
     p = Path(path)
-    if not p.is_file():
-        raise InputError(f"manifest not found: {p}")
     rows = read_table(p, None, "manifest")
     columns = rows[0][1] if rows else []
     for i, name in enumerate(columns):

@@ -115,7 +115,7 @@ def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
     try:
         with open(p, "rb") as f:
             data = f.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot read {name}: {exc}") from exc
     try:
         text = data.decode("utf-8-sig")

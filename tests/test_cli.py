@@ -250,10 +250,9 @@ def test_validate_config_accepts_sample():
         ({"prune_nodes": "banana"}, "prune"),
         ({"prune_edges": "gt"}, "prune"),
         ({"manifest": None}, "no manifest"),
-        ({"manifest": "/no/such.tsv"}, "not found"),
-        ({"gold": "/no/gold.tsv"}, "gold file not found"),
-        ({"anaphora": "/no/ana.tsv"}, "not found"),
-        ({"pretagged_dir": "/no/dir"}, "not found"),
+        ({"manifest": ""}, "manifest must not be empty"),
+        ({"variant_lexicon": ""}, "variant_lexicon must not be empty"),
+        ({"abbreviations": ""}, "abbreviations must not be empty"),
     ],
 )
 def test_validate_config_rejects(kwargs, fragment):
@@ -265,6 +264,13 @@ def test_validate_config_rejects(kwargs, fragment):
 
 def test_validate_config_pretagged_skips_manifest(tmp_path):
     validate_config(RunConfig(pretagged_dir=str(tmp_path)))
+
+
+def test_validate_config_checks_values_only(tmp_path):
+    # a file is checked by the command that reads it, so no file here is looked at
+    missing = {key: str(tmp_path / "no" / key) for key in cli._PATH_KEYS}
+    validate_config(RunConfig(**missing, out=str(tmp_path / "no" / "out")))
+    assert list(tmp_path.iterdir()) == []
 
 
 # subcommands end to end
@@ -943,6 +949,36 @@ VERTICAL_WITH_CONTROL = (
             ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{bad}"],
             "letternet: error: {bad}:2: gold triple for 'see' needs a subject or an object\n",
         ),
+        (
+            None,
+            ["network", "--manifest", "{missing}", "--out", "{out}"],
+            "letternet: error: cannot read manifest {missing}: [Errno 2] ",
+        ),
+        (
+            None,
+            ["eval", "--manifest", "{manifest}", "--out", "{out}", "--gold", "{missing}"],
+            "letternet: error: cannot read gold file {missing}: [Errno 2] ",
+        ),
+        (
+            None,
+            NETWORK + ["--anaphora", "{missing}"],
+            "letternet: error: cannot read anaphora file {missing}: [Errno 2] ",
+        ),
+        (
+            None,
+            ["network", "--pretagged-dir", "{missing}", "--out", "{out}"],
+            "letternet: error: pretagged directory not found: {missing}\n",
+        ),
+        (
+            b'{"manifest": "m\\u0000x", "gold": "g\\u0000x"}',
+            ["eval", "--config", "{bad}", "--out", "{out}"],
+            "letternet: error: cannot read gold file {tmp}/g\x00x: embedded null byte\n",
+        ),
+        (
+            b'{"manifest": "m\\u0000x"}',
+            ["network", "--config", "{bad}", "--out", "{out}"],
+            "letternet: error: cannot read manifest {tmp}/m\x00x: embedded null byte\n",
+        ),
     ],
     ids=[
         "lexicon-not-utf8",
@@ -992,6 +1028,12 @@ VERTICAL_WITH_CONTROL = (
         "prune-rule-not-ascii-digits",
         "manifest-year-out-of-range",
         "gold-row-without-argument",
+        "manifest-missing",
+        "gold-missing",
+        "anaphora-missing",
+        "pretagged-dir-missing",
+        "config-gold-with-nul",
+        "config-manifest-with-nul",
     ],
 )
 def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv, fragment):
@@ -1009,6 +1051,8 @@ def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv,
         "bad": bad,
         "vertical": vertical,
         "letters": letters,
+        "missing": tmp_path / "missing",
+        "tmp": tmp_path,
     }
     code, _, stderr = run_main([arg.format(**values) for arg in argv], capsys)
     assert code == 1
@@ -1016,6 +1060,95 @@ def test_bad_input_is_a_user_error(mini_corpus, tmp_path, capsys, content, argv,
     assert fragment.format(**values) in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "escaped.tsv").exists()
+    assert not values["out"].exists()  # a command that fails on its input makes no output directory
+
+
+@pytest.mark.parametrize("bad", ["manifest-row", "letter", "anaphora-row"])
+@pytest.mark.parametrize("command", ["preprocess", "network", "run", "eval"])
+def test_a_command_that_fails_on_its_input_makes_no_output_directory(
+    mini_corpus, tmp_path, capsys, command, bad
+):
+    manifest, argv = tmp_path / "m.tsv", []
+    if bad == "manifest-row":
+        manifest.write_bytes(MANIFEST_HEADER + b"A1\tDury\t-\t1630\tmaybe\ten\ta.txt\n")
+        fragment = f"{manifest}:2: bad boolean 'maybe'"
+    elif bad == "letter":
+        manifest.write_bytes(MANIFEST_HEADER + b"A1\tDury\t-\t1630\tfalse\ten\ta.txt\n")
+        (tmp_path / "a.txt").write_bytes(b"The tutor doth loue the child.\nThe tu\x1ftor\n")
+        fragment = f"letter 'A1': {tmp_path / 'a.txt'}:2: control character U+001F"
+    else:
+        manifest = mini_corpus
+        (tmp_path / "ana.tsv").write_bytes(b"A1\t0\t+5\ttutor\n")
+        argv = ["--anaphora", str(tmp_path / "ana.tsv")]
+        fragment = "bad token position '0'/'+5'"
+    if command == "eval":
+        (tmp_path / "gold.tsv").write_bytes(b"A1\t0\tloue\ttutor\tchild\n")
+        argv += ["--gold", str(tmp_path / "gold.tsv")]
+    out = tmp_path / "new" / "out"
+    code, stdout, stderr = run_main(
+        [command, "--manifest", str(manifest), "--out", str(out), *argv], capsys
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("letternet: error:") and fragment in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["network", "--out", ""], "out"),
+        (["network", "--pretagged-dir", ""], "pretagged_dir"),
+        (["eval", "--gold", ""], "gold"),
+        (["network", "--config", "{config}"], "anaphora"),
+    ],
+    ids=["out", "pretagged-dir", "gold", "config-anaphora"],
+)
+def test_an_empty_path_is_refused(mini_corpus, tmp_path, capsys, monkeypatch, argv, key):
+    # an empty path names no file: it is not the working directory, and
+    # it does not stand for an unset one
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"anaphora": ""}), encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [arg.format(config=config) for arg in argv] + ["--manifest", str(mini_corpus)]
+    assert run_main(argv, capsys) == (1, "", f"letternet: error: {key} must not be empty\n")
+    assert list(work.iterdir()) == []
+
+
+def test_a_command_checks_only_the_files_it_reads(mini_corpus, tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such")
+    vertical = tmp_path / "vertical"
+    run = ["--manifest", str(mini_corpus), "--out", str(vertical)]
+    assert run_main(["network", *run, "--gold", missing], capsys)[0] == 0
+    # with vertical files no annotator is made, so its tables are not read
+    assert run_main(["preprocess", *run], capsys)[0] == 0
+    tables = ["--variant-lexicon", missing, "--abbreviations", missing]
+    assert run_main(["stats", "--pretagged-dir", str(vertical), *tables], capsys)[0] == 0
+    code, _, stderr = run_main(["eval", *run, "--gold", missing], capsys)
+    assert code == 1
+    assert stderr.startswith(f"letternet: error: cannot read gold file {missing}: [Errno 2] ")
+
+
+def test_the_anaphora_file_is_read_before_any_letter(mini_corpus, tmp_path, capsys, monkeypatch):
+    vertical = tmp_path / "vertical"
+    vertical.mkdir()
+    (vertical / "A1.tsv").write_bytes(b"# letter A1\nThe\tthe\tthe\tDET\n")
+    unknown = tmp_path / "unknown.tsv"
+    unknown.write_bytes(b"L99\t0\t3\ttutor\n")
+    calls = []
+    monkeypatch.setattr(Annotator, "annotate", lambda self, letter: calls.append(letter))
+    monkeypatch.setattr(cli, "ingest_pretagged", lambda path, **kwargs: calls.append(path))
+    for anaphora, fragment in (
+        (tmp_path / "missing", "cannot read anaphora file"),
+        (unknown, f"{unknown}: rows for letters that were not loaded: L99\n"),
+    ):
+        for source in (["--manifest", str(mini_corpus)], ["--pretagged-dir", str(vertical)]):
+            argv = ["network", *source, "--anaphora", str(anaphora), "--out", str(tmp_path / "o")]
+            code, _, stderr = run_main(argv, capsys)
+            assert code == 1 and fragment in stderr
+    assert calls == []
 
 
 def test_vertical_files_never_overwrite_an_input(mini_corpus, tmp_path, capsys, monkeypatch):
@@ -1150,6 +1283,7 @@ _CONFIG_ITEMS = st.sampled_from(list(RunConfig.__annotations__.items())).flatmap
     config=st.lists(_CONFIG_ITEMS, max_size=3).map(dict),
 )
 @example(command="network", config={"out": "o\0x"})
+@example(command="preprocess", config={"manifest": "\0"})
 def test_random_config_never_raises(mini_corpus, command, config):
     # a few keys at a time and a real manifest unless one is drawn, so
     # that many runs get past validation into the pipeline

@@ -374,7 +374,7 @@ def test_load_manifest_without_letters_warns(tmp_path, caplog):
 
 
 def test_load_manifest_not_found(tmp_path):
-    with pytest.raises(InputError, match="not found"):
+    with pytest.raises(InputError, match="cannot read manifest .*absent.tsv"):
         load_manifest(tmp_path / "absent.tsv")
 
 

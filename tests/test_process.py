@@ -49,7 +49,7 @@ def test_process_writes_what_main_writes(tmp_path):
 def test_process_reports_bad_input_without_a_traceback(tmp_path):
     child = run_cli(["network", "--manifest", "missing.tsv"], tmp_path)
     assert child.returncode == 1
-    assert child.stderr.startswith(b"letternet: error: manifest not found")
+    assert child.stderr.startswith(b"letternet: error: cannot read manifest")
     assert b"Traceback" not in child.stderr
 
 

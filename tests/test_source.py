@@ -84,13 +84,10 @@ def test_dead_bindings_finds_each_kind():
 _OPENER_MODULES = {"os", "io", "codecs"}
 
 
-def file_readers(source: str) -> list[str]:
-    """Each call in ``source`` that can read a file, as "function: call".
+def calls(source: str, match) -> list[str]:
+    """Each call in ``source`` that ``match`` accepts, as "function: call".
 
-    A reader is a ``read_text`` or ``read_bytes`` method, or a call of
-    ``open`` or ``fdopen`` (as a name or a method) unless its mode holds
-    "w", "a" or "x" without "+", or its flags name ``O_WRONLY``.  The
-    function is the innermost one around the call, or "<module>".
+    The function is the innermost one around the call, or "<module>".
     """
     found = []
 
@@ -99,7 +96,7 @@ def file_readers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and _reads_a_file(child):
+            if isinstance(child, ast.Call) and match(child):
                 found.append(f"{where}: {ast.unparse(child)}")
             visit(child, where)
 
@@ -107,12 +104,27 @@ def file_readers(source: str) -> list[str]:
     return found
 
 
+def file_readers(source: str) -> list[str]:
+    """Each call in ``source`` that can read a file, as "function: call".
+
+    A reader is a ``read_text`` or ``read_bytes`` method, or a call of
+    ``open`` or ``fdopen`` (as a name or a method) unless its mode holds
+    "w", "a" or "x" without "+", or its flags name ``O_WRONLY``.
+    """
+    return calls(source, _reads_a_file)
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call's function goes by: ``f`` in ``f()`` and ``x.f()``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _reads_a_file(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
         return True
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name not in ("open", "fdopen"):
+    if _called_name(call) not in ("open", "fdopen"):
         return False
     method = isinstance(func, ast.Attribute) and not (
         isinstance(func.value, ast.Name) and func.value.id in _OPENER_MODULES
@@ -163,4 +175,54 @@ def test_file_readers_finds_each_kind():
         "f: io.open(p, 'rt')",
         "f: os.open(p, os.O_RDONLY)",
         "f: os.fdopen(fd)",
+    ]
+
+
+# Path methods and their os and os.path namesakes that look at a file
+# without reading it, or make a directory
+_FILE_SYSTEM_CHECKS = {"exists", "is_file", "isfile", "is_dir", "isdir", "mkdir", "makedirs"}
+
+
+def file_system_checks(source: str) -> list[str]:
+    """Each call in ``source`` of a method or function named in ``_FILE_SYSTEM_CHECKS``."""
+    return calls(source, lambda call: _called_name(call) in _FILE_SYSTEM_CHECKS)
+
+
+def test_a_file_is_checked_by_reading_it():
+    # read_input checks an input file by reading it; only the pretagged
+    # directory, whose glob would find no files if it were missing, is
+    # looked at, and only the output directory is made, after the inputs
+    # are read
+    checks = {
+        path.stem: file_system_checks(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(letternet.__file__).parent.glob("*.py"))
+    }
+    assert {stem: found for stem, found in checks.items() if found} == {
+        "cli": [
+            "_load_docs: directory.is_dir()",
+            "_out_dir: out.mkdir(parents=True, exist_ok=True)",
+        ],
+    }
+
+
+def test_file_system_checks_finds_each_kind():
+    source = (
+        "import os\n"
+        "from os.path import isdir\n"
+        "HERE = os.path.exists('a')\n"
+        "def f(p):\n"
+        "    p.exists(), p.is_file(), p.is_dir(), p.mkdir(parents=True)\n"
+        "    os.path.isfile(p), isdir(p), os.makedirs(p), os.mkdir(p)\n"
+        "    p.is_symlink(), p.resolve(), os.listdir(p), p.open()\n"
+    )
+    assert file_system_checks(source) == [
+        "<module>: os.path.exists('a')",
+        "f: p.exists()",
+        "f: p.is_file()",
+        "f: p.is_dir()",
+        "f: p.mkdir(parents=True)",
+        "f: os.path.isfile(p)",
+        "f: isdir(p)",
+        "f: os.makedirs(p)",
+        "f: os.mkdir(p)",
     ]
