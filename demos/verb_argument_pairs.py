@@ -17,7 +17,7 @@ from letternet import (
     load_gold,
     load_manifest,
 )
-from letternet.extraction import RelationKind
+from letternet.network import RelationKind
 from letternet.pipeline import data_path
 
 SAMPLE = data_path("sample_corpus")

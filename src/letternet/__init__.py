@@ -2,9 +2,9 @@
 
 The package is organised as a pipeline: ``corpus`` reads manifests and
 cleans transcriptions, ``pipeline`` segments and annotates the text,
-``extraction`` produces verb-argument pair records, ``network`` counts
-co-occurrences and aggregates both into weighted graphs, and ``export``
-writes the graphs in interchange formats.  ``evaluation`` scores the pair
+``network`` decides the relations, co-occurrence and verb-argument pairs,
+and aggregates both into weighted graphs, and ``export`` writes the
+graphs in interchange formats.  ``evaluation`` scores the pair
 heuristic against gold triples and applies manual anaphora, and
 ``readback`` reads written graphs back and validates GEXF.  ``cli`` wires
 the stages together behind a command line interface.  Every error that
@@ -23,11 +23,11 @@ _MODULES = {
         "default_annotator", "ingest_pretagged", "split_sentences", "tokenize",
         "write_vertical",
     ),
-    "extraction": ("PairRecord", "RelationKind", "extract_window_pairs"),
     "evaluation": ("GoldTriple", "apply_anaphora", "evaluate_pairs", "load_anaphora", "load_gold"),
     "network": (
-        "Centrality", "LexicalGraph", "build_graph", "centrality", "cooccurrence_graph",
-        "extract_cooccurrences", "merge_graphs", "pair_graph", "prune", "token_frequencies",
+        "Centrality", "LexicalGraph", "PairRecord", "RelationKind", "build_graph", "centrality",
+        "cooccurrence_graph", "extract_cooccurrences", "extract_window_pairs", "merge_graphs",
+        "pair_graph", "prune", "token_frequencies",
     ),
     "export": ("export_csv_edges", "export_dot", "export_gexf", "export_json", "stats_report"),
     "readback": ("import_json", "validate_gexf"),

@@ -23,13 +23,14 @@ from letternet.export import (
     export_stats,
     stats_report,
 )
-from letternet.extraction import DEFAULT_MAX_DISTANCE, extract_window_pairs
 from letternet.network import (
+    DEFAULT_MAX_DISTANCE,
     LexicalGraph,
     build_graph,  # noqa: F401  bound for the benchmark tracer
     cooccurrence_graph,
     cutoff,
     extract_cooccurrences,  # noqa: F401  bound for the benchmark tracer
+    extract_window_pairs,
     merge_graphs,  # noqa: F401  bound for the benchmark tracer
     pair_graph,
     prune,
@@ -332,11 +333,16 @@ def _graph_names(cfg: RunConfig, docs: list[AnnotatedDoc]) -> set[str]:
     return {file for name, _ in _groups(cfg, docs) for file in _graph_files(cfg, name)}
 
 
-def _write_vertical_files(out: Path, docs: list[AnnotatedDoc]) -> None:
+def _vertical_files(docs: list[AnnotatedDoc]) -> dict[str, AnnotatedDoc]:
+    """File name -> document of each vertical file, in order."""
+    return {f"{doc.letter_id}.tsv": doc for doc in docs}
+
+
+def _write_vertical_files(out: Path, files: dict[str, AnnotatedDoc]) -> None:
     rows: dict[Token, str] = {}  # one for all files: a token's row is formatted once
-    for doc in docs:
-        write_vertical(doc, out / f"{doc.letter_id}.tsv", memo=rows)
-    _print(f"preprocessed {len(docs)} letters -> {out}")
+    for file, doc in files.items():
+        write_vertical(doc, out / file, memo=rows)
+    _print(f"preprocessed {len(files)} letters -> {out}")
 
 
 def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None:
@@ -352,8 +358,8 @@ def _export_network(cfg: RunConfig, docs: list[AnnotatedDoc], out: Path) -> None
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:
-    docs = _load_docs(cfg)
-    _write_vertical_files(_out_dir(cfg, {f"{doc.letter_id}.tsv" for doc in docs}), docs)
+    files = _vertical_files(_load_docs(cfg))
+    _write_vertical_files(_out_dir(cfg, set(files)), files)
 
 
 def cmd_network(cfg: RunConfig) -> None:
@@ -402,8 +408,9 @@ def cmd_stats(cfg: RunConfig) -> None:
 
 def cmd_run(cfg: RunConfig) -> None:
     docs = _load_docs(cfg)
-    out = _out_dir(cfg, {f"{doc.letter_id}.tsv" for doc in docs} | _graph_names(cfg, docs))
-    _write_vertical_files(out, docs)
+    files = _vertical_files(docs)
+    out = _out_dir(cfg, files.keys() | _graph_names(cfg, docs))
+    _write_vertical_files(out, files)
     _export_network(cfg, docs, out)
 
 

@@ -1,6 +1,6 @@
 """Gold triples, scoring and manual anaphora for the pair heuristic.
 
-``letternet eval`` scores :func:`~letternet.extraction.extract_window_pairs`
+``letternet eval`` scores :func:`~letternet.network.extract_window_pairs`
 against manually judged verbs (:func:`load_gold`, :func:`evaluate_pairs`),
 and ``--anaphora`` replaces pronouns by the nouns they stand for before
 any extraction (:func:`load_anaphora`, :func:`apply_anaphora`).  No graph
@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from letternet.extraction import DIRECTED_KINDS, PairRecord, RelationKind
+from letternet.network import DIRECTED_KINDS, PairRecord, RelationKind
 from letternet.pipeline import (
     AnnotatedDoc, InputError, PosClass, fold, parse_index, read_table,
 )

@@ -1,4 +1,14 @@
-"""Weighted lexical graphs built from extraction output, and their one order.
+"""Relations between the words of a letter, and the weighted graphs they make.
+
+Two relations are read off an annotated letter.  Sentence co-occurrence
+pairs two content tokens (NOUN, VERB, ADJ) in one context, and is
+counted straight into a graph by :func:`cooccurrence_graph`.  The
+verb-argument pair heuristic, :func:`extract_window_pairs`, reads the
+nearest noun to the left of a verb as its subject and the nearest noun
+to the right as its object: early modern prose defeats modern parsers,
+while noun-verb adjacency survives the spelling.  Scoring the pairs
+against gold triples, and the manual pronoun resolutions that can feed
+them, are in ``letternet.evaluation``.
 
 Nodes are (lemma, word class) pairs weighted by corpus frequency;
 edges carry a relation kind and the number of supporting relation
@@ -20,15 +30,23 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from letternet.extraction import (
-    DEFAULT_CONTENT_CLASSES,
-    DEFAULT_MAX_DISTANCE,
-    DIRECTED_KINDS,
-    PairRecord,
-    RelationKind,
-    extract_window_pairs,
-)
-from letternet.pipeline import _POS_BY_NAME, AnnotatedDoc, InputError, PosClass
+from letternet.pipeline import _POS_BY_NAME, AnnotatedDoc, InputError, PosClass, Token
+
+
+class RelationKind(enum.Enum):
+    COOCCUR = "COOCCUR"
+    SUBJ = "SUBJ"
+    OBJ = "OBJ"
+
+    # as for PosClass: the C identity hash, not Enum's Python-level one
+    __hash__ = object.__hash__
+
+
+DIRECTED_KINDS = frozenset({RelationKind.SUBJ, RelationKind.OBJ})
+
+DEFAULT_CONTENT_CLASSES = frozenset({PosClass.NOUN, PosClass.VERB, PosClass.ADJ})
+
+DEFAULT_MAX_DISTANCE = 4
 
 NodeKey = tuple[str, PosClass]
 EdgeKey = tuple[NodeKey, NodeKey, RelationKind]
@@ -38,6 +56,25 @@ Pruning = tuple[str, str, bool]  # node rule, edge rule, drop_isolated, as prune
 def node_order(key: NodeKey) -> tuple[str, str]:
     """Sort key of a node: lemma, then class name; unique per node."""
     return (key[0], key[1]._name_)
+
+
+class PairRecord(NamedTuple):
+    """One extracted relation instance.
+
+    For SUBJ the source is the noun and the target the verb; for OBJ
+    the source is the verb and the target the noun.  A COOCCUR record
+    is unordered; graph building puts its endpoints in canonical
+    :func:`node_order`.  ``letter_id`` and ``sent_idx`` say where the
+    instance was found.
+    """
+
+    src_lemma: str
+    src_pos: PosClass
+    dst_lemma: str
+    dst_pos: PosClass
+    kind: RelationKind
+    letter_id: str
+    sent_idx: int
 
 
 class LexicalGraph(NamedTuple):
@@ -236,6 +273,64 @@ def _count_sentence(row: list[int], pairs: Counter[tuple[int, int]]) -> None:
             pairs[(a, a)] += c_a * (c_a - 1) // 2
         for b, c_b in tally[n + 1 :]:
             pairs[(a, b)] += c_a * c_b
+
+
+def _nearest_noun(side: Iterable[Token], verb_blocker: bool) -> Token | None:
+    """The first NOUN of one side of a verb, given nearest first.
+
+    Pronouns, modals, punctuation and everything else are looked
+    through; with ``verb_blocker`` a plain VERB before any noun gives None.
+    """
+    for token in side:
+        if token.pos is PosClass.NOUN:
+            return token
+        if verb_blocker and token.pos is PosClass.VERB:
+            return None
+    return None
+
+
+def extract_window_pairs(
+    doc: AnnotatedDoc,
+    max_dist: int = DEFAULT_MAX_DISTANCE,
+    verb_blocker: bool = True,
+) -> list[PairRecord]:
+    """Shallow subject and object pairs for every full verb.
+
+    For each VERB token the nearest NOUN to its left within ``max_dist``
+    intervening tokens becomes the subject candidate and the nearest
+    NOUN to its right the object candidate; either side may come up
+    empty.  Each side is the slice of the ``max_dist + 1`` tokens next
+    to the verb, searched nearest first.  Pronouns are never selected,
+    modals are not treated as verbs, and with ``verb_blocker`` another
+    verb between noun and verb cancels that side (it usually signals an
+    intervening clause).  Records come out in reading order, subject
+    before object per verb.
+    """
+    if max_dist < 0:
+        raise ValueError(f"max_dist must be >= 0, got {max_dist}")
+    reach = max_dist + 1
+    records: list[PairRecord] = []
+    for sent_idx, sentence in enumerate(doc.sentences):
+        for i, verb in enumerate(sentence):
+            if verb.pos is not PosClass.VERB:
+                continue
+            noun = _nearest_noun(reversed(sentence[max(0, i - reach) : i]), verb_blocker)
+            if noun is not None:
+                records.append(
+                    PairRecord(
+                        noun.lemma, noun.pos, verb.lemma, verb.pos,
+                        RelationKind.SUBJ, doc.letter_id, sent_idx,
+                    )
+                )
+            noun = _nearest_noun(sentence[i + 1 : i + 1 + reach], verb_blocker)
+            if noun is not None:
+                records.append(
+                    PairRecord(
+                        verb.lemma, verb.pos, noun.lemma, noun.pos,
+                        RelationKind.OBJ, doc.letter_id, sent_idx,
+                    )
+                )
+    return records
 
 
 def pair_graph(

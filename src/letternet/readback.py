@@ -15,8 +15,7 @@ import re
 from pathlib import Path
 
 from letternet.export import GEXF_NS, VIZ_NS
-from letternet.extraction import RelationKind
-from letternet.network import EdgeKey, LexicalGraph, NodeKey
+from letternet.network import EdgeKey, LexicalGraph, NodeKey, RelationKind
 from letternet.pipeline import (
     _POS_BY_NAME,
     _XML_UNWRITABLE,

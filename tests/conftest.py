@@ -6,9 +6,8 @@ import pytest
 
 import letternet
 from letternet.cli import CONFIG_ENV_VAR
-from letternet.network import LexicalGraph
+from letternet.network import DEFAULT_CONTENT_CLASSES, LexicalGraph, PairRecord, RelationKind
 from letternet.pipeline import AnnotatedDoc, PosClass, Token, data_path
-from letternet.extraction import DEFAULT_CONTENT_CLASSES, PairRecord, RelationKind
 
 
 SAMPLE_DIR = data_path("sample_corpus")

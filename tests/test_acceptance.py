@@ -24,8 +24,7 @@ from letternet import (
 from letternet.cli import main
 from letternet.evaluation import load_anaphora
 from letternet.export import export_gexf, export_json
-from letternet.extraction import RelationKind
-from letternet.network import Centrality, centrality, prune
+from letternet.network import Centrality, RelationKind, centrality, prune
 from letternet.pipeline import PosClass, lemmatize
 from letternet.readback import import_json, validate_gexf
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import letternet
-from letternet import cli, corpus, evaluation, export, extraction, network, pipeline, readback
+from letternet import cli, pipeline
 from letternet.cli import (
     CONFIG_ENV_VAR,
     RunConfig,
@@ -27,11 +27,12 @@ from letternet.cli import (
     main,
     validate_config,
 )
-from letternet.extraction import RelationKind
+from letternet.network import RelationKind
 from letternet.pipeline import Annotator, InputError, LetternetError, data_path
 from letternet.readback import import_json, validate_gexf
 
 from conftest import MANIFEST, SAMPLE_DIR, N, V, child_env, tree_bytes
+from test_source import MODULES
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,18 @@ def test_readme_lists_every_command():
     table = readme.split("| command ", 1)[1].split("\n\n", 1)[0]
     names = [row.split("|")[1].split("`")[1] for row in table.splitlines()[2:]]
     assert names == list(cli.COMMANDS)
+
+
+def test_readme_module_map_lists_every_module():
+    # one bullet per module of the package, and none for a module that is gone
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = readme.split("Module map (", 1)[1].split("\n\n", 2)[1]
+    names = [
+        line.split("`")[1].removeprefix("letternet.")
+        for line in bullets.splitlines()
+        if line.startswith("- `letternet.")
+    ]
+    assert sorted(names) == [path.stem for path in MODULES]
 
 
 # the command line, and flag / config / default precedence
@@ -1308,7 +1321,7 @@ def test_random_config_never_raises(mini_corpus, command, config):
 def test_every_error_class_is_a_letternet_error():
     # cli.main reports exactly the LetternetErrors, so an error class
     # outside that family would end in a traceback
-    modules = [pipeline, corpus, extraction, evaluation, network, export, readback, cli]
+    modules = [importlib.import_module(f"letternet.{path.stem}") for path in MODULES]
     classes = [
         obj
         for module in modules

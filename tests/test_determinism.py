@@ -10,7 +10,7 @@ import pickle
 import subprocess
 import sys
 
-from letternet.extraction import RelationKind
+from letternet.network import RelationKind
 from letternet.pipeline import PosClass
 
 from conftest import MANIFEST, child_env, tree_bytes

@@ -23,9 +23,9 @@ from letternet.export import (
     export_stats,
     stats_report,
 )
-from letternet.extraction import DIRECTED_KINDS, RelationKind
 from letternet.network import (
-    Centrality, LexicalGraph, centrality, mean_sd, node_order, sorted_view,
+    DIRECTED_KINDS, Centrality, LexicalGraph, RelationKind, centrality, mean_sd, node_order,
+    sorted_view,
 )
 from letternet.pipeline import ExportError, InputError, PosClass
 from letternet.readback import GexfValidationError, import_json, validate_gexf

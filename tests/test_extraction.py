@@ -12,9 +12,9 @@ from letternet.evaluation import (
     load_anaphora,
     load_gold,
 )
-from letternet.extraction import PairRecord, RelationKind, extract_window_pairs
 from letternet.network import (
-    build_graph, cooccurrence_graph, extract_cooccurrences, merge_graphs, token_frequencies,
+    PairRecord, RelationKind, build_graph, cooccurrence_graph, extract_cooccurrences,
+    extract_window_pairs, merge_graphs, token_frequencies,
 )
 from letternet.pipeline import InputError, PosClass, Token
 

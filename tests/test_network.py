@@ -9,20 +9,18 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from letternet.extraction import (
-    PairRecord,
-    RelationKind,
-    extract_window_pairs,
-)
 from letternet import network
 from letternet.network import (
     Centrality,
     LexicalGraph,
+    PairRecord,
+    RelationKind,
     build_graph,
     centrality,
     cooccurrence_graph,
     cutoff,
     extract_cooccurrences,
+    extract_window_pairs,
     merge_graphs,
     pair_graph,
     prune,

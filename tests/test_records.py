@@ -16,8 +16,7 @@ import pytest
 from letternet.cli import RunConfig
 from letternet.corpus import Letter, LetterMeta, load_manifest
 from letternet.evaluation import EvalReport, GoldTriple, Scores, load_gold
-from letternet.extraction import PairRecord, RelationKind
-from letternet.network import LexicalGraph
+from letternet.network import LexicalGraph, PairRecord, RelationKind
 from letternet.pipeline import (
     AnnotatedDoc,
     InputError,
