@@ -33,7 +33,7 @@ from letternet.network import (
     extract_window_pairs,
     merge_graphs,  # noqa: F401  bound for the benchmark tracer
     pair_graph,
-    prune,
+    prune,  # noqa: F401  bound for the benchmark tracer
     sorted_view,
     token_frequencies,  # noqa: F401  bound for the benchmark tracer
 )
@@ -265,12 +265,10 @@ def _build_graphs(
     if cfg.prune_nodes or cfg.prune_edges:
         pruning = (cfg.prune_nodes or "gt0", cfg.prune_edges or "gt0", not cfg.keep_isolated)
     for name, group in _groups(cfg, docs):
+        # cut on the graph's id tables, before its edges are keyed
         if cfg.mode == "pairs":
-            graph = pair_graph(group, cfg.max_dist, cfg.verb_blocker)
-            if pruning:
-                graph = prune(graph, *pruning)
+            graph = pair_graph(group, cfg.max_dist, cfg.verb_blocker, pruning=pruning)
         else:
-            # cut on the graph's id tables, before its edges are keyed
             graph = cooccurrence_graph(group, window, pruning=pruning)
         yield name, graph
 

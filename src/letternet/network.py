@@ -26,9 +26,11 @@ import enum
 import math
 import re
 import sys
+from bisect import bisect_left
 from collections import Counter
-from itertools import chain, combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from itertools import chain, combinations, compress, count, repeat
+from operator import attrgetter, is_
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from letternet.pipeline import _POS_BY_NAME, AnnotatedDoc, InputError, PosClass, Token
 
@@ -122,19 +124,6 @@ def token_frequencies(docs: Iterable[AnnotatedDoc]) -> Counter:
     return Counter((token.lemma, token.pos) for doc in docs for token in doc.tokens())
 
 
-def _add_records(records: Iterable[PairRecord], weights: Counter[EdgeKey]) -> set[NodeKey]:
-    """Add 1 per record to its edge, COOCCUR endpoints in canonical order; return the endpoints."""
-    touched = set()
-    for record in records:
-        src = (record.src_lemma, record.src_pos)
-        dst = (record.dst_lemma, record.dst_pos)
-        if record.kind is RelationKind.COOCCUR and node_order(src) > node_order(dst):
-            src, dst = dst, src
-        weights[(src, dst, record.kind)] += 1
-        touched.update((src, dst))
-    return touched
-
-
 def build_graph(
     edges: Mapping[EdgeKey, int] | Iterable[PairRecord],
     frequencies: Mapping[NodeKey, int],
@@ -155,7 +144,12 @@ def build_graph(
     weights = edges
     if not isinstance(edges, Mapping):
         weights = Counter()
-        _add_records(edges, weights)
+        for record in edges:
+            src = (record.src_lemma, record.src_pos)
+            dst = (record.dst_lemma, record.dst_pos)
+            if record.kind is RelationKind.COOCCUR and node_order(src) > node_order(dst):
+                src, dst = dst, src
+            weights[(src, dst, record.kind)] += 1
     nodes: dict[NodeKey, int] = {}
     for src, dst, _kind in weights:
         for key in (src, dst):
@@ -167,6 +161,30 @@ def build_graph(
                     )
                 nodes[key] = int(freq)
     return LexicalGraph(nodes=nodes, edges=dict(weights))
+
+
+class _NodeIds(dict):
+    """Token -> the int id of its (lemma, class) node, for one graph call.
+
+    Ids count from 1 in first-seen order, and a token outside
+    ``DEFAULT_CONTENT_CLASSES`` maps to 0, so ``filter(None, ...)`` drops
+    it.  A token seen before costs one C-level lookup, a new one a Python
+    step.  Tokens are keyed by value, never by ``id(token)``, whose
+    address a freed token hands on: equal tokens share an entry, and two
+    spellings of one (lemma, class) share its id.
+    """
+
+    __slots__ = ("nodes",)
+
+    def __init__(self) -> None:
+        self.nodes: dict[NodeKey, int] = {}  # node -> id
+
+    def __missing__(self, token: Token) -> int:
+        node = 0
+        if token.pos in DEFAULT_CONTENT_CLASSES:
+            node = self.nodes.setdefault((token.lemma, token.pos), len(self.nodes) + 1)
+        self[token] = node
+        return node
 
 
 def cooccurrence_graph(
@@ -194,7 +212,8 @@ def cooccurrence_graph(
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    ids: dict[NodeKey, int] = {}  # node -> id, in first-seen order
+    ids = _NodeIds()
+    node_id = ids.__getitem__
     pairs: Counter[tuple[int, int]] = Counter()  # (smaller id, larger id) -> weight
     freqs: Counter[int] = Counter()
     for doc in docs:
@@ -203,11 +222,7 @@ def cooccurrence_graph(
         for sentence in doc.sentences:
             if window is None or window >= len(sentence) - 1:
                 # every two content tokens of the sentence are in context
-                row = [
-                    ids.setdefault((t.lemma, t.pos), len(ids))
-                    for t in sentence
-                    if t.pos in DEFAULT_CONTENT_CLASSES
-                ]
+                row = list(filter(None, map(node_id, sentence)))
                 if len(row) > 1:
                     paired += row
                     row.sort()
@@ -215,11 +230,7 @@ def cooccurrence_graph(
                 else:
                     lone += row
             else:
-                row = [
-                    (i, ids.setdefault((t.lemma, t.pos), len(ids)))
-                    for i, t in enumerate(sentence)
-                    if t.pos in DEFAULT_CONTENT_CLASSES
-                ]
+                row = [(i, a) for i, a in enumerate(map(node_id, sentence)) if a]
                 for j, (i, a) in enumerate(row):
                     # positions increase, so no partner lies past row[j + window]
                     for k, b in row[j + 1 : j + 1 + window]:
@@ -237,10 +248,11 @@ def cooccurrence_graph(
                 for a in lone:
                     if a in touched:
                         freqs[a] += 1
+    ids.clear()  # the token entries are done with; free them before any edge is keyed
     if pruning is not None:
         freqs, pairs = _keep(freqs, pairs, *pruning)
-    keys = list(ids)
-    order = [node_order(key) for key in keys]
+    keys = [None, *ids.nodes]  # each node at the index of its id
+    order = [None, *map(node_order, ids.nodes)]
     cooccur = RelationKind.COOCCUR
     edges = {
         (keys[a], keys[b], cooccur) if order[a] < order[b] else (keys[b], keys[a], cooccur): w
@@ -275,18 +287,44 @@ def _count_sentence(row: list[int], pairs: Counter[tuple[int, int]]) -> None:
             pairs[(a, b)] += c_a * c_b
 
 
-def _nearest_noun(side: Iterable[Token], verb_blocker: bool) -> Token | None:
-    """The first NOUN of one side of a verb, given nearest first.
+_pos_of = attrgetter("pos")
 
-    Pronouns, modals, punctuation and everything else are looked
-    through; with ``verb_blocker`` a plain VERB before any noun gives None.
+
+def _window_relations(
+    doc: AnnotatedDoc, max_dist: int, verb_blocker: bool
+) -> Iterator[tuple[int, Token, Token, RelationKind]]:
+    """(sentence index, source, target, kind) of each window pair, in reading order.
+
+    A verb's subject is the nearest noun to its left, its object the
+    nearest to its right, each at most ``max_dist + 1`` positions away
+    and, with ``verb_blocker``, not beyond the neighbouring verb on that
+    side.  The noun and verb positions of a sentence are found in C, so
+    only a verb takes a Python step.
     """
-    for token in side:
-        if token.pos is PosClass.NOUN:
-            return token
-        if verb_blocker and token.pos is PosClass.VERB:
-            return None
-    return None
+    reach = max_dist + 1
+    subj, obj = RelationKind.SUBJ, RelationKind.OBJ
+    for sent_idx, sentence in enumerate(doc.sentences):
+        classes = list(map(_pos_of, sentence))
+        verbs = list(compress(count(), map(is_, classes, repeat(PosClass.VERB))))
+        if not verbs:
+            continue
+        nouns = list(compress(count(), map(is_, classes, repeat(PosClass.NOUN))))
+        if verb_blocker:
+            # each verb's search stops at the verb before and the verb after it
+            lows, highs = [-1, *verbs[:-1]], [*verbs[1:], len(sentence)]
+        else:
+            lows, highs = repeat(-1), repeat(len(sentence))
+        for i, low, high in zip(verbs, lows, highs):
+            k = bisect_left(nouns, i)
+            if k and nouns[k - 1] > max(low, i - reach - 1):
+                yield sent_idx, sentence[nouns[k - 1]], sentence[i], subj
+            if k < len(nouns) and nouns[k] < min(high, i + reach + 1):
+                yield sent_idx, sentence[i], sentence[nouns[k]], obj
+
+
+def _check_max_dist(max_dist: int) -> None:
+    if max_dist < 0:
+        raise ValueError(f"max_dist must be >= 0, got {max_dist}")
 
 
 def extract_window_pairs(
@@ -306,54 +344,57 @@ def extract_window_pairs(
     intervening clause).  Records come out in reading order, subject
     before object per verb.
     """
-    if max_dist < 0:
-        raise ValueError(f"max_dist must be >= 0, got {max_dist}")
-    reach = max_dist + 1
-    records: list[PairRecord] = []
-    for sent_idx, sentence in enumerate(doc.sentences):
-        for i, verb in enumerate(sentence):
-            if verb.pos is not PosClass.VERB:
-                continue
-            noun = _nearest_noun(reversed(sentence[max(0, i - reach) : i]), verb_blocker)
-            if noun is not None:
-                records.append(
-                    PairRecord(
-                        noun.lemma, noun.pos, verb.lemma, verb.pos,
-                        RelationKind.SUBJ, doc.letter_id, sent_idx,
-                    )
-                )
-            noun = _nearest_noun(sentence[i + 1 : i + 1 + reach], verb_blocker)
-            if noun is not None:
-                records.append(
-                    PairRecord(
-                        verb.lemma, verb.pos, noun.lemma, noun.pos,
-                        RelationKind.OBJ, doc.letter_id, sent_idx,
-                    )
-                )
-    return records
+    _check_max_dist(max_dist)
+    return [
+        PairRecord(src.lemma, src.pos, dst.lemma, dst.pos, kind, doc.letter_id, sent_idx)
+        for sent_idx, src, dst, kind in _window_relations(doc, max_dist, verb_blocker)
+    ]
 
 
 def pair_graph(
-    docs: Iterable[AnnotatedDoc], max_dist: int = DEFAULT_MAX_DISTANCE, verb_blocker: bool = True
+    docs: Iterable[AnnotatedDoc],
+    max_dist: int = DEFAULT_MAX_DISTANCE,
+    verb_blocker: bool = True,
+    *,
+    pruning: Pruning | None = None,
 ) -> LexicalGraph:
     """:func:`merge_graphs` of each letter's graph of window pairs, counted in one pass.
 
-    Each letter's records are added straight into one shared edge table;
-    only the endpoints gain the letter's :func:`token_frequencies`, as
-    they would under merge_graphs over per-letter build_graph results.
-    Those counts take one C step per token and one Python step per
-    distinct token of the letter.
+    The pairs are those of :func:`extract_window_pairs`, counted on int
+    node ids into one edge table shared by all letters.  A node's
+    frequency sums its occurrences in the letters where it is an
+    endpoint, as merge_graphs over per-letter build_graph results would:
+    each letter's tokens are counted by id in one C step, and only the
+    ids its pairs touch are kept.
+
+    ``pruning``, a ``(node_rule, edge_rule, drop_isolated)`` tuple, cuts
+    the graph as :func:`prune` would, with the same result and edge order,
+    but on the id tables: only the surviving edges are keyed.
     """
-    nodes: dict[NodeKey, int] = {}
-    edges: Counter[EdgeKey] = Counter()
+    _check_max_dist(max_dist)
+    ids = _NodeIds()
+    node_id = ids.__getitem__
+    pairs: Counter[tuple[int, int, RelationKind]] = Counter()  # (source, target, kind) -> weight
+    freqs: Counter[int] = Counter()
     for doc in docs:
-        touched = _add_records(extract_window_pairs(doc, max_dist, verb_blocker), edges)
-        if touched:
-            for token, n in Counter(chain.from_iterable(doc.sentences)).items():
-                key = (token.lemma, token.pos)
-                if key in touched:
-                    nodes[key] = nodes.get(key, 0) + n
-    return LexicalGraph(nodes=nodes, edges=dict(edges))
+        relations = list(_window_relations(doc, max_dist, verb_blocker))
+        if relations:
+            _, sources, targets, kinds = zip(*relations)
+            src_ids, dst_ids = list(map(node_id, sources)), list(map(node_id, targets))
+            pairs.update(zip(src_ids, dst_ids, kinds))
+            # the letter's counts, in first-seen order, of the nodes its pairs touch
+            touched = {*src_ids, *dst_ids}
+            counts = Counter(map(node_id, chain.from_iterable(doc.sentences)))
+            for a in filter(touched.__contains__, counts):
+                freqs[a] += counts[a]
+    ids.clear()  # the token entries are done with; free them before any edge is keyed
+    if pruning is not None:
+        freqs, pairs = _keep(freqs, pairs, *pruning)
+    keys = [None, *ids.nodes]
+    return LexicalGraph(
+        nodes={keys[a]: f for a, f in freqs.items()},
+        edges={(keys[a], keys[b], kind): w for (a, b, kind), w in pairs.items()},
+    )
 
 
 def merge_graphs(graphs: Sequence[LexicalGraph]) -> LexicalGraph:

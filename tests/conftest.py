@@ -1,12 +1,19 @@
 import os
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 
 import letternet
 from letternet.cli import CONFIG_ENV_VAR
-from letternet.network import DEFAULT_CONTENT_CLASSES, LexicalGraph, PairRecord, RelationKind
+from letternet.network import (
+    DEFAULT_CONTENT_CLASSES,
+    LexicalGraph,
+    PairRecord,
+    RelationKind,
+    node_order,
+)
 from letternet.pipeline import AnnotatedDoc, PosClass, Token, data_path
 
 
@@ -86,6 +93,135 @@ def cooccurrence_records(doc, window=None):
                 )
             )
     return records
+
+
+# The graph kernels as they were before node ids came from one token
+# table: the oracles of the id kernels, node and edge order included.
+
+
+def old_cooccurrence_graph(docs, window=None):
+    """Co-occurrence counted on ids handed out per content token, one Python step each."""
+    ids = {}
+    pairs = Counter()
+    freqs = Counter()
+    for doc in docs:
+        paired = []
+        lone = []
+        for sentence in doc.sentences:
+            if window is None or window >= len(sentence) - 1:
+                row = [
+                    ids.setdefault((t.lemma, t.pos), len(ids))
+                    for t in sentence
+                    if t.pos in DEFAULT_CONTENT_CLASSES
+                ]
+                if len(row) > 1:
+                    paired += row
+                    row.sort()
+                    _old_count_sentence(row, pairs)
+                else:
+                    lone += row
+            else:
+                row = [
+                    (i, ids.setdefault((t.lemma, t.pos), len(ids)))
+                    for i, t in enumerate(sentence)
+                    if t.pos in DEFAULT_CONTENT_CLASSES
+                ]
+                for j, (i, a) in enumerate(row):
+                    for k, b in row[j + 1 : j + 1 + window]:
+                        if k - i > window:
+                            break
+                        pairs[(a, b) if a <= b else (b, a)] += 1
+                near = [k - i <= window for (i, _), (k, _) in zip(row, row[1:])]
+                for (_, a), left, right in zip(row, [False, *near], [*near, False]):
+                    (paired if left or right else lone).append(a)
+        if paired:
+            freqs.update(paired)
+            if lone:
+                touched = set(paired)
+                for a in lone:
+                    if a in touched:
+                        freqs[a] += 1
+    keys = list(ids)
+    order = [node_order(key) for key in keys]
+    cooccur = RelationKind.COOCCUR
+    edges = {
+        (keys[a], keys[b], cooccur) if order[a] < order[b] else (keys[b], keys[a], cooccur): w
+        for (a, b), w in pairs.items()
+    }
+    return LexicalGraph(nodes={keys[a]: f for a, f in freqs.items()}, edges=edges)
+
+
+def _old_count_sentence(row, pairs):
+    counts = Counter(row) if len(row) > 64 else None
+    if counts is None or 2 * len(counts) >= len(row):
+        pairs.update(combinations(row, 2))
+        return
+    tally = list(counts.items())
+    for n, (a, c_a) in enumerate(tally):
+        if c_a > 1:
+            pairs[(a, a)] += c_a * (c_a - 1) // 2
+        for b, c_b in tally[n + 1 :]:
+            pairs[(a, b)] += c_a * c_b
+
+
+def _old_nearest_noun(side, verb_blocker):
+    for token in side:
+        if token.pos is PosClass.NOUN:
+            return token
+        if verb_blocker and token.pos is PosClass.VERB:
+            return None
+    return None
+
+
+def old_extract_window_pairs(doc, max_dist=4, verb_blocker=True):
+    """Window pairs found by a token loop over each side of every verb."""
+    reach = max_dist + 1
+    records = []
+    for sent_idx, sentence in enumerate(doc.sentences):
+        for i, verb in enumerate(sentence):
+            if verb.pos is not PosClass.VERB:
+                continue
+            noun = _old_nearest_noun(reversed(sentence[max(0, i - reach) : i]), verb_blocker)
+            if noun is not None:
+                records.append(
+                    PairRecord(
+                        noun.lemma, noun.pos, verb.lemma, verb.pos,
+                        RelationKind.SUBJ, doc.letter_id, sent_idx,
+                    )
+                )
+            noun = _old_nearest_noun(sentence[i + 1 : i + 1 + reach], verb_blocker)
+            if noun is not None:
+                records.append(
+                    PairRecord(
+                        verb.lemma, verb.pos, noun.lemma, noun.pos,
+                        RelationKind.OBJ, doc.letter_id, sent_idx,
+                    )
+                )
+    return records
+
+
+def old_pair_graph(docs, max_dist=4, verb_blocker=True):
+    """Window pairs keyed record by record, every edge keyed before any cut."""
+    nodes = {}
+    edges = Counter()
+    for doc in docs:
+        touched = set()
+        for record in old_extract_window_pairs(doc, max_dist, verb_blocker):
+            src = (record.src_lemma, record.src_pos)
+            dst = (record.dst_lemma, record.dst_pos)
+            edges[(src, dst, record.kind)] += 1
+            touched.update((src, dst))
+        if touched:
+            for token, n in Counter(chain.from_iterable(doc.sentences)).items():
+                key = (token.lemma, token.pos)
+                if key in touched:
+                    nodes[key] = nodes.get(key, 0) + n
+    return LexicalGraph(nodes=nodes, edges=dict(edges))
+
+
+def ordered(graph):
+    """A graph's nodes and edges as lists, so that comparing them compares order too."""
+    return list(graph.nodes.items()), list(graph.edges.items())
 
 
 @pytest.fixture

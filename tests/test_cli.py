@@ -403,7 +403,7 @@ def test_per_letter_graphs_are_built_and_written_one_at_a_time(
     build, write, prune = getattr(cli, builder), cli.export_gexf, cli.prune
 
     def traced_build(docs, *args, **kwargs):
-        events.append(("build", docs[0].letter_id))
+        events.append(("build", docs[0].letter_id, kwargs["pruning"]))
         return build(docs, *args, **kwargs)
 
     def traced_write(view, path):
@@ -421,10 +421,10 @@ def test_per_letter_graphs_are_built_and_written_one_at_a_time(
             "--scope", "per-letter", "--prune-edges", "gt0"]
     code, _, _ = run_main(args, capsys)
     assert code == 0
-    # a co-occurrence graph is cut inside the graph call; only a pair graph is pruned after it
-    pruned = [("prune",)] if mode == "pairs" else []
+    # either graph is cut inside the graph call, so prune() is never called
+    rules = ("gt0", "gt0", True)
     assert events == [
-        ("build", "A1"), *pruned, ("write", "A1"), ("build", "B1"), *pruned, ("write", "B1")
+        ("build", "A1", rules), ("write", "A1"), ("build", "B1", rules), ("write", "B1")
     ]
 
 

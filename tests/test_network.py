@@ -28,7 +28,15 @@ from letternet.network import (
 )
 from letternet.pipeline import AnnotatedDoc, InputError, PosClass, Token
 
-from conftest import cooccurrence_records, mk_doc, N, V
+from conftest import (
+    N,
+    V,
+    cooccurrence_records,
+    mk_doc,
+    old_cooccurrence_graph,
+    old_pair_graph,
+    ordered,
+)
 
 S = RelationKind.SUBJ
 O = RelationKind.OBJ
@@ -176,6 +184,7 @@ def test_cooccurrence_graph_matches_merged_letters(docs, window):
         got = cooccurrence_graph(group, window)
         assert got == merged_letters(group, lambda d: extract_cooccurrences(d, window))
         assert got == merged_letters(group, lambda d: cooccurrence_records(d, window))
+        assert ordered(got) == ordered(old_cooccurrence_graph(group, window))
         got.validate()
 
 
@@ -191,7 +200,60 @@ def test_pair_graph_matches_merged_letters(docs, max_dist, verb_blocker):
         assert got == merged_letters(
             group, lambda d: extract_window_pairs(d, max_dist, verb_blocker)
         )
+        assert ordered(got) == ordered(old_pair_graph(group, max_dist, verb_blocker))
         got.validate()
+
+
+def _shared(docs):
+    """``docs`` with every occurrence of a token value one object, as annotation gives them."""
+    forms = {}
+    return [
+        AnnotatedDoc(
+            doc.letter_id,
+            tuple(tuple(forms.setdefault(t, t) for t in sentence) for sentence in doc.sentences),
+        )
+        for doc in docs
+    ]
+
+
+def _streamed(docs, respell):
+    """Each letter rebuilt as it is read, every token occurrence a new ``respell(token)``.
+
+    A letter's tokens can be freed once the next one is read, and their
+    addresses then come up again for other tokens.
+    """
+    for doc in docs:
+        yield AnnotatedDoc(
+            doc.letter_id,
+            tuple(tuple(respell(t) for t in sentence) for sentence in doc.sentences),
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_LETTERS, min_size=1, max_size=4),
+    st.sampled_from([None, 1, 2]),
+    st.integers(min_value=0, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_node_ids_are_keyed_by_token_value(docs, window, max_dist, rng):
+    # a node is its (lemma, class), whichever object or spelling stands for it
+    docs = _shared(docs)
+
+    def fresh(token):
+        return Token(*token)
+
+    def respelt(token):
+        return token._replace(surface=token.surface.upper()) if rng.random() < 0.5 else token
+
+    for build in (
+        lambda ds: cooccurrence_graph(ds, window),
+        lambda ds: pair_graph(ds, max_dist),
+        lambda ds: pair_graph(ds, max_dist, pruning=("mean0", "gt0", True)),
+    ):
+        want = ordered(build(docs))
+        assert ordered(build(_streamed(docs, fresh))) == want
+        assert ordered(build(_streamed(docs, respelt))) == want
 
 
 def _with_pronouns(drawn):
@@ -232,6 +294,7 @@ def test_long_sentences_match_the_record_oracle(sentences, window):
     for group in (docs[:1], docs):
         got = cooccurrence_graph(group, window)
         assert got == merged_letters(group, lambda d: cooccurrence_records(d, window))
+        assert ordered(got) == ordered(old_cooccurrence_graph(group, window))
         got.validate()
 
 
@@ -296,6 +359,18 @@ def test_one_pass_graphs_reject_bad_settings():
     with pytest.raises(ValueError, match="max_dist"):
         pair_graph([doc], max_dist=-1)
     assert cooccurrence_graph([]) == pair_graph([]) == LexicalGraph({}, {})
+
+
+def test_one_pass_graphs_check_their_settings_before_reading_a_letter():
+    def unread():
+        raise AssertionError("a letter was read")
+        yield
+
+    for docs in ([], unread()):
+        with pytest.raises(ValueError, match="window"):
+            cooccurrence_graph(docs, window=0)
+        with pytest.raises(ValueError, match="max_dist"):
+            pair_graph(docs, max_dist=-1)
 
 
 def test_validate_rejects_bad_graphs():
@@ -540,6 +615,76 @@ def test_a_pruned_cooccurrence_graph_peaks_under_the_whole_one(annotator, sample
     assert 0 < cut.n_edges < whole.n_edges // 20
     # the kept edges are keyed, the rest never are
     assert cut_peak < 0.7 * whole_peak
+
+
+def assert_pair_cut_like_prune(docs, max_dist, verb_blocker, rules):
+    """The pair graph cut in the graph call is prune()'s of the old kernel's, in order."""
+    got = pair_graph(docs, max_dist, verb_blocker, pruning=rules)
+    whole = old_pair_graph(docs, max_dist, verb_blocker)
+    assert ordered(got) == ordered(prune(whole, *rules))
+    assert (got.nodes, got.edges) == oracle_prune(whole, *rules)
+    got.validate()
+    return whole, got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_LETTERS, min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+    _DRAWN_RULES,
+    _DRAWN_RULES,
+    st.booleans(),
+)
+def test_pair_graph_cut_on_ids_matches_prune(
+    docs, max_dist, verb_blocker, node_rule, edge_rule, drop
+):
+    assert_pair_cut_like_prune(docs, max_dist, verb_blocker, (node_rule, edge_rule, drop))
+
+
+def test_pair_graph_cut_on_ids_matches_prune_on_the_sample_corpus(annotator, sample_corpus):
+    docs = [annotator.annotate(letter) for letter in sample_corpus]
+    cut_some = set()
+    for node_rule, edge_rule, drop in product(_RULES, _RULES, (True, False)):
+        whole, got = assert_pair_cut_like_prune(docs, 4, True, (node_rule, edge_rule, drop))
+        if 0 < got.n_edges < whole.n_edges and 0 < got.n_nodes < whole.n_nodes:
+            cut_some.add((node_rule, edge_rule))
+    # most pairs of rules keep part of the graph, so the comparisons are not of empty graphs
+    assert len(cut_some) > len(_RULES) ** 2 // 2
+
+
+def test_a_pruned_pair_graph_peaks_under_the_whole_one(annotator, sample_corpus):
+    # ten copies of the sample letters, each with its own lemmas, so that
+    # the vocabulary grows with the corpus as it does in real text
+    docs = [
+        AnnotatedDoc(
+            letter_id=f"{doc.letter_id}_{i}",
+            sentences=tuple(
+                tuple(token._replace(lemma=f"{token.lemma}{i}") for token in sentence)
+                for sentence in doc.sentences
+            ),
+        )
+        for doc in (annotator.annotate(letter) for letter in sample_corpus)
+        for i in range(10)
+    ]
+
+    def peak(**kwargs):
+        tracemalloc.start()
+        try:
+            graph = pair_graph(docs, **kwargs)
+            return tracemalloc.get_traced_memory()[1], graph
+        finally:
+            tracemalloc.stop()
+
+    pair_graph(docs)  # allocator warm-up, so that neither peak pays for it
+    whole_peak, whole = peak()
+    cut_peak, cut = peak(pruning=("mean2", "mean2", True))
+    assert ordered(cut) == ordered(prune(whole, "mean2", "mean2"))
+    assert 0 < cut.n_edges < whole.n_edges // 20
+    # the kept edges are keyed, the rest never are; both calls peak with
+    # the token table and the id counts alive, so the share is larger than
+    # a co-occurrence graph's
+    assert cut_peak < 0.9 * whole_peak
 
 
 # centrality

@@ -41,6 +41,7 @@ CASES = {
     "pairs-per-letter": ["network", "--mode", "pairs", "--scope", "per-letter", *ANAPHORA, *ALL_FORMATS],
     "stats-top4": ["stats", "--top", "4"],
     "eval-anaphora": ["eval", "--gold", str(SAMPLE_DIR / "gold_l01.tsv"), *ANAPHORA],
+    "pairs-pruned": ["network", "--mode", "pairs", "--prune-nodes", "mean1", "--prune-edges", "gt1", *ALL_FORMATS],
 }
 
 
