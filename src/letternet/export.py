@@ -8,14 +8,15 @@ gives byte-identical files, and all writes are atomic: the target file
 appears complete or not at all.  The GEXF, DOT, JSON and CSV writers
 hand :func:`~letternet.pipeline.write_atomic` their text a line or an
 element at a time, so no file is ever held whole in memory.  JSON is
-written directly in ``json.dumps(..., indent=2)`` layout, with only the
-lemma strings passed through the ``json`` encoder.  The GEXF and DOT
+written directly in ``json.dumps(..., indent=2)`` layout, lemma strings
+escaped as the ``json`` encoder escapes them.  The GEXF and DOT
 writers share one fixed style: red verbs, blue nouns, green adjectives
 and grey for every other class; red subject, blue object and grey
 co-occurrence edges; and node sizes from 10 to 60 growing linearly with
 frequency.  Each format has one writer here.  Reading files back (the
-JSON reader and GEXF validation) is ``letternet.readback``'s, and the
-``csv`` and ``json`` modules load only when their format is written.
+JSON reader and GEXF validation) is ``letternet.readback``'s; the
+``csv`` module loads only when its format is written, and no writer
+loads ``json``.
 """
 
 from __future__ import annotations
@@ -212,10 +213,23 @@ def _json_list(items: Iterator[str]) -> Iterator[str]:
     yield "\n  ]"
 
 
-def _json_lines(view: SortedGraph) -> Iterator[str]:
-    from json.encoder import encode_basestring
+# the escapes of json.encoder.encode_basestring: '"', '\\' and the C0 controls
+_JSON_ESCAPES = str.maketrans(
+    {chr(i): f"\\u{i:04x}" for i in range(0x20)}
+    | {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 
-    lemmas = [encode_basestring(lemma) for _, lemma, _, _ in view.nodes]
+
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, as ``json.dumps(text, ensure_ascii=False)`` writes it."""
+    # a C0 control is not printable; most lemmas need no escape at all
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return f'"{text.translate(_JSON_ESCAPES)}"'
+
+
+def _json_lines(view: SortedGraph) -> Iterator[str]:
+    lemmas = [_json_string(lemma) for _, lemma, _, _ in view.nodes]
     ends = [
         f'[\n        {lemma},\n        "{cls}"\n      ]'
         for lemma, (_, _, cls, _) in zip(lemmas, view.nodes)
@@ -244,8 +258,8 @@ def export_json(graph: GraphLike, path: str | Path) -> None:
     file order.  The text is what ``json.dumps(..., indent=2,
     ensure_ascii=False)`` gives for that document, plus a final newline.
     The layout is written here, since ``indent`` makes ``json`` fall back
-    to its pure-Python encoder; only the lemmas go through the encoder's
-    string escaping.  :func:`~letternet.readback.import_json` reads it back.
+    to its pure-Python encoder, and so are the lemmas' string escapes.
+    :func:`~letternet.readback.import_json` reads it back.
     """
     write_atomic(path, _json_lines(sorted_view(graph)))
 

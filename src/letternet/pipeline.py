@@ -20,7 +20,8 @@ import logging
 import os
 import re
 from pathlib import Path
-from typing import Container, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -148,6 +149,7 @@ def read_table(path: str | Path, n_fields: int | None, what: str) -> list[tuple[
     ``n_fields`` None the first row (a header) sets the count.
     """
     p = Path(path)
+    prefix = f"{p}:"
     rows = []
     for lineno, line in enumerate(read_input(p, what).split("\n"), start=1):
         stripped = line.strip()
@@ -160,7 +162,7 @@ def read_table(path: str | Path, n_fields: int | None, what: str) -> list[tuple[
             raise InputError(
                 f"{p}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
             )
-        rows.append((f"{p}:{lineno}", [x.strip() for x in parts]))
+        rows.append((f"{prefix}{lineno}", list(map(str.strip, parts))))
     return rows
 
 
@@ -203,15 +205,16 @@ def write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
     raising included, the temporary file is removed and an existing
     target is left as it was.
     """
-    target = Path(path)
-    tmp_name = target.parent / f"{target.name}.{os.urandom(4).hex()}"
+    target = os.fspath(path)
+    tmp_name = f"{target}.{os.urandom(4).hex()}"
     try:
         fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise ExportError(f"cannot write {target}: {exc}") from exc
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        # each piece encoded as it comes; a binary file translates no newline
+        with open(fd, "wb") as fh:
+            fh.writelines(map(str.encode, pieces))
         os.replace(tmp_name, target)
     except BaseException as exc:
         try:
@@ -543,7 +546,7 @@ _SUFFIX_RULES = (
 )
 
 
-def tag(word: str, words: dict[str, PosClass]) -> PosClass:
+def tag(word: str, words: Mapping[str, PosClass]) -> PosClass:
     """The class of a folded word: its entry in ``words``, else a suffix rule's, else NOUN."""
     hit = words.get(word)
     if hit is not None:
@@ -556,7 +559,7 @@ def tag(word: str, words: dict[str, PosClass]) -> PosClass:
     return PosClass.NOUN
 
 
-def _strip_or_keep(word: str, stem: str, words: dict[str, PosClass]) -> str:
+def _strip_or_keep(word: str, stem: str, words: Mapping[str, PosClass]) -> str:
     """Restore a stripped verb stem, but keep words that already are lemmas.
 
     The stem as it is, then with an "e" ("moved" - "move"), is looked up
@@ -574,7 +577,7 @@ def _strip_or_keep(word: str, stem: str, words: dict[str, PosClass]) -> str:
     return word if words.get(word) is PosClass.VERB else stem
 
 
-def _strip_s(w: str, pos: PosClass, es_after: str, words: dict[str, PosClass]) -> str:
+def _strip_s(w: str, pos: PosClass, es_after: str, words: Mapping[str, PosClass]) -> str:
     """Undo -ies, -es and -s: noun plurals and verbs' third person.
 
     "-es" loses both letters after "ch", "sh" or one of ``es_after``.
@@ -594,8 +597,8 @@ def _strip_s(w: str, pos: PosClass, es_after: str, words: dict[str, PosClass]) -
 def lemmatize(
     word: str,
     pos: PosClass,
-    exceptions: dict[tuple[str, PosClass | None], str],
-    words: dict[str, PosClass],
+    exceptions: Mapping[tuple[str, PosClass | None], str],
+    words: Mapping[str, PosClass],
 ) -> str:
     """The lemma of a folded word of class ``pos``.
 
@@ -645,34 +648,51 @@ class Annotator:
     sentence ends at a chunk depends on the chunk alone; so each distinct
     chunk ("vse,", "(Mr.") is memoized too, with its tokens and whether
     it ends a sentence, and :func:`tokenize` and that rule run once per
-    chunk.  The memos and the spelling folds of ``words`` depend on all
-    five fields, so these are fixed once the annotator is made: to change
-    a table or an option, make a new annotator, which starts with empty
-    memos.  An annotator compares by identity, and pickling or copying
-    one carries its memos along.
+    chunk that is not letters alone (such a chunk is one word and ends no
+    sentence).  The memos and the spelling folds of ``words`` depend on
+    all five fields, so these are fixed once the annotator is made: it
+    keeps its own copies of the three tables and shows them as read-only
+    mappings, so a caller that changes a dict it passed in changes no
+    annotation.  To change a table or an option, make a new annotator,
+    which starts with empty memos.  An annotator compares by identity,
+    and pickling or copying one carries its memos along.
     """
 
     __slots__ = (
-        "variants", "words", "exceptions", "abbreviations", "colon_boundary", "_folds", "_forms",
-        "_chunks",
+        "_variants", "_words", "_exceptions", "abbreviations", "colon_boundary", "_folds",
+        "_forms", "_chunks",
     )
 
     def __init__(
         self,
-        variants: dict[str, VariantEntry],
-        words: dict[str, PosClass],
-        exceptions: dict[tuple[str, PosClass | None], str],
+        variants: Mapping[str, VariantEntry],
+        words: Mapping[str, PosClass],
+        exceptions: Mapping[tuple[str, PosClass | None], str],
         abbreviations: frozenset[str] = frozenset(),
         colon_boundary: bool = False,
     ) -> None:
-        self.variants = variants
-        self.words = words
-        self.exceptions = exceptions
+        self._variants = dict(variants)
+        self._words = dict(words)
+        self._exceptions = dict(exceptions)
         self.abbreviations = abbreviations
         self.colon_boundary = colon_boundary
-        self._folds = frozenset(map(spelling_fold, words))
+        self._folds = frozenset(map(spelling_fold, self._words))
         self._forms: dict[str, Token] = {}
         self._chunks: dict[str, tuple[tuple[Token, ...], bool]] = {}
+
+    # read-only views, made on each access so that pickling and copying
+    # see only the plain dicts
+    @property
+    def variants(self) -> Mapping[str, VariantEntry]:
+        return MappingProxyType(self._variants)
+
+    @property
+    def words(self) -> Mapping[str, PosClass]:
+        return MappingProxyType(self._words)
+
+    @property
+    def exceptions(self) -> Mapping[tuple[str, PosClass | None], str]:
+        return MappingProxyType(self._exceptions)
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""
@@ -680,19 +700,19 @@ class Annotator:
             return "&", "&", PosClass.CONJ
         if surface.isdigit():
             return surface, surface, PosClass.NUM
-        if not any(ch.isalpha() for ch in surface):
+        if not surface.isalpha() and not any(ch.isalpha() for ch in surface):
             return surface, surface, PosClass.PUNCT
         key = fold(surface)
-        entry = self.variants.get(key)
+        entry = self._variants.get(key)
         if entry is None:
-            normalized = modernize_spelling(key, self.words, folds=self._folds)
+            normalized = modernize_spelling(key, self._words, folds=self._folds)
             pos = lemma = None
         else:
             normalized, pos, lemma = entry
         if pos is None:
-            pos = tag(normalized, self.words)
+            pos = tag(normalized, self._words)
         if lemma is None:
-            lemma = lemmatize(normalized, pos, self.exceptions, self.words)
+            lemma = lemmatize(normalized, pos, self._exceptions, self._words)
         return normalized, lemma, pos
 
     def _token(self, surface: str) -> Token:
@@ -714,10 +734,14 @@ class Annotator:
         for chunk in text.split():
             hit = chunks.get(chunk)
             if hit is None:
-                hit = chunks[chunk] = (
-                    tuple(map(self._token, tokenize(chunk))),
-                    _ends_sentence(chunk, self.abbreviations, self.colon_boundary),
-                )
+                if chunk.isalpha():  # one word, which ends no sentence
+                    hit = ((self._token(chunk),), False)
+                else:
+                    hit = (
+                        tuple(map(self._token, tokenize(chunk))),
+                        _ends_sentence(chunk, self.abbreviations, self.colon_boundary),
+                    )
+                chunks[chunk] = hit
             tokens += hit[0]
             if hit[1]:
                 sentences.append(tuple(tokens))

@@ -1555,3 +1555,30 @@ def test_package_import_loads_no_submodule(tmp_path):
 def test_cli_import_freezes_nothing(cold_start_modules):
     # only the process entry, console(), freezes the collector's objects
     assert cold_start_modules["frozen"] == 0
+
+
+def test_graph_writers_load_no_json(tmp_path):
+    # The JSON writer escapes lemmas itself, so a cold network run that
+    # writes GEXF and JSON loads no json module; -S as in cold_start_modules.
+    code = (
+        "import sys\n"
+        "from letternet.cli import main\n"
+        f"code = main(['network', '--manifest', {str(MANIFEST)!r}, '--out', 'out',"
+        " '--format', 'gexf,json'])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'json'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "network.gexf", "network.json", "network_stats.txt",
+    ]
+    assert len(import_json(out / "network.json").nodes) > 0

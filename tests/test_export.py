@@ -8,6 +8,7 @@ import math
 import re
 import statistics
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from letternet.export import (
     _distribution_line,
+    _json_string,
     _node_size,
     export_csv_edges,
     export_dot,
@@ -261,6 +263,18 @@ def test_graph_dict_shape(toy_graph, tmp_path):
     assert d["format"] == "lexical-network"
     assert d["version"] == 1
     assert {n["lemma"] for n in d["nodes"]} == {"god", "see", "truth", "man"}
+
+
+@given(
+    st.text(
+        st.sampled_from(list('"\\\x00\x1f\x7f\b\f\n\r\t\u2028\xa0 é中/'))
+        | st.characters(codec="utf-8")
+    )
+)
+@example("")
+@example("".join(map(chr, range(0x21))) + '"\\')
+def test_json_string_escapes_as_the_json_encoder(text):
+    assert _json_string(text) == encode_basestring(text)
 
 
 _NODE = {"lemma": "a", "pos": "NOUN", "frequency": 1}

@@ -317,6 +317,21 @@ def test_white_space_chunks_tokenize_as_the_whole(text):
     assert [t for chunk in text.split() for t in tokenize(chunk)] == tokenize(text)
 
 
+# letters of several scripts (ASCII, long s, ligature, precomposed accents,
+# Greek, CJK); a combining mark is not a letter and is left out
+_LETTERS = st.sampled_from(list("aZſÆßéõλΩ中")) | st.characters(categories=["L"])
+
+
+@given(st.text(_LETTERS, min_size=1, max_size=12))
+@example("Mr")
+def test_a_chunk_of_letters_is_one_word_that_ends_no_sentence(chunk):
+    # what the annotator's shortcut for such a chunk rests on
+    assert chunk.isalpha()
+    assert tokenize(chunk) == [chunk]
+    for colon_boundary in (False, True):
+        assert not pipeline._ends_sentence(chunk, {fold(chunk)}, colon_boundary)
+
+
 # variant lexicon and spelling modernization
 
 
@@ -592,8 +607,10 @@ def test_no_spelling_search_when_no_known_word_shares_the_fold(words, folds):
     counting.asked.clear()
     assert modernize_spelling(word, counting) == "unbrstl"
     assert len(counting.asked) > 1
-    # the annotator passes the folds of its words
-    annotator = Annotator({}, counting, {})
+    # the annotator passes the folds of its words; it keeps its own copy
+    # of the table, so the count is taken on that copy
+    annotator = Annotator({}, words, {})
+    annotator._words = counting
     counting.asked.clear()
     assert annotator.annotate_text("F", "Vnbrstl").sentences[0][0].normalized == "unbrstl"
     assert counting.asked == [word]
@@ -802,6 +819,8 @@ _ANNOTATION_PIECES = st.one_of(
          "é", ",", ":", "?", "!", " ", " ", " ", "\n"]
         + ["vse,", "(Mr.", "café.", "ſaid;", "\u0301", "²", "½", "٣", "’", "\u00a0",
            "\u2009", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\t"]
+        # words of letters alone, and one whose accent is a combining mark
+        + ["ſaid", "Æneas", "café", "Goſpel", "λόγος", "中文", "cafe\u0301"]
     ),
     st.text(alphabet="aeiouvjbrstlnAV", min_size=1, max_size=8),
 )
@@ -813,6 +832,7 @@ _ANNOTATION_TEXTS = st.lists(_ANNOTATION_PIECES, max_size=30).map("".join)
 @example(["He came (Mr.) then. Mr. Dury (Mr. came."])
 @example(["The st\n. Amand st. came."])
 @example([("vse," * 50)[:-1] + ". Mr." + ("vse," * 50)[:-1] + "."])
+@example(["ſaid 'tis o' ’twas Mr. λόγος cafe\u0301 don't"])
 def test_memo_matches_uncached_annotation(shared_annotators, texts):
     for annotator in shared_annotators:
         for _ in range(2):
@@ -841,8 +861,12 @@ def test_each_chunk_is_tokenized_once_per_annotator(monkeypatch):
     text = "I vse it,\tvse it.\nVse it;  the Tutour doth vse it."
     first = annotator.annotate_text("T", text)
     assert len(first.sentences) == 2
+    # a chunk of letters alone is one word that ends no sentence, and
+    # takes neither rule
+    ruled = sorted(chunk for chunk in set(text.split()) if not chunk.isalpha())
+    assert ruled == ["it,", "it.", "it;"]
     for chunks in calls.values():
-        assert sorted(chunks) == sorted(set(text.split()))
+        assert sorted(chunks) == ruled
         chunks.clear()
     assert annotator.annotate_text("T", text) == first
     assert calls == {"tokenize": [], "_ends_sentence": []}
@@ -884,6 +908,31 @@ def test_one_token_per_form():
     fresh = default_annotator().annotate_text("L0", texts[0])
     assert fresh == docs[0]
     assert all(a is not b for a, b in zip(fresh.tokens(), docs[0].tokens()))
+
+
+def test_annotator_tables_are_read_only_and_its_own():
+    tables = (
+        load_variants(data_path("variant_lexicon.tsv")),
+        load_word_classes(data_path("tagger_lexicon.tsv")),
+        load_lemma_exceptions(data_path("lemma_exceptions.tsv")),
+    )
+    a = Annotator(*tables)
+    with pytest.raises(TypeError):
+        a.words["sauvy"] = PosClass.ADJ
+    with pytest.raises(TypeError):
+        del a.variants["vse"]
+    first, later = "I vse the Tutour. He is sauvy.", "The Tutour went."
+    before = a.annotate_text("T", first)
+    # a caller that changes the dicts it passed in changes no annotation,
+    # of a form seen before or of a new one
+    variants, words, exceptions = tables
+    variants["vse"] = VariantEntry("vouch", PosClass.NOUN, None)
+    words["sauvy"] = words["went"] = PosClass.ADJ
+    exceptions[("went", PosClass.VERB)] = "wend"
+    assert a.annotate_text("T", first) == before == ref_annotate_text(a, "T", first)
+    assert a.annotate_text("L", later) == ref_annotate_text(a, "L", later)
+    assert a.annotate_text("L", later).sentences[0][2] == Token("went", "went", "go", V)
+    assert "sauvy" not in a.words and a.variants["vse"].normalized == "use"
 
 
 def test_annotator_compares_by_identity(annotator):
