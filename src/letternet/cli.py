@@ -311,7 +311,7 @@ def _refuse_overwrite(out: Path, names: set[str]) -> None:
     :func:`~letternet.pipeline.read_input` recorded them.  Only a name
     that ``out`` already holds can replace a file, and only an input of
     that name or a symbolic link can be that file; so in a new output
-    directory no input is looked at.
+    directory no input is looked at, nor made a ``Path``.
     """
     try:
         present = names.intersection(os.listdir(out))
@@ -320,7 +320,7 @@ def _refuse_overwrite(out: Path, names: set[str]) -> None:
     if not present:
         return
     out_dir = out.resolve()
-    for file in pipeline._reads:
+    for file in map(Path, pipeline._reads):
         if file.name in present or file.is_symlink():
             real = file.resolve()
             if real.parent == out_dir and real.name in present:

@@ -10,6 +10,7 @@ stripped before any linguistic processing.
 from __future__ import annotations
 
 import logging
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -27,6 +28,10 @@ _HYPHEN_BREAK_RE = re.compile(r"(\w)-[ \t]*\n\s*(\w)")
 # where the full pattern tries a match at every word character.
 _HYPHEN_EOL_RE = re.compile(r"-[ \t]*\n")
 _BRACKET_RE = re.compile(r"[\[\]]")
+# str.translate's table that makes a space of each ASCII character
+# str.split splits at: tab, newline, vertical tab, form feed, carriage
+# return, the four separators U+001C..U+001F and the space itself
+_ASCII_SPACES = dict.fromkeys((c for c in range(128) if chr(c).isspace()), " ")
 
 _MANIFEST_COLUMNS = (
     "letter_id",
@@ -70,8 +75,8 @@ class Letter(NamedTuple):
 
 def _strip_markup(text: str, where: str = "text") -> str:
     # Repeated until nothing matches, so nested markup such as "<<g>>"
-    # goes whole and cleaning stays idempotent.
-    removed = 1
+    # goes whole and cleaning stays idempotent; every tag starts with "<".
+    removed = "<" in text
     while removed:
         text, removed = _TAG_RE.subn(" ", text)
     if "<" in text or ">" in text:
@@ -126,10 +131,12 @@ def clean_text(text: str, cut_marker: str | None = None, *, where: str = "text")
     string starts; manifests use it to drop trailing passages in another
     language.  Angle-bracket markup and square-bracketed editorial notes
     are dropped, hyphenation across line breaks is rejoined, and
-    whitespace runs collapse to single spaces.  Unbalanced or nested
-    markers are kept verbatim and reported as warnings rather than
-    guessed at; each warning starts with ``where``.  The function is
-    idempotent: cleaning cleaned text is a no-op.
+    whitespace runs collapse to single spaces: in ASCII text by string
+    replacements, without splitting it into words, and in other text by
+    ``" ".join(text.split())``.  Unbalanced or nested markers are kept
+    verbatim and reported as warnings rather than guessed at; each
+    warning starts with ``where``.  The function is idempotent: cleaning
+    cleaned text is a no-op.
     """
     if cut_marker:
         pos = text.find(cut_marker)
@@ -139,25 +146,33 @@ def clean_text(text: str, cut_marker: str | None = None, *, where: str = "text")
         text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
     text = _strip_markup(text, where)
     text = _drop_bracketed(text, where)
-    # str.split and re's \s agree on what is whitespace
-    return " ".join(text.split())
+    # str.split and re's \s agree on what is whitespace.  ASCII text has its
+    # runs collapsed in C without a list of words; str.translate leaves its
+    # ASCII fast path at the first other character, so such text is split.
+    if not text.isascii():
+        return " ".join(text.split())
+    text = text.translate(_ASCII_SPACES)
+    while "  " in text:
+        text = text.replace("  ", " ")
+    return text.strip(" ")
 
 
 def load_letter(path: str | Path, meta: LetterMeta, cut_marker: str | None = None) -> Letter:
     """Read one transcription file and attach cleaned text.
 
     The file is read by :func:`~letternet.pipeline.read_input` and
-    cleaned by :func:`clean_text` with ``cut_marker``.  A missing file,
+    cleaned by :func:`clean_text` with ``cut_marker``; messages name
+    ``path`` as given, a ``str`` as it is written.  A missing file,
     undecodable bytes and a control character that XML cannot hold
     (other than a vertical tab or form feed, which cleaning makes a
     space) raise :class:`InputError` naming the file; an empty file is
     only a warning and yields an empty-bodied letter.
     """
-    p = path if isinstance(path, Path) else Path(path)
-    raw = read_input(p, f"letter {meta.letter_id!r}", letter=True)
-    cleaned = clean_text(raw, cut_marker, where=f"letter {meta.letter_id!r} ({p})")
+    what = f"letter {meta.letter_id!r}"
+    raw = read_input(path, what, letter=True)
+    cleaned = clean_text(raw, cut_marker, where=f"{what} ({path})")
     if not cleaned:
-        log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, p)
+        log.warning("letter %s (%s) is empty after cleaning", meta.letter_id, path)
     return Letter(meta=meta, raw_text=raw, clean_text=cleaned)
 
 
@@ -175,15 +190,15 @@ def load_manifest(path: str | Path) -> list[Letter]:
 
     Expected columns: letter_id, sender, addressee, year,
     year_uncertain, language, file and optional cut_marker.  "-" stands
-    for an absent addressee or cut marker.  Paths are resolved relative
-    to the manifest's directory, and each letter is read by
-    :func:`load_letter` with its row's cut marker.  Blank and "#" lines
-    are skipped.  A manifest without letters is a warning, not an error.
-    A missing or undecodable file is an error from :func:`read_input`;
-    a row whose field count differs from the header's, other malformed
-    rows, years outside 1400..1900, letter ids that are empty or not
-    plain file names and duplicate identifiers are errors naming the
-    offending line.
+    for an absent addressee or cut marker.  A file column is joined to
+    the directory of the manifest's path with :func:`os.path.join`, as
+    text, and each letter is read by :func:`load_letter` with its row's
+    cut marker.  Blank and "#" lines are skipped.  A manifest without
+    letters is a warning, not an error.  A missing or undecodable file
+    is an error from :func:`read_input`; a row whose field count differs
+    from the header's, other malformed rows, years outside 1400..1900,
+    letter ids that are empty or not plain file names and duplicate
+    identifiers are errors naming the offending line.
     """
     p = Path(path)
     rows = read_table(p, None, "manifest")
@@ -194,7 +209,7 @@ def load_manifest(path: str | Path) -> list[Letter]:
     missing = [c for c in _MANIFEST_COLUMNS if c not in columns]
     if missing:
         raise InputError(f"{p}: manifest misses columns {missing}")
-    base = p.parent
+    base = os.path.dirname(p)  # "" for a manifest in the working directory
     letters: list[Letter] = []
     seen: set[str] = set()
     for where, values in rows[1:]:
@@ -228,7 +243,7 @@ def load_manifest(path: str | Path) -> list[Letter]:
         if not row["file"]:
             raise InputError(f"{where}: empty file column")
         letters.append(
-            load_letter(base / row["file"], meta, None if marker == "-" else marker)
+            load_letter(os.path.join(base, row["file"]), meta, None if marker == "-" else marker)
         )
     if not letters:
         log.warning("manifest %s lists no letters", p)

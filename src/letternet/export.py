@@ -276,18 +276,23 @@ class _Echo:
 
 
 def export_csv_edges(graph: GraphLike, path: str | Path) -> None:
-    """Write the edge list as CSV with a header row."""
+    """Write the edge list as CSV with a header row.
+
+    The csv writer quotes each field on its own (only a row of one field
+    is written otherwise), so each node's two fields are quoted once, as
+    the row ``(lemma, class)`` without its line end, and an edge row is
+    its ends, kind and weight joined by commas.
+    """
     view = sorted_view(graph)
-    nodes = view.nodes
-    header = ("source_lemma", "source_pos", "target_lemma", "target_pos", "kind", "weight")
-    rows = (
-        (nodes[src][1], nodes[src][2], nodes[dst][1], nodes[dst][2], kind, weight)
-        for src, dst, kind, _, weight in view.edges
-    )
     import csv
 
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    write_atomic(path, map(writer.writerow, chain((header,), rows)))
+    writerow = csv.writer(_Echo(), lineterminator="\n").writerow
+    ends = [writerow(node[1:3])[:-1] for node in view.nodes]
+    header = ("source_lemma", "source_pos", "target_lemma", "target_pos", "kind", "weight")
+    rows = (
+        f"{ends[src]},{ends[dst]},{kind},{weight}\n" for src, dst, kind, _, weight in view.edges
+    )
+    write_atomic(path, chain((writerow(header),), rows))
 
 
 # ---------------------------------------------------------------------------

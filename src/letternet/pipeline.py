@@ -19,6 +19,7 @@ import enum
 import logging
 import os
 import re
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -93,33 +94,39 @@ class ExportError(OSError, LetternetError):
     """Raised when an output file cannot be written."""
 
 
-_reads: list[Path] | None = None  # what read_input reads, in order, while cli.main sets a list
+# what read_input reads, in order, each path as its reader gave it, while
+# cli.main sets a list
+_reads: list[str | Path] | None = None
+
+_BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
 
 
 def read_input(path: str | Path, what: str, *, letter: bool = False) -> str:
     """The text of an input file: UTF-8, a byte-order mark dropped, lines ending in "\\n".
 
-    "\\r\\n" and "\\r" become "\\n".  An unreadable or undecodable file
-    (naming the byte offset) raises :class:`InputError` with "cannot
-    read {what} {path}: ...", and a control character or noncharacter
-    that XML cannot hold with "{path}:{line}: ...".  With ``letter`` true,
+    "\\r\\n" and "\\r" become "\\n".  The path is used as given, a
+    ``str`` as it is written.  A mark is dropped by testing the first
+    three bytes, and the rest is decoded by the C UTF-8 codec.  An
+    unreadable or undecodable file (naming the byte offset in the file,
+    mark included) raises :class:`InputError` with "cannot read {what}
+    {path}: ...", and a control character or noncharacter that XML
+    cannot hold with "{path}:{line}: ...".  With ``letter`` true,
     vertical tabs and form feeds pass, and every message names the file
     "{what}: {path}".  While a command runs, the path is also appended to
     ``_reads``: the inputs that the command's outputs may not replace.
     """
-    p = path if isinstance(path, Path) else Path(path)
     if _reads is not None:
-        _reads.append(p)
+        _reads.append(path)
     # a letter's file name need not say which letter it is
-    where = f"{what}: {p}" if letter else str(p)
-    name = where if letter or not what else f"{what} {p}"
+    where = f"{what}: {path}" if letter else str(path)
+    name = where if letter or not what else f"{what} {path}"
     try:
-        with open(p, "rb") as f:
+        with open(path, "rb") as f:
             data = f.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot read {name}: {exc}") from exc
     try:
-        text = data.decode("utf-8-sig")
+        text = (data[3:] if data.startswith(_BOM) else data).decode()
     except UnicodeDecodeError as exc:
         # exc.start counts from after a byte-order mark
         offset = exc.start + len(data) - len(exc.object)
@@ -192,18 +199,22 @@ def parse_index(text: str) -> int | None:
     return int(text) if text.isascii() and text.isdigit() else None
 
 
+_BLOCK = 256  # pieces that write_atomic joins, encodes and writes at once
+
+
 def write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
     """Write text to a file so that it appears complete or not at all.
 
-    ``pieces`` are written in order, as they come, through a UTF-8
-    encoder into a temporary file beside the target, with no newline
-    translation; so a writer can yield a large document line by line
-    and never hold all of it.  Only once the last piece is written does
-    the file replace the target.  It gets the mode that ``open(path,
-    "w")`` would give it, 0o666 less the umask.  An OSError becomes
+    ``pieces`` are taken in order, as they come, in blocks of 256: each
+    block is joined, encoded as UTF-8 and written at once into a
+    temporary file beside the target, with no newline translation; so a
+    writer can yield a large document line by line, and no more than a
+    block of it is held.  Only once the last block is written does the
+    file replace the target.  It gets the mode that ``open(path, "w")``
+    would give it, 0o666 less the umask.  An OSError becomes
     :class:`ExportError`; whatever goes wrong, the pieces' iterator
-    raising included, the temporary file is removed and an existing
-    target is left as it was.
+    raising or a piece that cannot be encoded included, the temporary
+    file is removed and an existing target is left as it was.
     """
     target = os.fspath(path)
     tmp_name = f"{target}.{os.urandom(4).hex()}"
@@ -212,9 +223,11 @@ def write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
     except OSError as exc:
         raise ExportError(f"cannot write {target}: {exc}") from exc
     try:
-        # each piece encoded as it comes; a binary file translates no newline
+        # a binary file translates no newline
         with open(fd, "wb") as fh:
-            fh.writelines(map(str.encode, pieces))
+            pieces = iter(pieces)
+            while block := list(islice(pieces, _BLOCK)):
+                fh.write("".join(block).encode())
         os.replace(tmp_name, target)
     except BaseException as exc:
         try:
@@ -652,15 +665,17 @@ class Annotator:
     sentence).  The memos and the spelling folds of ``words`` depend on
     all five fields, so these are fixed once the annotator is made: it
     keeps its own copies of the three tables and shows them as read-only
-    mappings, so a caller that changes a dict it passed in changes no
-    annotation.  To change a table or an option, make a new annotator,
-    which starts with empty memos.  An annotator compares by identity,
-    and pickling or copying one carries its memos along.
+    mappings, and ``abbreviations`` (a ``frozenset`` copy) and
+    ``colon_boundary`` as read-only attributes, so a caller that changes
+    a dict or set it passed in changes no annotation.  To change a table
+    or an option, make a new annotator, which starts with empty memos.
+    An annotator compares by identity, and pickling or copying one
+    carries its memos along.
     """
 
     __slots__ = (
-        "_variants", "_words", "_exceptions", "abbreviations", "colon_boundary", "_folds",
-        "_forms", "_chunks",
+        "_variants", "_words", "_exceptions", "_abbreviations", "_colon_boundary",
+        "_folds", "_forms", "_chunks",
     )
 
     def __init__(
@@ -668,14 +683,14 @@ class Annotator:
         variants: Mapping[str, VariantEntry],
         words: Mapping[str, PosClass],
         exceptions: Mapping[tuple[str, PosClass | None], str],
-        abbreviations: frozenset[str] = frozenset(),
+        abbreviations: Iterable[str] = frozenset(),
         colon_boundary: bool = False,
     ) -> None:
         self._variants = dict(variants)
         self._words = dict(words)
         self._exceptions = dict(exceptions)
-        self.abbreviations = abbreviations
-        self.colon_boundary = colon_boundary
+        self._abbreviations = frozenset(abbreviations)
+        self._colon_boundary = colon_boundary
         self._folds = frozenset(map(spelling_fold, self._words))
         self._forms: dict[str, Token] = {}
         self._chunks: dict[str, tuple[tuple[Token, ...], bool]] = {}
@@ -693,6 +708,14 @@ class Annotator:
     @property
     def exceptions(self) -> Mapping[tuple[str, PosClass | None], str]:
         return MappingProxyType(self._exceptions)
+
+    @property
+    def abbreviations(self) -> frozenset[str]:
+        return self._abbreviations
+
+    @property
+    def colon_boundary(self) -> bool:
+        return self._colon_boundary
 
     def _resolve(self, surface: str) -> tuple[str, str, PosClass]:
         """(normalized, lemma, pos) of one surface form."""
@@ -739,7 +762,7 @@ class Annotator:
                 else:
                     hit = (
                         tuple(map(self._token, tokenize(chunk))),
-                        _ends_sentence(chunk, self.abbreviations, self.colon_boundary),
+                        _ends_sentence(chunk, self._abbreviations, self._colon_boundary),
                     )
                 chunks[chunk] = hit
             tokens += hit[0]

@@ -1,4 +1,6 @@
+import logging
 import os
+import re
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 
 import letternet
 from letternet.cli import CONFIG_ENV_VAR
+from letternet.corpus import Letter, LetterMeta, _HYPHEN_BREAK_RE, _drop_bracketed
 from letternet.network import (
     DEFAULT_CONTENT_CLASSES,
     LexicalGraph,
@@ -14,7 +17,7 @@ from letternet.network import (
     RelationKind,
     node_order,
 )
-from letternet.pipeline import AnnotatedDoc, PosClass, Token, data_path
+from letternet.pipeline import AnnotatedDoc, InputError, PosClass, Token, data_path
 
 
 SAMPLE_DIR = data_path("sample_corpus")
@@ -59,6 +62,72 @@ def one_row_manifest(tmp_path, letter_id, year):
         encoding="utf-8",
     )
     return p
+
+
+# The letter reader as it was before it used string operations alone:
+# a Path joined per letter, the Python-level "utf-8-sig" codec, a markup
+# pass on every text and " ".join(text.split()).  It is the oracle of the
+# reader's fast paths.
+
+_OLD_BOM = b"\xef\xbb\xbf"
+_OLD_TAG_RE = re.compile(r"<[^<>]*>")
+
+
+def old_read_text(path):
+    """(text, None) of a file as the old reader decoded it, or (None, byte offset of the error)."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start counts from after a mark, which the codec dropped
+        return None, exc.start + (3 if data.startswith(_OLD_BOM) else 0)
+    return text.replace("\r\n", "\n").replace("\r", "\n"), None
+
+
+def old_clean_text(text, cut_marker=None, where="text"):
+    """clean_text as it was, with the same warnings, and its hyphen join run on every text."""
+    if cut_marker:
+        pos = text.find(cut_marker)
+        if pos >= 0:
+            text = text[:pos]
+    text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
+    removed = 1
+    while removed:
+        text, removed = _OLD_TAG_RE.subn(" ", text)
+    if "<" in text or ">" in text:
+        logging.getLogger("letternet.corpus").warning(
+            "%s: unbalanced angle markup left as literal text", where
+        )
+    return " ".join(_drop_bracketed(text, where).split())
+
+
+def old_load_manifest(path):
+    """The letters of a well-formed manifest as the old reader gave them.
+
+    A letter file it cannot open raises :class:`InputError` with the
+    message the old reader gave.
+    """
+    p = Path(path)
+    lines = [line.strip() for line in p.read_text(encoding="utf-8").split("\n")]
+    rows = [[v.strip() for v in line.split("\t")] for line in lines if line and line[0] != "#"]
+    letters = []
+    for values in rows[1:]:
+        row = dict(zip(rows[0], values))
+        file = p.parent / row["file"]
+        what = f"letter {row['letter_id']!r}"
+        try:
+            raw, _ = old_read_text(file)
+        except OSError as exc:
+            raise InputError(f"cannot read {what}: {file}: {exc}") from exc
+        marker = row.get("cut_marker", "-")
+        meta = LetterMeta(
+            row["letter_id"], row["sender"],
+            None if row["addressee"] in ("", "-") else row["addressee"], int(row["year"]),
+            row["year_uncertain"].lower() in ("1", "true", "yes", "y"), row["language"] or "en",
+        )
+        clean = old_clean_text(raw, None if marker == "-" else marker, f"{what} ({file})")
+        letters.append(Letter(meta, raw, clean))
+    return sorted(letters, key=lambda letter: (letter.meta.year, letter.meta.letter_id))
 
 
 def mk_sentence(spec):

@@ -2,6 +2,7 @@
 
 import codecs
 import logging
+import os
 import re
 
 import pytest
@@ -9,16 +10,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from letternet.corpus import (
     LetterMeta,
-    _HYPHEN_BREAK_RE,
+    _ASCII_SPACES,
     _drop_bracketed,
-    _strip_markup,
     clean_text,
     load_letter,
     load_manifest,
 )
-from letternet.pipeline import InputError
+from letternet.pipeline import InputError, read_input
 
-from conftest import MANIFEST, one_row_manifest
+from conftest import MANIFEST, old_clean_text, old_load_manifest, old_read_text, one_row_manifest
 
 
 def meta(letter_id="X1", year=1630, **kw):
@@ -138,16 +138,6 @@ def test_drop_bracketed_matches_reference(caplog, text):
     assert run(_drop_bracketed) == run(ref_drop_bracketed)
 
 
-def ref_clean_text(text, cut_marker=None):
-    """clean_text's chain of steps with the hyphen join run on every text."""
-    if cut_marker:
-        pos = text.find(cut_marker)
-        if pos >= 0:
-            text = text[:pos]
-    text = _HYPHEN_BREAK_RE.sub(r"\1\2", text)
-    return " ".join(_drop_bracketed(_strip_markup(text)).split())
-
-
 # words, hyphens, the white space a line break may carry, and markup
 _HYPHEN_PIECES = st.sampled_from(
     ["a", "b", "word", "ſ", "é", "7", "_", "-", "-", " ", "\t", "\n", "\n", "\r",
@@ -161,8 +151,8 @@ _HYPHEN_PIECES = st.sampled_from(
 @example("consi- \t\n  deracion")
 @example("a<g>-\nb")
 def test_clean_text_matches_unguarded_hyphen_join(text):
-    assert clean_text(text) == ref_clean_text(text)
-    assert clean_text(text, cut_marker="\n") == ref_clean_text(text, cut_marker="\n")
+    assert clean_text(text) == old_clean_text(text)
+    assert clean_text(text, cut_marker="\n") == old_clean_text(text, cut_marker="\n")
 
 
 @pytest.mark.parametrize("text", ["<<>>", "x <<g>> y"])
@@ -176,6 +166,90 @@ def test_nested_markup_cleaned_idempotently(text):
 def test_cleaning_idempotent(text):
     once = clean_text(text)
     assert clean_text(once) == once
+
+
+# reading at string speed, against the old reader (conftest)
+
+
+def test_ascii_space_table_is_what_str_split_splits_at():
+    assert {chr(c) for c in _ASCII_SPACES} == {c for c in map(chr, range(128)) if c.isspace()}
+    assert set(_ASCII_SPACES.values()) == {" "}
+
+
+# the ten ASCII white-space characters, three others, two non-ASCII
+# letters, markup whole and broken, notes, hyphen line breaks and the
+# cut markers drawn below
+_READER_PIECES = st.sampled_from(
+    [*(c for c in map(chr, range(128)) if c.isspace()), "\xa0", "\u2028", "\u3000",
+     "ſ", "æ", "a", "word", ".", "<g>", "<pb n='3'/>", "<<g>>", "<", ">", "[", "]", "[n]",
+     "-\n", "- \t\n  ", "-", "cut", "    "]
+)
+
+
+@settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(_READER_PIECES, max_size=40).map("".join),
+    st.sampled_from([None, "", "cut", "ſ", "\n"]),
+)
+@example("\x0b a \x1f\x1c b\t\t\t\t\tc  ", None)
+@example("  <g>   ſ ", None)
+def test_clean_text_matches_the_old_reader(caplog, text, cut_marker):
+    def run(clean):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="letternet.corpus"):
+            result = clean(text, cut_marker, where="L")
+        return result, [record.getMessage() for record in caplog.records]
+
+    assert run(clean_text) == run(old_clean_text)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"", b"ok", b"a\r\nb\rc\n", "ſaid æ\u2028".encode(), b"ok \xff", b"\xff", b"\xef\xbb",
+     b"\xef\xbb\xbf", b"ok\xe2\x80"],
+)
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+def test_read_input_matches_the_old_reader(tmp_path, payload, mark):
+    p = tmp_path / "f.txt"
+    p.write_bytes(mark + payload)
+    text, offset = old_read_text(p)
+    if offset is None:
+        assert read_input(p, "letter", letter=True) == text
+    else:
+        with pytest.raises(InputError, match=rf"\(byte offset {offset}\)$"):
+            read_input(p, "letter", letter=True)
+
+
+_READER_ROWS = (
+    "letter_id\tsender\taddressee\tyear\tyear_uncertain\tlanguage\tfile\tcut_marker\n"
+    "A1\tDury\tHartlib\t1630\tno\ten\ta.txt\t-\n"
+    "B1\tHartlib\t-\t1629\tyes\t\tletters/b.txt\tHierauff\n"
+)
+
+
+@pytest.mark.parametrize("manifest", ["m.tsv", "./m.tsv", "sub/m.tsv", "./sub/m.tsv"])
+def test_load_manifest_matches_the_old_reader(tmp_path, monkeypatch, manifest):
+    monkeypatch.chdir(tmp_path)
+    base = os.path.dirname(manifest)
+    os.makedirs(os.path.join(base, "letters"), exist_ok=True)
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write(_READER_ROWS)
+    with open(os.path.join(base, "a.txt"), "wb") as f:
+        f.write(b"\xef\xbb\xbfHee  doth\r\nloue <g>the [fol. 2] Tutour.\x0c\n")
+    with open(os.path.join(base, "letters", "b.txt"), "w", encoding="utf-8") as f:
+        f.write("ſaid   æ\u3000consi-\nderacion. Hierauff wird ein\n")
+    assert load_manifest(manifest) == old_load_manifest(manifest)
+    os.remove(os.path.join(base, "letters", "b.txt"))
+    with pytest.raises(InputError) as expected:
+        old_load_manifest(manifest)
+    with pytest.raises(InputError) as got:
+        load_manifest(manifest)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("cannot read letter 'B1': ")
+
+
+def test_load_manifest_sample_matches_the_old_reader():
+    assert load_manifest(MANIFEST) == old_load_manifest(MANIFEST)
 
 
 # metadata

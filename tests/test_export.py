@@ -710,6 +710,35 @@ def _graphs(draw):
     return LexicalGraph(nodes=nodes, edges=edges)
 
 
+# what csv quotes (",", '"', "\r", "\n"), spaces at either end and the
+# empty lemma, which a row of one field would quote
+_CSV_LEMMAS = st.text(st.sampled_from(list(',"\r\n a')), max_size=4) | st.sampled_from(
+    ["", " a", "a ", '"', ",", "\r\n"]
+)
+
+
+@st.composite
+def _csv_graphs(draw):
+    keys = draw(st.lists(st.tuples(_CSV_LEMMAS, _CLASSES), unique=True, min_size=1, max_size=6))
+    nodes = {key: 1 for key in keys}
+    edges = {}
+    for _ in range(draw(st.integers(0, 10))):
+        ends = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+        src, dst = sorted(ends, key=node_order)
+        edges[(src, dst, draw(st.sampled_from(RelationKind)))] = draw(st.integers(1, 10**6))
+    return LexicalGraph(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_graphs())
+@example(LexicalGraph({("", N): 1, (" a,", V): 1}, {(("", N), (" a,", V), RelationKind.SUBJ): 3}))
+def test_csv_edges_quote_each_end_as_the_csv_writer_does(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        export_csv_edges(graph, path)
+        assert path.read_bytes() == ref_csv_text(graph).encode("utf-8")
+
+
 @settings(max_examples=200, deadline=None)
 @given(_graphs(), st.integers(0, 4))
 @example(LexicalGraph({}, {}), 10)

@@ -935,6 +935,26 @@ def test_annotator_tables_are_read_only_and_its_own():
     assert "sauvy" not in a.words and a.variants["vse"].normalized == "use"
 
 
+def test_annotator_options_are_read_only_and_its_own():
+    abbreviations = {"mr"}
+    a = default_annotator()
+    a = Annotator(a.variants, a.words, a.exceptions, abbreviations)
+    for name, value in (("abbreviations", frozenset()), ("colon_boundary", True)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert type(a.abbreviations) is frozenset and a.colon_boundary is False
+    text = "He came: then Mr. Hartlib left."
+    before = a.annotate_text("T", text)
+    assert len(before.sentences) == 1
+    # a caller that changes the set it passed changes no annotation, of a
+    # chunk seen before or of a new one ("MR." folds to "mr")
+    abbreviations.clear()
+    assert a.annotate_text("T", text) == before
+    assert len(a.annotate_text("U", "MR. Dury came.").sentences) == 1
+    colon = default_annotator(colon_boundary=True)
+    assert len(colon.annotate_text("T", "He came: then left.").sentences) == 2
+
+
 def test_annotator_compares_by_identity(annotator):
     twin = Annotator(
         annotator.variants, annotator.words, annotator.exceptions, annotator.abbreviations
@@ -1182,15 +1202,24 @@ def test_many_files_read_with_one_memo_hold_their_rows_once(tmp_path):
     assert footprint(paths) < 8 * one
 
 
-def _pieces_then_failure():
-    yield "<gexf>\n"
+def _pieces_then_failure(n=1):
+    yield from (f"<node id={i}/>\n" for i in range(n))
     raise RuntimeError("writer failed")
 
 
 @pytest.mark.parametrize(
     "pieces, error",
-    [(_pieces_then_failure, RuntimeError), (lambda: ["ok\n", "\ud800\n"], UnicodeEncodeError)],
-    ids=["iterator raises", "piece not encodable"],
+    [
+        (_pieces_then_failure, RuntimeError),
+        (lambda: ["ok\n", "\ud800\n"], UnicodeEncodeError),
+        # at piece 300, after write_atomic has written a block of 256
+        (lambda: _pieces_then_failure(300), RuntimeError),
+        (lambda: [*(f"{i}\n" for i in range(300)), "\ud800\n", "ok\n"], UnicodeEncodeError),
+    ],
+    ids=[
+        "iterator raises", "piece not encodable",
+        "iterator raises after a block", "piece not encodable after a block",
+    ],
 )
 @pytest.mark.parametrize("existing", [None, b"old contents\n"])
 def test_write_atomic_failing_midway_leaves_the_target_as_it_was(tmp_path, pieces, error, existing):
@@ -1235,6 +1264,30 @@ def test_write_atomic_writes_pieces_as_utf8_without_newline_translation(tmp_path
     target = tmp_path / "t.txt"
     write_atomic(target, iter(pieces))
     assert target.read_bytes() == "".join(pieces).encode("utf-8")
+
+
+def test_write_atomic_writes_every_piece_across_blocks(tmp_path):
+    # empty pieces at a block's start, middle and end, and a last partial block
+    pieces = [("" if i % 7 == 0 or i % 256 in (0, 255) else f"{i} ſ\n") for i in range(1000)]
+    target = tmp_path / "t.txt"
+    write_atomic(target, iter(pieces))
+    assert target.read_bytes() == "".join(pieces).encode("utf-8")
+    write_atomic(target, [])
+    assert target.read_bytes() == b""
+
+
+def test_write_atomic_holds_about_one_block(tmp_path):
+    n, line = 100_000, "x" * 99 + "\n"
+    tracemalloc.start()
+    try:
+        write_atomic(tmp_path / "t.txt", (line for _ in range(n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.txt").stat().st_size == n * len(line)
+    # a block of 256 pieces is 25.6 kB of text, held about three times
+    # (the pieces, their join, its encoding); the file is 10 MB
+    assert peak < 16 * pipeline._BLOCK * len(line)
 
 
 def test_ingest_with_byte_order_mark(tmp_path, annotator):

@@ -102,6 +102,7 @@ def test_annotator_clone_annotates_alike():
         assert clone.annotate_text("T", text) == before
         assert clone._forms.keys() == annotator._forms.keys()
         assert clone._chunks.keys() == annotator._chunks.keys()
+        assert clone.abbreviations == annotator.abbreviations and clone.colon_boundary is True
 
 
 def test_annotated_doc_length_counts_tokens():

@@ -148,7 +148,7 @@ def test_only_read_input_reads_a_file_for_a_command():
         for path in sorted(Path(letternet.__file__).parent.glob("*.py"))
     }
     assert {stem: calls for stem, calls in readers.items() if calls} == {
-        "pipeline": ["read_input: open(p, 'rb')"],
+        "pipeline": ["read_input: open(path, 'rb')"],
         "readback": ["validate_gexf: source.read_bytes()"],
     }
 
